@@ -4,19 +4,13 @@ null models, a nested random generator, and hyperedge contagion."""
 __version__ = "0.1.0"
 
 from .dagpaths import ReducedDag, RootedHeightReport, rooted_heights, transitive_reduction
-from .dynamics import (
-    DynamicsConfig,
-    Trajectory,
-    select_seeds,
-    simulate_encapsulation,
-    simulate_encapsulation_empirical_adjacent,
-    simulate_threshold,
-)
+from .dynamics import DynamicsConfig, Trajectory, select_seeds
 from .experiments import (
     ExperimentGrid,
     RunRecord,
     prepare_dynamics,
     randomized_comparison,
+    run_dynamics,
     run_experiment,
     summarize,
 )
@@ -81,7 +75,7 @@ __all__ = [
     "load_plain",
     "load_simplex_dataset",
     "overlap_totals",
-    "parse_plain"
+    "parse_plain",
     "prepare_dynamics",
     "preprocess",
     "projected_density",
@@ -89,11 +83,9 @@ __all__ = [
     "retention_report",
     "rewire_edge",
     "rooted_heights",
+    "run_dynamics",
     "run_experiment",
     "select_seeds",
-    "simulate_encapsulation",
-    "simulate_encapsulation_empirical_adjacent",
-    "simulate_threshold",
     "spawn_rng",
     "summarize",
     "transitive_reduction",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .dagpaths import rooted_heights, transitive_reduction
-from .dynamics import STRATEGIES, VARIANTS, DynamicsConfig, select_seeds
+from .dynamics import STRATEGIES, VARIANTS, select_seeds
 from .experiments import (
     ExperimentGrid,
     prepare_dynamics,
@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _at_least(minimum: int):
+    """argparse type for a count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        if not text.lstrip("-").isdigit() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return count
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -325,26 +336,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             h, grid, args.runs, args.randomize, args.seed, dataset=dataset, jobs=args.jobs
         )
         summary_doc = {
-            "cells": [vars(c) | {} for c in comparisons],
+            "cells": [vars(c) for c in comparisons],
             "randomize_samples": args.randomize,
         }
     else:
         records = run_experiment(h, grid, args.runs, args.seed, dataset=dataset, jobs=args.jobs)
-        summary_doc = {
-            "cells": [
-                {
-                    "dataset": s.dataset,
-                    "variant": s.variant,
-                    "strategy": s.strategy,
-                    "seeds": s.seeds,
-                    "tau": s.tau,
-                    "runs": s.runs,
-                    "mean_proportion": s.mean_proportion,
-                    "stderr": s.stderr,
-                }
-                for s in summarize(records)
-            ]
-        }
+        summary_doc = {"cells": [vars(s) for s in summarize(records)]}
     out = Path(args.out)
     write_records_csv(records, out)
     outputs = [out]
@@ -357,11 +354,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
             rng = spawn_rng(args.seed, "seed-selection", idx, 0)
             seeds = select_seeds(h, strategy, seed_count, rng)
-            config = DynamicsConfig(
-                variant=variant, tau=args.tau, max_steps=args.max_steps,
-                seed_strategy=strategy, seed_count=seed_count, comparison=args.comparison,
-            )
-            traj = run_dynamics(prepared, config, seeds)
+            traj = run_dynamics(prepared, grid.config(variant, strategy, seed_count), seeds)
             dumps.append(
                 {"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0}
                 | traj.to_json_dict()
@@ -388,14 +381,14 @@ def build_parser() -> _Parser:
     _add_input_options(p)
     p.add_argument("--normalized", action="store_true", help="include per-size-n-hyperedge rates")
     p.add_argument("--histograms", action="store_true", help="include per-hyperedge normalized histograms")
-    p.add_argument("--randomize", type=int, default=0, metavar="K", help="add mean counts over K layer randomizations")
+    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="add mean counts over K layer randomizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON here (with manifest)")
     p.set_defaults(func=cmd_encapsulation)
 
     p = sub.add_parser("heights", help="rooted path heights of the reduced containment DAG")
     _add_input_options(p)
-    p.add_argument("--randomize", type=int, default=0, metavar="K", help="also report K layer randomizations")
+    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="also report K layer randomizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-root CSV here")
     p.add_argument("--summary-out", help="write distribution summary JSON here")
@@ -403,7 +396,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("randomize", help="layer randomization retention report")
     _add_input_options(p)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON report here (with manifest)")
     p.add_argument("--emit-samples", metavar="DIR", help="also write each randomized hypergraph")
@@ -429,12 +422,12 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", default="uniform", help="comma-separated seed strategies")
     p.add_argument("--seeds", default="1", help="comma-separated seed counts")
     p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_at_least(1), default=10)
     p.add_argument("--max-steps", type=int, default=25)
     p.add_argument("--comparison", choices=(">=", ">"), default=">=")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--randomize", type=int, default=0, metavar="K", help="compare against K layer randomizations")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="compare against K layer randomizations")
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--dataset", default="", help="dataset name for the results table")
     p.add_argument("--out", required=True, help="write per-run results CSV here")
     p.add_argument("--summary-out", help="write per-cell summary JSON here")

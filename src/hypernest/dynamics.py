@@ -4,15 +4,17 @@ The main process spreads activation upward through containment: an
 inactive hyperedge activates once enough of the hyperedges one size below
 it that it contains are active. Individual nodes matter only as explicit
 1-node hyperedges ("strict"), or additionally as virtual 1-node hyperedges
-influencing 2-node hyperedges ("non-strict", where activating a hyperedge
-also activates its member nodes). A relaxed variant lets each hyperedge be
-influenced by the largest-size hyperedges it actually contains, whatever
-that size is. A conventional node-counting threshold process is included
-for comparison.
+influencing 2-node hyperedges ("non-strict"). A relaxed variant lets each
+hyperedge be influenced by the largest-size hyperedges it actually
+contains, whatever that size is ("empirical-adjacent"). A conventional
+node-counting threshold process is included for comparison ("threshold").
 
-All processes run in synchronous rounds and are deterministic once the
-seed hyperedges are fixed; activation is monotone, so a run stops at the
-first round with no change (or after ``max_steps`` rounds).
+The variants differ only in who influences whom and how many active
+influencers a hyperedge needs, so each is an ``Influence`` map run by the
+one round loop ``spread``. Runs proceed in synchronous rounds and are
+deterministic once the seed hyperedges are fixed; activation is monotone,
+so a run stops at the first round with no change (or after ``max_steps``
+rounds).
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class DynamicsConfig:
 
     ``tau`` is the activation threshold: a hyperedge needs at least that
     many active influencers (``comparison`` flips it to strictly more
-    than). For the threshold process ``tau`` is instead the number of
-    member nodes allowed to still be inactive.
+    than); the containment variants need ``tau >= 1``. For the threshold
+    process ``tau`` is instead the number of member nodes allowed to still
+    be inactive, and ``comparison`` is ignored.
     """
 
     variant: str = "strict"
@@ -48,7 +51,6 @@ class DynamicsConfig:
     max_steps: int = 25
     seed_strategy: str = "uniform"
     seed_count: int = 1
-    rng_seed: int | None = None
     comparison: str = ">="
 
     def __post_init__(self):
@@ -60,6 +62,8 @@ class DynamicsConfig:
             raise ValueError(f"comparison must be '>=' or '>', got {self.comparison!r}")
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.tau < 1 and self.variant != "threshold":
+            raise ValueError("containment contagion needs tau >= 1")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.seed_count < 0:
@@ -139,8 +143,58 @@ def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list
     return sorted(int(i) for i in picked)
 
 
-def _meets(count: int, config: DynamicsConfig) -> bool:
-    return count >= config.tau if config.comparison == ">=" else count > config.tau
+
+
+@dataclass(frozen=True)
+class Influence:
+    """Who counts toward whom in one variant: an active hyperedge ``b``
+    counts toward each hyperedge in ``edges[b]``, and an active node ``u``
+    toward each hyperedge in ``nodes[u]`` (nodes count toward nothing when
+    ``nodes`` is None)."""
+
+    edges: Sequence[Sequence[int]]
+    nodes: Sequence[Sequence[int]] | None = None
+
+
+def build_influence(
+    h: Hypergraph, variant: str, full_dag: HyperedgeDag, adjacent_dag: HyperedgeDag
+) -> Influence:
+    """The influence map of ``variant``; ``full_dag`` is the containment DAG
+    and ``adjacent_dag`` its restriction to size differences of one."""
+    sizes = h.sizes.tolist()
+    if variant == "strict":
+        return Influence(adjacent_dag.in_adj)
+    if variant == "non-strict":
+        # 2-node hyperedges hear their member nodes instead of their singletons
+        pairs: list[list[int]] = [[] for _ in range(h.n)]
+        for eid, edge in enumerate(h.edges):
+            if len(edge) == 2:
+                for u in edge:
+                    pairs[u].append(eid)
+        edges = [[a for a in parents if sizes[a] != 2] for parents in adjacent_dag.in_adj]
+        return Influence(edges, pairs)
+    if variant == "empirical-adjacent":
+        largest = [max((sizes[b] for b in children), default=0) for children in full_dag.out_adj]
+        return Influence([
+            [a for a in parents if largest[a] == sizes[b]]
+            for b, parents in enumerate(full_dag.in_adj)
+        ])
+    if variant == "threshold":
+        return Influence([()] * h.m, [ids.tolist() for ids in h.memberships])
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _need(h: Hypergraph, config: DynamicsConfig) -> list[int]:
+    """Active influencers each hyperedge needs to activate."""
+    if config.variant != "threshold":
+        return [config.tau + (config.comparison == ">")] * h.m
+    if h.m and config.tau >= int(h.sizes.min()):
+        warnings.warn(
+            f"tau={config.tau} >= smallest hyperedge size {int(h.sizes.min())}: "
+            "such hyperedges self-activate with no active nodes",
+            stacklevel=3,
+        )
+    return (h.sizes - config.tau).tolist()
 
 
 def _activate_nodes(h: Hypergraph, edge_ids: Iterable[int], node_active: list[bool]) -> list[int]:
@@ -160,40 +214,26 @@ def _check_seeds(h: Hypergraph, seeds: Sequence[int]) -> list[int]:
     return ids
 
 
-def simulate_encapsulation(
+def spread(
     h: Hypergraph,
-    dag: HyperedgeDag,
+    influence: Influence,
     config: DynamicsConfig,
     seeds: Sequence[int],
     seed_nodes: Sequence[int] = (),
-    debug_checks: bool = False,
 ) -> Trajectory:
-    """Containment contagion over the adjacent-size DAG.
+    """Run one contagion from ``seeds`` (plus pre-activated ``seed_nodes``).
 
-    ``dag`` must be restricted to containment edges with size difference 1.
-    In the non-strict variant every active node counts toward the 2-node
-    hyperedges it belongs to, and activating a hyperedge activates its
-    member nodes; otherwise nodes never feed back. ``seed_nodes`` may
-    pre-activate nodes without seeding any hyperedge (non-strict only).
+    Each round, the hyperedges and nodes activated in the previous round add
+    one to the count of every inactive hyperedge they influence; a touched
+    hyperedge activates once its count reaches its need, and activating a
+    hyperedge activates its member nodes. Hyperedges needing nothing are
+    candidates in the first round.
     """
-    if config.variant not in ("strict", "non-strict"):
-        raise ValueError(f"variant {config.variant!r} is not handled by this engine")
-    if config.tau < 1:
-        raise ValueError("containment contagion needs tau >= 1")
-    non_strict = config.variant == "non-strict"
     m = h.m
-    sizes = h.sizes
+    need = _need(h, config)
     edge_active = [False] * m
     node_active = [False] * h.n
-    sub_count = [0] * m
-    node_count = [0] * m if non_strict else None
-    pair_edges: list[list[int]] | None = None
-    if non_strict:
-        pair_edges = [[] for _ in range(h.n)]
-        for eid in range(m):
-            if sizes[eid] == 2:
-                for u in h.edges[eid]:
-                    pair_edges[u].append(eid)
+    count = [0] * m
 
     new_edges = _check_seeds(h, seeds)
     for eid in new_edges:
@@ -204,146 +244,23 @@ def simulate_encapsulation(
             node_active[u] = True
             new_nodes.append(u)
     steps = [list(new_edges)]
+    touched = {eid for eid in range(m) if need[eid] <= 0 and not edge_active[eid]}
 
     for _ in range(config.max_steps):
-        touched: set[int] = set()
-        for beta in new_edges:
-            for alpha in dag.in_adj[beta]:
-                sub_count[alpha] += 1
+        reached = [influence.edges[b] for b in new_edges]
+        if influence.nodes is not None:
+            reached += [influence.nodes[u] for u in new_nodes]
+        for targets in reached:
+            for alpha in targets:
                 if not edge_active[alpha]:
+                    count[alpha] += 1
                     touched.add(alpha)
-        if non_strict:
-            for u in new_nodes:
-                for eid in pair_edges[u]:
-                    node_count[eid] += 1
-                    if not edge_active[eid]:
-                        touched.add(eid)
-        if debug_checks:
-            # counts now cover exactly the activations of all earlier rounds
-            _assert_counts_consistent(
-                h, dag, edge_active, node_active, sub_count, node_count, non_strict
-            )
-        new_edges = []
-        for alpha in sorted(touched):
-            influence = (
-                node_count[alpha] if non_strict and sizes[alpha] == 2 else sub_count[alpha]
-            )
-            if _meets(influence, config):
-                edge_active[alpha] = True
-                new_edges.append(alpha)
-        new_nodes = _activate_nodes(h, new_edges, node_active) if non_strict else []
+        new_edges = [alpha for alpha in sorted(touched) if count[alpha] >= need[alpha]]
         if not new_edges:
             break
-        steps.append(new_edges)
-    return Trajectory(steps=steps, edge_active=edge_active, node_active=node_active)
-
-
-def _assert_counts_consistent(h, dag, edge_active, node_active, sub_count, node_count, non_strict):
-    for alpha in range(h.m):
-        expect = sum(1 for b in dag.out_adj[alpha] if edge_active[b])
-        assert sub_count[alpha] == expect, (alpha, sub_count[alpha], expect)
-    if non_strict:
-        for alpha in range(h.m):
-            if h.sizes[alpha] == 2:
-                expect = sum(1 for u in h.edges[alpha] if node_active[u])
-                assert node_count[alpha] == expect, (alpha, node_count[alpha], expect)
-
-
-def simulate_encapsulation_empirical_adjacent(
-    h: Hypergraph,
-    dag: HyperedgeDag,
-    config: DynamicsConfig,
-    seeds: Sequence[int],
-) -> Trajectory:
-    """Relaxed containment contagion over the full containment DAG: each
-    hyperedge is influenced only by contained hyperedges of the largest
-    size it actually contains, wherever that falls below its own size."""
-    if config.variant != "empirical-adjacent":
-        raise ValueError(f"variant {config.variant!r} is not handled by this engine")
-    if config.tau < 1:
-        raise ValueError("containment contagion needs tau >= 1")
-    m = h.m
-    sizes = h.sizes
-    influence_size = [
-        max((int(sizes[b]) for b in nbrs), default=0) for nbrs in dag.out_adj
-    ]
-    edge_active = [False] * m
-    node_active = [False] * h.n
-    sub_count = [0] * m
-
-    new_edges = _check_seeds(h, seeds)
-    for eid in new_edges:
-        edge_active[eid] = True
-    _activate_nodes(h, new_edges, node_active)
-    steps = [list(new_edges)]
-
-    for _ in range(config.max_steps):
-        touched: set[int] = set()
-        for beta in new_edges:
-            for alpha in dag.in_adj[beta]:
-                if int(sizes[beta]) == influence_size[alpha]:
-                    sub_count[alpha] += 1
-                    if not edge_active[alpha]:
-                        touched.add(alpha)
-        new_edges = []
-        for alpha in sorted(touched):
-            if _meets(sub_count[alpha], config):
-                edge_active[alpha] = True
-                new_edges.append(alpha)
-        _activate_nodes(h, new_edges, node_active)
-        if not new_edges:
-            break
-        steps.append(new_edges)
-    return Trajectory(steps=steps, edge_active=edge_active, node_active=node_active)
-
-
-def simulate_threshold(
-    h: Hypergraph,
-    config: DynamicsConfig,
-    seeds: Sequence[int],
-    seed_nodes: Sequence[int] = (),
-) -> Trajectory:
-    """Node-counting threshold contagion: an inactive hyperedge activates
-    once at most ``tau`` of its member nodes are still inactive, and an
-    activated hyperedge activates all of its member nodes."""
-    m = h.m
-    sizes = h.sizes
-    if m and config.tau >= int(sizes.min()):
-        warnings.warn(
-            f"tau={config.tau} >= smallest hyperedge size {int(sizes.min())}: "
-            "such hyperedges self-activate with no active nodes",
-            stacklevel=2,
-        )
-    edge_active = [False] * m
-    node_active = [False] * h.n
-    node_count = [0] * m
-
-    new_edges = _check_seeds(h, seeds)
-    for eid in new_edges:
-        edge_active[eid] = True
-    new_nodes = _activate_nodes(h, new_edges, node_active)
-    for u in seed_nodes:
-        if not node_active[u]:
-            node_active[u] = True
-            new_nodes.append(u)
-    steps = [list(new_edges)]
-    # hyperedges no larger than tau need no active nodes at all
-    degenerate = [eid for eid in range(m) if sizes[eid] <= config.tau and not edge_active[eid]]
-
-    for step in range(config.max_steps):
-        touched: set[int] = set(degenerate) if step == 0 else set()
-        for u in new_nodes:
-            for eid in h.memberships[u]:
-                node_count[eid] += 1
-                if not edge_active[eid]:
-                    touched.add(int(eid))
-        new_edges = []
-        for alpha in sorted(touched):
-            if not edge_active[alpha] and node_count[alpha] >= int(sizes[alpha]) - config.tau:
-                edge_active[alpha] = True
-                new_edges.append(alpha)
+        for eid in new_edges:
+            edge_active[eid] = True
         new_nodes = _activate_nodes(h, new_edges, node_active)
-        if not new_edges:
-            break
         steps.append(new_edges)
+        touched = set()
     return Trajectory(steps=steps, edge_active=edge_active, node_active=node_active)

@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
-from .dynamics import (
-    DynamicsConfig,
-    Trajectory,
-    select_seeds,
-    simulate_encapsulation,
-    simulate_encapsulation_empirical_adjacent,
-    simulate_threshold,
-)
+from .dynamics import DynamicsConfig, Influence, Trajectory, build_influence, select_seeds, spread
 from .hypergraph import Hypergraph
 from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
 from .randomize import layer_randomize
@@ -41,6 +34,16 @@ class ExperimentGrid:
 
     def cells(self) -> list[tuple[str, str, int]]:
         return list(product(self.variants, self.strategies, self.seed_counts))
+
+    def config(self, variant: str, strategy: str, seed_count: int) -> DynamicsConfig:
+        return DynamicsConfig(
+            variant=variant,
+            tau=self.tau,
+            max_steps=self.max_steps,
+            seed_strategy=strategy,
+            seed_count=seed_count,
+            comparison=self.comparison,
+        )
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,20 @@ class CellSummary:
 
 @dataclass
 class PreparedDynamics:
-    """Line-graph structures shared by every cell run on one hypergraph."""
+    """Line-graph structures shared by every cell run on one hypergraph,
+    with each variant's influence map built on first use."""
 
     hypergraph: Hypergraph
     full_dag: HyperedgeDag
     adjacent_dag: HyperedgeDag
+    influences: dict[str, Influence] = field(default_factory=dict, repr=False)
+
+    def influence(self, variant: str) -> Influence:
+        if variant not in self.influences:
+            self.influences[variant] = build_influence(
+                self.hypergraph, variant, self.full_dag, self.adjacent_dag
+            )
+        return self.influences[variant]
 
 
 def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
@@ -84,27 +96,23 @@ def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
     return PreparedDynamics(hypergraph=h, full_dag=dag, adjacent_dag=adjacent_layer_dag(dag, h))
 
 
-def run_dynamics(prepared: PreparedDynamics, config: DynamicsConfig, seeds: Sequence[int]) -> Trajectory:
-    h = prepared.hypergraph
-    if config.variant in ("strict", "non-strict"):
-        return simulate_encapsulation(h, prepared.adjacent_dag, config, seeds)
-    if config.variant == "empirical-adjacent":
-        return simulate_encapsulation_empirical_adjacent(h, prepared.full_dag, config, seeds)
-    return simulate_threshold(h, config, seeds)
+def run_dynamics(
+    prepared: PreparedDynamics,
+    config: DynamicsConfig,
+    seeds: Sequence[int],
+    seed_nodes: Sequence[int] = (),
+) -> Trajectory:
+    """One contagion run of ``config.variant`` from the seed hyperedges (and
+    optionally pre-activated nodes) on a prepared hypergraph."""
+    return spread(
+        prepared.hypergraph, prepared.influence(config.variant), config, seeds, seed_nodes
+    )
 
 
 def _run_cell(args) -> list[RunRecord]:
     prepared, grid, cell_index, cell, runs, master_seed, dataset = args
     variant, strategy, seed_count = cell
-    config = DynamicsConfig(
-        variant=variant,
-        tau=grid.tau,
-        max_steps=grid.max_steps,
-        seed_strategy=strategy,
-        seed_count=seed_count,
-        rng_seed=master_seed,
-        comparison=grid.comparison,
-    )
+    config = grid.config(*cell)
     records = []
     for run in range(runs):
         rng = spawn_rng(master_seed, "seed-selection", cell_index, run)

@@ -91,11 +91,9 @@ def retention_report(h: Hypergraph, samples: int, master_seed: int) -> LayerRand
     for i in range(samples):
         randomized = layer_randomize(h, spawn_rng(master_seed, "layer-randomization", i))
         values = _line_graph_quantities(randomized)
-        row = {}
-        for name in _QUANTITIES:
-            row[name] = values[name] / observed[name] if observed[name] else 1.0
-        row["collapsed_edges"] = float(h.m - randomized.m)
-        rows.append(row)
+        rows.append(
+            {name: values[name] / observed[name] if observed[name] else 1.0 for name in _QUANTITIES}
+        )
     means = {name: sum(r[name] for r in rows) / samples for name in _QUANTITIES}
     return LayerRandomizationReport(
         observed=observed,

@@ -46,3 +46,40 @@ def reachable_from(out_adj: list[list[int]], src: int) -> set[int]:
 
 def reachability(out_adj: list[list[int]]) -> dict[int, set[int]]:
     return {v: reachable_from(out_adj, v) for v in range(len(out_adj))}
+
+
+def contagion_steps(h: Hypergraph, config, seeds, seed_nodes=()) -> list[list[int]]:
+    """Per-round newly activated hyperedges, recounting every inactive
+    hyperedge's influence from ``h.edge_sets`` each round with the variant
+    definitions: strict counts active proper subsets one size smaller;
+    non-strict does the same except that a 2-node hyperedge counts its
+    active member nodes; empirical-adjacent counts active subsets of the
+    largest size it contains; threshold activates a hyperedge once at most
+    ``tau`` of its member nodes are inactive."""
+    sets = h.edge_sets
+    subsets = [[j for j in range(h.m) if sets[j] < sets[i]] for i in range(h.m)]
+    active = set(seeds)
+    nodes = set(seed_nodes).union(*(sets[i] for i in active))
+    steps = [sorted(active)]
+    for _ in range(config.max_steps):
+        new = []
+        for i in sorted(set(range(h.m)) - active):
+            size = len(sets[i])
+            if config.variant == "threshold":
+                if len(sets[i] - nodes) <= config.tau:
+                    new.append(i)
+                continue
+            if config.variant == "non-strict" and size == 2:
+                count = len(sets[i] & nodes)
+            else:
+                if config.variant == "empirical-adjacent":
+                    size = max((len(sets[j]) for j in subsets[i]), default=0) + 1
+                count = sum(1 for j in subsets[i] if len(sets[j]) == size - 1 and j in active)
+            if count > config.tau or (count == config.tau and config.comparison == ">="):
+                new.append(i)
+        if not new:
+            break
+        active.update(new)
+        nodes.update(*(sets[i] for i in new))
+        steps.append(new)
+    return steps

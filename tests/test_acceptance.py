@@ -30,7 +30,6 @@ from hypernest import (
     projected_density,
     rooted_heights,
     select_seeds,
-    simulate_encapsulation,
     spawn_rng,
     summarize,
     transitive_reduction,
@@ -38,7 +37,7 @@ from hypernest import (
 from hypernest.cli import main as cli_main
 from hypernest.dagpaths import ReducedDag
 from hypernest.experiments import prepare_dynamics, randomized_comparison, run_dynamics
-from hypernest.linegraph import HyperedgeDag, adjacent_layer_dag
+from hypernest.linegraph import HyperedgeDag
 
 
 @contextmanager
@@ -257,27 +256,22 @@ class TestCriterion7DynamicsGroundTruth:
     def test_no_nesting_hypergraph_never_spreads(self):
         with criterion("7 no-containment hypergraph: zero spread from any single seed"):
             h = Hypergraph([["a", "b"], ["b", "c"], ["c", "d", "e"]])
-            adj = adjacent_layer_dag(build_encapsulation_dag(h), h)
+            prep = prepare_dynamics(h)
             for seed in range(h.m):
-                traj = simulate_encapsulation(
-                    h, adj, DynamicsConfig(variant="strict", tau=1), seeds=[seed]
-                )
+                traj = run_dynamics(prep, DynamicsConfig(variant="strict", tau=1), seeds=[seed])
                 assert traj.non_seed_active == 0
 
     def test_contained_pair_activates_parent(self):
         with criterion("7 containment pair: seeded subset activates its superset"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            adj = adjacent_layer_dag(build_encapsulation_dag(h), h)
-            traj = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds=[1])
+            traj = run_dynamics(prepare_dynamics(h), DynamicsConfig(variant="strict"), seeds=[1])
             assert traj.steps == [[1], [0]]
 
     def test_non_strict_single_node_cascade(self):
         with criterion("7 non-strict: active node b reaches pair then triple"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            adj = adjacent_layer_dag(build_encapsulation_dag(h), h)
-            traj = simulate_encapsulation(
-                h,
-                adj,
+            traj = run_dynamics(
+                prepare_dynamics(h),
                 DynamicsConfig(variant="non-strict"),
                 seeds=[],
                 seed_nodes=[h.label_index["b"]],

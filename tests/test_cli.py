@@ -72,6 +72,26 @@ class TestStats:
         assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("heights", "--randomize", "-1"),
+        ("encapsulation", "--randomize", "-2"),
+        ("simulate", "--jobs", "-3"),
+        ("simulate", "--runs", "0"),
+        ("randomize", "--samples", "-1"),
+        ("randomize", "--samples", "two"),
+    ],
+)
+def test_bad_count_is_usage_error(plain_file, tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv[0], plain_file, *argv[1:], "--out", out)
+    assert err.value.code == 1
+    assert "expected an integer >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEncapsulation:
     def test_counts_json(self, plain_file, capsys):
         assert run_cli("encapsulation", plain_file, "--normalized", "--histograms") == 0

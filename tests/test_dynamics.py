@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import hypergraphs
 from hypernest import (
     DynamicsConfig,
@@ -12,18 +13,17 @@ from hypernest import (
     adjacent_layer_dag,
     build_encapsulation_dag,
     generate,
+    prepare_dynamics,
+    run_dynamics,
     select_seeds,
-    simulate_encapsulation,
-    simulate_encapsulation_empirical_adjacent,
-    simulate_threshold,
     spawn_rng,
 )
+from hypernest.dynamics import VARIANTS
 from hypernest.rng import as_rng
 
 
-def prepared(h: Hypergraph):
-    dag = build_encapsulation_dag(h)
-    return dag, adjacent_layer_dag(dag, h)
+def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
+    return run_dynamics(prepare_dynamics(h), config, seeds, seed_nodes)
 
 
 # three hyperedges over {a,…,e} with no containment relation at all
@@ -84,52 +84,47 @@ class TestSelectSeeds:
 class TestStrictDynamics:
     def test_no_nesting_means_no_spread(self):
         h = Hypergraph(NO_NESTING)
-        _, adj = prepared(h)
+        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=1)
         for seed in range(h.m):
-            traj = simulate_encapsulation(h, adj, config, seeds=[seed])
+            traj = run_dynamics(prep, config, seeds=[seed])
             assert traj.non_seed_active == 0
 
     def test_contained_pair_spreads(self):
         h = Hypergraph(ONE_NESTING)
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds=[1])
+        traj = run(h, DynamicsConfig(variant="strict"), seeds=[1])
         assert traj.steps == [[1], [0]]
         assert traj.final_active == 2
 
     def test_nodes_do_not_feed_back(self):
         # node b is active, but without a 1-node hyperedge nothing happens
         h = Hypergraph(ONE_NESTING)
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(
-            h, adj, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.label_index["b"]]
+        traj = run(
+            h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.label_index["b"]]
         )
         assert traj.final_active == 0
 
     def test_explicit_singletons_do_feed_pairs(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3]])
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds=[0])
+        traj = run(h, DynamicsConfig(variant="strict"), seeds=[0])
         assert traj.edge_active == [True, True, True]
 
     def test_tau_two_needs_two_children(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
-        _, adj = prepared(h)
+        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=2)
-        assert simulate_encapsulation(h, adj, config, seeds=[1]).non_seed_active == 0
-        assert simulate_encapsulation(h, adj, config, seeds=[1, 2]).non_seed_active == 1
+        assert run_dynamics(prep, config, seeds=[1]).non_seed_active == 0
+        assert run_dynamics(prep, config, seeds=[1, 2]).non_seed_active == 1
 
     def test_strictly_greater_comparison(self):
         h = Hypergraph(ONE_NESTING)
-        _, adj = prepared(h)
         config = DynamicsConfig(variant="strict", tau=1, comparison=">")
-        assert simulate_encapsulation(h, adj, config, seeds=[1]).non_seed_active == 0
+        assert run(h, config, seeds=[1]).non_seed_active == 0
 
     def test_max_steps_caps_progress(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]])
-        _, adj = prepared(h)
         config = DynamicsConfig(variant="strict", max_steps=2)
-        traj = simulate_encapsulation(h, adj, config, seeds=[0])
+        traj = run(h, config, seeds=[0])
         assert traj.num_steps == 2
         assert traj.final_active == 3
 
@@ -137,87 +132,82 @@ class TestStrictDynamics:
 class TestNonStrictDynamics:
     def test_node_activates_pair_then_triangle(self):
         h = Hypergraph(ONE_NESTING)
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(
-            h, adj, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.label_index["b"]]
+        traj = run(
+            h, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.label_index["b"]]
         )
         assert traj.steps == [[], [1], [0]]
 
     def test_edge_activation_activates_members(self):
         h = Hypergraph([["a", "b", "c"], ["c", "d"]])
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(h, adj, DynamicsConfig(variant="non-strict"), seeds=[0])
+        traj = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
         # c became active with the seed edge, so {c,d} follows a step later
         assert traj.steps == [[0], [1]]
         assert all(traj.node_active)
 
     def test_degenerates_to_strict_without_pairs(self):
         h = Hypergraph([[1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5, 6]])
-        _, adj = prepared(h)
-        strict = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds=[0])
-        loose = simulate_encapsulation(h, adj, DynamicsConfig(variant="non-strict"), seeds=[0])
+        prep = prepare_dynamics(h)
+        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[0])
+        loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds=[0])
         assert strict.steps == loose.steps
 
     @given(hypergraphs(min_edge_size=3))
     @settings(max_examples=30)
     def test_degenerates_to_strict_without_pairs_property(self, h):
-        _, adj = prepared(h)
+        prep = prepare_dynamics(h)
         seeds = [0]
-        strict = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds)
-        loose = simulate_encapsulation(h, adj, DynamicsConfig(variant="non-strict"), seeds)
+        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds)
+        loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds)
         assert strict.steps == loose.steps
 
 
 class TestEmpiricalAdjacent:
     def test_size_gap_is_bridged(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
-        dag, adj = prepared(h)
+        prep = prepare_dynamics(h)
         config_a = DynamicsConfig(variant="empirical-adjacent")
-        traj = simulate_encapsulation_empirical_adjacent(h, dag, config_a, seeds=[1])
+        traj = run_dynamics(prep, config_a, seeds=[1])
         assert traj.edge_active == [True, True]
         # under the adjacent-size rule the same seed reaches nothing
-        strict = simulate_encapsulation(h, adj, DynamicsConfig(variant="strict"), seeds=[1])
+        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[1])
         assert strict.non_seed_active == 0
 
     def test_only_largest_contained_size_counts(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 4]])
-        dag, _ = prepared(h)
+        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="empirical-adjacent")
-        via_pair = simulate_encapsulation_empirical_adjacent(h, dag, config, seeds=[2])
+        via_pair = run_dynamics(prep, config, seeds=[2])
         assert via_pair.edge_active[0] is False
-        via_triple = simulate_encapsulation_empirical_adjacent(h, dag, config, seeds=[1])
+        via_triple = run_dynamics(prep, config, seeds=[1])
         assert via_triple.edge_active[0] is True
 
     def test_matches_strict_when_gapless(self, chain_hypergraph):
-        dag, adj = prepared(chain_hypergraph)
-        empirical = simulate_encapsulation_empirical_adjacent(
-            chain_hypergraph, dag, DynamicsConfig(variant="empirical-adjacent"), seeds=[2]
-        )
-        strict = simulate_encapsulation(
-            chain_hypergraph, adj, DynamicsConfig(variant="strict"), seeds=[2]
-        )
+        prep = prepare_dynamics(chain_hypergraph)
+        empirical = run_dynamics(prep, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
+        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[2])
         assert empirical.steps == strict.steps
 
 
 class TestThresholdDynamics:
     def test_unanimity(self):
         h = Hypergraph([[1, 2, 3]])
+        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="threshold", tau=0)
-        partial = simulate_threshold(h, config, seeds=[], seed_nodes=[0, 1])
+        partial = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1])
         assert partial.final_active == 0
-        full = simulate_threshold(h, config, seeds=[], seed_nodes=[0, 1, 2])
+        full = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1, 2])
         assert full.final_active == 1
 
     def test_all_but_one(self):
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        traj = simulate_threshold(h, config, seeds=[], seed_nodes=[0, 1])
+        traj = run(h, config, seeds=[], seed_nodes=[0, 1])
         assert traj.final_active == 1
 
     def test_activation_spreads_through_nodes(self):
         h = Hypergraph([[1, 2], [2, 3], [3, 4]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        traj = simulate_threshold(h, config, seeds=[0])
+        traj = run(h, config, seeds=[0])
         # {2,3} needs one of its nodes, then {3,4}
         assert traj.steps == [[0], [1], [2]]
 
@@ -225,7 +215,7 @@ class TestThresholdDynamics:
         h = Hypergraph([[1, 2], [3, 4, 5]])
         config = DynamicsConfig(variant="threshold", tau=2)
         with pytest.warns(UserWarning, match="self-activate"):
-            traj = simulate_threshold(h, config, seeds=[])
+            traj = run(h, config, seeds=[])
         assert traj.edge_active == [True, False]
 
 
@@ -233,17 +223,18 @@ class TestEngineInvariants:
     @given(hypergraphs(), st.integers(0, 3))
     @settings(max_examples=40)
     def test_monotone_and_counts_consistent(self, h, seed):
-        _, adj = prepared(h)
+        prep = prepare_dynamics(h)
         rng = as_rng(seed)
         seeds = select_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
-            traj = simulate_encapsulation(
-                h, adj, DynamicsConfig(variant=variant), seeds, debug_checks=True
-            )
+            config = DynamicsConfig(variant=variant)
+            traj = run_dynamics(prep, config, seeds)
             flat = [e for step in traj.steps for e in step]
             assert len(flat) == len(set(flat))  # no hyperedge activates twice
             assert traj.num_steps <= 25
             assert traj.final_active == len(flat)
+            # the oracle recounts every influence from scratch each round
+            assert traj.steps == oracles.contagion_steps(h, config, seeds)
 
     @given(hypergraphs())
     @settings(max_examples=30)
@@ -252,9 +243,7 @@ class TestEngineInvariants:
         adj = adjacent_layer_dag(dag, h)
         if any(adj.out_adj[i] for i in range(h.m)):
             return
-        traj = simulate_encapsulation(
-            h, adj, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m)))
-        )
+        traj = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
         assert traj.non_seed_active == 0
 
     @given(st.integers(0, 50))
@@ -268,33 +257,31 @@ class TestEngineInvariants:
         seeds1 = [4, 5, 7]
         label_seeds = {frozenset(base[i]) for i in seeds1}
         seeds2 = [i for i in range(h2.m) if frozenset(h2.edge_labels(i)) in label_seeds]
-        _, adj1 = prepared(h1)
-        _, adj2 = prepared(h2)
+        prep1 = prepare_dynamics(h1)
+        prep2 = prepare_dynamics(h2)
         for variant in ("strict", "non-strict"):
-            t1 = simulate_encapsulation(h1, adj1, DynamicsConfig(variant=variant), seeds1)
-            t2 = simulate_encapsulation(h2, adj2, DynamicsConfig(variant=variant), seeds2)
+            t1 = run_dynamics(prep1, DynamicsConfig(variant=variant), seeds1)
+            t2 = run_dynamics(prep2, DynamicsConfig(variant=variant), seeds2)
             steps1 = [{frozenset(h1.edge_labels(e)) for e in step} for step in t1.steps]
             steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps]
             assert steps1 == steps2
 
     def test_deterministic_trajectories(self):
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])
-        _, adj = prepared(h)
+        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="non-strict")
-        a = simulate_encapsulation(h, adj, config, seeds=[0, 1])
-        b = simulate_encapsulation(h, adj, config, seeds=[0, 1])
+        a = run_dynamics(prep, config, seeds=[0, 1])
+        b = run_dynamics(prep, config, seeds=[0, 1])
         assert a.steps == b.steps and a.edge_active == b.edge_active
 
     def test_seed_validation(self):
         h = Hypergraph([[1, 2]])
-        _, adj = prepared(h)
         with pytest.raises(ValueError):
-            simulate_encapsulation(h, adj, DynamicsConfig(), seeds=[5])
+            run(h, DynamicsConfig(), seeds=[5])
 
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(h, adj, DynamicsConfig(), seeds=[0, 1])
+        traj = run(h, DynamicsConfig(), seeds=[0, 1])
         assert traj.complete_by_seeding
         assert traj.activation_proportion() == 1.0
 
@@ -302,10 +289,26 @@ class TestEngineInvariants:
         import json
 
         h = Hypergraph([[1, 2, 3], [1, 2]])
-        _, adj = prepared(h)
-        traj = simulate_encapsulation(h, adj, DynamicsConfig(), seeds=[1])
+        traj = run(h, DynamicsConfig(), seeds=[1])
         path = tmp_path / "traj.json"
         traj.write_json(path)
         doc = json.loads(path.read_text())
         assert doc["steps"] == [[1], [0]]
         assert doc["final_active"] == 2
+
+
+class TestContagionOracle:
+    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
+    @pytest.mark.parametrize("comparison", [">=", ">"])
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @settings(max_examples=20)
+    def test_steps_match_brute_force(self, variant, tau, comparison, h, data):
+        seeds = data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
+        seed_nodes = data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
+        config = DynamicsConfig(variant=variant, tau=tau, comparison=comparison, max_steps=6)
+        traj = run(h, config, seeds, seed_nodes)
+        assert traj.steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
+        active_nodes = {u for eid, on in enumerate(traj.edge_active) if on for u in h.edges[eid]}
+        assert active_nodes | set(seed_nodes) == {u for u, on in enumerate(traj.node_active) if on}

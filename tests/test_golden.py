@@ -3,17 +3,18 @@ committed fixture, compared byte for byte with recorded files.
 
 The fixture ``golden/nested.txt`` is an RNHM sample with singletons
 (``hypernest rnhm --nodes 24 --max-size 5 --max-edges 6 --eps 0.6,0.7,0.8
---singletons --seed 7``) followed by two size-gap components: a 4-node
-hyperedge whose only contained hyperedge is a pair, and a 5-node hyperedge
-containing a triple and a disjoint pair. A deliberate output change
-regenerates the recorded files with::
+--singletons --seed 7``) followed by size-gap hyperedges, so that
+empirical-adjacent bridges gaps the other variants cannot: its first six
+pairs each extended by two new nodes (the pair is the largest hyperedge
+inside), a 4-node hyperedge whose only contained hyperedge is a pair, and a
+5-node hyperedge containing a triple and a disjoint pair. A deliberate
+output change regenerates the recorded files with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,7 @@ def run_case(name: str, outdir: Path) -> list[Path]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_simulate_matches_golden(name, tmp_path, capsys):
+def test_simulate_matches_golden(name, tmp_path):
     for path in run_case(name, tmp_path):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
@@ -60,4 +61,3 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         for written in run_case(case, GOLDEN):
             written.with_name(written.name + ".manifest.json").unlink(missing_ok=True)
-    sys.exit(0)
