@@ -1,5 +1,6 @@
-"""Golden outputs of ``hypernest simulate``: every contagion variant on one
-committed fixture, compared byte for byte with recorded files.
+"""Golden outputs of ``hypernest``: every contagion variant of ``simulate``
+and the ``stats``, ``encapsulation``, ``heights`` and ``randomize`` analyses
+on one committed fixture, compared byte for byte with recorded files.
 
 The fixture ``golden/nested.txt`` is an RNHM sample with singletons
 (``hypernest rnhm --nodes 24 --max-size 5 --max-edges 6 --eps 0.6,0.7,0.8
@@ -15,6 +16,8 @@ output change regenerates the recorded files with::
 
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -51,13 +54,54 @@ def run_case(name: str, outdir: Path) -> list[Path]:
     return paths
 
 
+# analysis command -> (options, output files relative to the output
+# directory); a command without --out has its stdout recorded as its only file
+ANALYSES = {
+    "stats": (("--json",), ("stats.json",)),
+    "encapsulation": (
+        ("--normalized", "--histograms", "--randomize", "2", "--seed", "3"),
+        ("encapsulation.json",),
+    ),
+    "heights": (
+        ("--randomize", "2", "--seed", "3", "--out", "heights.csv",
+         "--summary-out", "heights.summary.json"),
+        ("heights.csv", "heights.summary.json"),
+    ),
+    "randomize": (
+        ("--samples", "2", "--seed", "3", "--out", "randomize.json",
+         "--emit-samples", "randomize-samples"),
+        ("randomize.json", "randomize-samples/sample_000.txt", "randomize-samples/sample_001.txt"),
+    ),
+}
+
+
+def run_analysis(name: str, outdir: Path) -> list[Path]:
+    options, files = ANALYSES[name]
+    stdout = io.StringIO()
+    with contextlib.chdir(outdir), contextlib.redirect_stdout(stdout):
+        code = main([name, str(FIXTURE), *options])
+    assert code == 0
+    paths = [outdir / f for f in files]
+    if "--out" not in options:
+        paths[0].write_text(stdout.getvalue())
+    return paths
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_matches_golden(name, tmp_path):
     for path in run_case(name, tmp_path):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("name", sorted(ANALYSES))
+def test_analysis_matches_golden(name, tmp_path):
+    for path in run_analysis(name, tmp_path):
+        relative = path.relative_to(tmp_path)
+        assert path.read_bytes() == (GOLDEN / relative).read_bytes(), str(relative)
+
+
 if __name__ == "__main__":
-    for case in sorted(CASES):
-        for written in run_case(case, GOLDEN):
-            written.with_name(written.name + ".manifest.json").unlink(missing_ok=True)
+    written = [p for case in sorted(CASES) for p in run_case(case, GOLDEN)]
+    written += [p for name in sorted(ANALYSES) for p in run_analysis(name, GOLDEN)]
+    for path in written:
+        path.with_name(path.name + ".manifest.json").unlink(missing_ok=True)
