@@ -17,7 +17,8 @@ import argparse
 import json
 
 from hypernest import ExperimentGrid, filter_by_size, largest_connected_component
-from hypernest.experiments import randomized_comparison, write_records_csv
+from hypernest.cli import at_least
+from hypernest.experiments import prepare_dynamics, randomized_comparison, write_records_csv
 from hypernest.hypergraph import load_auto
 
 
@@ -30,11 +31,11 @@ def main():
                     default="uniform,size-biased,inverse-size-biased,smallest-first")
     ap.add_argument("--seed-counts", default="1,10,50,100,500")
     ap.add_argument("--tau", type=int, default=1)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--samples", type=int, default=5, help="layer randomization samples")
+    ap.add_argument("--runs", type=at_least(1), default=10)
+    ap.add_argument("--samples", type=at_least(1), default=5, help="layer randomization samples")
     ap.add_argument("--max-size", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=at_least(1), default=1)
     ap.add_argument("--out", required=True, help="per-run results CSV")
     ap.add_argument("--summary-out", help="observed-vs-randomized summary JSON")
     args = ap.parse_args()
@@ -49,7 +50,7 @@ def main():
     )
     print(f"{args.input}: n={h.n} m={h.m}; grid of {len(grid.cells())} cells x {args.runs} runs")
     records, comparisons = randomized_comparison(
-        h, grid, runs=args.runs, samples=args.samples,
+        prepare_dynamics(h), grid, runs=args.runs, samples=args.samples,
         master_seed=args.seed, dataset=args.input, jobs=args.jobs,
     )
     write_records_csv(records, args.out)

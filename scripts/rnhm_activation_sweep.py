@@ -20,6 +20,7 @@ from itertools import product
 from math import sqrt
 
 from hypernest import DynamicsConfig, RnhmParams, generate, select_seeds, spawn_rng
+from hypernest.cli import at_least
 from hypernest.experiments import prepare_dynamics, run_dynamics
 
 
@@ -36,10 +37,7 @@ def sweep_cell(args, eps2, eps3, strategy, seed_count):
         sample = generate(params, spawn_rng(args.seed + realization, "rnhm"))
         h = sample.hypergraph
         prepared = prepare_dynamics(h)
-        config = DynamicsConfig(
-            variant=args.variant, tau=args.tau,
-            seed_strategy=strategy, seed_count=min(seed_count, h.m),
-        )
+        config = DynamicsConfig(variant=args.variant, tau=args.tau)
         for run in range(args.runs):
             rng = spawn_rng(args.seed + realization, "seed-selection", 0, run)
             seeds = select_seeds(h, strategy, min(seed_count, h.m), rng)
@@ -63,8 +61,8 @@ def main():
     ap.add_argument("--seed-counts", default="1,5,10,20,35")
     ap.add_argument("--variant", default="strict")
     ap.add_argument("--tau", type=int, default=1)
-    ap.add_argument("--realizations", type=int, default=25)
-    ap.add_argument("--runs", type=int, default=50)
+    ap.add_argument("--realizations", type=at_least(1), default=25)
+    ap.add_argument("--runs", type=at_least(1), default=50)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()

@@ -3,7 +3,7 @@ null models, a nested random generator, and hyperedge contagion."""
 
 __version__ = "0.1.0"
 
-from .dagpaths import ReducedDag, RootedHeightReport, rooted_heights, transitive_reduction
+from .dagpaths import RootedHeightReport, rooted_heights, transitive_reduction
 from .dynamics import DynamicsConfig, Trajectory, select_seeds
 from .experiments import (
     ExperimentGrid,
@@ -38,9 +38,8 @@ from .linegraph import (
     build_overlap_dag,
     build_overlap_graph,
     encapsulation_counts,
-    overlap_totals,
 )
-from .randomize import LayerRandomizationReport, layer_randomize, retention_report
+from .randomize import LayerRandomizationReport, layer_randomize, layer_samples, retention_report
 from .rng import spawn_rng
 from .rnhm import GenerationError, RnhmParams, RnhmSample, generate, rewire_edge
 
@@ -55,7 +54,6 @@ __all__ = [
     "HyperedgeDag",
     "LayerRandomizationReport",
     "OverlapGraph",
-    "ReducedDag",
     "RnhmParams",
     "RnhmSample",
     "RootedHeightReport",
@@ -72,9 +70,9 @@ __all__ = [
     "is_connected",
     "largest_connected_component",
     "layer_randomize",
+    "layer_samples",
     "load_plain",
     "load_simplex_dataset",
-    "overlap_totals",
     "parse_plain",
     "prepare_dynamics",
     "preprocess",

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dagpaths import rooted_heights, transitive_reduction
+from .dagpaths import rooted_heights
 from .dynamics import STRATEGIES, VARIANTS, select_seeds
 from .experiments import (
     ExperimentGrid,
@@ -38,7 +38,7 @@ from .hypergraph import (
     write_plain,
 )
 from .linegraph import build_encapsulation_dag, compute_dataset_stats, encapsulation_counts
-from .randomize import layer_randomize, retention_report
+from .randomize import layer_samples, retention_report
 from .rng import spawn_rng
 from .rnhm import GenerationError, RnhmParams, generate
 
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _at_least(minimum: int):
+def at_least(minimum: int):
     """argparse type for a count of at least ``minimum``."""
 
     def count(text: str) -> int:
@@ -180,8 +180,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
     }
     if args.randomize:
         pair_sums: dict[str, float] = {}
-        for i in range(args.randomize):
-            randomized = layer_randomize(h, spawn_rng(args.seed, "layer-randomization", i))
+        for randomized in layer_samples(h, args.randomize, args.seed):
             rdag = build_encapsulation_dag(randomized)
             rcounts = encapsulation_counts(randomized, rdag)
             for (n, m_), c in rcounts.pair_counts.items():
@@ -197,8 +196,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
 
 def cmd_heights(args: argparse.Namespace) -> int:
     h = load_input(args)
-    dag = build_encapsulation_dag(h)
-    report = rooted_heights(transitive_reduction(dag), h)
+    report = rooted_heights(build_encapsulation_dag(h), h)
     summary: dict = {
         "observed": {
             "roots": len(report.records),
@@ -209,9 +207,8 @@ def cmd_heights(args: argparse.Namespace) -> int:
     if args.randomize:
         sample_max = []
         sample_dists = []
-        for i in range(args.randomize):
-            randomized = layer_randomize(h, spawn_rng(args.seed, "layer-randomization", i))
-            rreport = rooted_heights(transitive_reduction(build_encapsulation_dag(randomized)), randomized)
+        for randomized in layer_samples(h, args.randomize, args.seed):
+            rreport = rooted_heights(build_encapsulation_dag(randomized), randomized)
             sample_max.append(rreport.max_height())
             sample_dists.append({str(k): v for k, v in rreport.height_distribution().items()})
         summary["randomized"] = {
@@ -243,8 +240,7 @@ def cmd_randomize(args: argparse.Namespace) -> int:
     if args.emit_samples:
         outdir = Path(args.emit_samples)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i in range(args.samples):
-            randomized = layer_randomize(h, spawn_rng(args.seed, "layer-randomization", i))
+        for i, randomized in enumerate(layer_samples(h, args.samples, args.seed)):
             sample_path = outdir / f"sample_{i:03d}.txt"
             write_plain(randomized, sample_path)
             extra_outputs.append(sample_path)
@@ -331,16 +327,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         comparison=args.comparison,
     )
     dataset = args.dataset or Path(args.input).name
+    prepared = prepare_dynamics(h)
     if args.randomize:
         records, comparisons = randomized_comparison(
-            h, grid, args.runs, args.randomize, args.seed, dataset=dataset, jobs=args.jobs
+            prepared, grid, args.runs, args.randomize, args.seed, dataset=dataset, jobs=args.jobs
         )
         summary_doc = {
             "cells": [vars(c) for c in comparisons],
             "randomize_samples": args.randomize,
         }
     else:
-        records = run_experiment(h, grid, args.runs, args.seed, dataset=dataset, jobs=args.jobs)
+        records = run_experiment(prepared, grid, args.runs, args.seed, dataset=dataset, jobs=args.jobs)
         summary_doc = {"cells": [vars(s) for s in summarize(records)]}
     out = Path(args.out)
     write_records_csv(records, out)
@@ -349,12 +346,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _atomic_write_text(Path(args.summary_out), json.dumps(summary_doc, indent=2) + "\n")
         outputs.append(Path(args.summary_out))
     if args.trajectories:
-        prepared = prepare_dynamics(h)
         dumps = []
         for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
             rng = spawn_rng(args.seed, "seed-selection", idx, 0)
             seeds = select_seeds(h, strategy, seed_count, rng)
-            traj = run_dynamics(prepared, grid.config(variant, strategy, seed_count), seeds)
+            traj = run_dynamics(prepared, grid.config(variant), seeds)
             dumps.append(
                 {"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0}
                 | traj.to_json_dict()
@@ -381,14 +377,14 @@ def build_parser() -> _Parser:
     _add_input_options(p)
     p.add_argument("--normalized", action="store_true", help="include per-size-n-hyperedge rates")
     p.add_argument("--histograms", action="store_true", help="include per-hyperedge normalized histograms")
-    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="add mean counts over K layer randomizations")
+    p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="add mean counts over K layer randomizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON here (with manifest)")
     p.set_defaults(func=cmd_encapsulation)
 
     p = sub.add_parser("heights", help="rooted path heights of the reduced containment DAG")
     _add_input_options(p)
-    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="also report K layer randomizations")
+    p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="also report K layer randomizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-root CSV here")
     p.add_argument("--summary-out", help="write distribution summary JSON here")
@@ -396,7 +392,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("randomize", help="layer randomization retention report")
     _add_input_options(p)
-    p.add_argument("--samples", type=_at_least(1), default=5)
+    p.add_argument("--samples", type=at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON report here (with manifest)")
     p.add_argument("--emit-samples", metavar="DIR", help="also write each randomized hypergraph")
@@ -422,12 +418,12 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", default="uniform", help="comma-separated seed strategies")
     p.add_argument("--seeds", default="1", help="comma-separated seed counts")
     p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--runs", type=_at_least(1), default=10)
+    p.add_argument("--runs", type=at_least(1), default=10)
     p.add_argument("--max-steps", type=int, default=25)
     p.add_argument("--comparison", choices=(">=", ">"), default=">=")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--randomize", type=_at_least(0), default=0, metavar="K", help="compare against K layer randomizations")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="compare against K layer randomizations")
+    p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--dataset", default="", help="dataset name for the results table")
     p.add_argument("--out", required=True, help="write per-run results CSV here")
     p.add_argument("--summary-out", help="write per-cell summary JSON here")
@@ -442,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, GenerationError, ValueError) as exc:
+    except (FormatError, OSError, GenerationError, ValueError) as exc:
         sys.stderr.write(f"hypernest {args.command}: error: {exc}\n")
         return 2
 

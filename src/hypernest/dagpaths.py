@@ -1,9 +1,10 @@
 """Path structure of containment DAGs: transitive reduction and the heights
 of paths starting from root hyperedges.
 
-Long root-to-leaf paths in the reduced DAG mean containment is deep (a
-chain of intermediate hyperedges of every size), while short paths mean it
-only links two sizes at a time.
+Long root-to-leaf paths mean containment is deep (a chain of intermediate
+hyperedges of every size), while short paths mean it only links two sizes
+at a time. Longest paths are the same in a DAG and in its transitive
+reduction, so heights are read from the containment DAG directly.
 """
 
 from __future__ import annotations
@@ -38,29 +39,7 @@ def topological_order(out_adj: list[list[int]]) -> list[int]:
     return order
 
 
-@dataclass
-class ReducedDag:
-    """Transitively reduced DAG plus the per-root path statistics.
-
-    ``heights[r]`` is the maximum path length (edge count) reachable from
-    root r in the reduced DAG; ``dag_degree`` keeps out-degrees of the
-    unreduced DAG, which is how a root's containment breadth is measured.
-    """
-
-    out_adj: list[list[int]]
-    root_ids: list[int]
-    heights: dict[int, int]
-    dag_degree: list[int]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.out_adj)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, nbrs in enumerate(self.out_adj) for j in nbrs}
-
-
-def transitive_reduction(dag: HyperedgeDag) -> ReducedDag:
+def transitive_reduction(dag: HyperedgeDag) -> HyperedgeDag:
     """Remove every edge implied by a longer path; unique for a DAG.
 
     An edge (u, w) is redundant exactly when w is a descendant of another
@@ -88,21 +67,7 @@ def transitive_reduction(dag: HyperedgeDag) -> ReducedDag:
         for v in children:
             indirect |= descendants[v]
         reduced[u] = [w for w in children if w not in indirect]
-
-    in_deg = [0] * n
-    for nbrs in out_adj:
-        for b in nbrs:
-            in_deg[b] += 1
-    roots = [v for v in range(n) if in_deg[v] == 0 and out_adj[v]]
-
-    # longest path from every vertex in the reduced DAG, leaves upward
-    longest = [0] * n
-    for v in reversed(order):
-        if reduced[v]:
-            longest[v] = 1 + max(longest[w] for w in reduced[v])
-    heights = {r: longest[r] for r in roots}
-    dag_degree = [len(nbrs) for nbrs in out_adj]
-    return ReducedDag(out_adj=reduced, root_ids=roots, heights=heights, dag_degree=dag_degree)
+    return HyperedgeDag(out_adj=reduced)
 
 
 @dataclass(frozen=True)
@@ -155,16 +120,26 @@ def max_root_out_degree(size: int, singletons_present: bool) -> int:
     return full if singletons_present else full - size
 
 
-def rooted_heights(reduced: ReducedDag, h: Hypergraph) -> RootedHeightReport:
-    """Per-root (containment breadth, maximum path height) pairs, raw and
-    normalized by their maxima; the height of a size-k root can never
-    exceed k - 1 since each step descends at least one size."""
+def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
+    """Per-root (out-degree, longest path) pairs of the containment DAG,
+    raw and normalized by their maxima; a root has no parent and some child.
+    An edge implied by a longer path is never on a longest one, so heights
+    equal those of the transitive reduction. The height of a size-k root can
+    never exceed k - 1 since each step descends at least one size."""
+    out_adj = dag.out_adj
+    longest = [0] * len(out_adj)
+    for v in reversed(topological_order(out_adj)):
+        if out_adj[v]:
+            longest[v] = 1 + max(longest[w] for w in out_adj[v])
+    has_parent = {b for nbrs in out_adj for b in nbrs}
     singletons = h.has_singletons()
     records = []
-    for r in reduced.root_ids:
+    for r, children in enumerate(out_adj):
+        if not children or r in has_parent:
+            continue
         size = int(h.sizes[r])
-        degree = reduced.dag_degree[r]
-        height = reduced.heights[r]
+        degree = len(children)
+        height = longest[r]
         max_deg = max_root_out_degree(size, singletons)
         norm_degree = degree / max_deg if max_deg > 0 else float("nan")
         norm_height = height / (size - 1) if size > 1 else float("nan")

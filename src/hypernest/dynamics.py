@@ -49,15 +49,11 @@ class DynamicsConfig:
     variant: str = "strict"
     tau: int = 1
     max_steps: int = 25
-    seed_strategy: str = "uniform"
-    seed_count: int = 1
     comparison: str = ">="
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.seed_strategy not in STRATEGIES:
-            raise ValueError(f"unknown seed strategy {self.seed_strategy!r}")
         if self.comparison not in (">=", ">"):
             raise ValueError(f"comparison must be '>=' or '>', got {self.comparison!r}")
         if self.tau < 0:
@@ -66,8 +62,6 @@ class DynamicsConfig:
             raise ValueError("containment contagion needs tau >= 1")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed_count < 0:
-            raise ValueError(f"seed_count must be >= 0, got {self.seed_count}")
 
 
 @dataclass

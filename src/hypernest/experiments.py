@@ -19,7 +19,7 @@ from typing import Sequence
 from .dynamics import DynamicsConfig, Influence, Trajectory, build_influence, select_seeds, spread
 from .hypergraph import Hypergraph
 from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
-from .randomize import layer_randomize
+from .randomize import layer_samples
 from .rng import spawn_rng
 
 
@@ -35,14 +35,9 @@ class ExperimentGrid:
     def cells(self) -> list[tuple[str, str, int]]:
         return list(product(self.variants, self.strategies, self.seed_counts))
 
-    def config(self, variant: str, strategy: str, seed_count: int) -> DynamicsConfig:
+    def config(self, variant: str) -> DynamicsConfig:
         return DynamicsConfig(
-            variant=variant,
-            tau=self.tau,
-            max_steps=self.max_steps,
-            seed_strategy=strategy,
-            seed_count=seed_count,
-            comparison=self.comparison,
+            variant=variant, tau=self.tau, max_steps=self.max_steps, comparison=self.comparison
         )
 
 
@@ -112,7 +107,7 @@ def run_dynamics(
 def _run_cell(args) -> list[RunRecord]:
     prepared, grid, cell_index, cell, runs, master_seed, dataset = args
     variant, strategy, seed_count = cell
-    config = grid.config(*cell)
+    config = grid.config(variant)
     records = []
     for run in range(runs):
         rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
@@ -137,19 +132,17 @@ def _run_cell(args) -> list[RunRecord]:
 
 
 def run_experiment(
-    h: Hypergraph,
+    prepared: PreparedDynamics,
     grid: ExperimentGrid,
     runs: int,
     master_seed: int,
     dataset: str = "",
     jobs: int = 1,
-    prepared: PreparedDynamics | None = None,
 ) -> list[RunRecord]:
-    """All (cell, run) results in deterministic cell-major order."""
+    """All (cell, run) results on a prepared hypergraph, in deterministic
+    cell-major order."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if prepared is None:
-        prepared = prepare_dynamics(h)
     tasks = [
         (prepared, grid, idx, cell, runs, master_seed, dataset)
         for idx, cell in enumerate(grid.cells())
@@ -207,7 +200,7 @@ class RandomizedComparison:
 
 
 def randomized_comparison(
-    h: Hypergraph,
+    prepared: PreparedDynamics,
     grid: ExperimentGrid,
     runs: int,
     samples: int,
@@ -215,17 +208,19 @@ def randomized_comparison(
     dataset: str = "",
     jobs: int = 1,
 ) -> tuple[list[RunRecord], list[RandomizedComparison]]:
-    """Run the grid on the observed hypergraph and on ``samples`` layer
-    randomizations; returns observed records plus per-cell comparisons."""
-    observed_records = run_experiment(h, grid, runs, master_seed, dataset=dataset, jobs=jobs)
+    """Run the grid on the prepared observed hypergraph and on ``samples``
+    layer randomizations; returns observed records plus per-cell comparisons."""
+    observed_records = run_experiment(
+        prepared, grid, runs, master_seed, dataset=dataset, jobs=jobs
+    )
     observed = {
         (s.variant, s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)
     }
     randomized_sums: dict[tuple, float] = {key: 0.0 for key in observed}
-    for i in range(samples):
-        randomized = layer_randomize(h, spawn_rng(master_seed, "layer-randomization", i))
+    for i, randomized in enumerate(layer_samples(prepared.hypergraph, samples, master_seed)):
         records = run_experiment(
-            randomized, grid, runs, master_seed, dataset=f"{dataset}[rand{i}]", jobs=jobs
+            prepare_dynamics(randomized), grid, runs, master_seed,
+            dataset=f"{dataset}[rand{i}]", jobs=jobs,
         )
         for s in summarize(records):
             randomized_sums[(s.variant, s.strategy, s.seeds)] += s.mean_proportion

@@ -288,13 +288,13 @@ def is_connected(h: Hypergraph) -> bool:
 
 def largest_connected_component(h: Hypergraph) -> Hypergraph:
     """Sub-hypergraph induced by the largest node component; ties broken by
-    the smallest minimum original node label."""
+    the smallest minimum original node label, int labels before str ones."""
     if h.m == 0:
         raise ValueError("empty hypergraph has no components")
     comps = connected_components(h)
     best_size = max(len(c) for c in comps)
     tied = [c for c in comps if len(c) == best_size]
-    best = min(tied, key=lambda c: min(h.labels[u] for u in c))
+    best = min(tied, key=lambda c: min((isinstance(h.labels[u], str), h.labels[u]) for u in c))
     members = set(best)
     # every node of a hyperedge shares that hyperedge, so membership of one
     # node decides the whole edge

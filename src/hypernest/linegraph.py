@@ -8,12 +8,13 @@ built with the same candidate-gathering pass: for each hyperedge, every
 hyperedge sharing at least one node is found through the node->hyperedge
 membership index, never by an all-pairs scan, so construction cost is
 bounded by (number of hyperedges) x (max hyperedge size) x (max node
-degree).
+degree). The DAG build also tallies the overlap graph's totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from pathlib import Path
 
@@ -26,16 +27,26 @@ from .hypergraph import DatasetStats, Hypergraph, projected_density
 class HyperedgeDag:
     """Directed acyclic line graph over hyperedge ids.
 
-    ``out_adj[i]`` lists the hyperedges i points to, ascending;
-    ``in_adj`` is the exact transpose, kept for reverse traversal during
-    contagion updates. ``candidate_visits`` counts how many (hyperedge,
-    shared-node, neighbor) encounters construction inspected, for checking
-    the complexity bound.
+    ``out_adj[i]`` lists the hyperedges i points to, ascending; its
+    transpose ``in_adj`` is built on first read, for reverse traversal
+    during contagion updates. ``build_encapsulation_dag`` also records how
+    many (hyperedge, shared-node, neighbor) encounters it inspected, for
+    checking the complexity bound, and the overlap graph's edge count and
+    total weight.
     """
 
     out_adj: list[list[int]]
-    in_adj: list[list[int]]
     candidate_visits: int = 0
+    overlap_edges: int = 0
+    overlap_weight: int = 0
+
+    @cached_property
+    def in_adj(self) -> list[list[int]]:
+        in_adj: list[list[int]] = [[] for _ in self.out_adj]
+        for a, nbrs in enumerate(self.out_adj):
+            for b in nbrs:
+                in_adj[b].append(a)
+        return in_adj
 
     @property
     def num_vertices(self) -> int:
@@ -107,22 +118,23 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
 
     A candidate j shares ``cnt`` nodes with i; it is contained in i exactly
     when ``cnt`` equals its own size, and strictness requires it to be
-    smaller than i. Acyclicity follows from the size ordering.
+    smaller than i. Acyclicity follows from the size ordering. Every
+    candidate other than i itself is an overlap neighbor sharing ``cnt``
+    nodes; summed over i, each overlap edge and its weight count twice.
     """
     m = h.m
     sizes = h.sizes
     out_adj: list[list[int]] = [[] for _ in range(m)]
-    in_adj: list[list[int]] = [[] for _ in range(m)]
-    visits = 0
+    visits = twice_edges = twice_weight = 0
     for a in range(m):
         uniq, cnt, seen = _shared_edge_counts(h, a)
         visits += seen
+        twice_edges += uniq.size - 1  # drop self
+        twice_weight += seen - int(sizes[a])
         contained = uniq[(cnt == sizes[uniq]) & (sizes[uniq] < sizes[a])]
         out_adj[a] = contained.tolist()
-    for a, nbrs in enumerate(out_adj):
-        for b in nbrs:
-            in_adj[b].append(a)
-    return HyperedgeDag(out_adj=out_adj, in_adj=in_adj, candidate_visits=visits)
+    return HyperedgeDag(out_adj=out_adj, candidate_visits=visits,
+                        overlap_edges=twice_edges // 2, overlap_weight=twice_weight // 2)
 
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
@@ -135,29 +147,12 @@ def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
     return OverlapGraph(adj=adj, sizes=h.sizes)
 
 
-def overlap_totals(h: Hypergraph) -> tuple[int, int]:
-    """(edge count, total weight) of the overlap graph without storing it."""
-    twice_edges = 0
-    twice_weight = 0
-    for a in range(h.m):
-        uniq, cnt, _ = _shared_edge_counts(h, a)
-        twice_edges += uniq.size - 1  # drop self
-        twice_weight += int(cnt.sum()) - int(h.sizes[a])
-    return twice_edges // 2, twice_weight // 2
-
-
 def build_overlap_dag(g: OverlapGraph, h: Hypergraph) -> HyperedgeDag:
     """Drop same-size overlap edges and direct the rest from larger to
     smaller hyperedge; the strict size ordering makes the result acyclic."""
     sizes = h.sizes
-    out_adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    in_adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for a, nbrs in enumerate(g.adj):
-        out_adj[a] = sorted(b for b in nbrs if sizes[a] > sizes[b])
-    for a, nbrs in enumerate(out_adj):
-        for b in nbrs:
-            in_adj[b].append(a)
-    return HyperedgeDag(out_adj=out_adj, in_adj=in_adj)
+    out_adj = [sorted(b for b in nbrs if sizes[a] > sizes[b]) for a, nbrs in enumerate(g.adj)]
+    return HyperedgeDag(out_adj=out_adj)
 
 
 def adjacent_layer_dag(dag: HyperedgeDag, h: Hypergraph) -> HyperedgeDag:
@@ -167,11 +162,7 @@ def adjacent_layer_dag(dag: HyperedgeDag, h: Hypergraph) -> HyperedgeDag:
     out_adj = [
         [b for b in nbrs if sizes[a] - sizes[b] == 1] for a, nbrs in enumerate(dag.out_adj)
     ]
-    in_adj: list[list[int]] = [[] for _ in range(dag.num_vertices)]
-    for a, nbrs in enumerate(out_adj):
-        for b in nbrs:
-            in_adj[b].append(a)
-    return HyperedgeDag(out_adj=out_adj, in_adj=in_adj)
+    return HyperedgeDag(out_adj=out_adj)
 
 
 @dataclass

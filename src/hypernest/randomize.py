@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .hypergraph import Hypergraph
-from .linegraph import build_encapsulation_dag, overlap_totals
+from .linegraph import build_encapsulation_dag
 from .rng import RngLike, as_rng, spawn_rng
 
 
@@ -40,6 +41,14 @@ def layer_randomize(h: Hypergraph, rng: RngLike) -> Hypergraph:
         for eid in ids:
             new_edges[eid] = tuple(h.labels[mapping[u]] for u in h.edges[eid])
     return Hypergraph(new_edges)
+
+
+def layer_samples(h: Hypergraph, k: int, seed: int) -> Iterator[Hypergraph]:
+    """The ``k`` layer randomizations of ``h`` under master seed ``seed``;
+    sample i draws from stream ("layer-randomization", i), so every command
+    sees the same null-model samples."""
+    for i in range(k):
+        yield layer_randomize(h, spawn_rng(seed, "layer-randomization", i))
 
 
 @dataclass
@@ -71,11 +80,10 @@ _QUANTITIES = ("dag_edges", "overlap_edges", "overlap_weight")
 
 def _line_graph_quantities(h: Hypergraph) -> dict[str, float]:
     dag = build_encapsulation_dag(h)
-    overlap_edges, overlap_weight = overlap_totals(h)
     return {
         "dag_edges": float(dag.edge_count),
-        "overlap_edges": float(overlap_edges),
-        "overlap_weight": float(overlap_weight),
+        "overlap_edges": float(dag.overlap_edges),
+        "overlap_weight": float(dag.overlap_weight),
     }
 
 
@@ -88,8 +96,7 @@ def retention_report(h: Hypergraph, samples: int, master_seed: int) -> LayerRand
     observed = _line_graph_quantities(h)
     degenerate = sorted(name for name in _QUANTITIES if observed[name] == 0)
     rows: list[dict[str, float]] = []
-    for i in range(samples):
-        randomized = layer_randomize(h, spawn_rng(master_seed, "layer-randomization", i))
+    for randomized in layer_samples(h, samples, master_seed):
         values = _line_graph_quantities(randomized)
         rows.append(
             {name: values[name] / observed[name] if observed[name] else 1.0 for name in _QUANTITIES}

@@ -48,6 +48,17 @@ def reachability(out_adj: list[list[int]]) -> dict[int, set[int]]:
     return {v: reachable_from(out_adj, v) for v in range(len(out_adj))}
 
 
+def longest_path_from(out_adj: list[list[int]], src: int) -> int:
+    """Edge count of the longest path from ``src`` in a DAG: the last step k
+    at which some vertex is reached by a walk of exactly k edges."""
+    frontier, steps = {src}, 0
+    while True:
+        frontier = {w for v in frontier for w in out_adj[v]}
+        if not frontier:
+            return steps
+        steps += 1
+
+
 def contagion_steps(h: Hypergraph, config, seeds, seed_nodes=()) -> list[list[int]]:
     """Per-round newly activated hyperedges, recounting every inactive
     hyperedge's influence from ``h.edge_sets`` each round with the variant

@@ -26,6 +26,7 @@ from hypernest import (
     generate,
     largest_connected_component,
     layer_randomize,
+    layer_samples,
     load_simplex_dataset,
     projected_density,
     rooted_heights,
@@ -35,7 +36,6 @@ from hypernest import (
     transitive_reduction,
 )
 from hypernest.cli import main as cli_main
-from hypernest.dagpaths import ReducedDag
 from hypernest.experiments import prepare_dynamics, randomized_comparison, run_dynamics
 from hypernest.linegraph import HyperedgeDag
 
@@ -130,20 +130,21 @@ class TestCriterion3ConstructionOracle:
                     for j in nbrs
                     if i < j
                 }
-                assert got == oracles.overlap_weights(h)
+                weights = oracles.overlap_weights(h)
+                assert got == weights
+                assert dag.overlap_edges == len(weights)
+                assert dag.overlap_weight == sum(weights.values())
 
 
 def _random_dag(rng: random.Random, max_vertices: int) -> HyperedgeDag:
     n = rng.randint(2, max_vertices)
     p = rng.uniform(0.3, 3.0) / n
     out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 out_adj[u].append(v)
-                in_adj[v].append(u)
-    return HyperedgeDag(out_adj=out_adj, in_adj=in_adj)
+    return HyperedgeDag(out_adj=out_adj)
 
 
 class TestCriterion4TransitiveReduction:
@@ -152,7 +153,7 @@ class TestCriterion4TransitiveReduction:
             rng = random.Random(77)
             for _ in range(60):
                 dag = _random_dag(rng, 200)
-                reduced: ReducedDag = transitive_reduction(dag)
+                reduced = transitive_reduction(dag)
                 assert oracles.reachability(reduced.out_adj) == oracles.reachability(dag.out_adj)
                 for u, v in reduced.edge_set():
                     pruned = [list(nbrs) for nbrs in reduced.out_adj]
@@ -213,7 +214,7 @@ class TestCriterion6NestedModelExtremes:
     def test_full_keep_smallest_first_always_saturates(self):
         with criterion("6b smallest-first N seeds fully activate unrewired samples"):
             params = RnhmParams(keep_probs={2: 1.0, 3: 1.0}, **FIG_PARAMS)
-            config = DynamicsConfig(variant="strict", tau=1, seed_strategy="smallest-first", seed_count=20)
+            config = DynamicsConfig(variant="strict", tau=1)
             for realization in range(25):
                 h = generate(params, spawn_rng(realization, "rnhm")).hypergraph
                 prep = prepare_dynamics(h)
@@ -234,9 +235,7 @@ class TestCriterion6NestedModelExtremes:
                     params = RnhmParams(keep_probs={2: eps2, 3: 1.0}, **FIG_PARAMS)
                     h = generate(params, spawn_rng(500 + realization, "rnhm")).hypergraph
                     prep = prepare_dynamics(h)
-                    config = DynamicsConfig(
-                        variant="strict", tau=1, seed_strategy="smallest-first", seed_count=20
-                    )
+                    config = DynamicsConfig(variant="strict", tau=1)
                     for run in range(50):
                         seeds = select_seeds(
                             h, "smallest-first", min(20, h.m),
@@ -320,7 +319,7 @@ class TestCriterion9EmpiricalDirectionality:
                 seed_counts=ENRON_SEED_COUNTS,
             )
             records, comparisons = randomized_comparison(
-                h, grid, runs=20, samples=5, master_seed=42, dataset="email-Enron"
+                prepare_dynamics(h), grid, runs=20, samples=5, master_seed=42, dataset="email-Enron"
             )
             means = {
                 (s.strategy, s.seeds): s.mean_proportion for s in summarize(records)
@@ -343,13 +342,10 @@ class TestCriterion10PathDepth:
     def test_observed_paths_deep_randomized_shallow(self):
         with criterion("10 email-Enron: observed height >= 3; randomized mean max <= 3"):
             h = load_lcc("email-Enron")
-            observed = rooted_heights(transitive_reduction(build_encapsulation_dag(h)), h)
+            observed = rooted_heights(build_encapsulation_dag(h), h)
             assert any(rec.max_height >= 3 for rec in observed.records)
             sample_max = []
-            for i in range(5):
-                randomized = layer_randomize(h, spawn_rng(7, "layer-randomization", i))
-                report = rooted_heights(
-                    transitive_reduction(build_encapsulation_dag(randomized)), randomized
-                )
+            for randomized in layer_samples(h, 5, 7):
+                report = rooted_heights(build_encapsulation_dag(randomized), randomized)
                 sample_max.append(report.max_height())
             assert sum(sample_max) / len(sample_max) <= 3.0, sample_max

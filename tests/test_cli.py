@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypernest.cli as cli_mod
+import hypernest.experiments as experiments_mod
+from hypernest import largest_connected_component, parse_plain
 from hypernest.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -66,6 +73,22 @@ class TestStats:
         empty.write_text("")
         assert run_cli("stats", empty) == 2
 
+    def test_unwritable_output_is_data_error(self, plain_file, tmp_path, capsys):
+        blocker = tmp_path / "somefile"
+        blocker.write_text("")
+        assert run_cli("stats", plain_file, "--out", blocker / "out.json") == 2
+        assert "hypernest stats: error:" in capsys.readouterr().err
+
+    def test_lcc_tie_between_int_and_str_labels(self, tmp_path, capsys):
+        path = tmp_path / "mixed.txt"
+        path.write_text("a b\n1 2\n")
+        assert run_cli("stats", path, "--lcc") == 0
+        assert "n=2 m=1" in capsys.readouterr().out
+        # int labels win a tie; uniform label types keep the smallest label
+        assert largest_connected_component(parse_plain(["a b", "1 2"])).labels == (1, 2)
+        assert largest_connected_component(parse_plain(["c d", "a b"])).labels == ("a", "b")
+        assert largest_connected_component(parse_plain(["3 4", "1 2"])).labels == (1, 2)
+
     def test_usage_error_exit_code(self, plain_file):
         with pytest.raises(SystemExit) as err:
             run_cli("stats", plain_file, "--no-such-flag")
@@ -89,6 +112,29 @@ def test_bad_count_is_usage_error(plain_file, tmp_path, argv, capsys):
         run_cli(argv[0], plain_file, *argv[1:], "--out", out)
     assert err.value.code == 1
     assert "expected an integer >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "script,option",
+    [
+        ("rnhm_activation_sweep.py", "--realizations"),
+        ("rnhm_activation_sweep.py", "--runs"),
+        ("empirical_activation_sweep.py", "--runs"),
+        ("empirical_activation_sweep.py", "--samples"),
+        ("empirical_activation_sweep.py", "--jobs"),
+    ],
+)
+def test_script_count_below_one_is_usage_error(
+    script, option, plain_file, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "out.csv"
+    inputs = [str(plain_file)] if script.startswith("empirical") else []
+    monkeypatch.setattr(sys, "argv", [script, *inputs, option, "0", "--out", str(out)])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert err.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -213,6 +259,23 @@ class TestSimulate:
         assert cells[0]["mean_proportion"] >= 0.0
         dumps = json.loads(traj.read_text())
         assert dumps[0]["steps"][0] != []
+
+    def test_trajectories_build_the_dag_once(self, plain_file, tmp_path, monkeypatch):
+        calls = []
+        original = experiments_mod.build_encapsulation_dag
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        for module in (cli_mod, experiments_mod):
+            monkeypatch.setattr(module, "build_encapsulation_dag", counted)
+        code = run_cli(
+            "simulate", plain_file, "--runs", "1", "--out", tmp_path / "r.csv",
+            "--trajectories", tmp_path / "t.json",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_randomized_comparison_summary(self, plain_file, tmp_path):
         out = tmp_path / "results.csv"

@@ -16,11 +16,9 @@ from hypernest.linegraph import HyperedgeDag
 
 def dag_from_edges(n: int, edges: list[tuple[int, int]]) -> HyperedgeDag:
     out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(edges):
         out_adj[u].append(v)
-        in_adj[v].append(u)
-    return HyperedgeDag(out_adj=out_adj, in_adj=in_adj)
+    return HyperedgeDag(out_adj=out_adj)
 
 
 class TestTransitiveReduction:
@@ -38,7 +36,7 @@ class TestTransitiveReduction:
         assert reduced.edge_set() == {(0, 1), (1, 2)}
 
     def test_cycle_rejected(self):
-        cyclic = HyperedgeDag(out_adj=[[1], [0]], in_adj=[[1], [0]])
+        cyclic = HyperedgeDag(out_adj=[[1], [0]])
         with pytest.raises(ValueError, match="cycle"):
             transitive_reduction(cyclic)
 
@@ -81,37 +79,37 @@ class TestTopologicalOrder:
             topological_order([[1], [2], [0]])
 
 
+def root_ids(h: Hypergraph) -> list[int]:
+    return [rec.root_id for rec in rooted_heights(build_encapsulation_dag(h), h).records]
+
+
 class TestRoots:
     def test_roots_have_no_parents_and_some_children(self, chain_hypergraph):
-        reduced = transitive_reduction(build_encapsulation_dag(chain_hypergraph))
-        assert reduced.root_ids == [0]
+        assert root_ids(chain_hypergraph) == [0]
 
     def test_isolated_vertices_are_not_roots(self):
-        reduced = transitive_reduction(build_encapsulation_dag(Hypergraph([[1, 2]])))
-        assert reduced.root_ids == []
+        assert root_ids(Hypergraph([[1, 2]])) == []
 
     @given(hypergraphs())
     def test_root_definition(self, h):
         dag = build_encapsulation_dag(h)
-        reduced = transitive_reduction(dag)
         in_deg = [0] * h.m
         for _, j in dag.edge_set():
             in_deg[j] += 1
         expected = [v for v in range(h.m) if in_deg[v] == 0 and dag.out_adj[v]]
-        assert reduced.root_ids == expected
+        assert root_ids(h) == expected
 
 
 class TestRootedHeights:
     def test_chain_height(self, chain_hypergraph):
-        reduced = transitive_reduction(build_encapsulation_dag(chain_hypergraph))
-        report = rooted_heights(reduced, chain_hypergraph)
-        assert reduced.heights == {0: 2}
+        report = rooted_heights(build_encapsulation_dag(chain_hypergraph), chain_hypergraph)
+        assert {rec.root_id: rec.max_height for rec in report.records} == {0: 2}
         assert report.height_distribution() == {2: 1}
 
     def test_single_out_edge(self):
         h = Hypergraph([[1, 2, 3], [1, 2]])
-        reduced = transitive_reduction(build_encapsulation_dag(h))
-        assert reduced.heights == {0: 1}
+        report = rooted_heights(build_encapsulation_dag(h), h)
+        assert {rec.root_id: rec.max_height for rec in report.records} == {0: 1}
 
     def test_max_degree_root_attains_max_height(self):
         # the full subset lattice of a 4-node hyperedge maximizes both
@@ -121,8 +119,7 @@ class TestRootedHeights:
 
             edges.extend(list(c) for c in combinations([1, 2, 3, 4], size))
         h = Hypergraph(edges)
-        reduced = transitive_reduction(build_encapsulation_dag(h))
-        report = rooted_heights(reduced, h)
+        report = rooted_heights(build_encapsulation_dag(h), h)
         rec = next(r for r in report.records if r.size == 4)
         assert rec.dag_degree == max_root_out_degree(4, singletons_present=True) == 14
         assert rec.max_height == 3
@@ -131,30 +128,36 @@ class TestRootedHeights:
 
     @given(hypergraphs())
     def test_height_bounded_by_size_minus_one(self, h):
-        reduced = transitive_reduction(build_encapsulation_dag(h))
-        for rec in rooted_heights(reduced, h).records:
+        for rec in rooted_heights(build_encapsulation_dag(h), h).records:
             assert rec.max_height <= rec.size - 1
+
+    @given(hypergraphs())
+    def test_height_is_longest_path_in_reduction(self, h):
+        dag = build_encapsulation_dag(h)
+        reduced = transitive_reduction(dag)
+        for rec in rooted_heights(dag, h).records:
+            assert rec.max_height == oracles.longest_path_from(reduced.out_adj, rec.root_id)
+            assert rec.dag_degree == dag.out_degree(rec.root_id)
 
     def test_norm_degree_denominator_without_singletons(self):
         h = Hypergraph([[1, 2, 3], [1, 2]])
-        report = rooted_heights(transitive_reduction(build_encapsulation_dag(h)), h)
+        report = rooted_heights(build_encapsulation_dag(h), h)
         rec = report.records[0]
         assert rec.norm_degree == pytest.approx(1 / (2**3 - 3 - 2))
 
     def test_norm_degree_denominator_with_singletons(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [5]])
-        report = rooted_heights(transitive_reduction(build_encapsulation_dag(h)), h)
+        report = rooted_heights(build_encapsulation_dag(h), h)
         rec = next(r for r in report.records if r.size == 3)
         assert rec.norm_degree == pytest.approx(1 / (2**3 - 2))
 
     def test_norm_height(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
-        report = rooted_heights(transitive_reduction(build_encapsulation_dag(h)), h)
+        report = rooted_heights(build_encapsulation_dag(h), h)
         assert report.records[0].norm_height == pytest.approx(1 / 3)
 
     def test_csv_export(self, tmp_path, chain_hypergraph):
-        reduced = transitive_reduction(build_encapsulation_dag(chain_hypergraph))
-        report = rooted_heights(reduced, chain_hypergraph)
+        report = rooted_heights(build_encapsulation_dag(chain_hypergraph), chain_hypergraph)
         path = tmp_path / "heights.csv"
         report.write_csv(path)
         rows = list(csv.DictReader(open(path)))

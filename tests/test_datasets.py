@@ -15,6 +15,7 @@ from hypernest import (
     filter_by_size,
     largest_connected_component,
     load_simplex_dataset,
+    prepare_dynamics,
     retention_report,
     run_experiment,
     summarize,
@@ -49,5 +50,6 @@ class TestContactSaturation:
     def test_non_strict_single_seed_saturates(self, name):
         h = largest_connected_component(load_filtered(name))
         grid = ExperimentGrid(variants=("non-strict",), strategies=("uniform",), seed_counts=(1,))
-        (cell,) = summarize(run_experiment(h, grid, runs=10, master_seed=1, dataset=name))
+        records = run_experiment(prepare_dynamics(h), grid, runs=10, master_seed=1, dataset=name)
+        (cell,) = summarize(records)
         assert cell.mean_proportion == 1.0

@@ -15,7 +15,7 @@ from hypernest import (
     build_overlap_dag,
     build_overlap_graph,
     encapsulation_counts,
-    overlap_totals,
+    rooted_heights,
 )
 from hypernest.dagpaths import topological_order
 
@@ -52,6 +52,26 @@ class TestEncapsulationDag:
             assert h.edge_sets[j] < h.edge_sets[i]
         transpose = {(j, i) for i, nbrs in enumerate(dag.in_adj) for j in nbrs}
         assert transpose == dag.edge_set()
+
+    @given(hypergraphs())
+    def test_transitively_closed(self, h):
+        dag = build_encapsulation_dag(h)
+        reach = oracles.reachability(dag.out_adj)
+        for v, nbrs in enumerate(dag.out_adj):
+            assert set(nbrs) == reach[v]
+
+    @given(hypergraphs())
+    def test_overlap_fields_match_oracle(self, h):
+        dag = build_encapsulation_dag(h)
+        weights = oracles.overlap_weights(h)
+        assert (dag.overlap_edges, dag.overlap_weight) == (len(weights), sum(weights.values()))
+
+    def test_analyses_leave_transpose_unbuilt(self, chain_hypergraph):
+        dag = build_encapsulation_dag(chain_hypergraph)
+        encapsulation_counts(chain_hypergraph, dag)
+        rooted_heights(dag, chain_hypergraph)
+        assert "in_adj" not in vars(dag)
+        assert dag.in_adj == [[], [0], [0, 1]]
 
     @given(hypergraphs())
     def test_acyclic(self, h):
@@ -96,7 +116,8 @@ class TestOverlapGraph:
     @given(hypergraphs())
     def test_totals_match_full_graph(self, h):
         g = build_overlap_graph(h)
-        assert overlap_totals(h) == (g.edge_count, g.total_weight)
+        dag = build_encapsulation_dag(h)
+        assert (dag.overlap_edges, dag.overlap_weight) == (g.edge_count, g.total_weight)
 
     @given(hypergraphs())
     def test_every_containment_edge_overlaps(self, h):
