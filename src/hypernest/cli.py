@@ -240,7 +240,7 @@ def cmd_randomize(args: argparse.Namespace) -> int:
     if args.emit_samples:
         outdir = Path(args.emit_samples)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, randomized in enumerate(layer_samples(h, args.samples, args.seed)):
+        for i, randomized in enumerate(report.randomized):
             sample_path = outdir / f"sample_{i:03d}.txt"
             write_plain(randomized, sample_path)
             extra_outputs.append(sample_path)
@@ -312,6 +312,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     h = load_input(args)
     strategies = _parse_csv_list(args.strategy, str)
     seed_counts = _parse_csv_list(args.seeds, int)
+    if not strategies or not seed_counts:
+        raise ValueError("--strategy and --seeds must each list at least one value")
     for strat in strategies:
         if strat not in STRATEGIES:
             raise ValueError(f"unknown strategy {strat!r}; choose from {', '.join(STRATEGIES)}")

@@ -4,23 +4,31 @@ Two hyperedges can be compared as sets, which yields two complementary
 line graphs over hyperedge ids: a DAG of strict-containment relations
 (larger hyperedge points to each smaller hyperedge it fully contains) and
 an undirected intersection graph weighted by shared-node counts. Both are
-built with the same candidate-gathering pass: for each hyperedge, every
-hyperedge sharing at least one node is found through the node->hyperedge
-membership index, never by an all-pairs scan, so construction cost is
-bounded by (number of hyperedges) x (max hyperedge size) x (max node
-degree). The DAG build also tallies the overlap graph's totals.
+built by the same array kernel: every (hyperedge a, node u in a,
+hyperedge b containing u) encounter becomes one integer key for the pair
+(a, b), found through the node->hyperedge membership index, never by an
+all-pairs scan. That is sum_u deg(u)^2 keys, sorted in chunks of whole rows
+a of bounded size, so memory stays bounded while the per-call overhead is
+paid per chunk, not per hyperedge. The DAG build also tallies the overlap
+graph's totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import comb
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .hypergraph import DatasetStats, Hypergraph, projected_density
+
+# encounters sorted at once by the line-graph kernel: each of its transient
+# int64 arrays is 64 KB, and together they stay well under 1 MB
+_CHUNK_ENCOUNTERS = 1 << 13
 
 
 @dataclass
@@ -101,16 +109,52 @@ class OverlapGraph:
         return {(i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j}
 
 
-def _shared_edge_counts(h: Hypergraph, eid: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """All hyperedges sharing a node with ``eid`` and the shared-node counts.
+def _shared_node_pairs(h: Hypergraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (a, b) pair of hyperedges sharing a node, with the shared-node
+    count, ascending by (a, b) and yielded in chunks of whole rows ``a``.
 
-    Returns (candidate ids ascending, counts, raw encounters inspected).
-    ``eid`` itself appears among the candidates with count = its size.
+    Each (hyperedge a, node u in a, hyperedge b containing u) encounter is
+    one key ``(a - a0) * m + b``; a chunk holds about ``_CHUNK_ENCOUNTERS``
+    of them (a row larger than that is a chunk of its own), and one sort per
+    chunk turns runs of equal keys into pairs and counts. Every row holds
+    the pair (a, a) with count ``|a|``.
     """
-    parts = [h.memberships[u] for u in h.edges[eid]]
-    cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    uniq, cnt = np.unique(cand, return_counts=True)
-    return uniq, cnt, cand.size
+    m = h.m
+    if m == 0:
+        return
+    edge_nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.int64,
+                             count=int(h.sizes.sum()))
+    memb_ids = np.concatenate(h.memberships)
+    deg = np.fromiter(map(len, h.memberships), dtype=np.int64, count=h.n)
+    memb_ptr = np.concatenate(([0], np.cumsum(deg)))
+    edge_ptr = np.concatenate(([0], np.cumsum(h.sizes)))
+    # encounters before each row: row a spans work[a]:work[a + 1]
+    work = np.concatenate(([0], np.cumsum(deg[edge_nodes])))[edge_ptr]
+    a0 = 0
+    while a0 < m:
+        a1 = max(int(np.searchsorted(work, work[a0] + _CHUNK_ENCOUNTERS, "right")) - 1, a0 + 1)
+        nodes = edge_nodes[edge_ptr[a0]:edge_ptr[a1]]
+        per_node = deg[nodes]
+        total = int(work[a1] - work[a0])
+        # each node's run of encounters walks its membership list
+        at = np.repeat(memb_ptr[nodes] - (np.cumsum(per_node) - per_node), per_node)
+        at += np.arange(total)
+        keys = memb_ids[at]
+        del at
+        keys += np.repeat(np.repeat(np.arange(a1 - a0) * m, h.sizes[a0:a1]), per_node)
+        keys.sort()
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        counts = np.diff(np.append(starts, total))
+        rows, b = np.divmod(keys[starts], m)
+        yield rows + a0, b, counts
+        a0 = a1
+
+
+def _row_spans(kept: np.ndarray, a: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(start, end) in ``kept``, a sorted subset of a chunk's row ids ``a``,
+    of each row of the chunk in turn."""
+    ends = np.searchsorted(kept, np.arange(a[0], a[-1] + 1), "right").tolist()
+    return zip([0] + ends, ends)
 
 
 def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
@@ -119,31 +163,31 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
     A candidate j shares ``cnt`` nodes with i; it is contained in i exactly
     when ``cnt`` equals its own size, and strictness requires it to be
     smaller than i. Acyclicity follows from the size ordering. Every
-    candidate other than i itself is an overlap neighbor sharing ``cnt``
-    nodes; summed over i, each overlap edge and its weight count twice.
+    candidate other than i itself is an overlap neighbor; node u yields
+    deg(u)^2 encounters, deg(u) of them self pairs, so the visits and the
+    overlap weight have closed forms.
     """
     m = h.m
     sizes = h.sizes
-    out_adj: list[list[int]] = [[] for _ in range(m)]
-    visits = twice_edges = twice_weight = 0
-    for a in range(m):
-        uniq, cnt, seen = _shared_edge_counts(h, a)
-        visits += seen
-        twice_edges += uniq.size - 1  # drop self
-        twice_weight += seen - int(sizes[a])
-        contained = uniq[(cnt == sizes[uniq]) & (sizes[uniq] < sizes[a])]
-        out_adj[a] = contained.tolist()
+    out_adj: list[list[int]] = []
+    pairs = 0
+    for a, b, cnt in _shared_node_pairs(h):
+        pairs += a.size
+        keep = (cnt == sizes[b]) & (sizes[b] < sizes[a])
+        tails = b[keep].tolist()
+        out_adj.extend(tails[p:q] for p, q in _row_spans(a[keep], a))
+    visits = sum(ids.size ** 2 for ids in h.memberships)
     return HyperedgeDag(out_adj=out_adj, candidate_visits=visits,
-                        overlap_edges=twice_edges // 2, overlap_weight=twice_weight // 2)
+                        overlap_edges=(pairs - m) // 2,
+                        overlap_weight=(visits - int(sizes.sum())) // 2)
 
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
-    m = h.m
-    adj: list[dict[int, int]] = [{} for _ in range(m)]
-    for a in range(m):
-        uniq, cnt, _ = _shared_edge_counts(h, a)
-        nbrs = {int(b): int(c) for b, c in zip(uniq.tolist(), cnt.tolist()) if b != a}
-        adj[a] = nbrs
+    adj: list[dict[int, int]] = []
+    for a, b, cnt in _shared_node_pairs(h):
+        other = a != b
+        nbrs, weights = b[other].tolist(), cnt[other].tolist()
+        adj.extend(dict(zip(nbrs[p:q], weights[p:q])) for p, q in _row_spans(a[other], a))
     return OverlapGraph(adj=adj, sizes=h.sizes)
 
 

@@ -54,13 +54,16 @@ def layer_samples(h: Hypergraph, k: int, seed: int) -> Iterator[Hypergraph]:
 @dataclass
 class LayerRandomizationReport:
     """Observed line-graph quantities and the proportion retained in each
-    randomization sample; 0/0 ratios are reported as 1.0 and flagged."""
+    randomization sample; 0/0 ratios are reported as 1.0 and flagged.
+    ``randomized`` keeps the sampled hypergraphs, in stream order, so they
+    can be written without drawing them again; they are not serialized."""
 
     observed: dict[str, float]
     samples: list[dict[str, float]]
     means: dict[str, float]
     seed: int
     degenerate_ratios: list[str] = field(default_factory=list)
+    randomized: list[Hypergraph] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,8 +99,9 @@ def retention_report(h: Hypergraph, samples: int, master_seed: int) -> LayerRand
     observed = _line_graph_quantities(h)
     degenerate = sorted(name for name in _QUANTITIES if observed[name] == 0)
     rows: list[dict[str, float]] = []
-    for randomized in layer_samples(h, samples, master_seed):
-        values = _line_graph_quantities(randomized)
+    randomized = list(layer_samples(h, samples, master_seed))
+    for sample in randomized:
+        values = _line_graph_quantities(sample)
         rows.append(
             {name: values[name] / observed[name] if observed[name] else 1.0 for name in _QUANTITIES}
         )
@@ -108,4 +112,5 @@ def retention_report(h: Hypergraph, samples: int, master_seed: int) -> LayerRand
         means=means,
         seed=master_seed,
         degenerate_ratios=degenerate,
+        randomized=randomized,
     )

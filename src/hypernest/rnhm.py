@@ -20,6 +20,11 @@ from .hypergraph import Hypergraph, is_connected
 from .rng import RngLike, as_rng
 
 
+# subset hyperedges a sample may enumerate: the 1M-hyperedge scale of the
+# largest datasets (coauth-MAG)
+MAX_SUBSETS = 1_000_000
+
+
 class GenerationError(RuntimeError):
     """Generation could not produce a valid sample within the retry budget."""
 
@@ -48,6 +53,14 @@ class RnhmParams:
             raise ValueError(f"need 2 <= max_size <= num_nodes, got {self.max_size}/{self.num_nodes}")
         if self.num_max_edges < 1:
             raise ValueError(f"num_max_edges must be >= 1, got {self.num_max_edges}")
+        # past size 20 the count exceeds the limit anyway; the cap keeps a
+        # huge max_size from building a huge integer
+        subsets = self.num_max_edges * ((1 << min(self.max_size, 64)) - 2)
+        if subsets > MAX_SUBSETS:
+            raise ValueError(
+                f"{self.num_max_edges} hyperedges of size {self.max_size} have more than "
+                f"{MAX_SUBSETS:,} subsets to enumerate"
+            )
         if comb(self.num_nodes, self.max_size) < self.num_max_edges:
             raise ValueError(
                 f"cannot sample {self.num_max_edges} distinct hyperedges of size "

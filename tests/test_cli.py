@@ -10,6 +10,7 @@ import pytest
 
 import hypernest.cli as cli_mod
 import hypernest.experiments as experiments_mod
+import hypernest.randomize as randomize_mod
 from hypernest import largest_connected_component, parse_plain
 from hypernest.cli import main
 
@@ -192,6 +193,23 @@ class TestRandomize:
         assert (samples / "sample_000.txt").exists()
         assert (samples / "sample_001.txt").exists()
 
+    def test_each_sample_is_drawn_once(self, plain_file, tmp_path, monkeypatch):
+        calls = []
+        original = randomize_mod.layer_randomize
+
+        def counted(h, rng):
+            calls.append(h)
+            return original(h, rng)
+
+        monkeypatch.setattr(randomize_mod, "layer_randomize", counted)
+        code = run_cli(
+            "randomize", plain_file, "--samples", "3", "--out", tmp_path / "report.json",
+            "--emit-samples", tmp_path / "samples",
+        )
+        assert code == 0
+        assert len(calls) == 3
+        assert len(list((tmp_path / "samples").iterdir())) == 3
+
 
 class TestRnhm:
     def test_generates_with_manifest(self, tmp_path, capsys):
@@ -220,6 +238,18 @@ class TestRnhm:
             "--eps", "1,1,1", "--seed", "1", "--out", tmp_path / "x.txt",
         )
         assert code == 2
+
+    def test_exponential_subset_count_is_data_error(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(cli_mod, "generate", never)
+        out = tmp_path / "r.txt"
+        code = run_cli("rnhm", "--nodes", "50", "--max-size", "30", "--max-edges", "3",
+                       "--out", out)
+        assert code == 2
+        assert "subsets" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_byte_identical(self, tmp_path):
         args = [
@@ -312,6 +342,15 @@ class TestSimulate:
 
     def test_invalid_max_size_is_data_error(self, plain_file, tmp_path):
         assert run_cli("stats", plain_file, "--max-size", "-2") == 2
+
+    @pytest.mark.parametrize("option,value", [("--seeds", ""), ("--strategy", ",")])
+    def test_empty_grid_is_data_error(self, plain_file, tmp_path, option, value, capsys):
+        out, summary = tmp_path / "r.csv", tmp_path / "s.json"
+        code = run_cli("simulate", plain_file, option, value, "--out", out,
+                       "--summary-out", summary)
+        assert code == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [plain_file]
 
     def test_too_many_seeds_is_data_error(self, plain_file, tmp_path):
         code = run_cli(

@@ -1,0 +1,117 @@
+"""Fuzz ``hypernest.cli.main`` over argv drawn from each subcommand's options.
+
+Every argv must end in a result (0), a usage error (``SystemExit(1)``) or a
+data error (2), and never print a traceback. Values are drawn from small
+ints, zero, negatives, empty and malformed lists and unknown flags, on the
+golden RNHM fixture and on a 3-line input; RNHM sizes stay at most 8 so
+every example is fast.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypernest.cli import main
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "nested.txt"
+
+# argparse accepts the values of an option's first list and rejects those of
+# its second; a drawn argv uses only accepted values unless it is "noisy"
+INTS = (["0", "1", "2", "3", "-1", "-7", "99"], ["", "x", "1.5"])
+COUNTS = (["0", "1", "2"], ["-1", "", "x"])
+LISTS = (["", ",", ",,", "1", "2,1", "1,,3", "0", "-1", "x", "1;2", "99"], [])
+STRATEGY_LISTS = (
+    ["", ",", "uniform", "uniform,smallest-first", "largest-first,", "nope", "uniform,nope"], []
+)
+EPS = (["", ",", "1", "0.5,0.5", "3=0.5", "2=1.5", "9=1", "x", "1,1,1,1,1,1"], [])
+FLAG = None  # an option that takes no value
+OUT = "out"  # an option that takes a path under the work directory
+
+INPUT_OPTIONS = {
+    "--format": (["auto", "plain", "simplex"], ["bogus"]),
+    "--max-size": INTS,
+    "--lcc": FLAG,
+}
+OPTIONS = {
+    "stats": INPUT_OPTIONS | {"--json": FLAG, "--out": OUT},
+    "encapsulation": INPUT_OPTIONS | {
+        "--normalized": FLAG, "--histograms": FLAG, "--randomize": COUNTS, "--seed": INTS,
+        "--out": OUT,
+    },
+    "heights": INPUT_OPTIONS | {
+        "--randomize": COUNTS, "--seed": INTS, "--out": OUT, "--summary-out": OUT,
+    },
+    "randomize": INPUT_OPTIONS | {
+        "--samples": (["1", "2"], ["0", "-1", "x"]), "--seed": INTS, "--out": OUT,
+        "--emit-samples": OUT,
+    },
+    "rnhm": {
+        "--nodes": (["0", "1", "3", "5", "8", "-2"], ["x"]),
+        "--max-size": (["0", "1", "2", "3", "5", "8", "-1"], ["", "x"]),
+        "--max-edges": (["0", "1", "2", "3", "-1"], ["x"]),
+        "--eps": EPS, "--singletons": FLAG, "--seed": INTS, "--out": OUT,
+    },
+    "simulate": INPUT_OPTIONS | {
+        "--variant": (["strict", "non-strict", "empirical-adjacent", "threshold"], ["bogus"]),
+        "--strategy": STRATEGY_LISTS, "--seeds": LISTS, "--tau": INTS,
+        "--runs": (["1", "2"], ["0", "-1", "x"]), "--max-steps": INTS,
+        "--comparison": ([">=", ">"], ["=="]), "--seed": INTS, "--randomize": COUNTS,
+        "--jobs": (["1"], ["0", "-1", "x"]), "--dataset": (["", "name"], []),
+        "--out": OUT, "--summary-out": OUT, "--trajectories": OUT,
+    },
+}
+REQUIRED = {"rnhm": ("--nodes", "--max-size", "--max-edges", "--out"), "simulate": ("--out",)}
+UNKNOWN = ["--bogus", "-z", "--seed=", "--out"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "three.txt").write_text("1 2 3\n2 3\n3 4\n")
+    return root
+
+
+@st.composite
+def argvs(draw, workdir: Path) -> list[str]:
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    noisy = draw(st.booleans())
+    argv = [command]
+    if command != "rnhm":
+        inputs = [FIXTURE, workdir / "three.txt"] + [workdir / "missing.txt"] * noisy
+        argv.append(str(draw(st.sampled_from(inputs))))
+    options = OPTIONS[command]
+    names = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=6))
+    if not noisy:
+        names += [name for name in REQUIRED.get(command, ()) if name not in names]
+    for name in names:
+        spec = options[name]
+        if spec is FLAG:
+            argv.append(name)
+        elif spec is OUT:
+            argv += [name, str(workdir / name.lstrip("-"))]
+        else:
+            accepted, rejected = spec
+            argv += [name, draw(st.sampled_from(accepted + rejected * noisy))]
+    if noisy and draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(UNKNOWN)))
+    return argv
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_argv_ends_in_an_exit_code(workdir, data):
+    argv = data.draw(argvs(workdir))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    assert code in (0, 2, ("exit", 1)), (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), argv

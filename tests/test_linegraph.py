@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given
 
 import oracles
 from conftest import hypergraphs
+import hypernest.linegraph as linegraph
 from hypernest import (
     Hypergraph,
     adjacent_layer_dag,
@@ -125,6 +127,41 @@ class TestOverlapGraph:
         g = build_overlap_graph(h)
         for i, j in dag.edge_set():
             assert g.weight(i, j) == len(h.edges[j])
+
+
+class TestChunkedKernel:
+    """Chunk boundaries must not change either line graph: with one
+    encounter per chunk every row is a chunk of its own, and an odd chunk
+    size splits rows at uneven points."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @given(h=hypergraphs())
+    def test_matches_oracles_at_any_chunk_size(self, chunk, h):
+        with mock.patch.object(linegraph, "_CHUNK_ENCOUNTERS", chunk):
+            dag = build_encapsulation_dag(h)
+            g = build_overlap_graph(h)
+        weights = oracles.overlap_weights(h)
+        assert dag.edge_set() == oracles.encapsulation_edges(h)
+        assert all(nbrs == sorted(nbrs) for nbrs in dag.out_adj)
+        assert (dag.overlap_edges, dag.overlap_weight) == (len(weights), sum(weights.values()))
+        # every (a, u, b) encounter of u in both a and b, so sum_u deg(u)^2
+        sets = h.edge_sets
+        assert dag.candidate_visits == sum(len(x & y) for x in sets for y in sets)
+        got = {(i, j): w for i, nbrs in enumerate(g.adj) for j, w in nbrs.items() if i < j}
+        assert got == weights
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adj)
+
+    @pytest.mark.parametrize("chunk", [1, 7, linegraph._CHUNK_ENCOUNTERS])
+    def test_empty_and_single_edge(self, chunk):
+        with mock.patch.object(linegraph, "_CHUNK_ENCOUNTERS", chunk):
+            empty = build_encapsulation_dag(Hypergraph([]))
+            single = build_encapsulation_dag(Hypergraph([[1, 2, 3]]))
+            assert build_overlap_graph(Hypergraph([])).adj == []
+            assert build_overlap_graph(Hypergraph([[1, 2, 3]])).adj == [{}]
+        assert (empty.out_adj, empty.candidate_visits, empty.overlap_edges,
+                empty.overlap_weight) == ([], 0, 0, 0)
+        assert (single.out_adj, single.candidate_visits, single.overlap_edges,
+                single.overlap_weight) == ([[]], 3, 0, 0)
 
 
 class TestOverlapDag:

@@ -45,6 +45,17 @@ class TestParams:
         with pytest.raises(ValueError, match="outside"):
             RnhmParams(num_nodes=10, max_size=4, num_max_edges=1, keep_probs={4: 0.5})
 
+    def test_subset_count_is_bounded(self):
+        # 3 * (2^30 - 2) subsets, and a size whose 2^k would be a huge integer
+        with pytest.raises(ValueError, match="subsets"):
+            RnhmParams(num_nodes=50, max_size=30, num_max_edges=3)
+        with pytest.raises(ValueError, match="subsets"):
+            RnhmParams(num_nodes=10**12, max_size=10**9, num_max_edges=1)
+        # 15 * (2^16 - 2) = 983,010 is within the bound
+        RnhmParams(num_nodes=40, max_size=16, num_max_edges=15)
+        with pytest.raises(ValueError, match="subsets"):
+            RnhmParams(num_nodes=40, max_size=16, num_max_edges=16)
+
     def test_missing_sizes_default_to_keep(self):
         p = RnhmParams(num_nodes=10, max_size=4, num_max_edges=1)
         assert p.keep_prob(2) == 1.0
