@@ -8,7 +8,10 @@ The fixture ``golden/nested.txt`` is an RNHM sample with singletons
 empirical-adjacent bridges gaps the other variants cannot: its first six
 pairs each extended by two new nodes (the pair is the largest hyperedge
 inside), a 4-node hyperedge whose only contained hyperedge is a pair, and a
-5-node hyperedge containing a triple and a disjoint pair. A deliberate
+5-node hyperedge containing a triple and a disjoint pair. The RNHM
+activation sweep script (``scripts/rnhm_activation_sweep.py``) is recorded
+too, at a size whose seed count 70 exceeds the hyperedge count of some
+realizations (m is 64-75 there) and is clamped in those only. A deliberate
 output change regenerates the recorded files with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import runpy
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -26,6 +32,7 @@ from hypernest.cli import main
 from hypernest.dynamics import VARIANTS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SWEEP_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "rnhm_activation_sweep.py"
 FIXTURE = GOLDEN / "nested.txt"
 OUTPUTS = ("csv", "summary.json", "traj.json")
 
@@ -87,6 +94,17 @@ def run_analysis(name: str, outdir: Path) -> list[Path]:
     return paths
 
 
+SWEEP_OPTIONS = ("--realizations", "3", "--runs", "4", "--seed-counts", "1,5,70", "--seed", "2")
+
+
+def run_sweep(outdir: Path) -> Path:
+    out = outdir / "rnhm-sweep.csv"
+    argv = [SWEEP_SCRIPT.name, *SWEEP_OPTIONS, "--out", str(out)]
+    with mock.patch.object(sys, "argv", argv), contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(SWEEP_SCRIPT), run_name="__main__")
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_matches_golden(name, tmp_path):
     for path in run_case(name, tmp_path):
@@ -100,8 +118,14 @@ def test_analysis_matches_golden(name, tmp_path):
         assert path.read_bytes() == (GOLDEN / relative).read_bytes(), str(relative)
 
 
+def test_rnhm_sweep_matches_golden(tmp_path):
+    path = run_sweep(tmp_path)
+    assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+
 if __name__ == "__main__":
     written = [p for case in sorted(CASES) for p in run_case(case, GOLDEN)]
     written += [p for name in sorted(ANALYSES) for p in run_analysis(name, GOLDEN)]
     for path in written:
         path.with_name(path.name + ".manifest.json").unlink(missing_ok=True)
+    run_sweep(GOLDEN)
