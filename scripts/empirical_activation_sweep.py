@@ -17,7 +17,8 @@ import argparse
 import json
 
 from hypernest import ExperimentGrid, filter_by_size, largest_connected_component
-from hypernest.cli import at_least
+from hypernest.cli import at_least, run_script
+from hypernest.dynamics import VARIANTS
 from hypernest.experiments import prepare_dynamics, randomized_comparison, write_records_csv
 from hypernest.hypergraph import load_auto
 
@@ -25,8 +26,7 @@ from hypernest.hypergraph import load_auto
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("input", help="dataset path or simplex-format prefix")
-    ap.add_argument("--variant", default="strict",
-                    choices=("strict", "non-strict", "empirical-adjacent", "threshold"))
+    ap.add_argument("--variant", default="strict", choices=VARIANTS)
     ap.add_argument("--strategies",
                     default="uniform,size-biased,inverse-size-biased,smallest-first")
     ap.add_argument("--seed-counts", default="1,10,50,100,500")
@@ -72,4 +72,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_script(main)

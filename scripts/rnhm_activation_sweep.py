@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Activation sweep on random nested hypergraphs.
 
-For each keep-probability combination and each seeding strategy, generate
-`--realizations` hypergraphs, run `--runs` contagion simulations per
-realization at every seed count, and write one CSV row per cell with the
-mean and standard error of the non-seed activation proportion.
+For each keep-probability combination, generate `--realizations`
+hypergraphs, run every (seeding strategy, seed count) cell `--runs` times
+on each through the `hypernest.experiments` harness (a seed count above a
+realization's hyperedge count is clamped to it), and write one CSV row per
+cell with the mean and standard error of the non-seed activation
+proportion over all realizations and runs.
 
 Usage:
     python scripts/rnhm_activation_sweep.py --out rnhm_sweep.csv
@@ -16,39 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+from dataclasses import replace
 from itertools import product
-from math import sqrt
 
-from hypernest import DynamicsConfig, RnhmParams, generate, select_seeds, spawn_rng
-from hypernest.cli import at_least
-from hypernest.experiments import prepare_dynamics, run_dynamics
-
-
-def sweep_cell(args, eps2, eps3, strategy, seed_count):
-    proportions = []
-    for realization in range(args.realizations):
-        params = RnhmParams(
-            num_nodes=args.nodes,
-            max_size=args.max_size,
-            num_max_edges=args.max_edges,
-            keep_probs={s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)},
-            include_singletons=True,
-        )
-        sample = generate(params, spawn_rng(args.seed + realization, "rnhm"))
-        h = sample.hypergraph
-        prepared = prepare_dynamics(h)
-        config = DynamicsConfig(variant=args.variant, tau=args.tau)
-        for run in range(args.runs):
-            rng = spawn_rng(args.seed + realization, "seed-selection", 0, run)
-            seeds = select_seeds(h, strategy, min(seed_count, h.m), rng)
-            proportions.append(run_dynamics(prepared, config, seeds).activation_proportion())
-    mean = sum(proportions) / len(proportions)
-    if len(proportions) > 1:
-        var = sum((p - mean) ** 2 for p in proportions) / (len(proportions) - 1)
-        stderr = sqrt(var / len(proportions))
-    else:
-        stderr = 0.0
-    return mean, stderr
+from hypernest import ExperimentGrid, RnhmParams, generate, spawn_rng
+from hypernest.cli import at_least, run_script
+from hypernest.dynamics import VARIANTS
+from hypernest.experiments import mean_stderr, prepare_dynamics, run_experiment
 
 
 def main():
@@ -59,7 +35,7 @@ def main():
     ap.add_argument("--eps-grid", default="0,1", help="keep probabilities tried for every size")
     ap.add_argument("--strategies", default="uniform,smallest-first")
     ap.add_argument("--seed-counts", default="1,5,10,20,35")
-    ap.add_argument("--variant", default="strict")
+    ap.add_argument("--variant", default="strict", choices=VARIANTS)
     ap.add_argument("--tau", type=int, default=1)
     ap.add_argument("--realizations", type=at_least(1), default=25)
     ap.add_argument("--runs", type=at_least(1), default=50)
@@ -70,21 +46,48 @@ def main():
     eps_values = [float(v) for v in args.eps_grid.split(",")]
     strategies = args.strategies.split(",")
     seed_counts = [int(v) for v in args.seed_counts.split(",")]
+    grid = ExperimentGrid(variants=(args.variant,), tau=args.tau)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"])
-        for eps2, eps3, strategy, seed_count in product(
-            eps_values, eps_values, strategies, seed_counts
-        ):
-            mean, stderr = sweep_cell(args, eps2, eps3, strategy, seed_count)
-            writer.writerow([eps2, eps3, strategy, seed_count, f"{mean:.6f}", f"{stderr:.6f}"])
+    rows = []
+    for eps2, eps3 in product(eps_values, eps_values):
+        params = RnhmParams(
+            num_nodes=args.nodes,
+            max_size=args.max_size,
+            num_max_edges=args.max_edges,
+            keep_probs={s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)},
+            include_singletons=True,
+        )
+        realizations = [
+            prepare_dynamics(generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph)
+            for r in range(args.realizations)
+        ]
+        for strategy, seed_count in product(strategies, seed_counts):
+            # one-cell grid per realization, pooled realization-major: the order
+            # fixes the rounding of the mean and stderr sums
+            proportions = [
+                rec.proportion
+                for r, prepared in enumerate(realizations)
+                for rec in run_experiment(
+                    prepared,
+                    replace(grid, strategies=(strategy,),
+                            seed_counts=(min(seed_count, prepared.hypergraph.m),)),
+                    args.runs,
+                    args.seed + r,
+                )
+            ]
+            mean, stderr = mean_stderr(proportions)
+            rows.append([eps2, eps3, strategy, seed_count, f"{mean:.6f}", f"{stderr:.6f}"])
             print(
                 f"eps2={eps2} eps3={eps3} {strategy:>14} seeds={seed_count:>4} "
                 f"-> {mean:.4f} +/- {stderr:.4f}"
             )
+    # written only once every cell has run, so a data error leaves no file
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"])
+        writer.writerows(rows)
     print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":
-    main()
+    run_script(main)

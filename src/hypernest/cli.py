@@ -18,12 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .dagpaths import rooted_heights
-from .dynamics import STRATEGIES, VARIANTS, select_seeds
+from .dynamics import STRATEGIES, VARIANTS
 from .experiments import (
     ExperimentGrid,
+    cell_trajectory,
     prepare_dynamics,
     randomized_comparison,
-    run_dynamics,
     run_experiment,
     summarize,
     write_records_csv,
@@ -43,6 +43,10 @@ from .rng import spawn_rng
 from .rnhm import GenerationError, RnhmParams, generate
 
 
+# exceptions that report bad data or a failed generation: exit 2, one line
+DATA_ERRORS = (FormatError, OSError, GenerationError, ValueError)
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for data errors
     def error(self, message):
@@ -60,6 +64,15 @@ def at_least(minimum: int):
         return int(text)
 
     return count
+
+
+def run_script(script_main) -> None:
+    """Run a script's ``main()``; a data error exits 2 with one line on stderr."""
+    try:
+        script_main()
+    except DATA_ERRORS as exc:
+        sys.stderr.write(f"{Path(sys.argv[0]).name}: error: {exc}\n")
+        raise SystemExit(2)
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -350,9 +363,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectories:
         dumps = []
         for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
-            rng = spawn_rng(args.seed, "seed-selection", idx, 0)
-            seeds = select_seeds(h, strategy, seed_count, rng)
-            traj = run_dynamics(prepared, grid.config(variant), seeds)
+            traj = cell_trajectory(prepared, grid, idx, 0, args.seed)
             dumps.append(
                 {"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0}
                 | traj.to_json_dict()
@@ -384,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write JSON here (with manifest)")
     p.set_defaults(func=cmd_encapsulation)
 
-    p = sub.add_parser("heights", help="rooted path heights of the reduced containment DAG")
+    p = sub.add_parser("heights", help="rooted path heights of the containment DAG")
     _add_input_options(p)
     p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="also report K layer randomizations")
     p.add_argument("--seed", type=int, default=0)
@@ -440,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, GenerationError, ValueError) as exc:
+    except DATA_ERRORS as exc:
         sys.stderr.write(f"hypernest {args.command}: error: {exc}\n")
         return 2
 

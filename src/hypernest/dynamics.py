@@ -89,11 +89,6 @@ class Trajectory:
     def non_seed_active(self) -> int:
         return self.final_active - self.seed_count
 
-    @property
-    def complete_by_seeding(self) -> bool:
-        """True when every hyperedge was a seed, leaving nothing to activate."""
-        return self.seed_count == len(self.edge_active)
-
     def activation_proportion(self) -> float:
         """Activated share of the non-seed hyperedges; 1.0 by convention when
         everything was seeded."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from math import sqrt
 from pathlib import Path
@@ -53,7 +53,6 @@ class RunRecord:
     final_active: int
     non_seed_active: int
     proportion: float
-    complete_by_seeding: bool
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,23 @@ def run_dynamics(
     )
 
 
+def cell_trajectory(
+    prepared: PreparedDynamics, grid: ExperimentGrid, cell_index: int, run: int, master_seed: int
+) -> Trajectory:
+    """Run ``run`` of cell ``cell_index`` of ``grid``, seeded from the
+    seed-selection stream of (cell_index, run) under ``master_seed``."""
+    variant, strategy, seed_count = grid.cells()[cell_index]
+    rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
+    seeds = select_seeds(prepared.hypergraph, strategy, seed_count, rng)
+    return run_dynamics(prepared, grid.config(variant), seeds)
+
+
 def _run_cell(args) -> list[RunRecord]:
-    prepared, grid, cell_index, cell, runs, master_seed, dataset = args
-    variant, strategy, seed_count = cell
-    config = grid.config(variant)
+    prepared, grid, cell_index, runs, master_seed, dataset = args
+    variant, strategy, seed_count = grid.cells()[cell_index]
     records = []
     for run in range(runs):
-        rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
-        seeds = select_seeds(prepared.hypergraph, strategy, seed_count, rng)
-        traj = run_dynamics(prepared, config, seeds)
+        traj = cell_trajectory(prepared, grid, cell_index, run, master_seed)
         records.append(
             RunRecord(
                 dataset=dataset,
@@ -125,7 +132,6 @@ def _run_cell(args) -> list[RunRecord]:
                 final_active=traj.final_active,
                 non_seed_active=traj.non_seed_active,
                 proportion=traj.activation_proportion(),
-                complete_by_seeding=traj.complete_by_seeding,
             )
         )
     return records
@@ -144,8 +150,7 @@ def run_experiment(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     tasks = [
-        (prepared, grid, idx, cell, runs, master_seed, dataset)
-        for idx, cell in enumerate(grid.cells())
+        (prepared, grid, idx, runs, master_seed, dataset) for idx in range(len(grid.cells()))
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -155,20 +160,24 @@ def run_experiment(
     return [rec for cell_records in per_cell for rec in cell_records]
 
 
+def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and standard error of the mean (0.0 for a single value)."""
+    n = len(values)
+    mean = sum(values) / n
+    if n == 1:
+        return mean, 0.0
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, sqrt(var / n)
+
+
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
-    groups: dict[tuple, list[RunRecord]] = {}
+    groups: dict[tuple, list[float]] = {}
     for rec in records:
-        groups.setdefault((rec.dataset, rec.variant, rec.strategy, rec.seeds, rec.tau), []).append(rec)
+        key = (rec.dataset, rec.variant, rec.strategy, rec.seeds, rec.tau)
+        groups.setdefault(key, []).append(rec.proportion)
     summaries = []
-    for (dataset, variant, strategy, seeds, tau), recs in groups.items():
-        props = [r.proportion for r in recs]
-        n = len(props)
-        mean = sum(props) / n
-        if n > 1:
-            var = sum((p - mean) ** 2 for p in props) / (n - 1)
-            stderr = sqrt(var / n)
-        else:
-            stderr = 0.0
+    for (dataset, variant, strategy, seeds, tau), props in groups.items():
+        mean, stderr = mean_stderr(props)
         summaries.append(
             CellSummary(
                 dataset=dataset,
@@ -176,7 +185,7 @@ def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
                 strategy=strategy,
                 seeds=seeds,
                 tau=tau,
-                runs=n,
+                runs=len(props),
                 mean_proportion=mean,
                 stderr=stderr,
             )
@@ -243,36 +252,10 @@ def randomized_comparison(
     return observed_records, comparisons
 
 
-CSV_COLUMNS = (
-    "dataset",
-    "variant",
-    "strategy",
-    "seeds",
-    "tau",
-    "run",
-    "steps",
-    "final_active",
-    "non_seed_active",
-    "proportion",
-)
-
-
 def write_records_csv(records: Sequence[RunRecord], path: str | Path) -> None:
+    """One row per record, columns in ``RunRecord`` field order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(f.name for f in fields(RunRecord))
         for rec in records:
-            writer.writerow(
-                [
-                    rec.dataset,
-                    rec.variant,
-                    rec.strategy,
-                    rec.seeds,
-                    rec.tau,
-                    rec.run,
-                    rec.steps,
-                    rec.final_active,
-                    rec.non_seed_active,
-                    f"{rec.proportion:.10g}",
-                ]
-            )
+            writer.writerow(f"{v:.10g}" if isinstance(v, float) else v for v in vars(rec).values())

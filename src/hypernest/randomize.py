@@ -10,9 +10,7 @@ of that structure is non-random.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from .hypergraph import Hypergraph
@@ -73,9 +71,6 @@ class LayerRandomizationReport:
             "seed": self.seed,
             "degenerate_ratios": self.degenerate_ratios,
         }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
 _QUANTITIES = ("dag_edges", "overlap_edges", "overlap_weight")

@@ -11,6 +11,7 @@ rejected and redrawn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -79,7 +80,6 @@ class RnhmParams:
 @dataclass
 class RnhmSample:
     hypergraph: Hypergraph
-    max_edges: list[tuple[int, ...]]
     rewired_edges: int
     connectivity_rejections: int
     rewire_rejections: int
@@ -99,15 +99,21 @@ def rewire_edge(
     gen = as_rng(rng)
     size = len(edge)
     pivot = edge[int(gen.integers(size))]
-    pool = [v for v in range(num_nodes) if v not in superset_nodes]
-    if len(pool) < size - 1:
+    # draws index the ascending pool of nodes outside the supersets without
+    # building it: index i is node i + (excluded nodes below it), and below[j]
+    # counts the pool nodes under the j-th excluded node
+    excluded = sorted(v for v in superset_nodes if 0 <= v < num_nodes)
+    below = [v - j for j, v in enumerate(excluded)]
+    pool_size = num_nodes - len(excluded)
+    if pool_size < size - 1:
         raise RewireInfeasibleError(
             f"rewiring a size-{size} edge needs {size - 1} replacement nodes "
-            f"but only {len(pool)} are outside its supersets"
+            f"but only {pool_size} are outside its supersets"
         )
     for _ in range(max_tries):
-        replacement = gen.choice(len(pool), size=size - 1, replace=False)
-        candidate = tuple(sorted([pivot] + [pool[int(i)] for i in replacement]))
+        replacement = gen.choice(pool_size, size=size - 1, replace=False)
+        drawn = [int(i) + bisect_right(below, int(i)) for i in replacement]
+        candidate = tuple(sorted([pivot] + drawn))
         if frozenset(candidate) not in existing:
             return candidate
     raise RewireInfeasibleError(
@@ -181,7 +187,6 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
         if is_connected(h):
             return RnhmSample(
                 hypergraph=h,
-                max_edges=max_edges,
                 rewired_edges=rewired,
                 connectivity_rejections=connectivity_rejections,
                 rewire_rejections=rewire_rejections,

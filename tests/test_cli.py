@@ -139,6 +139,59 @@ def test_script_count_below_one_is_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "script,argv",
+    [
+        ("rnhm_activation_sweep.py", ("--eps-grid", "x")),
+        ("rnhm_activation_sweep.py", ("--eps-grid", "2")),
+        ("rnhm_activation_sweep.py", ("--seed-counts", "-1")),
+        ("rnhm_activation_sweep.py", ("--seed-counts", "x")),
+        ("rnhm_activation_sweep.py", ("--nodes", "3")),
+        ("rnhm_activation_sweep.py", ("--strategies", "nope")),
+        ("rnhm_activation_sweep.py", ("--tau", "0")),
+        ("empirical_activation_sweep.py", ("missing.txt",)),
+        ("empirical_activation_sweep.py", ("{input}", "--seed-counts", "x")),
+        ("empirical_activation_sweep.py", ("{input}", "--tau", "-1")),
+    ],
+)
+def test_script_data_error_exits_2(script, argv, plain_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.csv"
+    argv = [a.format(input=plain_file) for a in argv]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *argv, "--runs", "1", "--out", str(out)])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{script}: error: ")
+    assert not out.exists()
+
+
+def test_rnhm_sweep_variant_choices(tmp_path, monkeypatch, capsys):
+    script = "rnhm_activation_sweep.py"
+    monkeypatch.setattr(sys, "argv", [script, "--variant", "bogus", "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err_text and "Traceback" not in err_text
+
+
+def test_rnhm_sweep_generates_each_realization_once(tmp_path, monkeypatch, capsys):
+    # default grid: 2x2 eps pairs, 2 strategies x 5 seed counts per pair
+    import hypernest
+
+    calls = []
+    generate = hypernest.generate
+    monkeypatch.setattr(hypernest, "generate", lambda *a: calls.append(a) or generate(*a))
+    script = "rnhm_activation_sweep.py"
+    monkeypatch.setattr(
+        sys, "argv", [script, "--realizations", "3", "--runs", "1", "--out", str(tmp_path / "o")]
+    )
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert len(calls) == 4 * 3
+
+
 class TestEncapsulation:
     def test_counts_json(self, plain_file, capsys):
         assert run_cli("encapsulation", plain_file, "--normalized", "--histograms") == 0

@@ -282,7 +282,7 @@ class TestEngineInvariants:
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
         traj = run(h, DynamicsConfig(), seeds=[0, 1])
-        assert traj.complete_by_seeding
+        assert traj.seed_count == h.m
         assert traj.activation_proportion() == 1.0
 
     def test_trajectory_json_dump(self, tmp_path):

@@ -44,7 +44,7 @@ class TestRunExperiment:
     def test_all_seeded_reports_complete(self, ladder):
         grid = ExperimentGrid(strategies=("uniform",), seed_counts=(ladder.m,))
         records = run_experiment(prepare_dynamics(ladder), grid, runs=2, master_seed=0)
-        assert all(r.complete_by_seeding and r.proportion == 1.0 for r in records)
+        assert all(r.seeds == r.final_active == ladder.m and r.proportion == 1.0 for r in records)
 
     def test_proportion_definition(self, ladder):
         grid = ExperimentGrid(strategies=("smallest-first",), seed_counts=(6,))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hypernest import (
     GenerationError,
@@ -13,7 +15,10 @@ from hypernest import (
     rewire_edge,
     spawn_rng,
 )
+from hypernest.cli import main
 from hypernest.rng import as_rng
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FULL_KEEP = {2: 1.0, 3: 1.0}
 
@@ -119,6 +124,30 @@ class TestRewireEdge:
         with pytest.raises(GenerationError, match="no unused replacement"):
             rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=5, rng=as_rng(0))
 
+    def test_pool_is_never_built(self):
+        # a pool list of 10**12 node ids could not be allocated
+        superset_nodes = {0, 1, 2, 3, 10**12 - 1}
+        new = rewire_edge((0, 1, 2), superset_nodes, set(), num_nodes=10**12, rng=as_rng(0))
+        assert len(new) == 3 and len(set(new) & {0, 1, 2}) == 1
+        assert all(3 < v < 10**12 - 1 for v in set(new) - {0, 1, 2})
+
+    @given(
+        superset_nodes=st.sets(st.integers(0, 40), max_size=30),
+        num_nodes=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_match_a_built_pool(self, superset_nodes, num_nodes, seed):
+        # the same generator calls, indexing the explicit ascending pool
+        edge = (0, 1, 2)
+        superset_nodes |= set(edge)
+        pool = [v for v in range(num_nodes) if v not in superset_nodes]
+        assume(len(pool) >= 2)
+        gen = as_rng(seed)
+        pivot = edge[int(gen.integers(3))]
+        drawn = [pool[int(i)] for i in gen.choice(len(pool), size=2, replace=False)]
+        expected = tuple(sorted([pivot, *drawn]))
+        assert rewire_edge(edge, superset_nodes, set(), num_nodes, as_rng(seed)) == expected
+
 
 class TestGenerate:
     def test_connected_and_simple(self):
@@ -151,6 +180,16 @@ class TestGenerate:
         params = RnhmParams(num_nodes=4, max_size=4, num_max_edges=1, keep_probs={2: 0.0, 3: 0.0})
         with pytest.raises(GenerationError, match="attempts"):
             generate(params, spawn_rng(0, "rnhm"), max_attempts=5)
+
+    def test_regenerates_golden_fixture(self, tmp_path, capsys):
+        # the RNHM part of golden/nested.txt, which has 40 rewires
+        out = tmp_path / "rnhm.txt"
+        argv = ["rnhm", "--nodes", "24", "--max-size", "5", "--max-edges", "6",
+                "--eps", "0.6,0.7,0.8", "--singletons", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        assert "rewired=40" in capsys.readouterr().out
+        produced = out.read_bytes()
+        assert (GOLDEN / "nested.txt").read_bytes()[: len(produced)] == produced
 
     def test_edge_sizes_within_bounds(self):
         sample = generate(fig_params(eps2=0.5, eps3=0.5), spawn_rng(12, "rnhm"))
