@@ -35,7 +35,6 @@ from .linegraph import (
     OverlapGraph,
     adjacent_layer_dag,
     build_encapsulation_dag,
-    build_overlap_dag,
     build_overlap_graph,
     encapsulation_counts,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Trajectory",
     "adjacent_layer_dag",
     "build_encapsulation_dag",
-    "build_overlap_dag",
     "build_overlap_graph",
     "encapsulation_counts",
     "filter_by_size",

@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .hypergraph import Hypergraph
 from .linegraph import HyperedgeDag
 
@@ -128,7 +130,8 @@ def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
     never exceed k - 1 since each step descends at least one size."""
     out_adj = dag.out_adj
     longest = [0] * len(out_adj)
-    for v in reversed(topological_order(out_adj)):
+    # every edge descends in size, so ascending size is a reverse topological order
+    for v in np.argsort(h.sizes, kind="stable").tolist():
         if out_adj[v]:
             longest[v] = 1 + max(longest[w] for w in out_adj[v])
     has_parent = {b for nbrs in out_adj for b in nbrs}

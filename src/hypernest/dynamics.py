@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, split_rows
 from .linegraph import HyperedgeDag
 from .rng import RngLike, as_rng
 
@@ -155,11 +155,9 @@ def build_influence(
         return Influence(adjacent_dag.in_adj)
     if variant == "non-strict":
         # 2-node hyperedges hear their member nodes instead of their singletons
-        pairs: list[list[int]] = [[] for _ in range(h.n)]
-        for eid, edge in enumerate(h.edges):
-            if len(edge) == 2:
-                for u in edge:
-                    pairs[u].append(eid)
+        in_pair = h.sizes[h.memb_ids] == 2
+        per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
+        pairs = split_rows(np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
         edges = [[a for a in parents if sizes[a] != 2] for parents in adjacent_dag.in_adj]
         return Influence(edges, pairs)
     if variant == "empirical-adjacent":
@@ -169,7 +167,7 @@ def build_influence(
             for b, parents in enumerate(full_dag.in_adj)
         ])
     if variant == "threshold":
-        return Influence([()] * h.m, [ids.tolist() for ids in h.memberships])
+        return Influence([()] * h.m, split_rows(h.memb_ptr, h.memb_ids))
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -2,78 +2,176 @@
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 Label = Hashable
 
+# encounters sorted at once by the co-membership kernel: each of its transient
+# int64 arrays is 64 KB, and together they stay well under 1 MB
+_CHUNK_ENCOUNTERS = 1 << 13
+
 
 class FormatError(ValueError):
     """Raised when an input file does not conform to its declared format."""
 
 
+def split_rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
+    """The rows of the CSR array ``ptr``/``idx`` as Python lists."""
+    flat, bounds = idx.tolist(), ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _sort_rows(sizes: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
+    """``nodes`` (ids below ``n``, in rows of ``sizes``) with each row ascending."""
+    base = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes)
+    return np.sort(base + nodes) - base
+
+
+def _first_rows(ptr: np.ndarray, nodes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mask of the rows (each ascending) that repeat no earlier row."""
+    keep = np.ones(sizes.size, dtype=bool)
+    for s in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == s)
+        if rows.size > 1:
+            mat = nodes[ptr[rows, None] + np.arange(s)]
+            # a stable sort: equal rows stay in input order
+            order = np.lexsort(mat.T[::-1])
+            mat = mat[order]
+            keep[rows[order[1:][(mat[1:] == mat[:-1]).all(axis=1)]]] = False
+    return keep
+
+
+def _label_table(flat: list[Label]) -> tuple[list[Label], np.ndarray]:
+    """The distinct labels of ``flat`` and each entry's index among them."""
+    if all(type(lab) is int for lab in flat):
+        try:
+            table, ids = np.unique(np.array(flat, dtype=np.int64), return_inverse=True)
+            return table.tolist(), ids
+        except OverflowError:
+            pass
+    index = dict(zip(dict.fromkeys(flat), range(len(flat))))
+    return list(index), np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+
+
+def _label_order(labels: Sequence[Label]) -> np.ndarray | None:
+    """Indices of ``labels`` in label order; None when they do not compare."""
+    if all(type(lab) is int for lab in labels):
+        try:
+            return np.argsort(np.array(labels, dtype=np.int64))
+        except OverflowError:
+            pass
+    try:
+        return np.asarray(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.int64)
+    except TypeError:
+        return None
+
+
 class Hypergraph:
-    """A simple (multiedge-free) hypergraph with dense integer indexing.
+    """A simple (multiedge-free) hypergraph stored as CSR incidence arrays.
 
     Nodes are relabeled to ``0..n-1`` in order of first appearance and the
-    original labels are kept for output. Hyperedges are tuples of internal
-    node ids in ascending order; the hyperedge id is its position in
-    ``edges``. Duplicate hyperedges are collapsed to the first occurrence.
-    Instances are immutable after construction and safe to share read-only
-    across parallel workers.
+    original labels are kept, in that order, in ``labels``. Hyperedge ``e``
+    holds the node ids ``edge_nodes[edge_ptr[e]:edge_ptr[e + 1]]``, in
+    ascending order; its size is ``sizes[e]``. The transpose lists the
+    hyperedges of node ``u`` as ``memb_ids[memb_ptr[u]:memb_ptr[u + 1]]``,
+    ascending. Duplicate hyperedges are collapsed to the first occurrence.
+    ``edges`` (tuples of ids), ``edge_sets``, ``label_index`` and the
+    label-ordered rows behind ``iter_label_edges`` are views built on first
+    use. Instances are immutable after construction and safe to share
+    read-only across parallel workers.
     """
 
-    __slots__ = ("edges", "labels", "label_index", "memberships", "sizes", "_edge_sets")
+    def __init__(self, raw_edges: Iterable, lengths: Sequence[int] | None = None):
+        """Hypergraph of the label rows ``raw_edges``; with ``lengths``,
+        ``raw_edges`` is instead one flat list of labels, cut into rows of
+        those lengths."""
+        flat = raw_edges
+        if lengths is None:
+            rows = [list(raw) for raw in raw_edges]
+            flat, lengths = list(chain.from_iterable(rows)), list(map(len, rows))
+        table, ids = _label_table(flat)
+        sizes = np.asarray(lengths, dtype=np.int64)
+        if sizes.size and int(sizes.min()) == 0:
+            raise ValueError("hyperedges must be non-empty")
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        nodes = _sort_rows(sizes, ids, len(table))
+        repeat = nodes[1:] == nodes[:-1]
+        repeat[ptr[1:-1] - 1] = False  # pairs across a row boundary
+        if repeat.any():
+            r = int(np.searchsorted(ptr, repeat.argmax(), "right")) - 1
+            raise ValueError(f"duplicate node within hyperedge {tuple(flat[ptr[r]:ptr[r + 1]])!r}")
+        keep = _first_rows(ptr, nodes, sizes)
+        self._set_rows(np.concatenate(([0], np.cumsum(sizes[keep]))),
+                       ids[np.repeat(keep, sizes)], table)
 
-    def __init__(self, raw_edges: Iterable[Iterable[Label]]):
-        labels: list[Label] = []
-        label_index: dict[Label, int] = {}
-        edges: list[tuple[int, ...]] = []
-        seen: set[frozenset[int]] = set()
-        for raw in raw_edges:
-            members: list[int] = []
-            for lab in raw:
-                i = label_index.get(lab)
-                if i is None:
-                    i = len(labels)
-                    label_index[lab] = i
-                    labels.append(lab)
-                members.append(i)
-            if not members:
-                raise ValueError("hyperedges must be non-empty")
-            key = frozenset(members)
-            if len(key) != len(members):
-                raise ValueError(f"duplicate node within hyperedge {tuple(raw)!r}")
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(tuple(sorted(members)))
+    @classmethod
+    def from_arrays(cls, edge_ptr: np.ndarray, nodes: np.ndarray,
+                    labels: Sequence[Label]) -> Hypergraph:
+        """Hypergraph of distinct rows of ids into ``labels``, without hashing
+        a label: nodes are renumbered by first appearance in ``nodes`` (row
+        by row, in the given within-row order) and each row is sorted."""
+        h = cls.__new__(cls)
+        h._set_rows(edge_ptr, nodes, labels)
+        return h
 
-        memb: list[list[int]] = [[] for _ in range(len(labels))]
-        for eid, edge in enumerate(edges):
-            for u in edge:
-                memb[u].append(eid)
+    def _set_rows(self, edge_ptr: np.ndarray, nodes: np.ndarray, labels: Sequence[Label]) -> None:
+        n, total = len(labels), nodes.size
+        # the position where each label id first appears, then those ids in order
+        first = np.full(n, total)
+        np.minimum.at(first, nodes, np.arange(total))
+        at_first = np.zeros(total, dtype=bool)
+        at_first[first[first < total]] = True
+        kept = nodes[at_first]
+        new_id = np.empty(n, dtype=np.int64)
+        new_id[kept] = np.arange(kept.size)
+        self.labels = tuple(map(labels.__getitem__, kept.tolist()))
+        self.edge_ptr = edge_ptr
+        self.sizes = np.diff(edge_ptr)
+        self.edge_nodes = _sort_rows(self.sizes, new_id[nodes], kept.size)
+        m = self.sizes.size
+        # one sort of (node, hyperedge) keys lists each node's hyperedges in order
+        key = np.sort(self.edge_nodes * m + np.repeat(np.arange(m, dtype=np.int64), self.sizes))
+        self.memb_ids = key % max(m, 1)
+        degrees = np.bincount(self.edge_nodes, minlength=kept.size)
+        self.memb_ptr = np.concatenate(([0], np.cumsum(degrees)))
 
-        self.edges: tuple[tuple[int, ...], ...] = tuple(edges)
-        self.labels: tuple[Label, ...] = tuple(labels)
-        self.label_index: dict[Label, int] = label_index
-        # memberships[u] lists hyperedge ids in ascending order
-        self.memberships: tuple[np.ndarray, ...] = tuple(
-            np.asarray(ids, dtype=np.int64) for ids in memb
-        )
-        self.sizes: np.ndarray = np.asarray([len(e) for e in edges], dtype=np.int64)
-        self._edge_sets: tuple[frozenset[int], ...] | None = None
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Hyperedges as tuples of ascending internal ids."""
+        return tuple(map(tuple, split_rows(self.edge_ptr, self.edge_nodes)))
 
-    @property
+    @cached_property
     def edge_sets(self) -> tuple[frozenset[int], ...]:
-        """Hyperedges as frozensets of internal ids (built on first use)."""
-        if self._edge_sets is None:
-            self._edge_sets = tuple(frozenset(e) for e in self.edges)
-        return self._edge_sets
+        """Hyperedges as frozensets of internal ids."""
+        return tuple(map(frozenset, self.edges))
+
+    @cached_property
+    def label_index(self) -> dict[Label, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def label_rows(self) -> np.ndarray:
+        """``edge_nodes`` with each row in label order; a row whose labels do
+        not compare (mixed int/str) keeps id order."""
+        labels = self.labels
+        by_label = _label_order(labels)
+        if by_label is None:
+            def ordered(row: list[int]) -> list[int]:
+                try:
+                    return sorted(row, key=labels.__getitem__)
+                except TypeError:
+                    return row
+            rows = split_rows(self.edge_ptr, self.edge_nodes)
+            return np.asarray(list(chain.from_iterable(map(ordered, rows))), dtype=np.int64)
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[by_label] = np.arange(self.n)
+        return by_label[_sort_rows(self.sizes, rank[self.edge_nodes], self.n)]
 
     @property
     def n(self) -> int:
@@ -81,7 +179,11 @@ class Hypergraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.sizes.size
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.memb_ptr)
 
     @property
     def max_size(self) -> int:
@@ -89,18 +191,15 @@ class Hypergraph:
 
     @property
     def max_degree(self) -> int:
-        return max((len(ids) for ids in self.memberships), default=0)
+        return int(self.degrees.max()) if self.n else 0
 
     def has_singletons(self) -> bool:
         return bool(self.m) and int(self.sizes.min()) == 1
 
     def edge_labels(self, eid: int) -> tuple[Label, ...]:
         """Original labels of one hyperedge, sorted when labels are orderable."""
-        labs = [self.labels[u] for u in self.edges[eid]]
-        try:
-            return tuple(sorted(labs))
-        except TypeError:
-            return tuple(labs)
+        row = self.label_rows[self.edge_ptr[eid]:self.edge_ptr[eid + 1]]
+        return tuple(map(self.labels.__getitem__, row.tolist()))
 
     def label_sets(self) -> frozenset[frozenset[Label]]:
         """Hyperedges as a set of original-label sets (order-insensitive view)."""
@@ -110,14 +209,59 @@ class Hypergraph:
         """Sub-hypergraph induced by the given hyperedges, original id order.
 
         Nodes only present in dropped hyperedges disappear; remaining nodes
-        are re-indexed densely while keeping their original labels.
+        are re-indexed densely, by first appearance over the kept rows in
+        label order, while keeping their original labels.
         """
-        ids = sorted(set(edge_ids))
-        return Hypergraph([self.edge_labels(i) for i in ids])
+        if not isinstance(edge_ids, np.ndarray):
+            edge_ids = np.fromiter(edge_ids, dtype=np.int64)
+        ids = np.unique(edge_ids)
+        sizes = self.sizes[ids]
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        at = np.repeat(self.edge_ptr[ids] - ptr[:-1], sizes) + np.arange(ptr[-1])
+        return Hypergraph.from_arrays(ptr, self.label_rows[at], self.labels)
 
     def iter_label_edges(self) -> Iterator[tuple[Label, ...]]:
-        for eid in range(self.m):
-            yield self.edge_labels(eid)
+        labels = self.labels
+        for row in split_rows(self.edge_ptr, self.label_rows):
+            yield tuple(map(labels.__getitem__, row))
+
+
+def co_member_pairs(ptr: np.ndarray, idx: np.ndarray, tptr: np.ndarray,
+                    tidx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (a, b) pair of rows of the CSR array ``ptr``/``idx`` sharing an
+    entry, with the count of shared entries, ascending by (a, b) and yielded
+    in chunks of whole rows ``a``; ``tptr``/``tidx`` is the transpose.
+
+    Each (row a, entry u of a, row b holding u) encounter is one key
+    ``(a - a0) * m + b``; a chunk holds about ``_CHUNK_ENCOUNTERS`` of them
+    (a row larger than that is a chunk of its own), and one sort per chunk
+    turns runs of equal keys into pairs and counts. Every row holds the pair
+    (a, a) with count ``|a|``.
+    """
+    m = ptr.size - 1
+    if m == 0:
+        return
+    sizes, deg = np.diff(ptr), np.diff(tptr)
+    # encounters before each row: row a spans work[a]:work[a + 1]
+    work = np.concatenate(([0], np.cumsum(deg[idx])))[ptr]
+    a0 = 0
+    while a0 < m:
+        a1 = max(int(np.searchsorted(work, work[a0] + _CHUNK_ENCOUNTERS, "right")) - 1, a0 + 1)
+        nodes = idx[ptr[a0]:ptr[a1]]
+        per_node = deg[nodes]
+        total = int(work[a1] - work[a0])
+        # each entry's run of encounters walks its transpose row
+        at = np.repeat(tptr[nodes] - (np.cumsum(per_node) - per_node), per_node)
+        at += np.arange(total)
+        keys = tidx[at]
+        del at
+        keys += np.repeat(np.repeat(np.arange(a1 - a0) * m, sizes[a0:a1]), per_node)
+        keys.sort()
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        counts = np.diff(np.append(starts, total))
+        rows, b = np.divmod(keys[starts], m)
+        yield rows + a0, b, counts
+        a0 = a1
 
 
 @dataclass(frozen=True)
@@ -147,7 +291,6 @@ def ingest_simplex(nverts: Iterable[int], flat_nodes: Iterable[Label]) -> Hyperg
         raise FormatError(
             f"record sizes sum to {total} but {len(nodes)} node entries were given"
         )
-    edges: list[list[Label]] = []
     pos = 0
     for k, size in enumerate(sizes):
         if size <= 0:
@@ -155,9 +298,8 @@ def ingest_simplex(nverts: Iterable[int], flat_nodes: Iterable[Label]) -> Hyperg
         chunk = nodes[pos : pos + size]
         if len(set(chunk)) != size:
             raise FormatError(f"record {k} repeats a node: {chunk}")
-        edges.append(chunk)
         pos += size
-    return Hypergraph(edges)
+    return Hypergraph(nodes, sizes)
 
 
 def _read_int_column(path: Path) -> list[int]:
@@ -200,24 +342,52 @@ def load_simplex_dataset(path: str | Path) -> Hypergraph:
 def parse_plain(lines: Iterable[str]) -> Hypergraph:
     """Parse the plain format: one hyperedge per line, whitespace-separated
     labels, ``#`` lines ignored. Numeric tokens become ints."""
-    edges: list[list[Label]] = []
+    labels: list[Label] = []
+    lengths: list[int] = []
+    skipped: set[int] = set()
+    tokens: list[str] = []
     for ln, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        row = line.split()
+        if not row or row[0].startswith("#"):
+            skipped.add(ln)
             continue
-        tokens = stripped.split()
-        labs: list[Label] = []
-        for tok in tokens:
-            try:
-                labs.append(int(tok))
-            except ValueError:
-                labs.append(tok)
-        if len(set(labs)) != len(labs):
-            raise FormatError(f"line {ln}: repeated node in hyperedge {stripped!r}")
-        edges.append(labs)
-    if not edges:
+        tokens += row
+        lengths.append(len(row))
+        if len(tokens) > 1 << 16:  # convert in chunks: few calls, little memory
+            labels += _plain_labels(tokens)
+            tokens = []
+    labels += _plain_labels(tokens)
+    if not lengths:
         raise FormatError("no hyperedges found in input")
-    return Hypergraph(edges)
+    try:
+        return Hypergraph(labels, lengths)
+    except ValueError:
+        # only a repeated node gets here; name its line
+        start, ln = 0, 0
+        for size in lengths:
+            ln += 1
+            while ln in skipped:
+                ln += 1
+            row = labels[start:start + size]
+            if len(set(row)) != size:
+                text = " ".join(map(str, row))
+                raise FormatError(f"line {ln}: repeated node in hyperedge {text!r}") from None
+            start += size
+        raise
+
+
+def _plain_labels(tokens: list[str]) -> list[Label]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return list(map(_plain_label, tokens))
+
+
+def _plain_label(token: str) -> Label:
+    try:
+        return int(token)
+    except ValueError:
+        return token
 
 
 def load_plain(path: str | Path) -> Hypergraph:
@@ -226,9 +396,14 @@ def load_plain(path: str | Path) -> Hypergraph:
 
 
 def write_plain(h: Hypergraph, path: str | Path) -> None:
+    """One line per hyperedge, in id order, its labels in label order."""
+    words = [str(lab) for lab in h.labels]
+    tokens = list(map(words.__getitem__, h.label_rows.tolist()))
+    seps = [" "] * len(tokens)
+    for end in (h.edge_ptr[1:] - 1).tolist():
+        seps[end] = "\n"
     with open(path, "w") as fh:
-        for edge in h.iter_label_edges():
-            fh.write(" ".join(str(lab) for lab in edge) + "\n")
+        fh.write("".join(chain.from_iterable(zip(tokens, seps))))
 
 
 def load_auto(path: str | Path) -> Hypergraph:
@@ -245,45 +420,35 @@ def filter_by_size(h: Hypergraph, max_size: int) -> Hypergraph:
     """Drop hyperedges larger than ``max_size`` (and any node left isolated)."""
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    keep = [i for i in range(h.m) if len(h.edges[i]) <= max_size]
-    if len(keep) == h.m:
+    keep = h.sizes <= max_size
+    if keep.all():
         return h
-    return h.subhypergraph(keep)
+    return h.subhypergraph(np.flatnonzero(keep))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def connected_components(h: Hypergraph) -> list[list[int]]:
-    """Node components under shared-hyperedge adjacency (internal node ids)."""
-    uf = _UnionFind(h.n)
-    for edge in h.edges:
-        first = edge[0]
-        for u in edge[1:]:
-            uf.union(first, u)
-    groups: dict[int, list[int]] = {}
-    for u in range(h.n):
-        groups.setdefault(uf.find(u), []).append(u)
-    return list(groups.values())
+def component_labels(h: Hypergraph) -> np.ndarray:
+    """Per node, the smallest node id of its component under shared-hyperedge
+    adjacency. Each round every node, and every node named as a label, takes
+    the smallest label among its hyperedges (min-label propagation with
+    hooking), then labels jump to their label's label until stable."""
+    comp = np.arange(h.n)
+    if h.m == 0:
+        return comp
+    while True:
+        held = comp[h.edge_nodes]
+        edge_min = np.minimum.reduceat(held, h.edge_ptr[:-1])
+        nxt = np.minimum.reduceat(edge_min[h.memb_ids], h.memb_ptr[:-1])
+        np.minimum.at(nxt, held, np.repeat(edge_min, h.sizes))
+        # every label is a node of the same component, at most its holder
+        while not np.array_equal(nxt[nxt], nxt):
+            nxt = nxt[nxt]
+        if np.array_equal(nxt, comp):
+            return comp
+        comp = nxt
 
 
 def is_connected(h: Hypergraph) -> bool:
-    return h.n > 0 and len(connected_components(h)) == 1
+    return h.n > 0 and not component_labels(h).any()
 
 
 def largest_connected_component(h: Hypergraph) -> Hypergraph:
@@ -291,29 +456,33 @@ def largest_connected_component(h: Hypergraph) -> Hypergraph:
     the smallest minimum original node label, int labels before str ones."""
     if h.m == 0:
         raise ValueError("empty hypergraph has no components")
-    comps = connected_components(h)
-    best_size = max(len(c) for c in comps)
-    tied = [c for c in comps if len(c) == best_size]
-    best = min(tied, key=lambda c: min((isinstance(h.labels[u], str), h.labels[u]) for u in c))
-    members = set(best)
-    # every node of a hyperedge shares that hyperedge, so membership of one
-    # node decides the whole edge
-    keep = [i for i in range(h.m) if h.edges[i][0] in members]
-    if len(keep) == h.m:
+    comp = component_labels(h)
+    counts = np.bincount(comp)
+    tied = counts == counts.max()
+    best = int(counts.argmax())
+    if np.count_nonzero(tied) > 1:
+        labels = h.labels
+        first = min(np.flatnonzero(tied[comp]).tolist(),
+                    key=lambda u: (isinstance(labels[u], str), labels[u]))
+        best = int(comp[first])
+    # every node of a hyperedge shares that hyperedge, so the component of
+    # one node decides the whole edge
+    keep = comp[h.edge_nodes[h.edge_ptr[:-1]]] == best
+    if keep.all():
         return h
-    return h.subhypergraph(keep)
+    return h.subhypergraph(np.flatnonzero(keep))
 
 
 def projected_density(h: Hypergraph) -> float:
-    """Fraction of node pairs co-occurring in at least one hyperedge."""
+    """Fraction of node pairs co-occurring in at least one hyperedge: pairs
+    of rows of the transposed incidence sharing an entry, less the n pairs
+    (u, u)."""
     if h.n < 2:
         raise ValueError(f"projected density needs at least 2 nodes, got {h.n}")
-    pairs: set[int] = set()
     n = h.n
-    for edge in h.edges:
-        for u, v in combinations(edge, 2):
-            pairs.add(u * n + v)
-    return len(pairs) / (n * (n - 1) // 2)
+    pairs = sum(u.size for u, _, _ in co_member_pairs(h.memb_ptr, h.memb_ids,
+                                                      h.edge_ptr, h.edge_nodes))
+    return (pairs - n) // 2 / (n * (n - 1) // 2)
 
 
 def preprocess(h: Hypergraph, max_size: int | None = 25, lcc: bool = False) -> Hypergraph:

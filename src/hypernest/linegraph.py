@@ -4,13 +4,13 @@ Two hyperedges can be compared as sets, which yields two complementary
 line graphs over hyperedge ids: a DAG of strict-containment relations
 (larger hyperedge points to each smaller hyperedge it fully contains) and
 an undirected intersection graph weighted by shared-node counts. Both are
-built by the same array kernel: every (hyperedge a, node u in a,
-hyperedge b containing u) encounter becomes one integer key for the pair
-(a, b), found through the node->hyperedge membership index, never by an
-all-pairs scan. That is sum_u deg(u)^2 keys, sorted in chunks of whole rows
-a of bounded size, so memory stays bounded while the per-call overhead is
-paid per chunk, not per hyperedge. The DAG build also tallies the overlap
-graph's totals.
+built by the same array kernel, ``hypergraph.co_member_pairs``: every
+(hyperedge a, node u in a, hyperedge b containing u) encounter becomes one
+integer key for the pair (a, b), found through the node->hyperedge
+membership index, never by an all-pairs scan. That is sum_u deg(u)^2
+keys, sorted in chunks of whole rows a of bounded size, so memory stays
+bounded while the per-call overhead is paid per chunk, not per hyperedge.
+The DAG build also tallies the overlap graph's totals.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import comb
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .hypergraph import DatasetStats, Hypergraph, projected_density
-
-# encounters sorted at once by the line-graph kernel: each of its transient
-# int64 arrays is 64 KB, and together they stay well under 1 MB
-_CHUNK_ENCOUNTERS = 1 << 13
+from .hypergraph import DatasetStats, Hypergraph, co_member_pairs, projected_density
 
 
 @dataclass
@@ -109,47 +104,6 @@ class OverlapGraph:
         return {(i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j}
 
 
-def _shared_node_pairs(h: Hypergraph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every (a, b) pair of hyperedges sharing a node, with the shared-node
-    count, ascending by (a, b) and yielded in chunks of whole rows ``a``.
-
-    Each (hyperedge a, node u in a, hyperedge b containing u) encounter is
-    one key ``(a - a0) * m + b``; a chunk holds about ``_CHUNK_ENCOUNTERS``
-    of them (a row larger than that is a chunk of its own), and one sort per
-    chunk turns runs of equal keys into pairs and counts. Every row holds
-    the pair (a, a) with count ``|a|``.
-    """
-    m = h.m
-    if m == 0:
-        return
-    edge_nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.int64,
-                             count=int(h.sizes.sum()))
-    memb_ids = np.concatenate(h.memberships)
-    deg = np.fromiter(map(len, h.memberships), dtype=np.int64, count=h.n)
-    memb_ptr = np.concatenate(([0], np.cumsum(deg)))
-    edge_ptr = np.concatenate(([0], np.cumsum(h.sizes)))
-    # encounters before each row: row a spans work[a]:work[a + 1]
-    work = np.concatenate(([0], np.cumsum(deg[edge_nodes])))[edge_ptr]
-    a0 = 0
-    while a0 < m:
-        a1 = max(int(np.searchsorted(work, work[a0] + _CHUNK_ENCOUNTERS, "right")) - 1, a0 + 1)
-        nodes = edge_nodes[edge_ptr[a0]:edge_ptr[a1]]
-        per_node = deg[nodes]
-        total = int(work[a1] - work[a0])
-        # each node's run of encounters walks its membership list
-        at = np.repeat(memb_ptr[nodes] - (np.cumsum(per_node) - per_node), per_node)
-        at += np.arange(total)
-        keys = memb_ids[at]
-        del at
-        keys += np.repeat(np.repeat(np.arange(a1 - a0) * m, h.sizes[a0:a1]), per_node)
-        keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        counts = np.diff(np.append(starts, total))
-        rows, b = np.divmod(keys[starts], m)
-        yield rows + a0, b, counts
-        a0 = a1
-
-
 def _row_spans(kept: np.ndarray, a: np.ndarray) -> Iterator[tuple[int, int]]:
     """(start, end) in ``kept``, a sorted subset of a chunk's row ids ``a``,
     of each row of the chunk in turn."""
@@ -171,12 +125,13 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
     sizes = h.sizes
     out_adj: list[list[int]] = []
     pairs = 0
-    for a, b, cnt in _shared_node_pairs(h):
+    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
         pairs += a.size
         keep = (cnt == sizes[b]) & (sizes[b] < sizes[a])
         tails = b[keep].tolist()
         out_adj.extend(tails[p:q] for p, q in _row_spans(a[keep], a))
-    visits = sum(ids.size ** 2 for ids in h.memberships)
+    deg = h.degrees
+    visits = int(deg @ deg)
     return HyperedgeDag(out_adj=out_adj, candidate_visits=visits,
                         overlap_edges=(pairs - m) // 2,
                         overlap_weight=(visits - int(sizes.sum())) // 2)
@@ -184,19 +139,11 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
     adj: list[dict[int, int]] = []
-    for a, b, cnt in _shared_node_pairs(h):
+    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
         other = a != b
         nbrs, weights = b[other].tolist(), cnt[other].tolist()
         adj.extend(dict(zip(nbrs[p:q], weights[p:q])) for p, q in _row_spans(a[other], a))
     return OverlapGraph(adj=adj, sizes=h.sizes)
-
-
-def build_overlap_dag(g: OverlapGraph, h: Hypergraph) -> HyperedgeDag:
-    """Drop same-size overlap edges and direct the rest from larger to
-    smaller hyperedge; the strict size ordering makes the result acyclic."""
-    sizes = h.sizes
-    out_adj = [sorted(b for b in nbrs if sizes[a] > sizes[b]) for a, nbrs in enumerate(g.adj)]
-    return HyperedgeDag(out_adj=out_adj)
 
 
 def adjacent_layer_dag(dag: HyperedgeDag, h: Hypergraph) -> HyperedgeDag:
@@ -247,32 +194,22 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCount
     """Tally DAG edges by (container size, contained size) with per-hyperedge
     normalized histograms; covers every size pair present in the data."""
     sizes = h.sizes
-    size_counts: dict[int, int] = {}
-    for s in sizes.tolist():
-        size_counts[s] = size_counts.get(s, 0) + 1
-    present = sorted(size_counts)
+    present, counts = np.unique(sizes, return_counts=True)
+    heads = np.repeat(np.arange(h.m), [len(nbrs) for nbrs in dag.out_adj])
+    tails = np.fromiter(chain.from_iterable(dag.out_adj), dtype=np.int64, count=heads.size)
+    # per hyperedge, how many hyperedges of each present size it contains
+    contained = np.zeros((h.m, present.size), dtype=np.int64)
+    np.add.at(contained, (heads, np.searchsorted(present, sizes[tails])), 1)
     pair_counts: dict[tuple[int, int], int] = {}
     histograms: dict[tuple[int, int], list[float]] = {}
-    for n in present:
-        for m_ in present:
-            if m_ < n:
-                pair_counts[(n, m_)] = 0
-                histograms[(n, m_)] = []
-    for a in range(h.m):
-        n = int(sizes[a])
-        by_size: dict[int, int] = {}
-        for b in dag.out_adj[a]:
-            s = int(sizes[b])
-            by_size[s] = by_size.get(s, 0) + 1
-        for m_ in present:
-            if m_ >= n:
-                break
-            c = by_size.get(m_, 0)
-            pair_counts[(n, m_)] += c
-            histograms[(n, m_)].append(c / comb(n, m_))
-    return EncapsulationCounts(
-        pair_counts=pair_counts, size_counts=size_counts, histograms=histograms
-    )
+    for i, n in enumerate(present.tolist()):
+        rows = contained[sizes == n]
+        for j, m_ in enumerate(present[:i].tolist()):
+            pair_counts[(n, m_)] = int(rows[:, j].sum())
+            histograms[(n, m_)] = (rows[:, j] / comb(n, m_)).tolist()
+    return EncapsulationCounts(pair_counts=pair_counts,
+                               size_counts=dict(zip(present.tolist(), counts.tolist())),
+                               histograms=histograms)
 
 
 def compute_dataset_stats(h: Hypergraph) -> DatasetStats:
@@ -283,18 +220,3 @@ def compute_dataset_stats(h: Hypergraph) -> DatasetStats:
         projected_density=projected_density(h),
         dag_edge_count=dag.edge_count,
     )
-
-
-def write_dag_edge_list(dag: HyperedgeDag, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for i, nbrs in enumerate(dag.out_adj):
-            for j in nbrs:
-                fh.write(f"{i} {j}\n")
-
-
-def write_overlap_edge_list(g: OverlapGraph, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for i, nbrs in enumerate(g.adj):
-            for j in sorted(nbrs):
-                if i < j:
-                    fh.write(f"{i} {j} {nbrs[j]}\n")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .hypergraph import Hypergraph
 from .linegraph import build_encapsulation_dag
 from .rng import RngLike, as_rng, spawn_rng
@@ -21,24 +23,23 @@ from .rng import RngLike, as_rng, spawn_rng
 def layer_randomize(h: Hypergraph, rng: RngLike) -> Hypergraph:
     """Apply an independent uniform node-label permutation to each size layer.
 
-    The permutation domain of a layer is the set of node labels appearing in
-    it. Hyperedge ids keep their original order; since a permutation is a
-    bijection, distinct hyperedges stay distinct, but the result is rebuilt
-    with simple-hypergraph semantics regardless.
+    The permutation domain of a layer is the set of nodes appearing in it;
+    layers draw in ascending size order, each over its ascending node ids.
+    Hyperedge ids keep their original order, and since a permutation is a
+    bijection, distinct hyperedges stay distinct. Nodes of the result are
+    numbered by first appearance over the mapped rows.
     """
     gen = as_rng(rng)
-    by_size: dict[int, list[int]] = {}
-    for eid in range(h.m):
-        by_size.setdefault(int(h.sizes[eid]), []).append(eid)
-    new_edges: list[tuple | None] = [None] * h.m
-    for size in sorted(by_size):
-        ids = by_size[size]
-        layer_nodes = sorted({u for eid in ids for u in h.edges[eid]})
-        perm = gen.permutation(len(layer_nodes))
-        mapping = {layer_nodes[k]: layer_nodes[int(perm[k])] for k in range(len(layer_nodes))}
-        for eid in ids:
-            new_edges[eid] = tuple(h.labels[mapping[u]] for u in h.edges[eid])
-    return Hypergraph(new_edges)
+    entry_size = np.repeat(h.sizes, h.sizes)
+    order = np.argsort(entry_size, kind="stable")
+    mapped = h.edge_nodes.copy()
+    perm_map = np.empty(h.n, dtype=np.int64)
+    for at in np.split(order, np.flatnonzero(np.diff(entry_size[order])) + 1):
+        layer = h.edge_nodes[at]
+        nodes = np.unique(layer)
+        perm_map[nodes] = nodes[gen.permutation(nodes.size)]
+        mapped[at] = perm_map[layer]
+    return Hypergraph.from_arrays(h.edge_ptr, mapped, h.labels)
 
 
 def layer_samples(h: Hypergraph, k: int, seed: int) -> Iterator[Hypergraph]:

@@ -157,6 +157,12 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
                         current.add(frozenset(sub))
                         subsets_by_size[s].append(sub)
 
+        # node -> the current edges holding it, so an edge's supersets are
+        # the larger edges common to all its nodes
+        holding: dict[int, set[frozenset[int]]] = {}
+        for key in current:
+            for u in key:
+                holding.setdefault(u, set()).add(key)
         rewired = 0
         try:
             # largest sizes first, creation order within a size
@@ -167,12 +173,17 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
                         continue
                     edge_key = frozenset(edge)
                     superset_nodes: set[int] = set(edge)
-                    for other in current:
-                        if len(other) > s and edge_key < other:
+                    for other in set.intersection(*(holding[u] for u in edge)):
+                        if len(other) > s:
                             superset_nodes |= other
                     new_edge = rewire_edge(edge, superset_nodes, current, params.num_nodes, gen)
+                    new_key = frozenset(new_edge)
                     current.remove(edge_key)
-                    current.add(frozenset(new_edge))
+                    current.add(new_key)
+                    for u in edge:
+                        holding[u].remove(edge_key)
+                    for u in new_edge:
+                        holding.setdefault(u, set()).add(new_key)
                     rewired += 1
         except RewireInfeasibleError:
             rewire_rejections += 1

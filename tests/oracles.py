@@ -94,3 +94,62 @@ def contagion_steps(h: Hypergraph, config, seeds, seed_nodes=()) -> list[list[in
         nodes.update(*(sets[i] for i in new))
         steps.append(new)
     return steps
+
+
+def label_rows(rows) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """(labels, edges) a simple hypergraph on ``rows`` must have: labels in
+    order of first appearance, each row as its ascending ids, a row equal
+    as a set to an earlier one dropped."""
+    index: dict = {}
+    edges, seen = [], set()
+    for row in rows:
+        ids = [index.setdefault(lab, len(index)) for lab in row]
+        if frozenset(ids) not in seen:
+            seen.add(frozenset(ids))
+            edges.append(tuple(sorted(ids)))
+    return tuple(index), tuple(edges)
+
+
+def sorted_labels(h: Hypergraph, eid: int) -> list:
+    """Labels of one hyperedge, sorted when they compare, else in id order."""
+    labs = [h.labels[u] for u in h.edges[eid]]
+    try:
+        return sorted(labs)
+    except TypeError:
+        return labs
+
+
+def components(h: Hypergraph) -> list[set[int]]:
+    """Node components by breadth-first search over shared hyperedges."""
+    nbrs: list[set[int]] = [set() for _ in range(h.n)]
+    for e in h.edge_sets:
+        for u in e:
+            nbrs[u] |= e
+    seen: set[int] = set()
+    comps = []
+    for src in range(h.n):
+        if src in seen:
+            continue
+        comp, queue = {src}, deque([src])
+        while queue:
+            for w in nbrs[queue.popleft()] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def layer_randomize(h: Hypergraph, gen) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """(labels, edges) of a layer randomization drawn from ``gen``: per size,
+    ascending, one permutation of the layer's sorted node ids, applied to
+    every row of the layer in id order, then a rebuild from label rows."""
+    mapped = [None] * h.m
+    for size in sorted(set(h.sizes.tolist())):
+        ids = [e for e in range(h.m) if len(h.edges[e]) == size]
+        nodes = sorted({u for e in ids for u in h.edges[e]})
+        perm = gen.permutation(len(nodes))
+        image = {nodes[k]: nodes[int(perm[k])] for k in range(len(nodes))}
+        for e in ids:
+            mapped[e] = [h.labels[image[u]] for u in h.edges[e]]
+    return label_rows(mapped)

@@ -67,7 +67,7 @@ LCC_DENSITY = {
     "email-Enron": 0.18,
     "email-Eu": 0.06,
 }
-# larger coauthorship corpora: exact-match stretch targets, no runtime bound
+# larger coauthorship corpora: exact-match stretch targets, same runtime bound
 LCC_STRETCH = {
     "coauth-MAG-Geology": (898648, 947977, 1650117),
     "coauth-MAG-History": (219435, 205531, 217627),
@@ -96,9 +96,12 @@ class TestCriterion1DatasetStatistics:
     def test_coauthorship_stretch(self, name):
         with criterion(f"1 dataset statistics stretch [{name}]"):
             expect_n, expect_m, expect_dag = LCC_STRETCH[name]
+            start = time.perf_counter()
             h = load_lcc(name)
             dag = build_encapsulation_dag(h)
+            elapsed = time.perf_counter() - start
             assert (h.n, h.m, dag.edge_count) == (expect_n, expect_m, expect_dag)
+            assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
 
 
 class TestCriterion2ProjectedDensity:

@@ -3,8 +3,8 @@
 Every argv must end in a result (0), a usage error (``SystemExit(1)``) or a
 data error (2), and never print a traceback. Values are drawn from small
 ints, zero, negatives, empty and malformed lists and unknown flags, on the
-golden RNHM fixture and on a 3-line input; RNHM sizes stay at most 8 so
-every example is fast.
+golden RNHM fixture, on a 3-line input and on malformed inputs; RNHM sizes
+stay at most 8 so every example is fast.
 """
 
 from __future__ import annotations
@@ -68,12 +68,21 @@ OPTIONS = {
 }
 REQUIRED = {"rnhm": ("--nodes", "--max-size", "--max-edges", "--out"), "simulate": ("--out",)}
 UNKNOWN = ["--bogus", "-z", "--seed=", "--out"]
+# inputs that are data errors (a repeated node, no hyperedge) or odd but
+# valid (int and str labels on one line, in one component)
+MALFORMED = {
+    "repeat.txt": "1 2 3\n2 3 2\n",
+    "mixed.txt": "a 1 b\n2 a\n1 2 c\nb 3\n",
+    "comments.txt": "# only\n\n  # comments\n",
+}
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("fuzz")
     (root / "three.txt").write_text("1 2 3\n2 3\n3 4\n")
+    for name, text in MALFORMED.items():
+        (root / name).write_text(text)
     return root
 
 
@@ -83,7 +92,8 @@ def argvs(draw, workdir: Path) -> list[str]:
     noisy = draw(st.booleans())
     argv = [command]
     if command != "rnhm":
-        inputs = [FIXTURE, workdir / "three.txt"] + [workdir / "missing.txt"] * noisy
+        inputs = [FIXTURE, workdir / "three.txt", *(workdir / name for name in MALFORMED)]
+        inputs += [workdir / "missing.txt"] * noisy
         argv.append(str(draw(st.sampled_from(inputs))))
     options = OPTIONS[command]
     names = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=6))

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import hypernest.hypergraph as hypergraph
+import oracles
 from conftest import hypergraphs
 from hypernest import (
     FormatError,
@@ -17,6 +23,19 @@ from hypernest import (
     projected_density,
     write_plain,
 )
+from hypernest.hypergraph import component_labels, split_rows
+
+# small label domains, so rows repeat; "mixed" rows hold ints and strs
+INT_LABEL = st.integers(0, 7)
+MIXED_LABEL = st.one_of(INT_LABEL, st.sampled_from("abcdefg"))
+
+
+@st.composite
+def label_rows(draw, label=MIXED_LABEL, max_rows: int = 25):
+    rows = draw(st.lists(st.lists(label, min_size=1, max_size=5, unique=True),
+                         min_size=1, max_size=max_rows))
+    # reversed copies of earlier rows: equal as sets, in another order
+    return rows + [rows[i][::-1] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
 
 
 class TestConstruction:
@@ -45,14 +64,86 @@ class TestConstruction:
         for eid, edge in enumerate(h.edges):
             for u in edge:
                 rebuilt[u].append(eid)
-        assert [list(ids) for ids in h.memberships] == rebuilt
+        ptr = h.memb_ptr.tolist()
+        assert [h.memb_ids[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == rebuilt
 
     @given(hypergraphs())
     def test_every_member_exists(self, h):
         for edge in h.edges:
             assert all(0 <= u < h.n for u in edge)
         # no isolated nodes: every node sits in some hyperedge
-        assert all(len(ids) > 0 for ids in h.memberships)
+        assert (h.degrees > 0).all() and h.degrees.size == h.n
+
+
+class TestArrayModel:
+    """The CSR arrays against brute-force oracles (``tests/oracles.py``)."""
+
+    @given(label_rows())
+    def test_matches_oracle_constructor(self, rows):
+        h = Hypergraph(rows)
+        assert (h.labels, h.edges) == oracles.label_rows(rows)
+        assert split_rows(h.edge_ptr, h.edge_nodes) == [list(e) for e in h.edges]
+        assert h.sizes.tolist() == [len(e) for e in h.edges]
+        assert h.label_index == {lab: i for i, lab in enumerate(h.labels)}
+        assert [list(h.edge_labels(e)) for e in range(h.m)] == [
+            oracles.sorted_labels(h, e) for e in range(h.m)]
+
+    @pytest.mark.parametrize("rows", [[[1, 2], []], [[1, 2], [3, 1, 3]], [["a", 1, "a"]]])
+    def test_empty_or_repeating_row_rejected(self, rows):
+        with pytest.raises(ValueError):
+            Hypergraph(rows)
+
+    @given(label_rows())
+    def test_components_match_bfs(self, rows):
+        h = Hypergraph(rows)
+        comps = oracles.components(h)
+        # each node is labeled with the smallest node of its component
+        assert component_labels(h).tolist() == [min(c) for u in range(h.n) for c in comps if u in c]
+        assert is_connected(h) == (len(comps) == 1)
+
+    @given(label_rows())
+    def test_lcc_matches_oracle(self, rows):
+        h = Hypergraph(rows)
+        comps = oracles.components(h)
+        best = max(len(c) for c in comps)
+        # ties go to the component holding the smallest label, ints first
+        key = lambda u: (isinstance(h.labels[u], str), h.labels[u])  # noqa: E731
+        pick = min((c for c in comps if len(c) == best), key=lambda c: min(map(key, c)))
+        kept = [oracles.sorted_labels(h, e) for e in range(h.m) if h.edges[e][0] in pick]
+        out = largest_connected_component(h)
+        if len(kept) == h.m:
+            assert out is h
+        else:
+            assert (out.labels, out.edges) == oracles.label_rows(kept)
+
+    def test_lcc_mixed_label_tie_keeps_int_component(self):
+        h = Hypergraph([["a", "b"], [1, 2]])
+        assert largest_connected_component(h).label_sets() == {frozenset({1, 2})}
+
+    @given(label_rows(), st.data())
+    def test_subhypergraph_matches_label_sorted_rebuild(self, rows, data):
+        h = Hypergraph(rows)
+        ids = data.draw(st.lists(st.integers(0, h.m - 1), max_size=h.m))
+        sub = h.subhypergraph(ids)
+        expect = oracles.label_rows([oracles.sorted_labels(h, e) for e in sorted(set(ids))])
+        assert (sub.labels, sub.edges) == expect
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @given(h=hypergraphs())
+    def test_projected_density_at_any_chunk_size(self, chunk, h):
+        if h.n < 2:
+            return
+        pairs = {(u, v) for e in h.edges for u in e for v in e if u < v}
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
+            assert projected_density(h) == len(pairs) / (h.n * (h.n - 1) // 2)
+
+    def test_label_order_fallbacks(self):
+        # ints beyond int64 and labels that do not compare take the slow paths
+        big = Hypergraph([[2**70, 1], [3, 2**70]])
+        assert list(big.iter_label_edges()) == [(1, 2**70), (3, 2**70)]
+        assert np.array_equal(big.edge_nodes, [0, 1, 0, 2])
+        mixed = Hypergraph([[(1,), 2], [3, 2]])
+        assert list(mixed.iter_label_edges()) == [((1,), 2), (2, 3)]
 
 
 class TestIngestSimplex:

@@ -9,12 +9,11 @@ from hypothesis import given
 
 import oracles
 from conftest import hypergraphs
-import hypernest.linegraph as linegraph
+import hypernest.hypergraph as hypergraph
 from hypernest import (
     Hypergraph,
     adjacent_layer_dag,
     build_encapsulation_dag,
-    build_overlap_dag,
     build_overlap_graph,
     encapsulation_counts,
     rooted_heights,
@@ -137,7 +136,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("chunk", [1, 7])
     @given(h=hypergraphs())
     def test_matches_oracles_at_any_chunk_size(self, chunk, h):
-        with mock.patch.object(linegraph, "_CHUNK_ENCOUNTERS", chunk):
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
             dag = build_encapsulation_dag(h)
             g = build_overlap_graph(h)
         weights = oracles.overlap_weights(h)
@@ -151,9 +150,9 @@ class TestChunkedKernel:
         assert got == weights
         assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adj)
 
-    @pytest.mark.parametrize("chunk", [1, 7, linegraph._CHUNK_ENCOUNTERS])
+    @pytest.mark.parametrize("chunk", [1, 7, hypergraph._CHUNK_ENCOUNTERS])
     def test_empty_and_single_edge(self, chunk):
-        with mock.patch.object(linegraph, "_CHUNK_ENCOUNTERS", chunk):
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
             empty = build_encapsulation_dag(Hypergraph([]))
             single = build_encapsulation_dag(Hypergraph([[1, 2, 3]]))
             assert build_overlap_graph(Hypergraph([])).adj == []
@@ -162,29 +161,6 @@ class TestChunkedKernel:
                 empty.overlap_weight) == ([], 0, 0, 0)
         assert (single.out_adj, single.candidate_visits, single.overlap_edges,
                 single.overlap_weight) == ([[]], 3, 0, 0)
-
-
-class TestOverlapDag:
-    def test_equal_size_pair_dropped(self):
-        h = Hypergraph([[1, 2], [2, 3]])
-        odag = build_overlap_dag(build_overlap_graph(h), h)
-        assert odag.edge_count == 0
-
-    def test_directed_large_to_small(self):
-        h = Hypergraph([[1, 2, 3], [3, 4]])
-        odag = build_overlap_dag(build_overlap_graph(h), h)
-        assert odag.edge_set() == {(0, 1)}
-
-    @given(hypergraphs())
-    def test_always_acyclic(self, h):
-        odag = build_overlap_dag(build_overlap_graph(h), h)
-        topological_order(odag.out_adj)
-
-    @given(hypergraphs())
-    def test_contains_encapsulation_dag(self, h):
-        dag = build_encapsulation_dag(h)
-        odag = build_overlap_dag(build_overlap_graph(h), h)
-        assert dag.edge_set() <= odag.edge_set()
 
 
 class TestAdjacentLayerDag:
@@ -252,18 +228,3 @@ class TestExports:
         stats = compute_dataset_stats(chain_hypergraph)
         assert (stats.n, stats.m, stats.dag_edge_count) == (3, 3, 3)
         assert stats.projected_density == 1.0
-
-    def test_dag_edge_list(self, tmp_path, chain_hypergraph):
-        from hypernest.linegraph import write_dag_edge_list
-
-        path = tmp_path / "dag.txt"
-        write_dag_edge_list(build_encapsulation_dag(chain_hypergraph), path)
-        assert path.read_text().splitlines() == ["0 1", "0 2", "1 2"]
-
-    def test_overlap_edge_list(self, tmp_path):
-        from hypernest.linegraph import write_overlap_edge_list
-
-        h = Hypergraph([[1, 2, 3], [3, 4], [5, 6]])
-        path = tmp_path / "overlap.txt"
-        write_overlap_edge_list(build_overlap_graph(h), path)
-        assert path.read_text().splitlines() == ["0 1 1"]

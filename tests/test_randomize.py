@@ -2,10 +2,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypernest.randomize as randomize_mod
+import oracles
 from conftest import hypergraphs
 from hypernest import Hypergraph, layer_randomize, retention_report, spawn_rng
 
@@ -58,6 +61,20 @@ class TestLayerRandomize:
         a = layer_randomize(h, 99)
         b = layer_randomize(h, 99)
         assert list(a.iter_label_edges()) == list(b.iter_label_edges())
+
+    @given(hypergraphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_matches_oracle_and_keeps_each_size(self, h, seed):
+        out = layer_randomize(h, seed)
+        assert (out.labels, out.edges) == oracles.layer_randomize(h, spawn_rng(seed))
+        assert out.m == h.m and np.array_equal(out.sizes, h.sizes)
+        assert layer_profile(out) == layer_profile(h)
+
+    def test_mixed_labels_match_oracle(self):
+        h = Hypergraph([["a", 1], [2, "b"], ["a", "b"], [1, 2, "c"], ["c"], [3]])
+        for seed in range(5):
+            out = layer_randomize(h, seed)
+            assert (out.labels, out.edges) == oracles.layer_randomize(h, spawn_rng(seed))
 
     def test_different_seeds_usually_differ(self):
         h = Hypergraph([[i, i + 1, i + 2] for i in range(20)])
