@@ -36,7 +36,7 @@ def _sort_rows(sizes: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
 def _first_rows(ptr: np.ndarray, nodes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mask of the rows (each ascending) that repeat no earlier row."""
     keep = np.ones(sizes.size, dtype=bool)
-    for s in np.unique(sizes).tolist():
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == s)
         if rows.size > 1:
             mat = nodes[ptr[rows, None] + np.arange(s)]
@@ -47,25 +47,31 @@ def _first_rows(ptr: np.ndarray, nodes: np.ndarray, sizes: np.ndarray) -> np.nda
     return keep
 
 
-def _label_table(flat: list[Label]) -> tuple[list[Label], np.ndarray]:
-    """The distinct labels of ``flat`` and each entry's index among them."""
-    if all(type(lab) is int for lab in flat):
+def _as_int64(labels: Sequence[Label]) -> np.ndarray | None:
+    """``labels`` as an int64 array when all are Python ints that fit, else None."""
+    if all(type(lab) is int for lab in labels):
         try:
-            table, ids = np.unique(np.array(flat, dtype=np.int64), return_inverse=True)
-            return table.tolist(), ids
+            return np.array(labels, dtype=np.int64)
         except OverflowError:
             pass
+    return None
+
+
+def _label_table(flat: list[Label]) -> tuple[list[Label], np.ndarray]:
+    """The distinct labels of ``flat`` and each entry's index among them."""
+    ints = _as_int64(flat)
+    if ints is not None:
+        table, ids = np.unique(ints, return_inverse=True)
+        return table.tolist(), ids
     index = dict(zip(dict.fromkeys(flat), range(len(flat))))
     return list(index), np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
 
 
 def _label_order(labels: Sequence[Label]) -> np.ndarray | None:
     """Indices of ``labels`` in label order; None when they do not compare."""
-    if all(type(lab) is int for lab in labels):
-        try:
-            return np.argsort(np.array(labels, dtype=np.int64))
-        except OverflowError:
-            pass
+    ints = _as_int64(labels)
+    if ints is not None:
+        return np.argsort(ints)
     try:
         return np.asarray(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.int64)
     except TypeError:
@@ -214,7 +220,9 @@ class Hypergraph:
         """
         if not isinstance(edge_ids, np.ndarray):
             edge_ids = np.fromiter(edge_ids, dtype=np.int64)
-        ids = np.unique(edge_ids)
+        chosen = np.zeros(self.m, dtype=bool)
+        chosen[edge_ids] = True
+        ids = np.flatnonzero(chosen)
         sizes = self.sizes[ids]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         at = np.repeat(self.edge_ptr[ids] - ptr[:-1], sizes) + np.arange(ptr[-1])

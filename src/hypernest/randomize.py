@@ -33,12 +33,9 @@ def layer_randomize(h: Hypergraph, rng: RngLike) -> Hypergraph:
     entry_size = np.repeat(h.sizes, h.sizes)
     order = np.argsort(entry_size, kind="stable")
     mapped = h.edge_nodes.copy()
-    perm_map = np.empty(h.n, dtype=np.int64)
     for at in np.split(order, np.flatnonzero(np.diff(entry_size[order])) + 1):
-        layer = h.edge_nodes[at]
-        nodes = np.unique(layer)
-        perm_map[nodes] = nodes[gen.permutation(nodes.size)]
-        mapped[at] = perm_map[layer]
+        nodes, rank = np.unique(h.edge_nodes[at], return_inverse=True)
+        mapped[at] = nodes[gen.permutation(nodes.size)][rank]
     return Hypergraph.from_arrays(h.edge_ptr, mapped, h.labels)
 
 
