@@ -195,18 +195,20 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCount
     normalized histograms; covers every size pair present in the data."""
     sizes = h.sizes
     present, counts = np.unique(sizes, return_counts=True)
+    size_code = np.searchsorted(present, sizes)
     heads = np.repeat(np.arange(h.m), [len(nbrs) for nbrs in dag.out_adj])
     tails = np.fromiter(chain.from_iterable(dag.out_adj), dtype=np.int64, count=heads.size)
-    # per hyperedge, how many hyperedges of each present size it contains
-    contained = np.zeros((h.m, present.size), dtype=np.int64)
-    np.add.at(contained, (heads, np.searchsorted(present, sizes[tails])), 1)
     pair_counts: dict[tuple[int, int], int] = {}
     histograms: dict[tuple[int, int], list[float]] = {}
     for i, n in enumerate(present.tolist()):
-        rows = contained[sizes == n]
+        # per size-n hyperedge, in id order, how many of each smaller size it contains
+        members = sizes == n
+        mine = members[heads]
+        contained = np.zeros((counts[i], i), dtype=np.int64)
+        np.add.at(contained, ((np.cumsum(members) - 1)[heads[mine]], size_code[tails[mine]]), 1)
         for j, m_ in enumerate(present[:i].tolist()):
-            pair_counts[(n, m_)] = int(rows[:, j].sum())
-            histograms[(n, m_)] = (rows[:, j] / comb(n, m_)).tolist()
+            pair_counts[(n, m_)] = int(contained[:, j].sum())
+            histograms[(n, m_)] = (contained[:, j] / comb(n, m_)).tolist()
     return EncapsulationCounts(pair_counts=pair_counts,
                                size_counts=dict(zip(present.tolist(), counts.tolist())),
                                histograms=histograms)
