@@ -172,10 +172,8 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
                     if gen.random() >= 1.0 - keep:
                         continue
                     edge_key = frozenset(edge)
-                    superset_nodes: set[int] = set(edge)
-                    for other in set.intersection(*(holding[u] for u in edge)):
-                        if len(other) > s:
-                            superset_nodes |= other
+                    # the current edges holding all its nodes: itself and its supersets
+                    superset_nodes = set().union(*set.intersection(*(holding[u] for u in edge)))
                     new_edge = rewire_edge(edge, superset_nodes, current, params.num_nodes, gen)
                     new_key = frozenset(new_edge)
                     current.remove(edge_key)
