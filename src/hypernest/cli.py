@@ -77,22 +77,11 @@ def run_script(script_main) -> None:
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="dataset path (plain file, or simplex-format prefix/directory)")
-    p.add_argument(
-        "--format",
-        choices=("auto", "plain", "simplex"),
-        default="auto",
-        help="input format (default: detect from path)",
-    )
-    p.add_argument(
-        "--max-size",
-        type=int,
-        default=25,
-        metavar="K",
-        help="drop hyperedges larger than K before analysis; 0 disables (default 25)",
-    )
-    p.add_argument(
-        "--lcc", action="store_true", help="restrict to the largest connected component"
-    )
+    p.add_argument("--format", choices=("auto", "plain", "simplex"), default="auto",
+                   help="input format (default: detect from path)")
+    p.add_argument("--max-size", type=int, default=25, metavar="K",
+                   help="drop hyperedges larger than K before analysis; 0 disables (default 25)")
+    p.add_argument("--lcc", action="store_true", help="restrict to the largest connected component")
 
 
 def load_input(args: argparse.Namespace) -> Hypergraph:
@@ -102,13 +91,8 @@ def load_input(args: argparse.Namespace) -> Hypergraph:
         raise FormatError(f"input not found: {path}")
     if args.max_size < 0:
         raise ValueError(f"--max-size must be >= 0 (0 disables the filter), got {args.max_size}")
-    if args.format == "plain":
-        h = load_plain(path)
-    elif args.format == "simplex":
-        h = load_simplex_dataset(path)
-    else:
-        h = load_auto(path)
-    return preprocess(h, max_size=args.max_size or None, lcc=args.lcc)
+    load = {"plain": load_plain, "simplex": load_simplex_dataset, "auto": load_auto}[args.format]
+    return preprocess(load(path), max_size=args.max_size or None, lcc=args.lcc)
 
 
 def _sha256(path: Path) -> str:
@@ -164,23 +148,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if h.n < 2:
         raise FormatError(f"dataset has {h.n} node(s); need at least 2 for density")
     computed = compute_dataset_stats(h)
-    stats = {
-        "n": computed.n,
-        "m": computed.m,
-        "projected_density": computed.projected_density,
-        "dag_edges": computed.dag_edge_count,
-    }
+    stats = {"n": computed.n, "m": computed.m, "projected_density": computed.projected_density,
+             "dag_edges": computed.dag_edge_count}
     if args.out:
         _emit(args, json.dumps(stats, indent=2) + "\n")
         print(f"wrote {args.out}")
     elif args.json:
         print(json.dumps(stats, indent=2))
     else:
-        print(
-            "n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}".format(
-                **stats
-            )
-        )
+        print("n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}"
+              .format(**stats))
     return 0
 
 
@@ -299,11 +276,8 @@ def cmd_rnhm(args: argparse.Namespace) -> int:
         [out],
         extra={
             "rnhm": {
-                "num_nodes": params.num_nodes,
-                "max_size": params.max_size,
-                "num_max_edges": params.num_max_edges,
+                **vars(params),
                 "keep_probs": {str(k): v for k, v in sorted(params.keep_probs.items())},
-                "include_singletons": params.include_singletons,
                 "rewired_edges": sample.rewired_edges,
                 "connectivity_rejections": sample.connectivity_rejections,
                 "rewire_rejections": sample.rewire_rejections,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,20 +98,10 @@ class RootedHeightReport:
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["root_id", "size", "dag_degree", "max_height", "norm_degree", "norm_height"]
-            )
+            writer.writerow(f.name for f in fields(RootHeightRecord))
             for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.root_id,
-                        rec.size,
-                        rec.dag_degree,
-                        rec.max_height,
-                        f"{rec.norm_degree:.6g}",
-                        f"{rec.norm_height:.6g}",
-                    ]
-                )
+                writer.writerow([rec.root_id, rec.size, rec.dag_degree, rec.max_height,
+                                 f"{rec.norm_degree:.6g}", f"{rec.norm_height:.6g}"])
 
 
 def max_root_out_degree(size: int, singletons_present: bool) -> int:
@@ -146,14 +136,5 @@ def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
         max_deg = max_root_out_degree(size, singletons)
         norm_degree = degree / max_deg if max_deg > 0 else float("nan")
         norm_height = height / (size - 1) if size > 1 else float("nan")
-        records.append(
-            RootHeightRecord(
-                root_id=r,
-                size=size,
-                dag_degree=degree,
-                max_height=height,
-                norm_degree=norm_degree,
-                norm_height=norm_height,
-            )
-        )
+        records.append(RootHeightRecord(r, size, degree, height, norm_degree, norm_height))
     return RootedHeightReport(records=records)

@@ -132,8 +132,6 @@ def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list
     return sorted(int(i) for i in picked)
 
 
-
-
 @dataclass(frozen=True)
 class Influence:
     """Who counts toward whom in one variant: an active hyperedge ``b``

@@ -120,20 +120,9 @@ def _run_cell(args) -> list[RunRecord]:
     records = []
     for run in range(runs):
         traj = cell_trajectory(prepared, grid, cell_index, run, master_seed)
-        records.append(
-            RunRecord(
-                dataset=dataset,
-                variant=variant,
-                strategy=strategy,
-                seeds=seed_count,
-                tau=grid.tau,
-                run=run,
-                steps=traj.num_steps,
-                final_active=traj.final_active,
-                non_seed_active=traj.non_seed_active,
-                proportion=traj.activation_proportion(),
-            )
-        )
+        records.append(RunRecord(dataset, variant, strategy, seed_count, grid.tau, run,
+                                 traj.num_steps, traj.final_active, traj.non_seed_active,
+                                 traj.activation_proportion()))
     return records
 
 
@@ -175,22 +164,8 @@ def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     for rec in records:
         key = (rec.dataset, rec.variant, rec.strategy, rec.seeds, rec.tau)
         groups.setdefault(key, []).append(rec.proportion)
-    summaries = []
-    for (dataset, variant, strategy, seeds, tau), props in groups.items():
-        mean, stderr = mean_stderr(props)
-        summaries.append(
-            CellSummary(
-                dataset=dataset,
-                variant=variant,
-                strategy=strategy,
-                seeds=seeds,
-                tau=tau,
-                runs=len(props),
-                mean_proportion=mean,
-                stderr=stderr,
-            )
-        )
-    return summaries
+    # a key lists the leading CellSummary fields, in order
+    return [CellSummary(*key, len(props), *mean_stderr(props)) for key, props in groups.items()]
 
 
 @dataclass(frozen=True)
@@ -234,21 +209,10 @@ def randomized_comparison(
         for s in summarize(records):
             randomized_sums[(s.variant, s.strategy, s.seeds)] += s.mean_proportion
     comparisons = []
-    for variant, strategy, seed_count in grid.cells():
-        key = (variant, strategy, seed_count)
+    for key in grid.cells():
         rand_mean = randomized_sums[key] / samples
-        comparisons.append(
-            RandomizedComparison(
-                dataset=dataset,
-                variant=variant,
-                strategy=strategy,
-                seeds=seed_count,
-                tau=grid.tau,
-                observed_mean=observed[key],
-                randomized_mean=rand_mean,
-                difference=observed[key] - rand_mean,
-            )
-        )
+        comparisons.append(RandomizedComparison(dataset, *key, grid.tau, observed[key], rand_mean,
+                                                observed[key] - rand_mean))
     return observed_records, comparisons
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,14 @@ _CHUNK_ENCOUNTERS = 1 << 13
 
 class FormatError(ValueError):
     """Raised when an input file does not conform to its declared format."""
+
+
+class RepeatedNodeError(ValueError):
+    """A hyperedge lists one node twice; ``row`` is its index among the rows."""
+
+    def __init__(self, row: int, labels: tuple[Label, ...]):
+        super().__init__(f"duplicate node within hyperedge {labels!r}")
+        self.row, self.labels = row, labels
 
 
 def split_rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
@@ -47,31 +56,8 @@ def _first_rows(ptr: np.ndarray, nodes: np.ndarray, sizes: np.ndarray) -> np.nda
     return keep
 
 
-def _as_int64(labels: Sequence[Label]) -> np.ndarray | None:
-    """``labels`` as an int64 array when all are Python ints that fit, else None."""
-    if all(type(lab) is int for lab in labels):
-        try:
-            return np.array(labels, dtype=np.int64)
-        except OverflowError:
-            pass
-    return None
-
-
-def _label_table(flat: list[Label]) -> tuple[list[Label], np.ndarray]:
-    """The distinct labels of ``flat`` and each entry's index among them."""
-    ints = _as_int64(flat)
-    if ints is not None:
-        table, ids = np.unique(ints, return_inverse=True)
-        return table.tolist(), ids
-    index = dict(zip(dict.fromkeys(flat), range(len(flat))))
-    return list(index), np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
-
-
 def _label_order(labels: Sequence[Label]) -> np.ndarray | None:
     """Indices of ``labels`` in label order; None when they do not compare."""
-    ints = _as_int64(labels)
-    if ints is not None:
-        return np.argsort(ints)
     try:
         return np.asarray(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.int64)
     except TypeError:
@@ -93,28 +79,28 @@ class Hypergraph:
     read-only across parallel workers.
     """
 
-    def __init__(self, raw_edges: Iterable, lengths: Sequence[int] | None = None):
-        """Hypergraph of the label rows ``raw_edges``; with ``lengths``,
-        ``raw_edges`` is instead one flat list of labels, cut into rows of
-        those lengths."""
-        flat = raw_edges
-        if lengths is None:
-            rows = [list(raw) for raw in raw_edges]
-            flat, lengths = list(chain.from_iterable(rows)), list(map(len, rows))
-        table, ids = _label_table(flat)
+    def __init__(self, raw_edges: Iterable[Iterable[Label]]):
+        flat: list[Label] = []
+        lengths: list[int] = []
+        for raw in raw_edges:
+            start = len(flat)
+            flat += raw
+            lengths.append(len(flat) - start)
+        index: dict[Label, int] = {}
+        ids = np.array([index.setdefault(lab, len(index)) for lab in flat], dtype=np.int64)
         sizes = np.asarray(lengths, dtype=np.int64)
         if sizes.size and int(sizes.min()) == 0:
             raise ValueError("hyperedges must be non-empty")
         ptr = np.concatenate(([0], np.cumsum(sizes)))
-        nodes = _sort_rows(sizes, ids, len(table))
+        nodes = _sort_rows(sizes, ids, len(index))
         repeat = nodes[1:] == nodes[:-1]
         repeat[ptr[1:-1] - 1] = False  # pairs across a row boundary
         if repeat.any():
             r = int(np.searchsorted(ptr, repeat.argmax(), "right")) - 1
-            raise ValueError(f"duplicate node within hyperedge {tuple(flat[ptr[r]:ptr[r + 1]])!r}")
+            raise RepeatedNodeError(r, tuple(flat[ptr[r]:ptr[r + 1]]))
         keep = _first_rows(ptr, nodes, sizes)
         self._set_rows(np.concatenate(([0], np.cumsum(sizes[keep]))),
-                       ids[np.repeat(keep, sizes)], table)
+                       ids[np.repeat(keep, sizes)], list(index))
 
     @classmethod
     def from_arrays(cls, edge_ptr: np.ndarray, nodes: np.ndarray,
@@ -299,15 +285,13 @@ def ingest_simplex(nverts: Iterable[int], flat_nodes: Iterable[Label]) -> Hyperg
         raise FormatError(
             f"record sizes sum to {total} but {len(nodes)} node entries were given"
         )
-    pos = 0
     for k, size in enumerate(sizes):
         if size <= 0:
             raise FormatError(f"record {k} has non-positive size {size}")
-        chunk = nodes[pos : pos + size]
-        if len(set(chunk)) != size:
-            raise FormatError(f"record {k} repeats a node: {chunk}")
-        pos += size
-    return Hypergraph(nodes, sizes)
+    try:
+        return Hypergraph(nodes[end - size:end] for size, end in zip(sizes, accumulate(sizes)))
+    except RepeatedNodeError as exc:
+        raise FormatError(f"record {exc.row} repeats a node: {list(exc.labels)}") from None
 
 
 def _read_int_column(path: Path) -> list[int]:
@@ -350,45 +334,27 @@ def load_simplex_dataset(path: str | Path) -> Hypergraph:
 def parse_plain(lines: Iterable[str]) -> Hypergraph:
     """Parse the plain format: one hyperedge per line, whitespace-separated
     labels, ``#`` lines ignored. Numeric tokens become ints."""
-    labels: list[Label] = []
-    lengths: list[int] = []
-    skipped: set[int] = set()
-    tokens: list[str] = []
-    for ln, line in enumerate(lines, start=1):
-        row = line.split()
-        if not row or row[0].startswith("#"):
-            skipped.add(ln)
-            continue
-        tokens += row
-        lengths.append(len(row))
-        if len(tokens) > 1 << 16:  # convert in chunks: few calls, little memory
-            labels += _plain_labels(tokens)
-            tokens = []
-    labels += _plain_labels(tokens)
-    if not lengths:
+    line_of = array("q")  # the line of each hyperedge, without an int object each
+
+    def rows() -> Iterator[list[Label]]:
+        for ln, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                line_of.append(ln)
+                try:
+                    row = list(map(int, tokens))
+                except ValueError:
+                    row = list(map(_plain_label, tokens))
+                yield row
+
+    try:
+        h = Hypergraph(rows())
+    except RepeatedNodeError as exc:
+        text = " ".join(map(str, exc.labels))
+        raise FormatError(f"line {line_of[exc.row]}: repeated node in hyperedge {text!r}") from None
+    if not line_of:
         raise FormatError("no hyperedges found in input")
-    try:
-        return Hypergraph(labels, lengths)
-    except ValueError:
-        # only a repeated node gets here; name its line
-        start, ln = 0, 0
-        for size in lengths:
-            ln += 1
-            while ln in skipped:
-                ln += 1
-            row = labels[start:start + size]
-            if len(set(row)) != size:
-                text = " ".join(map(str, row))
-                raise FormatError(f"line {ln}: repeated node in hyperedge {text!r}") from None
-            start += size
-        raise
-
-
-def _plain_labels(tokens: list[str]) -> list[Label]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return list(map(_plain_label, tokens))
+    return h
 
 
 def _plain_label(token: str) -> Label:

@@ -207,8 +207,10 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCount
         contained = np.zeros((counts[i], i), dtype=np.int64)
         np.add.at(contained, ((np.cumsum(members) - 1)[heads[mine]], size_code[tails[mine]]), 1)
         for j, m_ in enumerate(present[:i].tolist()):
-            pair_counts[(n, m_)] = int(contained[:, j].sum())
-            histograms[(n, m_)] = (contained[:, j] / comb(n, m_)).tolist()
+            col, k = contained[:, j].tolist(), comb(n, m_)
+            pair_counts[(n, m_)] = sum(col)
+            # Python int division: C(n, m) may pass int64 and 2^53
+            histograms[(n, m_)] = [c / k for c in col]
     return EncapsulationCounts(pair_counts=pair_counts,
                                size_counts=dict(zip(present.tolist(), counts.tolist())),
                                histograms=histograms)

@@ -23,7 +23,7 @@ from hypernest import (
     projected_density,
     write_plain,
 )
-from hypernest.hypergraph import component_labels, split_rows
+from hypernest.hypergraph import RepeatedNodeError, component_labels, split_rows
 
 # small label domains, so rows repeat; "mixed" rows hold ints and strs
 INT_LABEL = st.integers(0, 7)
@@ -52,6 +52,13 @@ class TestConstruction:
     def test_duplicate_node_rejected(self):
         with pytest.raises(ValueError, match="duplicate node"):
             Hypergraph([[1, 1, 2]])
+
+    def test_duplicate_node_reports_first_bad_row(self):
+        # rows 1 and 3 repeat a node; row 2 repeats row 0 and is dropped later
+        with pytest.raises(RepeatedNodeError) as err:
+            Hypergraph([["a", "b"], [2, "x", 2], ["b", "a"], ["c", "c"]])
+        assert (err.value.row, err.value.labels) == (1, (2, "x", 2))
+        assert str(err.value) == "duplicate node within hyperedge (2, 'x', 2)"
 
     def test_edges_sorted_by_internal_id(self):
         h = Hypergraph([["b", "a"], ["a", "c"]])
@@ -164,6 +171,8 @@ class TestIngestSimplex:
     def test_repeated_node_in_record(self):
         with pytest.raises(FormatError, match="repeats"):
             ingest_simplex([2], [5, 5])
+        with pytest.raises(FormatError, match=r"^record 2 repeats a node: \[7, 8, 7\]$"):
+            ingest_simplex([2, 1, 3, 2], [1, 2, 3, 7, 8, 7, 4, 4])
 
     def test_file_loader_ignores_times(self, tmp_path):
         (tmp_path / "toy-nverts.txt").write_text("2\n3\n")
@@ -186,6 +195,12 @@ class TestPlainFormat:
     def test_repeated_token(self):
         with pytest.raises(FormatError, match="repeated"):
             parse_plain(["1 2 1"])
+
+    def test_repeated_token_names_its_line(self):
+        # skipped comment and blank lines still count; the first bad line is named
+        lines = ["# header", "1 2", "", "  ", "3 x", "# note", "01  2\t1", "5 5"]
+        with pytest.raises(FormatError, match=r"^line 7: repeated node in hyperedge '1 2 1'$"):
+            parse_plain(lines)
 
     def test_empty_input(self):
         with pytest.raises(FormatError, match="no hyperedges"):

@@ -16,6 +16,7 @@ from hypernest import (
     build_encapsulation_dag,
     build_overlap_graph,
     encapsulation_counts,
+    preprocess,
     rooted_heights,
 )
 from hypernest.dagpaths import topological_order
@@ -190,6 +191,19 @@ class TestEncapsulationCounts:
         assert counts.histograms[(3, 2)] == [3 / comb(3, 2)] == [1.0]
         assert counts.histograms[(3, 1)] == [1.0]
         assert counts.histograms[(2, 1)] == [1.0, 1.0, 1.0]
+
+    def test_histograms_of_large_hyperedges(self):
+        # C(70, 35) passes int64 and C(58, 29) passes 2^53: each value must
+        # be the correctly rounded c / C(n, m) of Python ints
+        rows = [range(70), range(58)] + [range(k, k + s) for s in (35, 29) for k in range(3)]
+        h = preprocess(Hypergraph(rows), max_size=None)
+        counts = encapsulation_counts(h, build_encapsulation_dag(h))
+        sets = h.edge_sets
+        for (n, m_), values in counts.histograms.items():
+            expected = [sum(len(b) == m_ and b < a for b in sets) / comb(n, m_)
+                        for a in sets if len(a) == n]
+            assert values == expected
+        assert counts.histograms[(70, 35)] == [3 / comb(70, 35)]
 
     def test_no_encapsulations(self, disconnected_pairs):
         counts = encapsulation_counts(
