@@ -406,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", default="1", help="comma-separated seed counts")
     p.add_argument("--tau", type=int, default=1)
     p.add_argument("--runs", type=at_least(1), default=10)
-    p.add_argument("--max-steps", type=int, default=25)
+    p.add_argument("--max-steps", type=at_least(1), default=25)
     p.add_argument("--comparison", choices=(">=", ">"), default=">=")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="compare against K layer randomizations")

@@ -10,8 +10,9 @@ reduction, so heights are read from the containment DAG directly.
 from __future__ import annotations
 
 import csv
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, fields
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -20,56 +21,23 @@ from .hypergraph import Hypergraph
 from .linegraph import HyperedgeDag
 
 
-def topological_order(out_adj: list[list[int]]) -> list[int]:
-    """Kahn's algorithm; raises if the graph has a cycle."""
-    n = len(out_adj)
-    in_deg = [0] * n
-    for nbrs in out_adj:
-        for b in nbrs:
-            in_deg[b] += 1
-    queue = deque(i for i in range(n) if in_deg[i] == 0)
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in out_adj[v]:
-            in_deg[w] -= 1
-            if in_deg[w] == 0:
-                queue.append(w)
-    if len(order) != n:
-        raise ValueError("graph contains a cycle; expected a DAG")
-    return order
-
-
 def transitive_reduction(dag: HyperedgeDag) -> HyperedgeDag:
     """Remove every edge implied by a longer path; unique for a DAG.
 
     An edge (u, w) is redundant exactly when w is a descendant of another
     out-neighbor of u, so each vertex keeps the out-neighbors not reachable
-    through its siblings. Descendant sets are accumulated in reverse
-    topological order.
+    through its siblings. Descendant sets are accumulated children first;
+    a cycle raises ``graphlib.CycleError``, a ``ValueError``.
     """
     out_adj = dag.out_adj
-    n = len(out_adj)
-    order = topological_order(out_adj)
-    descendants: list[frozenset[int]] = [frozenset()] * n
-    for v in reversed(order):
-        if out_adj[v]:
-            acc: set[int] = set(out_adj[v])
-            for w in out_adj[v]:
-                acc |= descendants[w]
-            descendants[v] = frozenset(acc)
-    reduced: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        children = out_adj[u]
-        if len(children) <= 1:
-            reduced[u] = list(children)
-            continue
-        indirect: set[int] = set()
-        for v in children:
-            indirect |= descendants[v]
-        reduced[u] = [w for w in children if w not in indirect]
-    return HyperedgeDag(out_adj=reduced)
+    descendants: list[frozenset[int]] = [frozenset()] * len(out_adj)
+    for v in TopologicalSorter(dict(enumerate(out_adj))).static_order():
+        descendants[v] = frozenset(out_adj[v]).union(*(descendants[w] for w in out_adj[v]))
+    reduced = []
+    for children in out_adj:
+        indirect = frozenset().union(*(descendants[v] for v in children))
+        reduced.append([w for w in children if w not in indirect])
+    return HyperedgeDag.from_rows(reduced)
 
 
 @dataclass(frozen=True)
@@ -87,10 +55,7 @@ class RootedHeightReport:
     records: list[RootHeightRecord]
 
     def height_distribution(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        for rec in self.records:
-            dist[rec.max_height] = dist.get(rec.max_height, 0) + 1
-        return dict(sorted(dist.items()))
+        return dict(sorted(Counter(rec.max_height for rec in self.records).items()))
 
     def max_height(self) -> int:
         return max((rec.max_height for rec in self.records), default=0)
@@ -118,23 +83,26 @@ def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
     An edge implied by a longer path is never on a longest one, so heights
     equal those of the transitive reduction. The height of a size-k root can
     never exceed k - 1 since each step descends at least one size."""
-    out_adj = dag.out_adj
-    longest = [0] * len(out_adj)
-    # every edge descends in size, so ascending size is a reverse topological order
-    for v in np.argsort(h.sizes, kind="stable").tolist():
-        if out_adj[v]:
-            longest[v] = 1 + max(longest[w] for w in out_adj[v])
-    has_parent = {b for nbrs in out_adj for b in nbrs}
+    out_ptr, out_idx, n = dag.out_ptr, dag.out_idx, dag.num_vertices
+    degree = np.diff(out_ptr)
+    parents = np.flatnonzero(degree)
+    longest = np.zeros(n, dtype=np.int64)
+    # each round fixes one more level; every edge descends in size, so
+    # heights stay below max_size and max height + 1 rounds suffice
+    for _ in range(h.max_size if parents.size else 0):
+        nxt = np.zeros_like(longest)
+        nxt[parents] = np.maximum.reduceat(longest[out_idx], out_ptr[parents]) + 1
+        if np.array_equal(nxt, longest):
+            break
+        longest = nxt
+    roots = parents[np.bincount(out_idx, minlength=n)[parents] == 0]
     singletons = h.has_singletons()
     records = []
-    for r, children in enumerate(out_adj):
-        if not children or r in has_parent:
-            continue
-        size = int(h.sizes[r])
-        degree = len(children)
-        height = longest[r]
+    # Python ints: the degree bound 2^size - 2 passes int64 at size 63
+    for r, size, deg, height in zip(roots.tolist(), h.sizes[roots].tolist(),
+                                    degree[roots].tolist(), longest[roots].tolist()):
         max_deg = max_root_out_degree(size, singletons)
-        norm_degree = degree / max_deg if max_deg > 0 else float("nan")
+        norm_degree = deg / max_deg if max_deg > 0 else float("nan")
         norm_height = height / (size - 1) if size > 1 else float("nan")
-        records.append(RootHeightRecord(r, size, degree, height, norm_degree, norm_height))
+        records.append(RootHeightRecord(r, size, deg, height, norm_degree, norm_height))
     return RootedHeightReport(records=records)

@@ -148,7 +148,6 @@ def build_influence(
 ) -> Influence:
     """The influence map of ``variant``; ``full_dag`` is the containment DAG
     and ``adjacent_dag`` its restriction to size differences of one."""
-    sizes = h.sizes.tolist()
     if variant == "strict":
         return Influence(adjacent_dag.in_adj)
     if variant == "non-strict":
@@ -156,14 +155,13 @@ def build_influence(
         in_pair = h.sizes[h.memb_ids] == 2
         per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
         pairs = split_rows(np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
-        edges = [[a for a in parents if sizes[a] != 2] for parents in adjacent_dag.in_adj]
-        return Influence(edges, pairs)
+        return Influence(adjacent_dag.restrict(h.sizes[adjacent_dag.sources] != 2).in_adj, pairs)
     if variant == "empirical-adjacent":
-        largest = [max((sizes[b] for b in children), default=0) for children in full_dag.out_adj]
-        return Influence([
-            [a for a in parents if largest[a] == sizes[b]]
-            for b, parents in enumerate(full_dag.in_adj)
-        ])
+        # a hyperedge hears only the contained hyperedges of the largest size
+        parents, child_size = full_dag.sources, h.sizes[full_dag.out_idx]
+        largest = np.zeros(h.m, dtype=np.int64)
+        np.maximum.at(largest, parents, child_size)
+        return Influence(full_dag.restrict(child_size == largest[parents]).in_adj)
     if variant == "threshold":
         return Influence([()] * h.m, split_rows(h.memb_ptr, h.memb_ids))
     raise ValueError(f"unknown variant {variant!r}")

@@ -36,6 +36,16 @@ def split_rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def transpose(ptr: np.ndarray, idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transpose of the CSR array ``ptr``/``idx`` of entries below ``n``:
+    row u lists, ascending, the rows holding u."""
+    m = ptr.size - 1
+    rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
+    # one sort of (entry, row) keys lists each entry's rows in order
+    key = np.sort(idx.astype(np.int64) * m + rows)
+    return np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))), key % max(m, 1)
+
+
 def _sort_rows(sizes: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
     """``nodes`` (ids below ``n``, in rows of ``sizes``) with each row ascending."""
     base = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes)
@@ -126,12 +136,7 @@ class Hypergraph:
         self.edge_ptr = edge_ptr
         self.sizes = np.diff(edge_ptr)
         self.edge_nodes = _sort_rows(self.sizes, new_id[nodes], kept.size)
-        m = self.sizes.size
-        # one sort of (node, hyperedge) keys lists each node's hyperedges in order
-        key = np.sort(self.edge_nodes * m + np.repeat(np.arange(m, dtype=np.int64), self.sizes))
-        self.memb_ids = key % max(m, 1)
-        degrees = np.bincount(self.edge_nodes, minlength=kept.size)
-        self.memb_ptr = np.concatenate(([0], np.cumsum(degrees)))
+        self.memb_ptr, self.memb_ids = transpose(edge_ptr, self.edge_nodes, kept.size)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:

@@ -19,96 +19,139 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import comb
-from typing import Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypergraph import DatasetStats, Hypergraph, co_member_pairs, projected_density
+from .hypergraph import (DatasetStats, Hypergraph, co_member_pairs, projected_density,
+                         split_rows, transpose)
 
 
 @dataclass
 class HyperedgeDag:
-    """Directed acyclic line graph over hyperedge ids.
+    """Directed acyclic line graph over hyperedge ids, stored as CSR.
 
-    ``out_adj[i]`` lists the hyperedges i points to, ascending; its
-    transpose ``in_adj`` is built on first read, for reverse traversal
-    during contagion updates. ``build_encapsulation_dag`` also records how
-    many (hyperedge, shared-node, neighbor) encounters it inspected, for
-    checking the complexity bound, and the overlap graph's edge count and
-    total weight.
+    Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending.
+    The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row lists
+    ``out_adj`` and ``in_adj`` are built on first read. ``build_encapsulation_dag``
+    also records how many (hyperedge, shared-node, neighbor) encounters it
+    inspected, for checking the complexity bound, and the overlap graph's
+    edge count and total weight.
     """
 
-    out_adj: list[list[int]]
+    out_ptr: np.ndarray
+    out_idx: np.ndarray
     candidate_visits: int = 0
     overlap_edges: int = 0
     overlap_weight: int = 0
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> HyperedgeDag:
+        """The graph in which vertex i points to each vertex of ``rows[i]``."""
+        ptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+        idx = np.fromiter(chain.from_iterable(map(sorted, rows)), dtype=np.int32)
+        return cls(ptr, idx)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return transpose(self.out_ptr, self.out_idx, self.num_vertices)
+
+    @cached_property
+    def out_adj(self) -> list[list[int]]:
+        return split_rows(self.out_ptr, self.out_idx)
+
     @cached_property
     def in_adj(self) -> list[list[int]]:
-        in_adj: list[list[int]] = [[] for _ in self.out_adj]
-        for a, nbrs in enumerate(self.out_adj):
-            for b in nbrs:
-                in_adj[b].append(a)
-        return in_adj
+        """Per vertex, the vertices pointing to it, ascending."""
+        return split_rows(*self.in_csr)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.out_adj)
+        return self.out_ptr.size - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.out_adj)
+        return int(self.out_ptr[-1])
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The vertex each entry of ``out_idx`` points from."""
+        return np.repeat(np.arange(self.num_vertices), np.diff(self.out_ptr))
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, nbrs in enumerate(self.out_adj) for j in nbrs}
+        return set(zip(self.sources.tolist(), self.out_idx.tolist()))
 
     def out_degree(self, i: int) -> int:
-        return len(self.out_adj[i])
+        return int(self.out_ptr[i + 1] - self.out_ptr[i])
 
     def in_degree(self, i: int) -> int:
-        return len(self.in_adj[i])
+        in_ptr = self.in_csr[0]
+        return int(in_ptr[i + 1] - in_ptr[i])
+
+    def restrict(self, keep: np.ndarray) -> HyperedgeDag:
+        """The subgraph of the edges whose entries of ``out_idx`` ``keep`` marks."""
+        ptr = np.concatenate(([0], np.cumsum(keep)))[self.out_ptr]
+        return HyperedgeDag(ptr, self.out_idx[keep])
 
 
 @dataclass
 class OverlapGraph:
-    """Undirected line graph weighted by intersection size.
+    """Undirected line graph weighted by intersection size, stored as CSR.
 
-    ``adj[i]`` maps each neighbor j (sharing >= 1 node with i) to
-    ``|e_i ∩ e_j|``; the mapping is symmetric. The normalized weight
+    Hyperedge i shares ``weights[k]`` nodes with each neighbor
+    ``nbrs[k]``, for k in ``ptr[i]:ptr[i + 1]``, neighbors ascending; every
+    edge is listed from both ends. The normalized weight
     ``|e_i ∩ e_j| / min(|e_i|, |e_j|)`` is derived on demand.
     """
 
-    adj: list[dict[int, int]]
+    ptr: np.ndarray
+    nbrs: np.ndarray
+    weights: np.ndarray
     sizes: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adj)
+        return self.ptr.size - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return int(self.ptr[-1]) // 2
 
     @property
     def total_weight(self) -> int:
-        return sum(sum(nbrs.values()) for nbrs in self.adj) // 2
+        return int(self.weights.sum(dtype=np.int64)) // 2
 
     def weight(self, i: int, j: int) -> int:
-        return self.adj[i].get(j, 0)
+        lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
+        k = lo + int(np.searchsorted(self.nbrs[lo:hi], j))
+        return int(self.weights[k]) if k < hi and self.nbrs[k] == j else 0
 
     def normalized_weight(self, i: int, j: int) -> float:
         w = self.weight(i, j)
         return w / min(int(self.sizes[i]), int(self.sizes[j])) if w else 0.0
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j}
+        heads = np.repeat(np.arange(self.num_vertices), np.diff(self.ptr))
+        upper = heads < self.nbrs
+        return set(zip(heads[upper].tolist(), self.nbrs[upper].tolist()))
 
 
-def _row_spans(kept: np.ndarray, a: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(start, end) in ``kept``, a sorted subset of a chunk's row ids ``a``,
-    of each row of the chunk in turn."""
-    ends = np.searchsorted(kept, np.arange(a[0], a[-1] + 1), "right").tolist()
-    return zip([0] + ends, ends)
+def _kept_pairs(h: Hypergraph, keep: Callable[..., np.ndarray]) -> tuple:
+    """CSR ``ptr``/``idx`` (int32) of the pairs of ``co_member_pairs`` that
+    ``keep(a, b, cnt)`` marks, their shared-node counts, and the number of
+    all pairs. A chunk's unmasked rows ``a`` span its hyperedges, since each
+    holds its self pair."""
+    per_row, idx, shared = [], [], []
+    pairs = 0
+    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
+        pairs += a.size
+        sel = keep(a, b, cnt)
+        per_row.append(np.bincount(a[sel] - a[0], minlength=int(a[-1] - a[0]) + 1))
+        idx.append(b[sel].astype(np.int32))
+        shared.append(cnt[sel].astype(np.int32))
+    ptr = np.cumsum(np.concatenate([[0], *per_row]), dtype=np.int64)
+    none = np.empty(0, dtype=np.int32)
+    return ptr, np.concatenate([none, *idx]), np.concatenate([none, *shared]), pairs
 
 
 def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
@@ -121,39 +164,24 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
     deg(u)^2 encounters, deg(u) of them self pairs, so the visits and the
     overlap weight have closed forms.
     """
-    m = h.m
     sizes = h.sizes
-    out_adj: list[list[int]] = []
-    pairs = 0
-    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
-        pairs += a.size
-        keep = (cnt == sizes[b]) & (sizes[b] < sizes[a])
-        tails = b[keep].tolist()
-        out_adj.extend(tails[p:q] for p, q in _row_spans(a[keep], a))
+    ptr, idx, _, pairs = _kept_pairs(
+        h, lambda a, b, cnt: (cnt == sizes[b]) & (sizes[b] < sizes[a]))
     deg = h.degrees
     visits = int(deg @ deg)
-    return HyperedgeDag(out_adj=out_adj, candidate_visits=visits,
-                        overlap_edges=(pairs - m) // 2,
+    return HyperedgeDag(ptr, idx, candidate_visits=visits, overlap_edges=(pairs - h.m) // 2,
                         overlap_weight=(visits - int(sizes.sum())) // 2)
 
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
-    adj: list[dict[int, int]] = []
-    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
-        other = a != b
-        nbrs, weights = b[other].tolist(), cnt[other].tolist()
-        adj.extend(dict(zip(nbrs[p:q], weights[p:q])) for p, q in _row_spans(a[other], a))
-    return OverlapGraph(adj=adj, sizes=h.sizes)
+    ptr, nbrs, weights, _ = _kept_pairs(h, lambda a, b, cnt: a != b)
+    return OverlapGraph(ptr, nbrs, weights, sizes=h.sizes)
 
 
 def adjacent_layer_dag(dag: HyperedgeDag, h: Hypergraph) -> HyperedgeDag:
     """Restriction of a containment DAG to edges whose size difference is
     exactly one; this is the substrate the contagion engine spreads over."""
-    sizes = h.sizes
-    out_adj = [
-        [b for b in nbrs if sizes[a] - sizes[b] == 1] for a, nbrs in enumerate(dag.out_adj)
-    ]
-    return HyperedgeDag(out_adj=out_adj)
+    return dag.restrict(h.sizes[dag.sources] - h.sizes[dag.out_idx] == 1)
 
 
 @dataclass
@@ -196,8 +224,7 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCount
     sizes = h.sizes
     present, counts = np.unique(sizes, return_counts=True)
     size_code = np.searchsorted(present, sizes)
-    heads = np.repeat(np.arange(h.m), [len(nbrs) for nbrs in dag.out_adj])
-    tails = np.fromiter(chain.from_iterable(dag.out_adj), dtype=np.int64, count=heads.size)
+    heads, tails = dag.sources, dag.out_idx
     pair_counts: dict[tuple[int, int], int] = {}
     histograms: dict[tuple[int, int], list[float]] = {}
     for i, n in enumerate(present.tolist()):

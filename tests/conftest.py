@@ -60,6 +60,14 @@ def random_dags(draw, max_vertices: int = 60):
     return out_adj
 
 
+def overlap_entries(g) -> dict[tuple[int, int], int]:
+    """Every (i, j) -> weight entry of an overlap graph's CSR rows; each edge
+    appears from both ends."""
+    ptr, nbrs, weights = g.ptr.tolist(), g.nbrs.tolist(), g.weights.tolist()
+    return {(i, nbrs[k]): weights[k]
+            for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
+
+
 @pytest.fixture
 def chain_hypergraph() -> Hypergraph:
     return Hypergraph([[1, 2, 3], [1, 2], [1]])

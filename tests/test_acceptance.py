@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 import oracles
-from conftest import dataset_prefix
+from conftest import dataset_prefix, overlap_entries
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -127,12 +127,7 @@ class TestCriterion3ConstructionOracle:
                 dag = build_encapsulation_dag(h)
                 assert dag.edge_set() == oracles.encapsulation_edges(h)
                 g = build_overlap_graph(h)
-                got = {
-                    (i, j): g.adj[i][j]
-                    for i, nbrs in enumerate(g.adj)
-                    for j in nbrs
-                    if i < j
-                }
+                got = {(i, j): w for (i, j), w in overlap_entries(g).items() if i < j}
                 weights = oracles.overlap_weights(h)
                 assert got == weights
                 assert dag.overlap_edges == len(weights)
@@ -147,7 +142,7 @@ def _random_dag(rng: random.Random, max_vertices: int) -> HyperedgeDag:
         for v in range(u + 1, n):
             if rng.random() < p:
                 out_adj[u].append(v)
-    return HyperedgeDag(out_adj=out_adj)
+    return HyperedgeDag.from_rows(out_adj)
 
 
 class TestCriterion4TransitiveReduction:

@@ -103,6 +103,7 @@ class TestStats:
         ("encapsulation", "--randomize", "-2"),
         ("simulate", "--jobs", "-3"),
         ("simulate", "--runs", "0"),
+        ("simulate", "--max-steps", "0"),
         ("randomize", "--samples", "-1"),
         ("randomize", "--samples", "two"),
     ],

@@ -9,8 +9,10 @@ from hypothesis import given
 
 import oracles
 from conftest import hypergraphs, random_dags
-from hypernest import Hypergraph, build_encapsulation_dag, rooted_heights, transitive_reduction
-from hypernest.dagpaths import max_root_out_degree, topological_order
+from hypernest import (Hypergraph, build_encapsulation_dag, preprocess, rooted_heights,
+                      transitive_reduction)
+from hypernest.cli import main as cli_main
+from hypernest.dagpaths import max_root_out_degree
 from hypernest.linegraph import HyperedgeDag
 
 
@@ -18,7 +20,7 @@ def dag_from_edges(n: int, edges: list[tuple[int, int]]) -> HyperedgeDag:
     out_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(edges):
         out_adj[u].append(v)
-    return HyperedgeDag(out_adj=out_adj)
+    return HyperedgeDag.from_rows(out_adj)
 
 
 class TestTransitiveReduction:
@@ -36,7 +38,7 @@ class TestTransitiveReduction:
         assert reduced.edge_set() == {(0, 1), (1, 2)}
 
     def test_cycle_rejected(self):
-        cyclic = HyperedgeDag(out_adj=[[1], [0]])
+        cyclic = HyperedgeDag.from_rows([[1], [0]])
         with pytest.raises(ValueError, match="cycle"):
             transitive_reduction(cyclic)
 
@@ -67,16 +69,6 @@ class TestTransitiveReduction:
     def test_edge_subset(self, out_adj):
         dag = dag_from_edges(len(out_adj), [(u, v) for u, n in enumerate(out_adj) for v in n])
         assert transitive_reduction(dag).edge_set() <= dag.edge_set()
-
-
-class TestTopologicalOrder:
-    def test_orders_parents_first(self):
-        order = topological_order([[1, 2], [2], []])
-        assert order.index(0) < order.index(1) < order.index(2)
-
-    def test_cycle(self):
-        with pytest.raises(ValueError):
-            topological_order([[1], [2], [0]])
 
 
 def root_ids(h: Hypergraph) -> list[int]:
@@ -150,6 +142,20 @@ class TestRootedHeights:
         report = rooted_heights(build_encapsulation_dag(h), h)
         rec = next(r for r in report.records if r.size == 3)
         assert rec.norm_degree == pytest.approx(1 / (2**3 - 2))
+
+    def test_large_root_keeps_int_denominators(self, tmp_path):
+        # the degree bound 2^70 - 2 - 70 passes int64: a record built from
+        # array columns would overflow
+        rows = [range(70), range(35), range(2)]
+        h = preprocess(Hypergraph(rows), max_size=None)
+        (rec,) = rooted_heights(build_encapsulation_dag(h), h).records
+        assert (rec.size, rec.dag_degree, rec.max_height) == (70, 2, 2)
+        assert rec.norm_degree == 2 / (2**70 - 2 - 70)
+        assert rec.norm_height == 2 / 69
+        path, out = tmp_path / "big.txt", tmp_path / "heights.csv"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        assert cli_main(["heights", str(path), "--max-size", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0,70,2,2,1.69407e-21,0.0289855"
 
     def test_norm_height(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])

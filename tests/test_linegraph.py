@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from graphlib import TopologicalSorter
 from math import comb
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import hypergraphs
+from conftest import hypergraphs, overlap_entries
 import hypernest.hypergraph as hypergraph
 from hypernest import (
     Hypergraph,
@@ -19,7 +20,7 @@ from hypernest import (
     preprocess,
     rooted_heights,
 )
-from hypernest.dagpaths import topological_order
+from hypernest.hypergraph import split_rows
 
 
 class TestEncapsulationDag:
@@ -72,13 +73,13 @@ class TestEncapsulationDag:
         dag = build_encapsulation_dag(chain_hypergraph)
         encapsulation_counts(chain_hypergraph, dag)
         rooted_heights(dag, chain_hypergraph)
-        assert "in_adj" not in vars(dag)
+        assert "in_csr" not in vars(dag) and "in_adj" not in vars(dag)
         assert dag.in_adj == [[], [0], [0, 1]]
 
     @given(hypergraphs())
     def test_acyclic(self, h):
         dag = build_encapsulation_dag(h)
-        topological_order(dag.out_adj)  # raises on a cycle
+        list(TopologicalSorter(dict(enumerate(dag.out_adj))).static_order())  # raises on a cycle
 
     @given(hypergraphs())
     def test_candidate_visits_within_bound(self, h):
@@ -100,20 +101,20 @@ class TestOverlapGraph:
     def test_shared_node_adjacency(self):
         h = Hypergraph([["e", "f"], ["a", "b", "c", "e"], ["b", "e"]])
         g = build_overlap_graph(h)
-        assert set(g.adj[0]) == {1, 2}
+        assert g.nbrs[g.ptr[0]:g.ptr[1]].tolist() == [1, 2]
 
     @given(hypergraphs())
     def test_matches_all_pairs_oracle(self, h):
         g = build_overlap_graph(h)
-        got = {(i, j): g.adj[i][j] for i, nbrs in enumerate(g.adj) for j in nbrs if i < j}
+        got = {(i, j): w for (i, j), w in overlap_entries(g).items() if i < j}
         assert got == oracles.overlap_weights(h)
 
     @given(hypergraphs())
     def test_symmetry(self, h):
         g = build_overlap_graph(h)
-        for i, nbrs in enumerate(g.adj):
-            for j, w in nbrs.items():
-                assert g.adj[j][i] == w
+        entries = overlap_entries(g)
+        for (i, j), w in entries.items():
+            assert entries[(j, i)] == w
 
     @given(hypergraphs())
     def test_totals_match_full_graph(self, h):
@@ -147,17 +148,19 @@ class TestChunkedKernel:
         # every (a, u, b) encounter of u in both a and b, so sum_u deg(u)^2
         sets = h.edge_sets
         assert dag.candidate_visits == sum(len(x & y) for x in sets for y in sets)
-        got = {(i, j): w for i, nbrs in enumerate(g.adj) for j, w in nbrs.items() if i < j}
+        got = {(i, j): w for (i, j), w in overlap_entries(g).items() if i < j}
         assert got == weights
-        assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adj)
+        assert all(nbrs == sorted(nbrs) for nbrs in split_rows(g.ptr, g.nbrs))
 
     @pytest.mark.parametrize("chunk", [1, 7, hypergraph._CHUNK_ENCOUNTERS])
     def test_empty_and_single_edge(self, chunk):
         with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
             empty = build_encapsulation_dag(Hypergraph([]))
             single = build_encapsulation_dag(Hypergraph([[1, 2, 3]]))
-            assert build_overlap_graph(Hypergraph([])).adj == []
-            assert build_overlap_graph(Hypergraph([[1, 2, 3]])).adj == [{}]
+            empty_g = build_overlap_graph(Hypergraph([]))
+            single_g = build_overlap_graph(Hypergraph([[1, 2, 3]]))
+        assert (empty_g.ptr.tolist(), empty_g.nbrs.size, empty_g.weights.size) == ([0], 0, 0)
+        assert (single_g.ptr.tolist(), single_g.nbrs.size, single_g.weights.size) == ([0, 0], 0, 0)
         assert (empty.out_adj, empty.candidate_visits, empty.overlap_edges,
                 empty.overlap_weight) == ([], 0, 0, 0)
         assert (single.out_adj, single.candidate_visits, single.overlap_edges,
