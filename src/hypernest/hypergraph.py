@@ -40,9 +40,10 @@ def transpose(ptr: np.ndarray, idx: np.ndarray, n: int) -> tuple[np.ndarray, np.
     """The transpose of the CSR array ``ptr``/``idx`` of entries below ``n``:
     row u lists, ascending, the rows holding u."""
     m = ptr.size - 1
-    rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
     # one sort of (entry, row) keys lists each entry's rows in order
-    key = np.sort(idx.astype(np.int64) * m + rows)
+    key = idx.astype(np.int64) * m
+    key += np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
+    key.sort()
     return np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))), key % max(m, 1)
 
 

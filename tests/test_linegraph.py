@@ -73,7 +73,7 @@ class TestEncapsulationDag:
         dag = build_encapsulation_dag(chain_hypergraph)
         encapsulation_counts(chain_hypergraph, dag)
         rooted_heights(dag, chain_hypergraph)
-        assert "in_csr" not in vars(dag) and "in_adj" not in vars(dag)
+        assert not {"in_csr", "in_adj", "out_adj"} & vars(dag).keys()
         assert dag.in_adj == [[], [0], [0, 1]]
 
     @given(hypergraphs())
