@@ -89,7 +89,7 @@ class HyperedgeDag:
         return int(in_ptr[i + 1] - in_ptr[i])
 
     def restrict(self, keep: np.ndarray) -> HyperedgeDag:
-        """The subgraph of the edges whose entries of ``out_idx`` ``keep`` marks."""
+        """The subgraph of the edges whose ``out_idx`` entries mask ``keep`` marks."""
         ptr = np.concatenate(([0], np.cumsum(keep)))[self.out_ptr]
         return HyperedgeDag(ptr, self.out_idx[keep])
 
