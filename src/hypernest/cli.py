@@ -189,7 +189,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
     report = rooted_heights(build_encapsulation_dag(h), h)
     summary: dict = {
         "observed": {
-            "roots": len(report.records),
+            "roots": report.num_roots,
             "height_distribution": {str(k): v for k, v in report.height_distribution().items()},
             "max_height": report.max_height(),
         }

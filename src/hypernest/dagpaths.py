@@ -10,8 +10,8 @@ reduction, so heights are read from the containment DAG directly.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cached_property
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -52,21 +52,42 @@ class RootHeightRecord:
 
 @dataclass
 class RootedHeightReport:
-    records: list[RootHeightRecord]
+    """Per-root columns, one entry per root in ascending root id, in the
+    field order of ``RootHeightRecord``; ``records`` is the row view, built
+    on first read."""
+
+    root_ids: np.ndarray
+    sizes: np.ndarray
+    dag_degrees: np.ndarray
+    heights: np.ndarray
+    norm_degrees: np.ndarray
+    norm_heights: np.ndarray
+
+    @property
+    def num_roots(self) -> int:
+        return self.root_ids.size
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.root_ids, self.sizes, self.dag_degrees, self.heights, self.norm_degrees,
+                self.norm_heights)
+
+    @cached_property
+    def records(self) -> list[RootHeightRecord]:
+        return list(map(RootHeightRecord, *(col.tolist() for col in self.columns())))
 
     def height_distribution(self) -> dict[int, int]:
-        return dict(sorted(Counter(rec.max_height for rec in self.records).items()))
+        return dict(zip(*(col.tolist() for col in np.unique(self.heights, return_counts=True))))
 
     def max_height(self) -> int:
-        return max((rec.max_height for rec in self.records), default=0)
+        return int(self.heights.max()) if self.num_roots else 0
 
     def write_csv(self, path: str | Path) -> None:
+        ints = (col.tolist() for col in self.columns()[:4])
+        floats = (map("{:.6g}".format, col.tolist()) for col in self.columns()[4:])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(f.name for f in fields(RootHeightRecord))
-            for rec in self.records:
-                writer.writerow([rec.root_id, rec.size, rec.dag_degree, rec.max_height,
-                                 f"{rec.norm_degree:.6g}", f"{rec.norm_height:.6g}"])
+            writer.writerows(zip(*ints, *floats))
 
 
 def max_root_out_degree(size: int, singletons_present: bool) -> int:
@@ -96,13 +117,13 @@ def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
             break
         longest = nxt
     roots = parents[np.bincount(out_idx, minlength=n)[parents] == 0]
+    sizes, degrees, heights = h.sizes[roots], degree[roots], longest[roots]
     singletons = h.has_singletons()
-    records = []
-    # Python ints: the degree bound 2^size - 2 passes int64 at size 63
-    for r, size, deg, height in zip(roots.tolist(), h.sizes[roots].tolist(),
-                                    degree[roots].tolist(), longest[roots].tolist()):
-        max_deg = max_root_out_degree(size, singletons)
-        norm_degree = deg / max_deg if max_deg > 0 else float("nan")
-        norm_height = height / (size - 1) if size > 1 else float("nan")
-        records.append(RootHeightRecord(r, size, deg, height, norm_degree, norm_height))
-    return RootedHeightReport(records=records)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.ldexp(1.0, sizes) - 2 - (0 if singletons else sizes)
+        norm_degrees = np.where(bound > 0, degrees / bound, np.nan)
+        norm_heights = np.where(sizes > 1, heights / (sizes - 1), np.nan)
+    # past 2^53 the float bound is rounded: divide those as Python ints
+    for k in np.flatnonzero(sizes > 53).tolist():
+        norm_degrees[k] = int(degrees[k]) / max_root_out_degree(int(sizes[k]), singletons)
+    return RootedHeightReport(roots, sizes, degrees, heights, norm_degrees, norm_heights)

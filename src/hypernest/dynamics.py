@@ -10,11 +10,12 @@ contains, whatever that size is ("empirical-adjacent"). A conventional
 node-counting threshold process is included for comparison ("threshold").
 
 The variants differ only in who influences whom and how many active
-influencers a hyperedge needs, so each is an ``Influence`` map run by the
-one round loop ``spread``. Runs proceed in synchronous rounds and are
-deterministic once the seed hyperedges are fixed; activation is monotone,
-so a run stops at the first round with no change (or after ``max_steps``
-rounds).
+influencers a hyperedge needs, so each is an ``Influence`` map of CSR
+arrays run by the one array engine ``spread``, which advances a batch of
+runs together (a single run is a batch of one). Runs proceed in
+synchronous rounds and are deterministic once the seed hyperedges are
+fixed; activation is monotone, so a run stops at the first round with no
+change (or after ``max_steps`` rounds).
 """
 
 from __future__ import annotations
@@ -23,16 +24,19 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, split_rows
-from .linegraph import HyperedgeDag
+from .hypergraph import Hypergraph
 from .rng import RngLike, as_rng
 
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
 STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
+
+# keys one batch of runs may gather in a round: its transient int64 arrays
+# stay near 1 MB however many runs a grid has
+_BATCH_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,13 @@ class DynamicsConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
+def activation_proportion(m: int, seed_count: int, final_active: int) -> float:
+    """Activated share of the non-seed hyperedges; 1.0 by convention when
+    everything was seeded."""
+    remaining = m - seed_count
+    return (final_active - seed_count) / remaining if remaining else 1.0
+
+
 @dataclass
 class Trajectory:
     """Outcome of one run: per-round newly activated hyperedge ids (round 0
@@ -90,12 +101,7 @@ class Trajectory:
         return self.final_active - self.seed_count
 
     def activation_proportion(self) -> float:
-        """Activated share of the non-seed hyperedges; 1.0 by convention when
-        everything was seeded."""
-        remaining = len(self.edge_active) - self.seed_count
-        if remaining == 0:
-            return 1.0
-        return self.non_seed_active / remaining
+        return activation_proportion(len(self.edge_active), self.seed_count, self.final_active)
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, "final_active": self.final_active}
@@ -134,116 +140,193 @@ def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list
 
 @dataclass(frozen=True)
 class Influence:
-    """Who counts toward whom in one variant: an active hyperedge ``b``
-    counts toward each hyperedge in ``edges[b]``, and an active node ``u``
-    toward each hyperedge in ``nodes[u]`` (nodes count toward nothing when
+    """Who counts toward whom in one variant, as CSR ``(ptr, idx)`` pairs:
+    an active hyperedge ``b`` counts toward each hyperedge in
+    ``idx[ptr[b]:ptr[b + 1]]`` of ``edges``, and an active node ``u``
+    toward row ``u`` of ``nodes`` (nodes count toward nothing when
     ``nodes`` is None)."""
 
-    edges: Sequence[Sequence[int]]
-    nodes: Sequence[Sequence[int]] | None = None
+    edges: tuple[np.ndarray, np.ndarray]
+    nodes: tuple[np.ndarray, np.ndarray] | None = None
+
+    def batch_runs(self, h: Hypergraph) -> int:
+        """Runs one ``spread`` call may hold within ``_BATCH_KEYS``: a run
+        gathers each influence row at most once, and each hyperedge's
+        members once when nodes count."""
+        keys = self.edges[1].size
+        if self.nodes is not None:
+            keys = max(keys + self.nodes[1].size, h.edge_nodes.size)
+        return max(1, _BATCH_KEYS // max(keys, 1))
 
 
-def build_influence(
-    h: Hypergraph, variant: str, full_dag: HyperedgeDag, adjacent_dag: HyperedgeDag
-) -> Influence:
-    """The influence map of ``variant``; ``full_dag`` is the containment DAG
-    and ``adjacent_dag`` its restriction to size differences of one."""
+def build_influence(h: Hypergraph, variant: str, dags) -> Influence:
+    """The influence map of ``variant``. ``dags`` gives the containment DAG
+    as ``dags.full_dag`` and its restriction to size differences of one as
+    ``dags.adjacent_dag``; a variant reads only the one it uses, and the
+    threshold process reads neither."""
     if variant == "strict":
-        return Influence(adjacent_dag.in_adj)
+        return Influence(dags.adjacent_dag.in_csr)
     if variant == "non-strict":
         # 2-node hyperedges hear their member nodes instead of their singletons
+        adjacent = dags.adjacent_dag
         in_pair = h.sizes[h.memb_ids] == 2
         per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
-        pairs = split_rows(np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
-        return Influence(adjacent_dag.restrict(h.sizes[adjacent_dag.sources] != 2).in_adj, pairs)
+        pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
+        return Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
     if variant == "empirical-adjacent":
         # a hyperedge hears only the contained hyperedges of the largest size
-        parents, child_size = full_dag.sources, h.sizes[full_dag.out_idx]
+        full = dags.full_dag
+        parents, child_size = full.sources, h.sizes[full.out_idx]
         largest = np.zeros(h.m, dtype=np.int64)
         np.maximum.at(largest, parents, child_size)
-        return Influence(full_dag.restrict(child_size == largest[parents]).in_adj)
+        return Influence(full.restrict(child_size == largest[parents]).in_csr)
     if variant == "threshold":
-        return Influence([()] * h.m, split_rows(h.memb_ptr, h.memb_ids))
+        return Influence((np.zeros(h.m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)),
+                         (h.memb_ptr, h.memb_ids))
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _need(h: Hypergraph, config: DynamicsConfig) -> list[int]:
+def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
     """Active influencers each hyperedge needs to activate."""
     if config.variant != "threshold":
-        return [config.tau + (config.comparison == ">")] * h.m
+        return np.full(h.m, config.tau + (config.comparison == ">"))
     if h.m and config.tau >= int(h.sizes.min()):
         warnings.warn(
             f"tau={config.tau} >= smallest hyperedge size {int(h.sizes.min())}: "
             "such hyperedges self-activate with no active nodes",
             stacklevel=3,
         )
-    return (h.sizes - config.tau).tolist()
+    return h.sizes - config.tau
 
 
-def _activate_nodes(h: Hypergraph, edge_ids: Iterable[int], node_active: list[bool]) -> list[int]:
-    newly = []
-    for eid in edge_ids:
-        for u in h.edges[eid]:
-            if not node_active[u]:
-                node_active[u] = True
-                newly.append(u)
-    return newly
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys``, ascending, and how often each occurs
+    (one sort; ``np.unique`` hashes, which is several times slower here)."""
+    keys = np.sort(keys)
+    starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
+    return keys[starts], np.diff(np.append(starts, keys.size))
 
 
-def _check_seeds(h: Hypergraph, seeds: Sequence[int]) -> list[int]:
-    ids = sorted(set(int(s) for s in seeds))
-    if ids and not 0 <= ids[0] <= ids[-1] < h.m:
-        raise ValueError("seed ids out of range")
-    return ids
+def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
+    """Per-run id lists as ascending keys ``run * width + id``, each id once."""
+    keys = [np.empty(0, dtype=np.int64)]
+    for run, row in enumerate(rows):
+        ids = _tally(np.asarray(row, dtype=np.int64))[0]
+        if ids.size and not 0 <= ids[0] <= ids[-1] < width:
+            raise ValueError(f"{what} ids out of range")
+        keys.append(ids + run * width)
+    return np.concatenate(keys)
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,
+            out_width: int) -> np.ndarray:
+    """The rows of ``ptr``/``idx`` named by keys ``run * width + row``, each
+    entry as the key ``run * out_width + entry``, row after row."""
+    run, row = np.divmod(keys, width)
+    lengths = ptr[row + 1] - ptr[row]
+    ends = np.cumsum(lengths)
+    at = np.repeat(ptr[row] - ends + lengths, lengths)
+    at += np.arange(at.size)
+    return idx[at] + np.repeat(run * out_width, lengths)
+
+
+@dataclass
+class Batch:
+    """Outcome of runs made together on ``h``. ``rounds[k]`` holds the
+    hyperedges newly active in round k (round 0: the seeds) of every run,
+    as ascending keys ``run * m + hyperedge``; ``edge_active`` is the final
+    runs x m activation matrix and ``seed_nodes`` the pre-activated nodes
+    as keys ``run * n + node``."""
+
+    h: Hypergraph
+    rounds: list[np.ndarray]
+    edge_active: np.ndarray
+    seed_nodes: np.ndarray
+
+    def num_steps(self) -> np.ndarray:
+        """Per run, the rounds that activated something; a run's first
+        round without activation is its last."""
+        steps = np.zeros(len(self.edge_active), dtype=np.int64)
+        for keys in self.rounds[1:]:
+            steps[_tally(keys // self.h.m)[0]] += 1
+        return steps
+
+    def seed_counts(self) -> np.ndarray:
+        return np.bincount(self.rounds[0] // self.h.m, minlength=len(self.edge_active))
+
+    def final_active(self) -> np.ndarray:
+        return np.count_nonzero(self.edge_active, axis=1)
+
+    def trajectory(self, run: int) -> Trajectory:
+        """Run ``run`` alone; its nodes are active when seeded or in an
+        active hyperedge."""
+        h = self.h
+        lo, hi = run * h.m, (run + 1) * h.m
+        steps = []
+        for keys in self.rounds:
+            mine = keys[np.searchsorted(keys, lo):np.searchsorted(keys, hi)] - lo
+            if steps and not mine.size:
+                break
+            steps.append(mine.tolist())
+        node_active = np.zeros(h.n, dtype=bool)
+        active = np.flatnonzero(self.edge_active[run])
+        node_active[_gather(h.edge_ptr, h.edge_nodes, active, h.m, 0)] = True
+        seeded = self.seed_nodes
+        node_active[seeded[seeded // h.n == run] - run * h.n] = True
+        return Trajectory(steps, self.edge_active[run].tolist(), node_active.tolist())
 
 
 def spread(
     h: Hypergraph,
     influence: Influence,
     config: DynamicsConfig,
-    seeds: Sequence[int],
-    seed_nodes: Sequence[int] = (),
-) -> Trajectory:
-    """Run one contagion from ``seeds`` (plus pre-activated ``seed_nodes``).
+    seeds: Sequence[Sequence[int]],
+    seed_nodes: Sequence[Sequence[int]] = (),
+) -> Batch:
+    """Run one contagion per entry of ``seeds`` (that run's seed hyperedges,
+    plus the pre-activated nodes of its entry of ``seed_nodes``, if any), all
+    runs together.
 
     Each round, the hyperedges and nodes activated in the previous round add
     one to the count of every inactive hyperedge they influence; a touched
     hyperedge activates once its count reaches its need, and activating a
     hyperedge activates its member nodes. Hyperedges needing nothing are
-    candidates in the first round.
+    candidates in the first round. Run r keeps its state at keys
+    ``r * m + hyperedge`` and ``r * n + node`` of flat arrays, so a round
+    of every run is one CSR gather and one sort; a run that has stopped
+    gathers nothing.
     """
-    m = h.m
+    m, n, runs = h.m, h.n, len(seeds)
     need = _need(h, config)
-    edge_active = [False] * m
-    node_active = [False] * h.n
-    count = [0] * m
+    edge_active = np.zeros(runs * m, dtype=bool)
+    count = np.zeros(runs * m, dtype=np.int32)
+    new_edges = _flat_keys(seeds, m, "seed")
+    seeded_nodes = _flat_keys(seed_nodes, n, "seed node")
+    edge_active[new_edges] = True
+    rounds = [new_edges]
+    if influence.nodes is not None:
+        node_active = np.zeros(runs * n, dtype=bool)
+        reached = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+        new_nodes = _tally(np.concatenate((reached, seeded_nodes)))[0]
+        node_active[new_nodes] = True
+    zero_need = np.flatnonzero(need <= 0)
+    first = (np.arange(runs)[:, None] * m + zero_need).ravel()
 
-    new_edges = _check_seeds(h, seeds)
-    for eid in new_edges:
-        edge_active[eid] = True
-    new_nodes = _activate_nodes(h, new_edges, node_active)
-    for u in seed_nodes:
-        if not node_active[u]:
-            node_active[u] = True
-            new_nodes.append(u)
-    steps = [list(new_edges)]
-    touched = {eid for eid in range(m) if need[eid] <= 0 and not edge_active[eid]}
-
-    for _ in range(config.max_steps):
-        reached = [influence.edges[b] for b in new_edges]
+    for step in range(config.max_steps):
+        hits = _gather(*influence.edges, new_edges, m, m)
         if influence.nodes is not None:
-            reached += [influence.nodes[u] for u in new_nodes]
-        for targets in reached:
-            for alpha in targets:
-                if not edge_active[alpha]:
-                    count[alpha] += 1
-                    touched.add(alpha)
-        new_edges = [alpha for alpha in sorted(touched) if count[alpha] >= need[alpha]]
-        if not new_edges:
+            hits = np.concatenate((hits, _gather(*influence.nodes, new_nodes, n, m)))
+        touched, times = _tally(hits[~edge_active[hits]])
+        count[touched] += times
+        if step == 0 and first.size:
+            touched = _tally(np.concatenate((touched, first[~edge_active[first]])))[0]
+        new_edges = touched[count[touched] >= need[touched % m]]
+        if not new_edges.size:
             break
-        for eid in new_edges:
-            edge_active[eid] = True
-        new_nodes = _activate_nodes(h, new_edges, node_active)
-        steps.append(new_edges)
-        touched = set()
-    return Trajectory(steps=steps, edge_active=edge_active, node_active=node_active)
+        edge_active[new_edges] = True
+        rounds.append(new_edges)
+        if influence.nodes is not None:
+            reached = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+            new_nodes = _tally(reached[~node_active[reached]])[0]
+            node_active[new_nodes] = True
+    return Batch(h, rounds, edge_active.reshape(runs, m), seeded_nodes)

@@ -9,14 +9,15 @@ worker count.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import product
+from functools import cached_property
+from itertools import groupby, product
 from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
-from .dynamics import DynamicsConfig, Influence, Trajectory, build_influence, select_seeds, spread
+from .dynamics import (DynamicsConfig, Influence, Trajectory, activation_proportion,
+                       build_influence, select_seeds, spread)
 from .hypergraph import Hypergraph
 from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
 from .randomize import layer_samples
@@ -69,25 +70,30 @@ class CellSummary:
 
 @dataclass
 class PreparedDynamics:
-    """Line-graph structures shared by every cell run on one hypergraph,
-    with each variant's influence map built on first use."""
+    """A hypergraph with the line-graph structures its contagion runs read:
+    the containment DAG, its adjacent-layer restriction and each variant's
+    influence map, each built on first read and then shared by every run.
+    The threshold process reads neither DAG, so builds none."""
 
     hypergraph: Hypergraph
-    full_dag: HyperedgeDag
-    adjacent_dag: HyperedgeDag
     influences: dict[str, Influence] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def full_dag(self) -> HyperedgeDag:
+        return build_encapsulation_dag(self.hypergraph)
+
+    @cached_property
+    def adjacent_dag(self) -> HyperedgeDag:
+        return adjacent_layer_dag(self.full_dag, self.hypergraph)
 
     def influence(self, variant: str) -> Influence:
         if variant not in self.influences:
-            self.influences[variant] = build_influence(
-                self.hypergraph, variant, self.full_dag, self.adjacent_dag
-            )
+            self.influences[variant] = build_influence(self.hypergraph, variant, self)
         return self.influences[variant]
 
 
 def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
-    dag = build_encapsulation_dag(h)
-    return PreparedDynamics(hypergraph=h, full_dag=dag, adjacent_dag=adjacent_layer_dag(dag, h))
+    return PreparedDynamics(hypergraph=h)
 
 
 def run_dynamics(
@@ -98,31 +104,47 @@ def run_dynamics(
 ) -> Trajectory:
     """One contagion run of ``config.variant`` from the seed hyperedges (and
     optionally pre-activated nodes) on a prepared hypergraph."""
-    return spread(
-        prepared.hypergraph, prepared.influence(config.variant), config, seeds, seed_nodes
-    )
+    batch = spread(prepared.hypergraph, prepared.influence(config.variant), config,
+                   [seeds], [seed_nodes])
+    return batch.trajectory(0)
+
+
+def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run: int,
+                master_seed: int) -> list[int]:
+    """The seeds of run ``run`` of a cell: its strategy and count, drawn from
+    the seed-selection stream of (cell_index, run) under ``master_seed``."""
+    _, strategy, seed_count = cell
+    rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
+    return select_seeds(h, strategy, seed_count, rng)
 
 
 def cell_trajectory(
     prepared: PreparedDynamics, grid: ExperimentGrid, cell_index: int, run: int, master_seed: int
 ) -> Trajectory:
-    """Run ``run`` of cell ``cell_index`` of ``grid``, seeded from the
-    seed-selection stream of (cell_index, run) under ``master_seed``."""
-    variant, strategy, seed_count = grid.cells()[cell_index]
-    rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
-    seeds = select_seeds(prepared.hypergraph, strategy, seed_count, rng)
-    return run_dynamics(prepared, grid.config(variant), seeds)
+    """Run ``run`` of cell ``cell_index`` of ``grid``; ``run_experiment``
+    records what this gives for every (cell, run)."""
+    cell = grid.cells()[cell_index]
+    seeds = _cell_seeds(prepared.hypergraph, cell, cell_index, run, master_seed)
+    return run_dynamics(prepared, grid.config(cell[0]), seeds)
 
 
-def _run_cell(args) -> list[RunRecord]:
-    prepared, grid, cell_index, runs, master_seed, dataset = args
-    variant, strategy, seed_count = grid.cells()[cell_index]
+def _run_tasks(args) -> list[RunRecord]:
+    """Records of the (cell, run) ``tasks`` of one variant, in order, from
+    ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
+    h, influence, grid, tasks, master_seed, dataset = args
+    cells = grid.cells()
+    config = grid.config(cells[tasks[0][0]][0])
+    per_batch = influence.batch_runs(h)
     records = []
-    for run in range(runs):
-        traj = cell_trajectory(prepared, grid, cell_index, run, master_seed)
-        records.append(RunRecord(dataset, variant, strategy, seed_count, grid.tau, run,
-                                 traj.num_steps, traj.final_active, traj.non_seed_active,
-                                 traj.activation_proportion()))
+    for start in range(0, len(tasks), per_batch):
+        chunk = tasks[start:start + per_batch]
+        batch = spread(h, influence, config,
+                       [_cell_seeds(h, cells[c], c, run, master_seed) for c, run in chunk])
+        for (c, run), steps, final, seeded in zip(chunk, batch.num_steps().tolist(),
+                                                  batch.final_active().tolist(),
+                                                  batch.seed_counts().tolist()):
+            records.append(RunRecord(dataset, *cells[c], grid.tau, run, steps, final,
+                                     final - seeded, activation_proportion(h.m, seeded, final)))
     return records
 
 
@@ -135,18 +157,25 @@ def run_experiment(
     jobs: int = 1,
 ) -> list[RunRecord]:
     """All (cell, run) results on a prepared hypergraph, in deterministic
-    cell-major order."""
+    cell-major order. Each variant's cells x runs go to the engine together,
+    split into ``jobs`` contiguous parts run by as many worker processes."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    tasks = [
-        (prepared, grid, idx, runs, master_seed, dataset) for idx in range(len(grid.cells()))
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    work = []
+    for variant, block in groupby(enumerate(grid.cells()), key=lambda item: item[1][0]):
+        tasks = [(c, run) for c, _ in block for run in range(runs)]
+        parts = min(jobs, len(tasks))
+        bounds = [len(tasks) * i // parts for i in range(parts + 1)]
+        work += [(prepared.hypergraph, prepared.influence(variant), grid, tasks[a:b],
+                  master_seed, dataset) for a, b in zip(bounds, bounds[1:])]
+    if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(_run_cell, tasks))
+            parts_done = list(pool.map(_run_tasks, work))
     else:
-        per_cell = [_run_cell(t) for t in tasks]
-    return [rec for cell_records in per_cell for rec in cell_records]
+        parts_done = map(_run_tasks, work)
+    return [rec for part in parts_done for rec in part]
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:

@@ -361,6 +361,24 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("variant,randomize,builds", [
+        ("threshold", 0, 0), ("threshold", 2, 0), ("strict", 0, 1), ("strict", 2, 3),
+        ("non-strict", 0, 1), ("empirical-adjacent", 0, 1),
+    ])
+    def test_dag_builds_follow_the_variant(self, plain_file, tmp_path, monkeypatch, variant,
+                                           randomize, builds):
+        # one containment DAG per hypergraph for the containment variants,
+        # none for the threshold process, which reads only memberships
+        calls = []
+        original = experiments_mod.build_encapsulation_dag
+        monkeypatch.setattr(experiments_mod, "build_encapsulation_dag",
+                            lambda h: calls.append(h) or original(h))
+        code = run_cli("simulate", plain_file, "--variant", variant, "--runs", "2",
+                       "--randomize", randomize, "--out", tmp_path / "r.csv",
+                       "--trajectories", tmp_path / "t.json")
+        assert code == 0
+        assert len(calls) == builds
+
     def test_randomized_comparison_summary(self, plain_file, tmp_path):
         out = tmp_path / "results.csv"
         summary = tmp_path / "summary.json"

@@ -18,7 +18,7 @@ from hypernest import (
     select_seeds,
     spawn_rng,
 )
-from hypernest.dynamics import VARIANTS
+from hypernest.dynamics import VARIANTS, spread
 from hypernest.rng import as_rng
 
 
@@ -312,3 +312,24 @@ class TestContagionOracle:
         assert traj.steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
         active_nodes = {u for eid, on in enumerate(traj.edge_active) if on for u in h.edges[eid]}
         assert active_nodes | set(seed_nodes) == {u for u, on in enumerate(traj.node_active) if on}
+
+    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @settings(max_examples=25)
+    def test_batched_runs_match_brute_force(self, variant, h, data):
+        # runs of one batch share the arrays they read and nothing else
+        runs = data.draw(st.integers(1, 4))
+        seeds = [data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
+                 for _ in range(runs)]
+        seed_nodes = [data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
+                      for _ in range(runs)]
+        config = DynamicsConfig(variant=variant, tau=data.draw(st.integers(1, 2)),
+                                comparison=data.draw(st.sampled_from([">=", ">"])),
+                                max_steps=data.draw(st.sampled_from([1, 3, 25])))
+        batch = spread(h, prepare_dynamics(h).influence(variant), config, seeds, seed_nodes)
+        expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
+        assert [batch.trajectory(r).steps for r in range(runs)] == expected
+        assert batch.num_steps().tolist() == [len(steps) - 1 for steps in expected]
+        assert batch.final_active().tolist() == [sum(map(len, steps)) for steps in expected]
+        assert batch.seed_counts().tolist() == [len(s) for s in seeds]

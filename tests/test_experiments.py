@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypernest import ExperimentGrid, Hypergraph, run_experiment, summarize
-from hypernest.experiments import prepare_dynamics, randomized_comparison, write_records_csv
+import hypernest.dynamics as dynamics_mod
+from conftest import hypergraphs
+from hypernest import ExperimentGrid, Hypergraph, RunRecord, run_experiment, summarize
+from hypernest.dynamics import STRATEGIES, VARIANTS
+from hypernest.experiments import (cell_trajectory, prepare_dynamics, randomized_comparison,
+                                   write_records_csv)
 
 
 @pytest.fixture
@@ -54,6 +63,83 @@ class TestRunExperiment:
     def test_runs_validation(self, ladder):
         with pytest.raises(ValueError):
             run_experiment(prepare_dynamics(ladder), GRID, runs=0, master_seed=0)
+
+
+def per_run_records(prepared, grid, runs, master_seed) -> list[RunRecord]:
+    """The records of ``run_experiment``, one ``cell_trajectory`` at a time."""
+    records = []
+    for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
+        for run in range(runs):
+            traj = cell_trajectory(prepared, grid, idx, run, master_seed)
+            records.append(RunRecord("", variant, strategy, seed_count, grid.tau, run,
+                                     traj.num_steps, traj.final_active, traj.non_seed_active,
+                                     traj.activation_proportion()))
+    return records
+
+
+@st.composite
+def grids(draw, h: Hypergraph, variants) -> ExperimentGrid:
+    """A multi-cell grid over ``variants`` with drawn strategies, seed counts,
+    threshold, step cap and comparison."""
+    return ExperimentGrid(
+        variants=variants,
+        strategies=tuple(draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=3,
+                                       unique=True))),
+        seed_counts=tuple(draw(st.lists(st.integers(0, h.m), min_size=1, max_size=3,
+                                        unique=True))),
+        tau=draw(st.integers(0 if variants == ("threshold",) else 1, 2)),
+        max_steps=draw(st.sampled_from([1, 3, 25])),
+        comparison=draw(st.sampled_from([">=", ">"])),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:tau=.*self-activate")
+class TestBatchedRuns:
+    """``run_experiment`` runs a variant's cells x runs in shared batches;
+    each record must still be what ``cell_trajectory`` gives for its run."""
+
+    @pytest.mark.parametrize("comparison", [">=", ">"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(h=hypergraphs(max_edges=30), data=st.data())
+    @settings(max_examples=25)
+    def test_records_match_per_run_loop(self, variant, comparison, h, data):
+        grid = replace(data.draw(grids(h, (variant,))), comparison=comparison)
+        runs, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**16))
+        prepared = prepare_dynamics(h)
+        # a budget of one key splits the grid into one run per batch
+        budget = data.draw(st.sampled_from([1, 64, dynamics_mod._BATCH_KEYS]))
+        with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget):
+            records = run_experiment(prepared, grid, runs, seed)
+        assert records == per_run_records(prepared, grid, runs, seed)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @given(h=hypergraphs(max_edges=30), data=st.data())
+    @settings(max_examples=8)
+    def test_multi_variant_grid_matches_per_run_loop(self, jobs, h, data):
+        variants = tuple(data.draw(st.lists(st.sampled_from(VARIANTS[:3]), min_size=2,
+                                            max_size=3, unique=True)))
+        grid = data.draw(grids(h, variants))
+        prepared = prepare_dynamics(h)
+        records = run_experiment(prepared, grid, 3, 11, jobs=jobs)
+        assert records == per_run_records(prepared, grid, 3, 11)
+
+    def test_one_variant_splits_across_jobs(self, ladder):
+        grid = ExperimentGrid(variants=("threshold",), strategies=("uniform",), seed_counts=(2,))
+        serial = run_experiment(prepare_dynamics(ladder), grid, runs=5, master_seed=2)
+        parallel = run_experiment(prepare_dynamics(ladder), grid, runs=5, master_seed=2, jobs=2)
+        assert parallel == serial == per_run_records(prepare_dynamics(ladder), grid, 5, 2)
+
+    def test_contagion_leaves_row_views_unbuilt(self, ladder):
+        prepared = prepare_dynamics(ladder)
+        grid = ExperimentGrid(variants=VARIANTS, strategies=("uniform",), seed_counts=(2,))
+        run_experiment(prepared, grid, runs=2, master_seed=0)
+        cell_trajectory(prepared, grid, 1, 0, 0)
+        assert not {"edges", "edge_sets"} & vars(ladder).keys()
+        for dag in (prepared.full_dag, prepared.adjacent_dag):
+            assert not {"in_adj", "out_adj"} & vars(dag).keys()
+        for influence in prepared.influences.values():
+            maps = [*influence.edges, *(influence.nodes or ())]
+            assert all(isinstance(a, np.ndarray) for a in maps)
 
 
 class TestSummaries:
