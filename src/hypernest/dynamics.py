@@ -200,9 +200,10 @@ def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
 
 
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``keys``, ascending, and how often each occurs
-    (one sort; ``np.unique`` hashes, which is several times slower here)."""
-    keys = np.sort(keys)
+    """The distinct values of ``keys``, ascending, and how often each occurs.
+    Sorts ``keys`` in place (``np.unique`` hashes, which is several times
+    slower here, and copies)."""
+    keys.sort()
     starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
     return keys[starts], np.diff(np.append(starts, keys.size))
 
@@ -211,7 +212,7 @@ def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
     """Per-run id lists as ascending keys ``run * width + id``, each id once."""
     keys = [np.empty(0, dtype=np.int64)]
     for run, row in enumerate(rows):
-        ids = _tally(np.asarray(row, dtype=np.int64))[0]
+        ids = _tally(np.array(row, dtype=np.int64))[0]
         if ids.size and not 0 <= ids[0] <= ids[-1] < width:
             raise ValueError(f"{what} ids out of range")
         keys.append(ids + run * width)
@@ -227,7 +228,28 @@ def _gather(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,
     ends = np.cumsum(lengths)
     at = np.repeat(ptr[row] - ends + lengths, lengths)
     at += np.arange(at.size)
-    return idx[at] + np.repeat(run * out_width, lengths)
+    # in place from here: a round's largest arrays are these, one key each
+    out = idx.take(at).astype(np.int64, copy=False)
+    del at
+    out += np.repeat(run * out_width, lengths)
+    return out
+
+
+def _inactive(keys: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The keys whose entry of ``active`` is False; ``keys`` is freed on
+    return when the caller passed a temporary."""
+    return keys[~active[keys]]
+
+
+def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: int,
+                n: int) -> np.ndarray:
+    """One key ``run * m + hyperedge`` per (newly active influencer, hyperedge
+    it influences) pair of the newly active ``edges`` and ``nodes``."""
+    hits = _gather(*influence.edges, edges, m, m)
+    if influence.nodes is None:
+        return hits
+    by_node = _gather(*influence.nodes, nodes, n, m)
+    return np.concatenate((hits, by_node)) if hits.size else by_node
 
 
 @dataclass
@@ -304,29 +326,30 @@ def spread(
     seeded_nodes = _flat_keys(seed_nodes, n, "seed node")
     edge_active[new_edges] = True
     rounds = [new_edges]
+    new_nodes = seeded_nodes
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)
-        reached = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
-        new_nodes = _tally(np.concatenate((reached, seeded_nodes)))[0]
+        members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+        new_nodes = _tally(np.concatenate((members, seeded_nodes)))[0]
         node_active[new_nodes] = True
     zero_need = np.flatnonzero(need <= 0)
     first = (np.arange(runs)[:, None] * m + zero_need).ravel()
 
     for step in range(config.max_steps):
-        hits = _gather(*influence.edges, new_edges, m, m)
-        if influence.nodes is not None:
-            hits = np.concatenate((hits, _gather(*influence.nodes, new_nodes, n, m)))
-        touched, times = _tally(hits[~edge_active[hits]])
+        # temporaries passed straight on, so no round holds two gathers at once
+        touched, times = _tally(_inactive(_influenced(influence, new_edges, new_nodes, m, n),
+                                          edge_active))
         count[touched] += times
         if step == 0 and first.size:
-            touched = _tally(np.concatenate((touched, first[~edge_active[first]])))[0]
+            touched = _tally(np.concatenate((touched, _inactive(first, edge_active))))[0]
         new_edges = touched[count[touched] >= need[touched % m]]
         if not new_edges.size:
             break
         edge_active[new_edges] = True
         rounds.append(new_edges)
         if influence.nodes is not None:
-            reached = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
-            new_nodes = _tally(reached[~node_active[reached]])[0]
+            members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+            new_nodes = _tally(_inactive(members, node_active))[0]
             node_active[new_nodes] = True
+            del members
     return Batch(h, rounds, edge_active.reshape(runs, m), seeded_nodes)
