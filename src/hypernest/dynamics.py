@@ -151,12 +151,12 @@ class Influence:
 
     def batch_runs(self, h: Hypergraph) -> int:
         """Runs one ``spread`` call may hold within ``_BATCH_KEYS``: a run
-        gathers each influence row at most once, and each hyperedge's
-        members once when nodes count."""
-        keys = self.edges[1].size
+        keeps m + n flags and counts, gathers each influence row at most
+        once, and each hyperedge's members once when nodes count."""
+        keys = [h.m + h.n, self.edges[1].size]
         if self.nodes is not None:
-            keys = max(keys + self.nodes[1].size, h.edge_nodes.size)
-        return max(1, _BATCH_KEYS // max(keys, 1))
+            keys += [self.edges[1].size + self.nodes[1].size, h.edge_nodes.size]
+        return max(1, _BATCH_KEYS // max(*keys, 1))
 
 
 def build_influence(h: Hypergraph, variant: str, dags) -> Influence:
@@ -200,9 +200,9 @@ def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
 
 
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``keys``, ascending, and how often each occurs.
-    Sorts ``keys`` in place (``np.unique`` hashes, which is several times
-    slower here, and copies)."""
+    """The distinct values of ``keys``, ascending, and how often each occurs,
+    from one sort of ``keys`` in place (``np.unique`` copies, and asked for
+    the values alone it hashes, several times slower at these sizes)."""
     keys.sort()
     starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
     return keys[starts], np.diff(np.append(starts, keys.size))

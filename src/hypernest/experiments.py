@@ -131,9 +131,8 @@ def cell_trajectory(
 def _run_tasks(args) -> list[RunRecord]:
     """Records of the (cell, run) ``tasks`` of one variant, in order, from
     ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
-    h, influence, grid, tasks, master_seed, dataset = args
-    cells = grid.cells()
-    config = grid.config(cells[tasks[0][0]][0])
+    h, influence, grid, variant, tasks, master_seed, dataset = args
+    cells, config = grid.cells(), grid.config(variant)
     per_batch = influence.batch_runs(h)
     records = []
     for start in range(0, len(tasks), per_batch):
@@ -166,7 +165,7 @@ def run_experiment(
         tasks = [(c, run) for c, _ in block for run in range(runs)]
         parts = min(jobs, len(tasks))
         bounds = [len(tasks) * i // parts for i in range(parts + 1)]
-        work += [(prepared.hypergraph, prepared.influence(variant), grid, tasks[a:b],
+        work += [(prepared.hypergraph, prepared.influence(variant), grid, variant, tasks[a:b],
                   master_seed, dataset) for a, b in zip(bounds, bounds[1:])]
     if jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import

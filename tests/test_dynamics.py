@@ -18,7 +18,7 @@ from hypernest import (
     select_seeds,
     spawn_rng,
 )
-from hypernest.dynamics import VARIANTS, spread
+from hypernest.dynamics import _BATCH_KEYS, VARIANTS, spread
 from hypernest.rng import as_rng
 
 
@@ -265,6 +265,20 @@ class TestEngineInvariants:
             steps1 = [{frozenset(h1.edge_labels(e)) for e in step} for step in t1.steps]
             steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps]
             assert steps1 == steps2
+
+    @given(hypergraphs(max_nodes=40, max_edges=200))
+    @settings(max_examples=30)
+    def test_batch_bounds_state_and_gathers(self, h):
+        # a batch of several runs keeps their flags and counts, and any one
+        # round's gather, within the key budget
+        prep = prepare_dynamics(h)
+        for variant in VARIANTS:
+            influence = prep.influence(variant)
+            runs = influence.batch_runs(h)
+            per_run = [h.m + h.n, influence.edges[1].size]
+            if influence.nodes is not None:
+                per_run += [influence.edges[1].size + influence.nodes[1].size, h.edge_nodes.size]
+            assert runs == 1 or runs * max(per_run) <= _BATCH_KEYS
 
     def test_deterministic_trajectories(self):
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])

@@ -124,10 +124,32 @@ class TestBatchedRuns:
         assert records == per_run_records(prepared, grid, 3, 11)
 
     def test_one_variant_splits_across_jobs(self, ladder):
+        parts = []
+
+        class InlinePool:
+            """Runs the parts in this process and records them."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                parts.extend(work)
+                return map(fn, parts)
+
         grid = ExperimentGrid(variants=("threshold",), strategies=("uniform",), seed_counts=(2,))
         serial = run_experiment(prepare_dynamics(ladder), grid, runs=5, master_seed=2)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
+            split = run_experiment(prepare_dynamics(ladder), grid, runs=5, master_seed=2, jobs=2)
+        # one cell's five runs go to two workers, as runs 0-1 and 2-4
+        assert [[run for _, run in part[4]] for part in parts] == [[0, 1], [2, 3, 4]]
         parallel = run_experiment(prepare_dynamics(ladder), grid, runs=5, master_seed=2, jobs=2)
-        assert parallel == serial == per_run_records(prepare_dynamics(ladder), grid, 5, 2)
+        assert split == parallel == serial == per_run_records(prepare_dynamics(ladder), grid, 5, 2)
 
     def test_contagion_leaves_row_views_unbuilt(self, ladder):
         prepared = prepare_dynamics(ladder)
