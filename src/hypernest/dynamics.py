@@ -24,18 +24,22 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
 from .rng import RngLike, as_rng
 
+if TYPE_CHECKING:
+    from .experiments import PreparedDynamics
+
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
 STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
 
-# keys one batch of runs may gather in a round: its transient int64 arrays
-# stay near 1 MB however many runs a grid has
+# keys one batch of runs may hold: its per-run flags and counts (m + n
+# entries a run) and any one round's int64 gather stay within this many,
+# near 1 MB, however many runs a grid has
 _BATCH_KEYS = 1 << 17
 
 
@@ -159,23 +163,24 @@ class Influence:
         return max(1, _BATCH_KEYS // max(*keys, 1))
 
 
-def build_influence(h: Hypergraph, variant: str, dags) -> Influence:
-    """The influence map of ``variant``. ``dags`` gives the containment DAG
-    as ``dags.full_dag`` and its restriction to size differences of one as
-    ``dags.adjacent_dag``; a variant reads only the one it uses, and the
-    threshold process reads neither."""
+def build_influence(prepared: PreparedDynamics, variant: str) -> Influence:
+    """The influence map of ``variant`` on ``prepared.hypergraph``. A variant
+    reads only the DAG it uses (``prepared.adjacent_dag`` or
+    ``prepared.full_dag``, each built on first read), and the threshold
+    process reads neither."""
+    h = prepared.hypergraph
     if variant == "strict":
-        return Influence(dags.adjacent_dag.in_csr)
+        return Influence(prepared.adjacent_dag.in_csr)
     if variant == "non-strict":
         # 2-node hyperedges hear their member nodes instead of their singletons
-        adjacent = dags.adjacent_dag
+        adjacent = prepared.adjacent_dag
         in_pair = h.sizes[h.memb_ids] == 2
         per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
         pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
         return Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
     if variant == "empirical-adjacent":
         # a hyperedge hears only the contained hyperedges of the largest size
-        full = dags.full_dag
+        full = prepared.full_dag
         parents, child_size = full.sources, h.sizes[full.out_idx]
         largest = np.zeros(h.m, dtype=np.int64)
         np.maximum.at(largest, parents, child_size)
@@ -233,12 +238,6 @@ def _gather(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,
     del at
     out += np.repeat(run * out_width, lengths)
     return out
-
-
-def _inactive(keys: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The keys whose entry of ``active`` is False; ``keys`` is freed on
-    return when the caller passed a temporary."""
-    return keys[~active[keys]]
 
 
 def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: int,
@@ -336,12 +335,13 @@ def spread(
     first = (np.arange(runs)[:, None] * m + zero_need).ravel()
 
     for step in range(config.max_steps):
-        # temporaries passed straight on, so no round holds two gathers at once
-        touched, times = _tally(_inactive(_influenced(influence, new_edges, new_nodes, m, n),
-                                          edge_active))
+        hits = _influenced(influence, new_edges, new_nodes, m, n)
+        hits = hits[~edge_active[hits]]
+        touched, times = _tally(hits)
+        del hits  # so no round holds two gathers at once
         count[touched] += times
         if step == 0 and first.size:
-            touched = _tally(np.concatenate((touched, _inactive(first, edge_active))))[0]
+            touched = _tally(np.concatenate((touched, first[~edge_active[first]])))[0]
         new_edges = touched[count[touched] >= need[touched % m]]
         if not new_edges.size:
             break
@@ -349,7 +349,7 @@ def spread(
         rounds.append(new_edges)
         if influence.nodes is not None:
             members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
-            new_nodes = _tally(_inactive(members, node_active))[0]
+            new_nodes = _tally(members[~node_active[members]])[0]
             node_active[new_nodes] = True
             del members
     return Batch(h, rounds, edge_active.reshape(runs, m), seeded_nodes)

@@ -88,7 +88,7 @@ class PreparedDynamics:
 
     def influence(self, variant: str) -> Influence:
         if variant not in self.influences:
-            self.influences[variant] = build_influence(self.hypergraph, variant, self)
+            self.influences[variant] = build_influence(self, variant)
         return self.influences[variant]
 
 

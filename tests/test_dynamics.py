@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+from itertools import combinations
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypernest.dynamics as dynamics_mod
+import hypernest.experiments as experiments_mod
 import oracles
 from conftest import hypergraphs
 from hypernest import (
     DynamicsConfig,
+    ExperimentGrid,
     Hypergraph,
     RnhmParams,
     adjacent_layer_dag,
@@ -15,10 +21,11 @@ from hypernest import (
     generate,
     prepare_dynamics,
     run_dynamics,
+    run_experiment,
     select_seeds,
     spawn_rng,
 )
-from hypernest.dynamics import _BATCH_KEYS, VARIANTS, spread
+from hypernest.dynamics import VARIANTS, spread
 from hypernest.rng import as_rng
 
 
@@ -266,19 +273,36 @@ class TestEngineInvariants:
             steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps]
             assert steps1 == steps2
 
-    @given(hypergraphs(max_nodes=40, max_edges=200))
+    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
+    @given(hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
+    # every subset of six nodes: more containment links than hyperedges and nodes
+    @example(Hypergraph([c for k in range(1, 7) for c in combinations(range(6), k)]), 512)
     @settings(max_examples=30)
-    def test_batch_bounds_state_and_gathers(self, h):
-        # a batch of several runs keeps their flags and counts, and any one
-        # round's gather, within the key budget
-        prep = prepare_dynamics(h)
-        for variant in VARIANTS:
-            influence = prep.influence(variant)
-            runs = influence.batch_runs(h)
-            per_run = [h.m + h.n, influence.edges[1].size]
-            if influence.nodes is not None:
-                per_run += [influence.edges[1].size + influence.nodes[1].size, h.edge_nodes.size]
-            assert runs == 1 or runs * max(per_run) <= _BATCH_KEYS
+    def test_batches_stay_within_the_key_budget(self, h, budget):
+        # a batch of several runs keeps its per-run flags and counts, and
+        # every array a round gathers, within the key budget
+        held = []  # per spread call: [runs, largest array held]
+
+        def batch(h, influence, config, seeds, *rest):
+            held.append([len(seeds), len(seeds) * (h.m + h.n)])
+            return spread(h, influence, config, seeds, *rest)
+
+        def sized(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                held[-1][1] = max(held[-1][1], out.size)
+                return out
+            return wrapped
+
+        # every hyperedge seeded: the first round gathers every influence row
+        grid = ExperimentGrid(variants=VARIANTS, seed_counts=(h.m,))
+        with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
+                mock.patch.object(experiments_mod, "spread", batch), \
+                mock.patch.object(dynamics_mod, "_gather", sized(dynamics_mod._gather)), \
+                mock.patch.object(dynamics_mod, "_influenced", sized(dynamics_mod._influenced)):
+            run_experiment(prepare_dynamics(h), grid, 12, 0)
+        assert sum(runs for runs, _ in held) == 12 * len(VARIANTS)
+        assert all(runs == 1 or largest <= budget for runs, largest in held)
 
     def test_deterministic_trajectories(self):
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])
