@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -139,7 +140,7 @@ def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list
             weights = 1.0 / weights
         keys = gen.standard_exponential(h.m) / weights
         picked = np.argsort(keys, kind="stable")[:count]
-    return sorted(int(i) for i in picked)
+    return sorted(picked.tolist())
 
 
 @dataclass(frozen=True)
@@ -215,13 +216,12 @@ def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
     """Per-run id lists as ascending keys ``run * width + id``, each id once."""
-    keys = [np.empty(0, dtype=np.int64)]
-    for run, row in enumerate(rows):
-        ids = _tally(np.array(row, dtype=np.int64))[0]
-        if ids.size and not 0 <= ids[0] <= ids[-1] < width:
-            raise ValueError(f"{what} ids out of range")
-        keys.append(ids + run * width)
-    return np.concatenate(keys)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    if ids.size and not 0 <= ids.min() <= ids.max() < width:
+        raise ValueError(f"{what} ids out of range")
+    ids += np.repeat(np.arange(len(rows), dtype=np.int64) * width, lengths)
+    return _tally(ids)[0]
 
 
 def _gather(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,

@@ -71,9 +71,11 @@ class CellSummary:
 @dataclass
 class PreparedDynamics:
     """A hypergraph with the line-graph structures its contagion runs read:
-    the containment DAG, its adjacent-layer restriction and each variant's
-    influence map, each built on first read and then shared by every run.
-    The threshold process reads neither DAG, so builds none."""
+    the containment DAG, the adjacent-layer DAG (built directly, not cut
+    from the full one) and each variant's influence map, each built on
+    first read and then shared by every run. ``strict`` and ``non-strict``
+    read only the adjacent-layer DAG, ``empirical-adjacent`` only the full
+    one, and the threshold process neither, so builds none."""
 
     hypergraph: Hypergraph
     influences: dict[str, Influence] = field(default_factory=dict, repr=False)
@@ -84,7 +86,7 @@ class PreparedDynamics:
 
     @cached_property
     def adjacent_dag(self) -> HyperedgeDag:
-        return adjacent_layer_dag(self.full_dag, self.hypergraph)
+        return adjacent_layer_dag(self.hypergraph)
 
     def influence(self, variant: str) -> Influence:
         if variant not in self.influences:

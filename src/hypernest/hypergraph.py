@@ -226,42 +226,50 @@ class Hypergraph:
             yield tuple(map(labels.__getitem__, row))
 
 
-def co_member_pairs(ptr: np.ndarray, idx: np.ndarray, tptr: np.ndarray,
-                    tidx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every (a, b) pair of rows of the CSR array ``ptr``/``idx`` sharing an
-    entry, with the count of shared entries, ascending by (a, b) and yielded
-    in chunks of whole rows ``a``; ``tptr``/``tidx`` is the transpose.
+def co_member_pairs(
+    ptr: np.ndarray, tidx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (a, b) pair that the rows of ``ptr`` gather, with how often a
+    gathers b, ascending by (a, b) and yielded in chunks of whole rows as
+    ``(a0, a1, a, b, count)`` for rows ``a0 <= a < a1``.
 
-    Each (row a, entry u of a, row b holding u) encounter is one key
+    Row a holds the entries ``ptr[a]:ptr[a + 1]``, at least one, and entry
+    i gathers the window ``tidx[lo[i]:hi[i]]`` of ids below ``ptr.size - 1``.
+    With whole windows (``whole_rows``) these are the pairs of rows of a CSR
+    array sharing an entry, counted once per shared entry; every row then
+    holds the pair (a, a). Each (row a, entry, gathered b) encounter is one key
     ``(a - a0) * m + b``; a chunk holds about ``_CHUNK_ENCOUNTERS`` of them
     (a row larger than that is a chunk of its own), and one sort per chunk
-    turns runs of equal keys into pairs and counts. Every row holds the pair
-    (a, a) with count ``|a|``.
+    turns runs of equal keys into pairs and counts.
     """
     m = ptr.size - 1
-    if m == 0:
-        return
-    sizes, deg = np.diff(ptr), np.diff(tptr)
     # encounters before each row: row a spans work[a]:work[a + 1]
-    work = np.concatenate(([0], np.cumsum(deg[idx])))[ptr]
+    work = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.add.reduceat(np.subtract(hi, lo, dtype=np.int64), ptr[:-1]), out=work[1:])
     a0 = 0
     while a0 < m:
         a1 = max(int(np.searchsorted(work, work[a0] + _CHUNK_ENCOUNTERS, "right")) - 1, a0 + 1)
-        nodes = idx[ptr[a0]:ptr[a1]]
-        per_node = deg[nodes]
+        e0, e1 = ptr[a0], ptr[a1]
+        per = hi[e0:e1] - lo[e0:e1]
         total = int(work[a1] - work[a0])
-        # each entry's run of encounters walks its transpose row
-        at = np.repeat(tptr[nodes] - (np.cumsum(per_node) - per_node), per_node)
+        # each entry's run of encounters walks its window
+        at = np.repeat(lo[e0:e1] - (np.cumsum(per) - per), per)
         at += np.arange(total)
-        keys = tidx[at]
+        keys = np.repeat(np.repeat(np.arange(a1 - a0) * m, np.diff(ptr[a0:a1 + 1])), per)
+        keys += tidx[at]
         del at
-        keys += np.repeat(np.repeat(np.arange(a1 - a0) * m, sizes[a0:a1]), per_node)
         keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
         counts = np.diff(np.append(starts, total))
         rows, b = np.divmod(keys[starts], m)
-        yield rows + a0, b, counts
+        yield a0, a1, rows + a0, b, counts
         a0 = a1
+
+
+def whole_rows(idx: np.ndarray, tptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo``/``hi`` for ``co_member_pairs`` by which each entry u of ``idx``
+    gathers all of row u of the transpose ``tptr``."""
+    return tptr[idx], tptr[1:][idx]
 
 
 @dataclass(frozen=True)
@@ -460,8 +468,8 @@ def projected_density(h: Hypergraph) -> float:
     if h.n < 2:
         raise ValueError(f"projected density needs at least 2 nodes, got {h.n}")
     n = h.n
-    pairs = sum(u.size for u, _, _ in co_member_pairs(h.memb_ptr, h.memb_ids,
-                                                      h.edge_ptr, h.edge_nodes))
+    pairs = sum(u.size for _, _, u, _, _ in co_member_pairs(
+        h.memb_ptr, h.edge_nodes, *whole_rows(h.memb_ids, h.edge_ptr)))
     return (pairs - n) // 2 / (n * (n - 1) // 2)
 
 

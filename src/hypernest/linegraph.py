@@ -3,14 +3,18 @@
 Two hyperedges can be compared as sets, which yields two complementary
 line graphs over hyperedge ids: a DAG of strict-containment relations
 (larger hyperedge points to each smaller hyperedge it fully contains) and
-an undirected intersection graph weighted by shared-node counts. Both are
+an undirected intersection graph weighted by shared-node counts. All are
 built by the same array kernel, ``hypergraph.co_member_pairs``: every
 (hyperedge a, node u in a, hyperedge b containing u) encounter becomes one
 integer key for the pair (a, b), found through the node->hyperedge
-membership index, never by an all-pairs scan. That is sum_u deg(u)^2
-keys, sorted in chunks of whole rows a of bounded size, so memory stays
-bounded while the per-call overhead is paid per chunk, not per hyperedge.
-The DAG build also tallies the overlap graph's totals.
+membership index, never by an all-pairs scan. The keys are sorted in
+chunks of whole rows a of bounded size, so memory stays bounded while the
+per-call overhead is paid per chunk, not per hyperedge. The overlap graph
+walks every membership row whole, sum_u deg(u)^2 encounters. The DAG
+builds list each node's hyperedges by size and walk only a window of that
+list: the full DAG the hyperedges up to a in (size, id) order, which also
+yields the overlap graph's totals, and the adjacent-layer DAG only those
+one size smaller than a.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hypergraph import (DatasetStats, Hypergraph, co_member_pairs, projected_density,
-                         split_rows, transpose)
+                         split_rows, transpose, whole_rows)
 
 
 @dataclass
@@ -33,10 +37,10 @@ class HyperedgeDag:
 
     Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending.
     The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row lists
-    ``out_adj`` and ``in_adj`` are built on first read. ``build_encapsulation_dag``
-    also records how many (hyperedge, shared-node, neighbor) encounters it
-    inspected, for checking the complexity bound, and the overlap graph's
-    edge count and total weight.
+    ``out_adj`` and ``in_adj`` are built on first read. A build records how
+    many (hyperedge, shared-node, candidate) encounters it gathered, for
+    checking the complexity bound; ``build_encapsulation_dag`` also records
+    the overlap graph's edge count and total weight.
     """
 
     out_ptr: np.ndarray
@@ -136,22 +140,81 @@ class OverlapGraph:
         return set(zip(heads[upper].tolist(), self.nbrs[upper].tolist()))
 
 
-def _kept_pairs(h: Hypergraph, keep: Callable[..., np.ndarray]) -> tuple:
-    """CSR ``ptr``/``idx`` (int32) of the pairs of ``co_member_pairs`` that
-    ``keep(a, b, cnt)`` marks, their shared-node counts, and the number of
-    all pairs. A chunk's unmasked rows ``a`` span its hyperedges, since each
-    holds its self pair."""
+def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tidx``, ``lo``, ``hi`` for ``co_member_pairs`` over ``h.edge_ptr``:
+    ``tidx`` lists each node's hyperedges by (size, id), and entry i of
+    ``h.edge_nodes`` (node u of hyperedge a) gathers the slice of u's list
+    that runs up to a itself or, when ``adjacent``, the hyperedges of u one
+    size smaller than a. Each slice is contiguous because the list is
+    size-ordered."""
+    total, sizes = h.edge_nodes.size, h.sizes
+    pos = np.int32 if total < 2**31 else np.int64
+    count = np.bincount(sizes)
+    present = np.flatnonzero(count)
+    layers = present.size
+    layer = (np.cumsum(count > 0, dtype=np.int32) - 1)[sizes]
+    row = np.repeat(np.arange(h.m, dtype=pos), sizes)
+    # one sort of (node, size layer, entry) keys orders every node's list;
+    # a run of equal (node, layer) is one size class of one node's list
+    bits = total.bit_length()
+    if (h.n * layers) << bits > np.iinfo(np.int64).max:
+        raise ValueError(f"{h.n} nodes in {layers} sizes overflow the membership sort keys")
+    key = h.edge_nodes * layers
+    key += layer[row]
+    key <<= bits
+    key |= np.arange(total)
+    key.sort()
+    entry = np.empty(total, dtype=pos)
+    np.bitwise_and(key, (1 << bits) - 1, out=entry, casting="unsafe")
+    if adjacent:
+        key >>= bits
+        starts = np.flatnonzero(np.concatenate((key[:1] == key[:1], key[1:] != key[:-1])))
+        group = key[starts]
+    # each array of one entry per incidence is freed once read: 11-22 MB at 1M
+    del key
+    tidx = row[entry]
+    del row
+    if not adjacent:
+        hi = np.empty(total, dtype=pos)
+        hi[entry] = np.arange(1, total + 1, dtype=pos)
+        return tidx, h.memb_ptr.astype(pos)[h.edge_nodes], hi
+    # a run gathers the run before it when that holds the same node's
+    # hyperedges one size smaller
+    step = np.zeros(layers, dtype=bool)
+    step[1:] = present[1:] - present[:-1] == 1
+    below = np.diff(group) == 1
+    below &= step[group[1:] % layers]
+    del group
+    starts = starts.astype(pos)
+    lengths = np.diff(starts, append=pos(total))
+    lo_run = starts.copy()
+    below = np.flatnonzero(below) + 1
+    lo_run[below] = starts[below - 1]
+    lo = np.empty(total, dtype=pos)
+    lo[entry] = np.repeat(lo_run, lengths)
+    del lo_run
+    hi = np.empty(total, dtype=pos)
+    hi[entry] = np.repeat(starts, lengths)
+    return tidx, lo, hi
+
+
+def _kept_pairs(h: Hypergraph, windows: tuple, keep: Callable[..., np.ndarray]) -> tuple:
+    """CSR ``ptr``/``idx`` (int32) of the pairs (a, b) that hyperedge a
+    gathers through ``windows`` (``tidx``, ``lo``, ``hi`` of
+    ``co_member_pairs``) and ``keep(a, b, cnt)`` marks, their shared-node
+    counts, the number of all pairs gathered and of all encounters."""
     per_row, idx, shared = [], [], []
-    pairs = 0
-    for a, b, cnt in co_member_pairs(h.edge_ptr, h.edge_nodes, h.memb_ptr, h.memb_ids):
+    pairs = visits = 0
+    for a0, a1, a, b, cnt in co_member_pairs(h.edge_ptr, *windows):
         pairs += a.size
+        visits += int(cnt.sum())
         sel = keep(a, b, cnt)
-        per_row.append(np.bincount(a[sel] - a[0], minlength=int(a[-1] - a[0]) + 1))
+        per_row.append(np.bincount(a[sel] - a0, minlength=a1 - a0))
         idx.append(b[sel].astype(np.int32))
         shared.append(cnt[sel].astype(np.int32))
     ptr = np.cumsum(np.concatenate([[0], *per_row]), dtype=np.int64)
     none = np.empty(0, dtype=np.int32)
-    return ptr, np.concatenate([none, *idx]), np.concatenate([none, *shared]), pairs
+    return ptr, np.concatenate([none, *idx]), np.concatenate([none, *shared]), pairs, visits
 
 
 def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
@@ -159,29 +222,34 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
 
     A candidate j shares ``cnt`` nodes with i; it is contained in i exactly
     when ``cnt`` equals its own size, and strictness requires it to be
-    smaller than i. Acyclicity follows from the size ordering. Every
-    candidate other than i itself is an overlap neighbor; node u yields
-    deg(u)^2 encounters, deg(u) of them self pairs, so the visits and the
-    overlap weight have closed forms.
+    smaller than i. Acyclicity follows from the size ordering. Hyperedge i
+    gathers only the candidates up to itself in (size, id) order, so each
+    overlapping pair is gathered once, besides the m self pairs; node u is
+    in deg(u) hyperedges, so the overlap weight has a closed form.
     """
     sizes = h.sizes
-    ptr, idx, _, pairs = _kept_pairs(
-        h, lambda a, b, cnt: (cnt == sizes[b]) & (sizes[b] < sizes[a]))
+    ptr, idx, _, pairs, visits = _kept_pairs(
+        h, _size_windows(h, adjacent=False),
+        lambda a, b, cnt: (cnt == sizes[b]) & (sizes[b] < sizes[a]))
     deg = h.degrees
-    visits = int(deg @ deg)
-    return HyperedgeDag(ptr, idx, candidate_visits=visits, overlap_edges=(pairs - h.m) // 2,
-                        overlap_weight=(visits - int(sizes.sum())) // 2)
+    return HyperedgeDag(ptr, idx, candidate_visits=visits, overlap_edges=pairs - h.m,
+                        overlap_weight=(int(deg @ deg) - int(sizes.sum())) // 2)
 
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
-    ptr, nbrs, weights, _ = _kept_pairs(h, lambda a, b, cnt: a != b)
+    windows = (h.memb_ids, *whole_rows(h.edge_nodes, h.memb_ptr))
+    ptr, nbrs, weights, _, _ = _kept_pairs(h, windows, lambda a, b, cnt: a != b)
     return OverlapGraph(ptr, nbrs, weights, sizes=h.sizes)
 
 
-def adjacent_layer_dag(dag: HyperedgeDag, h: Hypergraph) -> HyperedgeDag:
-    """Restriction of a containment DAG to edges whose size difference is
-    exactly one; this is the substrate the contagion engine spreads over."""
-    return dag.restrict(h.sizes[dag.sources] - h.sizes[dag.out_idx] == 1)
+def adjacent_layer_dag(h: Hypergraph) -> HyperedgeDag:
+    """The containment DAG restricted to edges whose size difference is
+    exactly one, the substrate the contagion engine spreads over, built
+    directly: each hyperedge gathers only the hyperedges one size smaller."""
+    sizes = h.sizes
+    ptr, idx, _, _, visits = _kept_pairs(h, _size_windows(h, adjacent=True),
+                                         lambda a, b, cnt: cnt == sizes[b])
+    return HyperedgeDag(ptr, idx, candidate_visits=visits)
 
 
 @dataclass

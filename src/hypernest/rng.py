@@ -8,6 +8,7 @@ independent regardless of execution order or worker count.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,13 @@ RngLike = int | np.random.Generator
 def _stream_word(part: object) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) % 2**32
-    digest = hashlib.sha256(str(part).encode("utf-8")).digest()
+    return _name_word(str(part))
+
+
+@lru_cache(maxsize=None)
+def _name_word(name: str) -> int:
+    """The word of a named stream part; the few names repeat for every run."""
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
 

@@ -32,6 +32,22 @@ def overlap_weights(h: Hypergraph) -> dict[tuple[int, int], int]:
     return out
 
 
+def gathered_encounters(h: Hypergraph, adjacent: bool = False) -> int:
+    """Shared-node encounters a windowed DAG build gathers: |a & b| summed
+    over the pairs (a, b) with b at or before a in (size, id) order, or,
+    when ``adjacent``, with |b| = |a| - 1."""
+    sets, total = h.edge_sets, 0
+    for a in range(h.m):
+        for b in range(h.m):
+            if adjacent:
+                partner = len(sets[b]) == len(sets[a]) - 1
+            else:
+                partner = (len(sets[b]), b) <= (len(sets[a]), a)
+            if partner:
+                total += len(sets[a] & sets[b])
+    return total
+
+
 def reachable_from(out_adj: list[list[int]], src: int) -> set[int]:
     seen: set[int] = set()
     queue = deque(out_adj[src])

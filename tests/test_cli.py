@@ -220,7 +220,7 @@ class TestHeights:
             "--randomize", "2", "--seed", "1",
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert {row["root_id"] for row in rows} == {"0"}
         doc = json.loads(summary.read_text())
         assert doc["observed"]["max_height"] == 2
@@ -325,7 +325,7 @@ class TestSimulate:
             "--runs", "3", "--seed", "5", "--out", out,
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 * 2 * 3
         assert {row["strategy"] for row in rows} == {"smallest-first", "uniform"}
 
@@ -344,22 +344,29 @@ class TestSimulate:
         dumps = json.loads(traj.read_text())
         assert dumps[0]["steps"][0] != []
 
+    @staticmethod
+    def _count_line_graph_builds(monkeypatch) -> dict[str, int]:
+        """Counts, by kind, the containment DAGs built through the CLI and
+        the experiment harness: the full DAG or the adjacent-layer DAG."""
+        calls = {"full": 0, "adjacent": 0}
+        builds = (("full", "build_encapsulation_dag"), ("adjacent", "adjacent_layer_dag"))
+        for kind, name in builds:
+            def counted(h, kind=kind, original=getattr(experiments_mod, name)):
+                calls[kind] += 1
+                return original(h)
+            for module in (cli_mod, experiments_mod):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
     def test_trajectories_build_the_dag_once(self, plain_file, tmp_path, monkeypatch):
-        calls = []
-        original = experiments_mod.build_encapsulation_dag
-
-        def counted(h):
-            calls.append(h)
-            return original(h)
-
-        for module in (cli_mod, experiments_mod):
-            monkeypatch.setattr(module, "build_encapsulation_dag", counted)
+        calls = self._count_line_graph_builds(monkeypatch)
         code = run_cli(
             "simulate", plain_file, "--runs", "1", "--out", tmp_path / "r.csv",
             "--trajectories", tmp_path / "t.json",
         )
         assert code == 0
-        assert len(calls) == 1
+        assert calls == {"full": 0, "adjacent": 1}
 
     @pytest.mark.parametrize("variant,randomize,builds", [
         ("threshold", 0, 0), ("threshold", 2, 0), ("strict", 0, 1), ("strict", 2, 3),
@@ -367,17 +374,17 @@ class TestSimulate:
     ])
     def test_dag_builds_follow_the_variant(self, plain_file, tmp_path, monkeypatch, variant,
                                            randomize, builds):
-        # one containment DAG per hypergraph for the containment variants,
-        # none for the threshold process, which reads only memberships
-        calls = []
-        original = experiments_mod.build_encapsulation_dag
-        monkeypatch.setattr(experiments_mod, "build_encapsulation_dag",
-                            lambda h: calls.append(h) or original(h))
+        # one line graph per hypergraph for the containment variants: the
+        # adjacent-layer DAG for strict and non-strict, the full DAG for
+        # empirical-adjacent; none for the threshold process, which reads
+        # only memberships
+        calls = self._count_line_graph_builds(monkeypatch)
         code = run_cli("simulate", plain_file, "--variant", variant, "--runs", "2",
                        "--randomize", randomize, "--out", tmp_path / "r.csv",
                        "--trajectories", tmp_path / "t.json")
         assert code == 0
-        assert len(calls) == builds
+        kind = "full" if variant == "empirical-adjacent" else "adjacent"
+        assert calls == {"full": 0, "adjacent": 0, kind: builds}
 
     def test_randomized_comparison_summary(self, plain_file, tmp_path):
         out = tmp_path / "results.csv"
@@ -399,7 +406,7 @@ class TestSimulate:
             "--seeds", "2", "--runs", "2", "--tau", "1", "--seed", "0", "--out", out,
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 and rows[0]["variant"] == variant
 
     def test_jobs_flag_matches_serial(self, plain_file, tmp_path):

@@ -166,7 +166,7 @@ class TestRootedHeights:
         report = rooted_heights(build_encapsulation_dag(chain_hypergraph), chain_hypergraph)
         path = tmp_path / "heights.csv"
         report.write_csv(path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert rows[0]["root_id"] == "0"
         assert rows[0]["max_height"] == "2"
         assert math.isclose(float(rows[0]["norm_height"]), 1.0)

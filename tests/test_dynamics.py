@@ -17,7 +17,6 @@ from hypernest import (
     Hypergraph,
     RnhmParams,
     adjacent_layer_dag,
-    build_encapsulation_dag,
     generate,
     prepare_dynamics,
     run_dynamics,
@@ -246,8 +245,7 @@ class TestEngineInvariants:
     @given(hypergraphs())
     @settings(max_examples=30)
     def test_empty_adjacent_dag_never_spreads(self, h):
-        dag = build_encapsulation_dag(h)
-        adj = adjacent_layer_dag(dag, h)
+        adj = adjacent_layer_dag(h)
         if any(adj.out_adj[i] for i in range(h.m)):
             return
         traj = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))

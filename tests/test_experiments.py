@@ -200,7 +200,7 @@ class TestCsvExport:
         records = run_experiment(prepare_dynamics(ladder), GRID, runs=2, master_seed=0, dataset="toy")
         path = tmp_path / "results.csv"
         write_records_csv(records, path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert list(rows[0]) == [
             "dataset", "variant", "strategy", "seeds", "tau", "run",
             "steps", "final_active", "non_seed_active", "proportion",

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 from graphlib import TopologicalSorter
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -81,6 +83,12 @@ class TestEncapsulationDag:
         dag = build_encapsulation_dag(h)
         list(TopologicalSorter(dict(enumerate(dag.out_adj))).static_order())  # raises on a cycle
 
+    def test_sort_keys_that_would_overflow_are_refused(self):
+        # the windowed builds sort one int64 key per (node, size layer, entry)
+        huge = SimpleNamespace(n=2**62, m=1, sizes=np.array([2]), edge_nodes=np.array([0, 1]))
+        with pytest.raises(ValueError, match="overflow"):
+            build_encapsulation_dag(huge)
+
     @given(hypergraphs())
     def test_candidate_visits_within_bound(self, h):
         dag = build_encapsulation_dag(h)
@@ -130,33 +138,76 @@ class TestOverlapGraph:
             assert g.weight(i, j) == len(h.edges[j])
 
 
+# hypergraphs whose windows are empty for some rows (a size gap, a
+# singleton layer with nothing one size smaller), whose hyperedges overlap
+# others of their own size, and whose first and last rows gather nothing
+# one size smaller
+WINDOW_CASES = [
+    [[1, 2, 3], [1]],
+    [[1, 2], [2, 3], [1, 3], [1, 2, 3]],
+    [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2], [4, 5], [6]],
+    [[7], [1, 2, 3, 4], [1, 2, 3], [1, 2], [5, 6], [1, 3, 5, 6], [8]],
+    [[1, 2, 3, 4, 5], [3, 4, 5], [5, 6, 7], [5]],
+]
+CHUNKS = [1, 7, hypergraph._CHUNK_ENCOUNTERS]
+
+
+def _restricted(dag, h):
+    """``dag`` restricted to its edges between sizes one apart."""
+    return dag.restrict(h.sizes[dag.sources] - h.sizes[dag.out_idx] == 1)
+
+
 class TestChunkedKernel:
     """Chunk boundaries must not change either line graph: with one
     encounter per chunk every row is a chunk of its own, and an odd chunk
-    size splits rows at uneven points."""
+    size splits rows at uneven points. The DAG builds gather through
+    per-row windows, some of them empty, so a chunk's rows need not hold
+    any pair."""
 
-    @pytest.mark.parametrize("chunk", [1, 7])
-    @given(h=hypergraphs())
-    def test_matches_oracles_at_any_chunk_size(self, chunk, h):
-        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
-            dag = build_encapsulation_dag(h)
-            g = build_overlap_graph(h)
+    @staticmethod
+    def _check(h):
+        dag, adj, g = build_encapsulation_dag(h), adjacent_layer_dag(h), build_overlap_graph(h)
         weights = oracles.overlap_weights(h)
         assert dag.edge_set() == oracles.encapsulation_edges(h)
         assert all(nbrs == sorted(nbrs) for nbrs in dag.out_adj)
         assert (dag.overlap_edges, dag.overlap_weight) == (len(weights), sum(weights.values()))
-        # every (a, u, b) encounter of u in both a and b, so sum_u deg(u)^2
-        sets = h.edge_sets
-        assert dag.candidate_visits == sum(len(x & y) for x in sets for y in sets)
+        assert dag.candidate_visits == oracles.gathered_encounters(h)
+        assert (adj.out_ptr.tolist(), adj.out_idx.tolist()) == (
+            _restricted(dag, h).out_ptr.tolist(), _restricted(dag, h).out_idx.tolist())
+        assert adj.candidate_visits == oracles.gathered_encounters(h, adjacent=True)
         got = {(i, j): w for (i, j), w in overlap_entries(g).items() if i < j}
         assert got == weights
         assert all(nbrs == sorted(nbrs) for nbrs in split_rows(g.ptr, g.nbrs))
 
-    @pytest.mark.parametrize("chunk", [1, 7, hypergraph._CHUNK_ENCOUNTERS])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @given(h=hypergraphs())
+    def test_matches_oracles_at_any_chunk_size(self, chunk, h):
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
+            self._check(h)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("rows", WINDOW_CASES)
+    def test_empty_windows_and_equal_sizes(self, chunk, rows):
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
+            self._check(Hypergraph(rows))
+
+    def test_equal_size_pairs_gathered_once(self):
+        # three 2-node hyperedges pairwise sharing one node, under a
+        # 3-node hyperedge holding all three
+        h = Hypergraph([[1, 2], [2, 3], [1, 3], [1, 2, 3]])
+        dag = build_encapsulation_dag(h)
+        assert (dag.overlap_edges, dag.overlap_weight) == (6, 9)
+        # self pairs 2+2+2+3, the three 2-node pairs once each, 2+2+2 from the top
+        assert dag.candidate_visits == 9 + 3 + 6
+        assert adjacent_layer_dag(h).candidate_visits == 6
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_empty_and_single_edge(self, chunk):
         with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
             empty = build_encapsulation_dag(Hypergraph([]))
             single = build_encapsulation_dag(Hypergraph([[1, 2, 3]]))
+            empty_adj = adjacent_layer_dag(Hypergraph([]))
+            single_adj = adjacent_layer_dag(Hypergraph([[1, 2, 3]]))
             empty_g = build_overlap_graph(Hypergraph([]))
             single_g = build_overlap_graph(Hypergraph([[1, 2, 3]]))
         assert (empty_g.ptr.tolist(), empty_g.nbrs.size, empty_g.weights.size) == ([0], 0, 0)
@@ -165,18 +216,19 @@ class TestChunkedKernel:
                 empty.overlap_weight) == ([], 0, 0, 0)
         assert (single.out_adj, single.candidate_visits, single.overlap_edges,
                 single.overlap_weight) == ([[]], 3, 0, 0)
+        assert (empty_adj.out_ptr.tolist(), empty_adj.candidate_visits) == ([0], 0)
+        assert (single_adj.out_ptr.tolist(), single_adj.candidate_visits) == ([0, 0], 0)
 
 
 class TestAdjacentLayerDag:
     def test_only_size_difference_one(self, chain_hypergraph):
-        dag = build_encapsulation_dag(chain_hypergraph)
-        adj = adjacent_layer_dag(dag, chain_hypergraph)
+        adj = adjacent_layer_dag(chain_hypergraph)
         assert adj.edge_set() == {(0, 1), (1, 2)}
 
     @given(hypergraphs())
     def test_restriction_property(self, h):
         dag = build_encapsulation_dag(h)
-        adj = adjacent_layer_dag(dag, h)
+        adj = adjacent_layer_dag(h)
         assert adj.edge_set() == {
             (i, j) for i, j in dag.edge_set() if len(h.edges[i]) - len(h.edges[j]) == 1
         }
