@@ -243,9 +243,12 @@ def co_member_pairs(
     turns runs of equal keys into pairs and counts.
     """
     m = ptr.size - 1
-    # encounters before each row: row a spans work[a]:work[a + 1]
+    # encounters before each row: row a spans work[a]:work[a + 1]; a row's
+    # windows lie in its entries' rows of tidx, so its total fits their dtype
     work = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.add.reduceat(np.subtract(hi, lo, dtype=np.int64), ptr[:-1]), out=work[1:])
+    per_entry = hi - lo
+    np.cumsum(np.add.reduceat(per_entry, ptr[:-1], dtype=per_entry.dtype), out=work[1:])
+    del per_entry
     a0 = 0
     while a0 < m:
         a1 = max(int(np.searchsorted(work, work[a0] + _CHUNK_ENCOUNTERS, "right")) - 1, a0 + 1)

@@ -153,27 +153,26 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     present = np.flatnonzero(count)
     layers = present.size
     layer = (np.cumsum(count > 0, dtype=np.int32) - 1)[sizes]
-    row = np.repeat(np.arange(h.m, dtype=pos), sizes)
     # one sort of (node, size layer, entry) keys orders every node's list;
     # a run of equal (node, layer) is one size class of one node's list
     bits = total.bit_length()
     if (h.n * layers) << bits > np.iinfo(np.int64).max:
         raise ValueError(f"{h.n} nodes in {layers} sizes overflow the membership sort keys")
     key = h.edge_nodes * layers
-    key += layer[row]
+    key += np.repeat(layer, sizes)
     key <<= bits
     key |= np.arange(total)
     key.sort()
-    entry = np.empty(total, dtype=pos)
-    np.bitwise_and(key, (1 << bits) - 1, out=entry, casting="unsafe")
+    # entry stays an index array (intp): NumPy would copy a narrower one to
+    # index with it; every other array of one entry per incidence is freed
+    # once read, 11-22 MB each at 1M
+    entry = key & ((1 << bits) - 1)
     if adjacent:
         key >>= bits
         starts = np.flatnonzero(np.concatenate((key[:1] == key[:1], key[1:] != key[:-1])))
         group = key[starts]
-    # each array of one entry per incidence is freed once read: 11-22 MB at 1M
     del key
-    tidx = row[entry]
-    del row
+    tidx = np.repeat(np.arange(h.m, dtype=pos), sizes)[entry]
     if not adjacent:
         hi = np.empty(total, dtype=pos)
         hi[entry] = np.arange(1, total + 1, dtype=pos)
@@ -185,8 +184,8 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     below = np.diff(group) == 1
     below &= step[group[1:] % layers]
     del group
+    lengths = np.diff(starts, append=total)
     starts = starts.astype(pos)
-    lengths = np.diff(starts, append=pos(total))
     lo_run = starts.copy()
     below = np.flatnonzero(below) + 1
     lo_run[below] = starts[below - 1]
