@@ -4,7 +4,7 @@ null models, a nested random generator, and hyperedge contagion."""
 __version__ = "0.1.0"
 
 from .dagpaths import RootedHeightReport, rooted_heights, transitive_reduction
-from .dynamics import DynamicsConfig, Trajectory, select_seeds
+from .dynamics import DynamicsConfig, select_seeds
 from .experiments import (
     ExperimentGrid,
     RunRecord,
@@ -15,7 +15,6 @@ from .experiments import (
     summarize,
 )
 from .hypergraph import (
-    DatasetStats,
     FormatError,
     Hypergraph,
     filter_by_size,
@@ -43,7 +42,6 @@ from .rng import spawn_rng
 from .rnhm import GenerationError, RnhmParams, RnhmSample, generate, rewire_edge
 
 __all__ = [
-    "DatasetStats",
     "DynamicsConfig",
     "EncapsulationCounts",
     "ExperimentGrid",
@@ -57,7 +55,6 @@ __all__ = [
     "RnhmSample",
     "RootedHeightReport",
     "RunRecord",
-    "Trajectory",
     "adjacent_layer_dag",
     "build_encapsulation_dag",
     "build_overlap_graph",

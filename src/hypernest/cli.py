@@ -35,9 +35,10 @@ from .hypergraph import (
     load_simplex_dataset,
     load_auto,
     preprocess,
+    projected_density,
     write_plain,
 )
-from .linegraph import build_encapsulation_dag, compute_dataset_stats, encapsulation_counts
+from .linegraph import build_encapsulation_dag, encapsulation_counts
 from .randomize import layer_samples, retention_report
 from .rng import spawn_rng
 from .rnhm import GenerationError, RnhmParams, generate
@@ -147,9 +148,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     h = load_input(args)
     if h.n < 2:
         raise FormatError(f"dataset has {h.n} node(s); need at least 2 for density")
-    computed = compute_dataset_stats(h)
-    stats = {"n": computed.n, "m": computed.m, "projected_density": computed.projected_density,
-             "dag_edges": computed.dag_edge_count}
+    stats = {"n": h.n, "m": h.m, "projected_density": projected_density(h),
+             "dag_edges": build_encapsulation_dag(h).edge_count}
     if args.out:
         _emit(args, json.dumps(stats, indent=2) + "\n")
         print(f"wrote {args.out}")
@@ -337,11 +337,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectories:
         dumps = []
         for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
-            traj = cell_trajectory(prepared, grid, idx, 0, args.seed)
-            dumps.append(
-                {"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0}
-                | traj.to_json_dict()
-            )
+            batch = cell_trajectory(prepared, grid, idx, 0, args.seed)
+            dumps.append({"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0,
+                          "steps": batch.steps(0), "final_active": int(batch.final_active()[0])})
         _atomic_write_text(Path(args.trajectories), json.dumps(dumps, indent=2) + "\n")
         outputs.append(Path(args.trajectories))
     write_manifest(args, outputs)

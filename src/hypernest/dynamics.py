@@ -11,8 +11,9 @@ node-counting threshold process is included for comparison ("threshold").
 
 The variants differ only in who influences whom and how many active
 influencers a hyperedge needs, so each is an ``Influence`` map of CSR
-arrays run by the one array engine ``spread``, which advances a batch of
-runs together (a single run is a batch of one). Runs proceed in
+arrays, built once per hypergraph by ``PreparedDynamics`` and run by the
+one array engine ``spread``, which advances a batch of runs together and
+returns their ``Batch`` (a single run is a batch of one). Runs proceed in
 synchronous rounds and are deterministic once the seed hyperedges are
 fixed; activation is monotone, so a run stops at the first round with no
 change (or after ``max_steps`` rounds).
@@ -20,20 +21,17 @@ change (or after ``max_steps`` rounds).
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
+from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
 from .rng import RngLike, as_rng
-
-if TYPE_CHECKING:
-    from .experiments import PreparedDynamics
 
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
 STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
@@ -78,41 +76,6 @@ def activation_proportion(m: int, seed_count: int, final_active: int) -> float:
     everything was seeded."""
     remaining = m - seed_count
     return (final_active - seed_count) / remaining if remaining else 1.0
-
-
-@dataclass
-class Trajectory:
-    """Outcome of one run: per-round newly activated hyperedge ids (round 0
-    holds the seeds) and the final activation vectors."""
-
-    steps: list[list[int]]
-    edge_active: list[bool]
-    node_active: list[bool]
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps) - 1
-
-    @property
-    def seed_count(self) -> int:
-        return len(self.steps[0])
-
-    @property
-    def final_active(self) -> int:
-        return sum(self.edge_active)
-
-    @property
-    def non_seed_active(self) -> int:
-        return self.final_active - self.seed_count
-
-    def activation_proportion(self) -> float:
-        return activation_proportion(len(self.edge_active), self.seed_count, self.final_active)
-
-    def to_json_dict(self) -> dict:
-        return {"steps": self.steps, "final_active": self.final_active}
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
 
 
 def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list[int]:
@@ -164,32 +127,58 @@ class Influence:
         return max(1, _BATCH_KEYS // max(*keys, 1))
 
 
-def build_influence(prepared: PreparedDynamics, variant: str) -> Influence:
-    """The influence map of ``variant`` on ``prepared.hypergraph``. A variant
-    reads only the DAG it uses (``prepared.adjacent_dag`` or
-    ``prepared.full_dag``, each built on first read), and the threshold
-    process reads neither."""
-    h = prepared.hypergraph
-    if variant == "strict":
-        return Influence(prepared.adjacent_dag.in_csr)
-    if variant == "non-strict":
-        # 2-node hyperedges hear their member nodes instead of their singletons
-        adjacent = prepared.adjacent_dag
-        in_pair = h.sizes[h.memb_ids] == 2
-        per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
-        pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
-        return Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
-    if variant == "empirical-adjacent":
-        # a hyperedge hears only the contained hyperedges of the largest size
-        full = prepared.full_dag
-        parents, child_size = full.sources, h.sizes[full.out_idx]
-        largest = np.zeros(h.m, dtype=np.int64)
-        np.maximum.at(largest, parents, child_size)
-        return Influence(full.restrict(child_size == largest[parents]).in_csr)
-    if variant == "threshold":
-        return Influence((np.zeros(h.m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)),
-                         (h.memb_ptr, h.memb_ids))
-    raise ValueError(f"unknown variant {variant!r}")
+@dataclass
+class PreparedDynamics:
+    """A hypergraph with the line-graph structures its contagion runs read:
+    the containment DAG, the adjacent-layer DAG (built directly, not cut
+    from the full one) and each variant's influence map, each built on
+    first read and then shared by every run. ``strict`` and ``non-strict``
+    read only the adjacent-layer DAG, ``empirical-adjacent`` only the full
+    one, and the threshold process neither, so builds none."""
+
+    hypergraph: Hypergraph
+    influences: dict[str, Influence] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def full_dag(self) -> HyperedgeDag:
+        return build_encapsulation_dag(self.hypergraph)
+
+    @cached_property
+    def adjacent_dag(self) -> HyperedgeDag:
+        return adjacent_layer_dag(self.hypergraph)
+
+    def influence(self, variant: str) -> Influence:
+        """The influence map of ``variant``, built on first read."""
+        if variant in self.influences:
+            return self.influences[variant]
+        h = self.hypergraph
+        if variant == "strict":
+            influence = Influence(self.adjacent_dag.in_csr)
+        elif variant == "non-strict":
+            # 2-node hyperedges hear their member nodes instead of their singletons
+            adjacent = self.adjacent_dag
+            in_pair = h.sizes[h.memb_ids] == 2
+            per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
+            pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
+            influence = Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
+        elif variant == "empirical-adjacent":
+            # a hyperedge hears only the contained hyperedges of the largest size
+            full = self.full_dag
+            parents, child_size = full.sources, h.sizes[full.out_idx]
+            largest = np.zeros(h.m, dtype=np.int64)
+            np.maximum.at(largest, parents, child_size)
+            influence = Influence(full.restrict(child_size == largest[parents]).in_csr)
+        elif variant == "threshold":
+            influence = Influence((np.zeros(h.m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)),
+                                  (h.memb_ptr, h.memb_ids))
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        self.influences[variant] = influence
+        return influence
+
+
+def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
+    return PreparedDynamics(hypergraph=h)
 
 
 def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
@@ -253,48 +242,43 @@ def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: i
 
 @dataclass
 class Batch:
-    """Outcome of runs made together on ``h``. ``rounds[k]`` holds the
-    hyperedges newly active in round k (round 0: the seeds) of every run,
-    as ascending keys ``run * m + hyperedge``; ``edge_active`` is the final
-    runs x m activation matrix and ``seed_nodes`` the pre-activated nodes
-    as keys ``run * n + node``."""
+    """Outcome of runs made together. ``rounds[k]`` holds the hyperedges
+    newly active in round k (round 0: the seeds) of every run, as ascending
+    keys ``run * m + hyperedge``; ``edge_active`` is the final runs x m
+    activation matrix."""
 
-    h: Hypergraph
     rounds: list[np.ndarray]
     edge_active: np.ndarray
-    seed_nodes: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.edge_active.shape[1]
 
     def num_steps(self) -> np.ndarray:
         """Per run, the rounds that activated something; a run's first
         round without activation is its last."""
         steps = np.zeros(len(self.edge_active), dtype=np.int64)
         for keys in self.rounds[1:]:
-            steps[_tally(keys // self.h.m)[0]] += 1
+            steps[_tally(keys // self.m)[0]] += 1
         return steps
 
     def seed_counts(self) -> np.ndarray:
-        return np.bincount(self.rounds[0] // self.h.m, minlength=len(self.edge_active))
+        return np.bincount(self.rounds[0] // self.m, minlength=len(self.edge_active))
 
     def final_active(self) -> np.ndarray:
         return np.count_nonzero(self.edge_active, axis=1)
 
-    def trajectory(self, run: int) -> Trajectory:
-        """Run ``run`` alone; its nodes are active when seeded or in an
-        active hyperedge."""
-        h = self.h
-        lo, hi = run * h.m, (run + 1) * h.m
+    def steps(self, run: int) -> list[list[int]]:
+        """Run ``run``'s newly active hyperedge ids per round, round 0 the
+        seeds, up to its last round that activated something."""
+        lo, hi = run * self.m, (run + 1) * self.m
         steps = []
         for keys in self.rounds:
             mine = keys[np.searchsorted(keys, lo):np.searchsorted(keys, hi)] - lo
             if steps and not mine.size:
                 break
             steps.append(mine.tolist())
-        node_active = np.zeros(h.n, dtype=bool)
-        active = np.flatnonzero(self.edge_active[run])
-        node_active[_gather(h.edge_ptr, h.edge_nodes, active, h.m, 0)] = True
-        seeded = self.seed_nodes
-        node_active[seeded[seeded // h.n == run] - run * h.n] = True
-        return Trajectory(steps, self.edge_active[run].tolist(), node_active.tolist())
+        return steps
 
 
 def spread(
@@ -322,14 +306,13 @@ def spread(
     edge_active = np.zeros(runs * m, dtype=bool)
     count = np.zeros(runs * m, dtype=np.int32)
     new_edges = _flat_keys(seeds, m, "seed")
-    seeded_nodes = _flat_keys(seed_nodes, n, "seed node")
+    new_nodes = _flat_keys(seed_nodes, n, "seed node")
     edge_active[new_edges] = True
     rounds = [new_edges]
-    new_nodes = seeded_nodes
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)
         members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
-        new_nodes = _tally(np.concatenate((members, seeded_nodes)))[0]
+        new_nodes = _tally(np.concatenate((members, new_nodes)))[0]
         node_active[new_nodes] = True
     zero_need = np.flatnonzero(need <= 0)
     first = (np.arange(runs)[:, None] * m + zero_need).ravel()
@@ -352,4 +335,4 @@ def spread(
             new_nodes = _tally(members[~node_active[members]])[0]
             node_active[new_nodes] = True
             del members
-    return Batch(h, rounds, edge_active.reshape(runs, m), seeded_nodes)
+    return Batch(rounds, edge_active.reshape(runs, m))

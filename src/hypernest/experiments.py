@@ -9,17 +9,15 @@ worker count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, fields
 from itertools import groupby, product
 from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
-from .dynamics import (DynamicsConfig, Influence, Trajectory, activation_proportion,
-                       build_influence, select_seeds, spread)
+from .dynamics import (Batch, DynamicsConfig, PreparedDynamics, activation_proportion,
+                       prepare_dynamics, select_seeds, spread)
 from .hypergraph import Hypergraph
-from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
 from .randomize import layer_samples
 from .rng import spawn_rng
 
@@ -68,47 +66,17 @@ class CellSummary:
     stderr: float
 
 
-@dataclass
-class PreparedDynamics:
-    """A hypergraph with the line-graph structures its contagion runs read:
-    the containment DAG, the adjacent-layer DAG (built directly, not cut
-    from the full one) and each variant's influence map, each built on
-    first read and then shared by every run. ``strict`` and ``non-strict``
-    read only the adjacent-layer DAG, ``empirical-adjacent`` only the full
-    one, and the threshold process neither, so builds none."""
-
-    hypergraph: Hypergraph
-    influences: dict[str, Influence] = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def full_dag(self) -> HyperedgeDag:
-        return build_encapsulation_dag(self.hypergraph)
-
-    @cached_property
-    def adjacent_dag(self) -> HyperedgeDag:
-        return adjacent_layer_dag(self.hypergraph)
-
-    def influence(self, variant: str) -> Influence:
-        if variant not in self.influences:
-            self.influences[variant] = build_influence(self, variant)
-        return self.influences[variant]
-
-
-def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
-    return PreparedDynamics(hypergraph=h)
-
-
 def run_dynamics(
     prepared: PreparedDynamics,
     config: DynamicsConfig,
     seeds: Sequence[int],
     seed_nodes: Sequence[int] = (),
-) -> Trajectory:
+) -> Batch:
     """One contagion run of ``config.variant`` from the seed hyperedges (and
-    optionally pre-activated nodes) on a prepared hypergraph."""
-    batch = spread(prepared.hypergraph, prepared.influence(config.variant), config,
-                   [seeds], [seed_nodes])
-    return batch.trajectory(0)
+    optionally pre-activated nodes) on a prepared hypergraph, as a batch of
+    one."""
+    return spread(prepared.hypergraph, prepared.influence(config.variant), config,
+                  [seeds], [seed_nodes])
 
 
 def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run: int,
@@ -122,7 +90,7 @@ def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run:
 
 def cell_trajectory(
     prepared: PreparedDynamics, grid: ExperimentGrid, cell_index: int, run: int, master_seed: int
-) -> Trajectory:
+) -> Batch:
     """Run ``run`` of cell ``cell_index`` of ``grid``; ``run_experiment``
     records what this gives for every (cell, run)."""
     cell = grid.cells()[cell_index]
@@ -162,6 +130,8 @@ def run_experiment(
     split into ``jobs`` contiguous parts run by as many worker processes."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = []
     for variant, block in groupby(enumerate(grid.cells()), key=lambda item: item[1][0]):
         tasks = [(c, run) for c, _ in block for run in range(runs)]
@@ -224,6 +194,8 @@ def randomized_comparison(
 ) -> tuple[list[RunRecord], list[RandomizedComparison]]:
     """Run the grid on the prepared observed hypergraph and on ``samples``
     layer randomizations; returns observed records plus per-cell comparisons."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     observed_records = run_experiment(
         prepared, grid, runs, master_seed, dataset=dataset, jobs=jobs
     )

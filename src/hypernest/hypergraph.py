@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
@@ -273,18 +272,6 @@ def whole_rows(idx: np.ndarray, tptr: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """``lo``/``hi`` for ``co_member_pairs`` by which each entry u of ``idx``
     gathers all of row u of the transpose ``tptr``."""
     return tptr[idx], tptr[1:][idx]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Top-line measurements for one dataset: node/hyperedge counts, the
-    fraction of node pairs co-occurring in at least one hyperedge, and the
-    number of strict-containment relations between hyperedges."""
-
-    n: int
-    m: int
-    projected_density: float
-    dag_edge_count: int
 
 
 def ingest_simplex(nverts: Iterable[int], flat_nodes: Iterable[Label]) -> Hypergraph:

@@ -27,8 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypergraph import (DatasetStats, Hypergraph, co_member_pairs, projected_density,
-                         split_rows, transpose, whole_rows)
+from .hypergraph import Hypergraph, co_member_pairs, split_rows, transpose, whole_rows
 
 
 @dataclass
@@ -308,13 +307,3 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCount
     return EncapsulationCounts(pair_counts=pair_counts,
                                size_counts=dict(zip(present.tolist(), counts.tolist())),
                                histograms=histograms)
-
-
-def compute_dataset_stats(h: Hypergraph) -> DatasetStats:
-    dag = build_encapsulation_dag(h)
-    return DatasetStats(
-        n=h.n,
-        m=h.m,
-        projected_density=projected_density(h),
-        dag_edge_count=dag.edge_count,
-    )

@@ -36,6 +36,7 @@ from hypernest import (
     transitive_reduction,
 )
 from hypernest.cli import main as cli_main
+from hypernest.dynamics import activation_proportion
 from hypernest.experiments import prepare_dynamics, randomized_comparison, run_dynamics
 from hypernest.linegraph import HyperedgeDag
 
@@ -52,6 +53,12 @@ def criterion(name: str):
         raise
     else:
         print(f"[acceptance] {name}: PASS")
+
+
+def proportion(h: Hypergraph, batch) -> float:
+    """Activation proportion of the one run of ``batch`` on ``h``."""
+    steps = batch.steps(0)
+    return activation_proportion(h.m, len(steps[0]), sum(map(len, steps)))
 
 
 # expected statistics after dedup -> size<=25 filter -> largest component
@@ -220,8 +227,7 @@ class TestCriterion6NestedModelExtremes:
                     seeds = select_seeds(
                         h, "smallest-first", 20, spawn_rng(realization, "seed-selection", 0, run)
                     )
-                    traj = run_dynamics(prep, config, seeds)
-                    assert traj.activation_proportion() == 1.0
+                    assert proportion(h, run_dynamics(prep, config, seeds)) == 1.0
 
     def test_pair_rewiring_separates_outcomes(self):
         # controlled comparison at equal keep probability for 3-node edges
@@ -239,7 +245,7 @@ class TestCriterion6NestedModelExtremes:
                             h, "smallest-first", min(20, h.m),
                             spawn_rng(500 + realization, "seed-selection", 0, run),
                         )
-                        total += run_dynamics(prep, config, seeds).activation_proportion()
+                        total += proportion(h, run_dynamics(prep, config, seeds))
                         count += 1
                 return total / count
 
@@ -255,26 +261,26 @@ class TestCriterion7DynamicsGroundTruth:
             h = Hypergraph([["a", "b"], ["b", "c"], ["c", "d", "e"]])
             prep = prepare_dynamics(h)
             for seed in range(h.m):
-                traj = run_dynamics(prep, DynamicsConfig(variant="strict", tau=1), seeds=[seed])
-                assert traj.non_seed_active == 0
+                batch = run_dynamics(prep, DynamicsConfig(variant="strict", tau=1), seeds=[seed])
+                assert batch.steps(0) == [[seed]]
 
     def test_contained_pair_activates_parent(self):
         with criterion("7 containment pair: seeded subset activates its superset"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            traj = run_dynamics(prepare_dynamics(h), DynamicsConfig(variant="strict"), seeds=[1])
-            assert traj.steps == [[1], [0]]
+            batch = run_dynamics(prepare_dynamics(h), DynamicsConfig(variant="strict"), seeds=[1])
+            assert batch.steps(0) == [[1], [0]]
 
     def test_non_strict_single_node_cascade(self):
         with criterion("7 non-strict: active node b reaches pair then triple"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            traj = run_dynamics(
+            batch = run_dynamics(
                 prepare_dynamics(h),
                 DynamicsConfig(variant="non-strict"),
                 seeds=[],
                 seed_nodes=[h.label_index["b"]],
             )
-            assert traj.steps == [[], [1], [0]]
-            assert traj.edge_active == [True, True]
+            assert batch.steps(0) == [[], [1], [0]]
+            assert batch.edge_active[0].tolist() == [True, True]
 
 
 class TestCriterion8Determinism:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hypernest.cli as cli_mod
-import hypernest.experiments as experiments_mod
+import hypernest.dynamics as dynamics_mod
 import hypernest.randomize as randomize_mod
 from hypernest import largest_connected_component, parse_plain
 from hypernest.cli import main
@@ -347,14 +347,14 @@ class TestSimulate:
     @staticmethod
     def _count_line_graph_builds(monkeypatch) -> dict[str, int]:
         """Counts, by kind, the containment DAGs built through the CLI and
-        the experiment harness: the full DAG or the adjacent-layer DAG."""
+        the contagion engine: the full DAG or the adjacent-layer DAG."""
         calls = {"full": 0, "adjacent": 0}
         builds = (("full", "build_encapsulation_dag"), ("adjacent", "adjacent_layer_dag"))
         for kind, name in builds:
-            def counted(h, kind=kind, original=getattr(experiments_mod, name)):
+            def counted(h, kind=kind, original=getattr(dynamics_mod, name)):
                 calls[kind] += 1
                 return original(h)
-            for module in (cli_mod, experiments_mod):
+            for module in (cli_mod, dynamics_mod):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         return calls

@@ -24,12 +24,18 @@ from hypernest import (
     select_seeds,
     spawn_rng,
 )
-from hypernest.dynamics import VARIANTS, spread
+from hypernest.cli import main
+from hypernest.dynamics import VARIANTS, activation_proportion, spread
 from hypernest.rng import as_rng
 
 
 def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
     return run_dynamics(prepare_dynamics(h), config, seeds, seed_nodes)
+
+
+def non_seed_active(batch) -> int:
+    """Hyperedges that run 0 of ``batch`` activated after its seeds."""
+    return sum(map(len, batch.steps(0)[1:]))
 
 
 # three hyperedges over {a,…,e} with no containment relation at all
@@ -93,69 +99,67 @@ class TestStrictDynamics:
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=1)
         for seed in range(h.m):
-            traj = run_dynamics(prep, config, seeds=[seed])
-            assert traj.non_seed_active == 0
+            assert run_dynamics(prep, config, seeds=[seed]).steps(0) == [[seed]]
 
     def test_contained_pair_spreads(self):
         h = Hypergraph(ONE_NESTING)
-        traj = run(h, DynamicsConfig(variant="strict"), seeds=[1])
-        assert traj.steps == [[1], [0]]
-        assert traj.final_active == 2
+        batch = run(h, DynamicsConfig(variant="strict"), seeds=[1])
+        assert batch.steps(0) == [[1], [0]]
+        assert batch.final_active()[0] == 2
 
     def test_nodes_do_not_feed_back(self):
         # node b is active, but without a 1-node hyperedge nothing happens
         h = Hypergraph(ONE_NESTING)
-        traj = run(
+        batch = run(
             h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.label_index["b"]]
         )
-        assert traj.final_active == 0
+        assert batch.final_active()[0] == 0
 
     def test_explicit_singletons_do_feed_pairs(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3]])
-        traj = run(h, DynamicsConfig(variant="strict"), seeds=[0])
-        assert traj.edge_active == [True, True, True]
+        batch = run(h, DynamicsConfig(variant="strict"), seeds=[0])
+        assert batch.edge_active[0].tolist() == [True, True, True]
 
     def test_tau_two_needs_two_children(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=2)
-        assert run_dynamics(prep, config, seeds=[1]).non_seed_active == 0
-        assert run_dynamics(prep, config, seeds=[1, 2]).non_seed_active == 1
+        assert non_seed_active(run_dynamics(prep, config, seeds=[1])) == 0
+        assert non_seed_active(run_dynamics(prep, config, seeds=[1, 2])) == 1
 
     def test_strictly_greater_comparison(self):
         h = Hypergraph(ONE_NESTING)
         config = DynamicsConfig(variant="strict", tau=1, comparison=">")
-        assert run(h, config, seeds=[1]).non_seed_active == 0
+        assert non_seed_active(run(h, config, seeds=[1])) == 0
 
     def test_max_steps_caps_progress(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]])
         config = DynamicsConfig(variant="strict", max_steps=2)
-        traj = run(h, config, seeds=[0])
-        assert traj.num_steps == 2
-        assert traj.final_active == 3
+        batch = run(h, config, seeds=[0])
+        assert batch.num_steps()[0] == 2
+        assert batch.final_active()[0] == 3
 
 
 class TestNonStrictDynamics:
     def test_node_activates_pair_then_triangle(self):
         h = Hypergraph(ONE_NESTING)
-        traj = run(
+        batch = run(
             h, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.label_index["b"]]
         )
-        assert traj.steps == [[], [1], [0]]
+        assert batch.steps(0) == [[], [1], [0]]
 
     def test_edge_activation_activates_members(self):
         h = Hypergraph([["a", "b", "c"], ["c", "d"]])
-        traj = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
+        batch = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
         # c became active with the seed edge, so {c,d} follows a step later
-        assert traj.steps == [[0], [1]]
-        assert all(traj.node_active)
+        assert batch.steps(0) == [[0], [1]]
 
     def test_degenerates_to_strict_without_pairs(self):
         h = Hypergraph([[1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5, 6]])
         prep = prepare_dynamics(h)
         strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[0])
         loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds=[0])
-        assert strict.steps == loose.steps
+        assert strict.steps(0) == loose.steps(0)
 
     @given(hypergraphs(min_edge_size=3))
     @settings(max_examples=30)
@@ -164,7 +168,7 @@ class TestNonStrictDynamics:
         seeds = [0]
         strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds)
         loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds)
-        assert strict.steps == loose.steps
+        assert strict.steps(0) == loose.steps(0)
 
 
 class TestEmpiricalAdjacent:
@@ -172,26 +176,26 @@ class TestEmpiricalAdjacent:
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
         prep = prepare_dynamics(h)
         config_a = DynamicsConfig(variant="empirical-adjacent")
-        traj = run_dynamics(prep, config_a, seeds=[1])
-        assert traj.edge_active == [True, True]
+        batch = run_dynamics(prep, config_a, seeds=[1])
+        assert batch.edge_active[0].tolist() == [True, True]
         # under the adjacent-size rule the same seed reaches nothing
         strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[1])
-        assert strict.non_seed_active == 0
+        assert non_seed_active(strict) == 0
 
     def test_only_largest_contained_size_counts(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 4]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="empirical-adjacent")
         via_pair = run_dynamics(prep, config, seeds=[2])
-        assert via_pair.edge_active[0] is False
+        assert not via_pair.edge_active[0, 0]
         via_triple = run_dynamics(prep, config, seeds=[1])
-        assert via_triple.edge_active[0] is True
+        assert via_triple.edge_active[0, 0]
 
     def test_matches_strict_when_gapless(self, chain_hypergraph):
         prep = prepare_dynamics(chain_hypergraph)
         empirical = run_dynamics(prep, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
         strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[2])
-        assert empirical.steps == strict.steps
+        assert empirical.steps(0) == strict.steps(0)
 
 
 class TestThresholdDynamics:
@@ -200,29 +204,29 @@ class TestThresholdDynamics:
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="threshold", tau=0)
         partial = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1])
-        assert partial.final_active == 0
+        assert partial.final_active()[0] == 0
         full = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1, 2])
-        assert full.final_active == 1
+        assert full.final_active()[0] == 1
 
     def test_all_but_one(self):
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        traj = run(h, config, seeds=[], seed_nodes=[0, 1])
-        assert traj.final_active == 1
+        batch = run(h, config, seeds=[], seed_nodes=[0, 1])
+        assert batch.final_active()[0] == 1
 
     def test_activation_spreads_through_nodes(self):
         h = Hypergraph([[1, 2], [2, 3], [3, 4]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        traj = run(h, config, seeds=[0])
+        batch = run(h, config, seeds=[0])
         # {2,3} needs one of its nodes, then {3,4}
-        assert traj.steps == [[0], [1], [2]]
+        assert batch.steps(0) == [[0], [1], [2]]
 
     def test_degenerate_tau_warns_and_self_activates(self):
         h = Hypergraph([[1, 2], [3, 4, 5]])
         config = DynamicsConfig(variant="threshold", tau=2)
         with pytest.warns(UserWarning, match="self-activate"):
-            traj = run(h, config, seeds=[])
-        assert traj.edge_active == [True, False]
+            batch = run(h, config, seeds=[])
+        assert batch.edge_active[0].tolist() == [True, False]
 
 
 class TestEngineInvariants:
@@ -234,13 +238,14 @@ class TestEngineInvariants:
         seeds = select_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
             config = DynamicsConfig(variant=variant)
-            traj = run_dynamics(prep, config, seeds)
-            flat = [e for step in traj.steps for e in step]
+            batch = run_dynamics(prep, config, seeds)
+            steps = batch.steps(0)
+            flat = [e for step in steps for e in step]
             assert len(flat) == len(set(flat))  # no hyperedge activates twice
-            assert traj.num_steps <= 25
-            assert traj.final_active == len(flat)
+            assert len(steps) - 1 <= 25
+            assert batch.edge_active[0].sum() == len(flat)
             # the oracle recounts every influence from scratch each round
-            assert traj.steps == oracles.contagion_steps(h, config, seeds)
+            assert steps == oracles.contagion_steps(h, config, seeds)
 
     @given(hypergraphs())
     @settings(max_examples=30)
@@ -248,8 +253,8 @@ class TestEngineInvariants:
         adj = adjacent_layer_dag(h)
         if any(adj.out_adj[i] for i in range(h.m)):
             return
-        traj = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
-        assert traj.non_seed_active == 0
+        batch = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
+        assert non_seed_active(batch) == 0
 
     @given(st.integers(0, 50))
     @settings(max_examples=25)
@@ -267,11 +272,10 @@ class TestEngineInvariants:
         for variant in ("strict", "non-strict"):
             t1 = run_dynamics(prep1, DynamicsConfig(variant=variant), seeds1)
             t2 = run_dynamics(prep2, DynamicsConfig(variant=variant), seeds2)
-            steps1 = [{frozenset(h1.edge_labels(e)) for e in step} for step in t1.steps]
-            steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps]
+            steps1 = [{frozenset(h1.edge_labels(e)) for e in step} for step in t1.steps(0)]
+            steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps(0)]
             assert steps1 == steps2
 
-    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
     @given(hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
     # every subset of six nodes: more containment links than hyperedges and nodes
     @example(Hypergraph([c for k in range(1, 7) for c in combinations(range(6), k)]), 512)
@@ -308,7 +312,7 @@ class TestEngineInvariants:
         config = DynamicsConfig(variant="non-strict")
         a = run_dynamics(prep, config, seeds=[0, 1])
         b = run_dynamics(prep, config, seeds=[0, 1])
-        assert a.steps == b.steps and a.edge_active == b.edge_active
+        assert a.steps(0) == b.steps(0) and (a.edge_active == b.edge_active).all()
 
     def test_seed_validation(self):
         h = Hypergraph([[1, 2]])
@@ -317,24 +321,26 @@ class TestEngineInvariants:
 
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
-        traj = run(h, DynamicsConfig(), seeds=[0, 1])
-        assert traj.seed_count == h.m
-        assert traj.activation_proportion() == 1.0
+        batch = run(h, DynamicsConfig(), seeds=[0, 1])
+        (seeded,), (final,) = batch.seed_counts(), batch.final_active()
+        assert seeded == h.m
+        assert activation_proportion(h.m, seeded, final) == 1.0
 
     def test_trajectory_json_dump(self, tmp_path):
         import json
 
-        h = Hypergraph([[1, 2, 3], [1, 2]])
-        traj = run(h, DynamicsConfig(), seeds=[1])
+        # smallest-first seeds the pair, which activates the triple
+        (tmp_path / "h.txt").write_text("1 2 3\n1 2\n")
         path = tmp_path / "traj.json"
-        traj.write_json(path)
-        doc = json.loads(path.read_text())
+        assert main(["simulate", str(tmp_path / "h.txt"), "--strategy", "smallest-first",
+                     "--runs", "1", "--out", str(tmp_path / "r.csv"),
+                     "--trajectories", str(path)]) == 0
+        (doc,) = json.loads(path.read_text())
         assert doc["steps"] == [[1], [0]]
         assert doc["final_active"] == 2
 
 
 class TestContagionOracle:
-    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
     @pytest.mark.parametrize("comparison", [">=", ">"])
     @pytest.mark.parametrize("tau", [1, 2])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -344,12 +350,11 @@ class TestContagionOracle:
         seeds = data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
         seed_nodes = data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
         config = DynamicsConfig(variant=variant, tau=tau, comparison=comparison, max_steps=6)
-        traj = run(h, config, seeds, seed_nodes)
-        assert traj.steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
-        active_nodes = {u for eid, on in enumerate(traj.edge_active) if on for u in h.edges[eid]}
-        assert active_nodes | set(seed_nodes) == {u for u, on in enumerate(traj.node_active) if on}
+        batch = run(h, config, seeds, seed_nodes)
+        steps = batch.steps(0)
+        assert steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
+        assert batch.edge_active[0].sum() == sum(map(len, steps))
 
-    @pytest.mark.filterwarnings("ignore:tau=.*self-activate")
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(h=hypergraphs(max_edges=40), data=st.data())
     @settings(max_examples=25)
@@ -365,7 +370,7 @@ class TestContagionOracle:
                                 max_steps=data.draw(st.sampled_from([1, 3, 25])))
         batch = spread(h, prepare_dynamics(h).influence(variant), config, seeds, seed_nodes)
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
-        assert [batch.trajectory(r).steps for r in range(runs)] == expected
+        assert [batch.steps(r) for r in range(runs)] == expected
         assert batch.num_steps().tolist() == [len(steps) - 1 for steps in expected]
         assert batch.final_active().tolist() == [sum(map(len, steps)) for steps in expected]
         assert batch.seed_counts().tolist() == [len(s) for s in seeds]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 from conftest import hypergraphs
 from hypernest import ExperimentGrid, Hypergraph, RunRecord, run_experiment, summarize
-from hypernest.dynamics import STRATEGIES, VARIANTS
+from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion
 from hypernest.experiments import (cell_trajectory, prepare_dynamics, randomized_comparison,
                                    write_records_csv)
 
@@ -64,16 +64,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(prepare_dynamics(ladder), GRID, runs=0, master_seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_validation(self, ladder, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(prepare_dynamics(ladder), GRID, runs=1, master_seed=0, jobs=jobs)
+
 
 def per_run_records(prepared, grid, runs, master_seed) -> list[RunRecord]:
-    """The records of ``run_experiment``, one ``cell_trajectory`` at a time."""
+    """The records of ``run_experiment``, one ``cell_trajectory`` at a time,
+    each read from its run's steps and activation row alone."""
+    m = prepared.hypergraph.m
     records = []
     for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
         for run in range(runs):
-            traj = cell_trajectory(prepared, grid, idx, run, master_seed)
+            batch = cell_trajectory(prepared, grid, idx, run, master_seed)
+            steps = batch.steps(0)
+            seeded, final = len(steps[0]), int(batch.edge_active[0].sum())
             records.append(RunRecord("", variant, strategy, seed_count, grid.tau, run,
-                                     traj.num_steps, traj.final_active, traj.non_seed_active,
-                                     traj.activation_proportion()))
+                                     len(steps) - 1, final, final - seeded,
+                                     activation_proportion(m, seeded, final)))
     return records
 
 
@@ -93,7 +102,6 @@ def grids(draw, h: Hypergraph, variants) -> ExperimentGrid:
     )
 
 
-@pytest.mark.filterwarnings("ignore:tau=.*self-activate")
 class TestBatchedRuns:
     """``run_experiment`` runs a variant's cells x runs in shared batches;
     each record must still be what ``cell_trajectory`` gives for its run."""
@@ -193,6 +201,12 @@ class TestRandomizedComparison:
         assert comps == comps2 and records == records2
         (comp,) = comps
         assert comp.difference == pytest.approx(comp.observed_mean - comp.randomized_mean)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_validation(self, ladder, samples):
+        with pytest.raises(ValueError, match="samples"):
+            randomized_comparison(prepare_dynamics(ladder), GRID, runs=1, samples=samples,
+                                  master_seed=0)
 
 
 class TestCsvExport:

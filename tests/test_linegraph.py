@@ -20,6 +20,7 @@ from hypernest import (
     build_overlap_graph,
     encapsulation_counts,
     preprocess,
+    projected_density,
     rooted_heights,
 )
 from hypernest.hypergraph import split_rows
@@ -292,8 +293,6 @@ class TestEncapsulationCounts:
 
 class TestExports:
     def test_dataset_stats(self, chain_hypergraph):
-        from hypernest.linegraph import compute_dataset_stats
-
-        stats = compute_dataset_stats(chain_hypergraph)
-        assert (stats.n, stats.m, stats.dag_edge_count) == (3, 3, 3)
-        assert stats.projected_density == 1.0
+        h = chain_hypergraph
+        assert (h.n, h.m, build_encapsulation_dag(h).edge_count) == (3, 3, 3)
+        assert projected_density(h) == 1.0
