@@ -41,7 +41,8 @@ def main():
     args = ap.parse_args()
 
     h = largest_connected_component(filter_by_size(load_auto(args.input), args.max_size))
-    seed_counts = tuple(min(int(v), h.m) for v in args.seed_counts.split(","))
+    # counts above m clamp to m; keep each clamped count once, as one cell
+    seed_counts = tuple(dict.fromkeys(min(int(v), h.m) for v in args.seed_counts.split(",")))
     grid = ExperimentGrid(
         variants=(args.variant,),
         strategies=tuple(args.strategies.split(",")),

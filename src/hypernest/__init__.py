@@ -10,7 +10,6 @@ from .experiments import (
     RunRecord,
     prepare_dynamics,
     randomized_comparison,
-    run_dynamics,
     run_experiment,
     summarize,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "retention_report",
     "rewire_edge",
     "rooted_heights",
-    "run_dynamics",
     "run_experiment",
     "select_seeds",
     "spawn_rng",

@@ -21,7 +21,7 @@ from .dagpaths import rooted_heights
 from .dynamics import STRATEGIES, VARIANTS
 from .experiments import (
     ExperimentGrid,
-    cell_trajectory,
+    first_runs,
     prepare_dynamics,
     randomized_comparison,
     run_experiment,
@@ -249,7 +249,10 @@ def _parse_eps(spec: str, max_size: int) -> dict[int, float]:
     if all("=" in e for e in entries):
         for e in entries:
             size_s, _, val = e.partition("=")
-            eps[int(size_s)] = float(val)
+            size = int(size_s)
+            if size in eps:
+                raise ValueError(f"--eps gives size {size} twice")
+            eps[size] = float(val)
         return eps
     values = [float(e) for e in entries]
     expected = max(0, max_size - 2)
@@ -301,6 +304,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed_counts = _parse_csv_list(args.seeds, int)
     if not strategies or not seed_counts:
         raise ValueError("--strategy and --seeds must each list at least one value")
+    for name, values in (("--strategy", strategies), ("--seeds", seed_counts)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} lists a value twice: {','.join(map(str, values))}")
     for strat in strategies:
         if strat not in STRATEGIES:
             raise ValueError(f"unknown strategy {strat!r}; choose from {', '.join(STRATEGIES)}")
@@ -335,11 +341,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _atomic_write_text(Path(args.summary_out), json.dumps(summary_doc, indent=2) + "\n")
         outputs.append(Path(args.summary_out))
     if args.trajectories:
-        dumps = []
-        for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
-            batch = cell_trajectory(prepared, grid, idx, 0, args.seed)
-            dumps.append({"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0,
-                          "steps": batch.steps(0), "final_active": int(batch.final_active()[0])})
+        batch = first_runs(prepared, grid, args.seed)
+        final = batch.final_active().tolist()
+        dumps = [{"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0,
+                  "steps": batch.steps(c), "final_active": final[c]}
+                 for c, (variant, strategy, seed_count) in enumerate(grid.cells())]
         _atomic_write_text(Path(args.trajectories), json.dumps(dumps, indent=2) + "\n")
         outputs.append(Path(args.trajectories))
     write_manifest(args, outputs)

@@ -66,19 +66,6 @@ class CellSummary:
     stderr: float
 
 
-def run_dynamics(
-    prepared: PreparedDynamics,
-    config: DynamicsConfig,
-    seeds: Sequence[int],
-    seed_nodes: Sequence[int] = (),
-) -> Batch:
-    """One contagion run of ``config.variant`` from the seed hyperedges (and
-    optionally pre-activated nodes) on a prepared hypergraph, as a batch of
-    one."""
-    return spread(prepared.hypergraph, prepared.influence(config.variant), config,
-                  [seeds], [seed_nodes])
-
-
 def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run: int,
                 master_seed: int) -> list[int]:
     """The seeds of run ``run`` of a cell: its strategy and count, drawn from
@@ -88,14 +75,12 @@ def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run:
     return select_seeds(h, strategy, seed_count, rng)
 
 
-def cell_trajectory(
-    prepared: PreparedDynamics, grid: ExperimentGrid, cell_index: int, run: int, master_seed: int
-) -> Batch:
-    """Run ``run`` of cell ``cell_index`` of ``grid``; ``run_experiment``
-    records what this gives for every (cell, run)."""
-    cell = grid.cells()[cell_index]
-    seeds = _cell_seeds(prepared.hypergraph, cell, cell_index, run, master_seed)
-    return run_dynamics(prepared, grid.config(cell[0]), seeds)
+def first_runs(prepared: PreparedDynamics, grid: ExperimentGrid, master_seed: int) -> Batch:
+    """Run 0 of every cell of a one-variant ``grid`` (else ValueError), as one
+    batch whose run c is cell c; ``run_experiment`` records the same runs."""
+    (variant,), h = grid.variants, prepared.hypergraph
+    return spread(h, prepared.influence(variant), grid.config(variant),
+                  [_cell_seeds(h, cell, c, 0, master_seed) for c, cell in enumerate(grid.cells())])
 
 
 def _run_tasks(args) -> list[RunRecord]:
@@ -142,7 +127,9 @@ def run_experiment(
     if jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork every worker starts at the first submit, so ask for no
+        # more workers than parts
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             parts_done = list(pool.map(_run_tasks, work))
     else:
         parts_done = map(_run_tasks, work)

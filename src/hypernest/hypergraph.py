@@ -83,10 +83,10 @@ class Hypergraph:
     ascending order; its size is ``sizes[e]``. The transpose lists the
     hyperedges of node ``u`` as ``memb_ids[memb_ptr[u]:memb_ptr[u + 1]]``,
     ascending. Duplicate hyperedges are collapsed to the first occurrence.
-    ``edges`` (tuples of ids), ``edge_sets``, ``label_index`` and the
-    label-ordered rows behind ``iter_label_edges`` are views built on first
-    use. Instances are immutable after construction and safe to share
-    read-only across parallel workers.
+    ``edges`` (tuples of ids) and the label-ordered rows behind
+    ``iter_label_edges`` are views built on first use. Instances are
+    immutable after construction and safe to share read-only across
+    parallel workers.
     """
 
     def __init__(self, raw_edges: Iterable[Iterable[Label]]):
@@ -144,15 +144,6 @@ class Hypergraph:
         return tuple(map(tuple, split_rows(self.edge_ptr, self.edge_nodes)))
 
     @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        """Hyperedges as frozensets of internal ids."""
-        return tuple(map(frozenset, self.edges))
-
-    @cached_property
-    def label_index(self) -> dict[Label, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
     def label_rows(self) -> np.ndarray:
         """``edge_nodes`` with each row in label order; a row whose labels do
         not compare (mixed int/str) keeps id order."""
@@ -192,15 +183,6 @@ class Hypergraph:
 
     def has_singletons(self) -> bool:
         return bool(self.m) and int(self.sizes.min()) == 1
-
-    def edge_labels(self, eid: int) -> tuple[Label, ...]:
-        """Original labels of one hyperedge, sorted when labels are orderable."""
-        row = self.label_rows[self.edge_ptr[eid]:self.edge_ptr[eid + 1]]
-        return tuple(map(self.labels.__getitem__, row.tolist()))
-
-    def label_sets(self) -> frozenset[frozenset[Label]]:
-        """Hyperedges as a set of original-label sets (order-insensitive view)."""
-        return frozenset(frozenset(self.labels[u] for u in e) for e in self.edges)
 
     def subhypergraph(self, edge_ids: Iterable[int]) -> Hypergraph:
         """Sub-hypergraph induced by the given hyperedges, original id order.

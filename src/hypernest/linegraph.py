@@ -19,7 +19,7 @@ one size smaller than a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import comb
@@ -35,11 +35,11 @@ class HyperedgeDag:
     """Directed acyclic line graph over hyperedge ids, stored as CSR.
 
     Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending.
-    The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row lists
-    ``out_adj`` and ``in_adj`` are built on first read. A build records how
-    many (hyperedge, shared-node, candidate) encounters it gathered, for
-    checking the complexity bound; ``build_encapsulation_dag`` also records
-    the overlap graph's edge count and total weight.
+    The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row list
+    ``out_adj`` are built on first read. A build records how many
+    (hyperedge, shared-node, candidate) encounters it gathered, for checking
+    the complexity bound; ``build_encapsulation_dag`` also records the
+    overlap graph's edge count and total weight.
     """
 
     out_ptr: np.ndarray
@@ -63,11 +63,6 @@ class HyperedgeDag:
     def out_adj(self) -> list[list[int]]:
         return split_rows(self.out_ptr, self.out_idx)
 
-    @cached_property
-    def in_adj(self) -> list[list[int]]:
-        """Per vertex, the vertices pointing to it, ascending."""
-        return split_rows(*self.in_csr)
-
     @property
     def num_vertices(self) -> int:
         return self.out_ptr.size - 1
@@ -81,16 +76,6 @@ class HyperedgeDag:
         """The vertex each entry of ``out_idx`` points from."""
         return np.repeat(np.arange(self.num_vertices), np.diff(self.out_ptr))
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.sources.tolist(), self.out_idx.tolist()))
-
-    def out_degree(self, i: int) -> int:
-        return int(self.out_ptr[i + 1] - self.out_ptr[i])
-
-    def in_degree(self, i: int) -> int:
-        in_ptr = self.in_csr[0]
-        return int(in_ptr[i + 1] - in_ptr[i])
-
     def restrict(self, keep: np.ndarray) -> HyperedgeDag:
         """The subgraph of the edges whose ``out_idx`` entries mask ``keep`` marks."""
         ptr = np.concatenate(([0], np.cumsum(keep)))[self.out_ptr]
@@ -103,40 +88,21 @@ class OverlapGraph:
 
     Hyperedge i shares ``weights[k]`` nodes with each neighbor
     ``nbrs[k]``, for k in ``ptr[i]:ptr[i + 1]``, neighbors ascending; every
-    edge is listed from both ends. The normalized weight
-    ``|e_i ∩ e_j| / min(|e_i|, |e_j|)`` is derived on demand.
+    edge is listed from both ends.
     """
 
     ptr: np.ndarray
     nbrs: np.ndarray
     weights: np.ndarray
-    sizes: np.ndarray = field(repr=False)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.ptr.size - 1
 
     @property
     def edge_count(self) -> int:
         return int(self.ptr[-1]) // 2
 
-    @property
-    def total_weight(self) -> int:
-        return int(self.weights.sum(dtype=np.int64)) // 2
-
     def weight(self, i: int, j: int) -> int:
         lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
         k = lo + int(np.searchsorted(self.nbrs[lo:hi], j))
         return int(self.weights[k]) if k < hi and self.nbrs[k] == j else 0
-
-    def normalized_weight(self, i: int, j: int) -> float:
-        w = self.weight(i, j)
-        return w / min(int(self.sizes[i]), int(self.sizes[j])) if w else 0.0
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        heads = np.repeat(np.arange(self.num_vertices), np.diff(self.ptr))
-        upper = heads < self.nbrs
-        return set(zip(heads[upper].tolist(), self.nbrs[upper].tolist()))
 
 
 def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +203,7 @@ def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
     windows = (h.memb_ids, *whole_rows(h.edge_nodes, h.memb_ptr))
     ptr, nbrs, weights, _, _ = _kept_pairs(h, windows, lambda a, b, cnt: a != b)
-    return OverlapGraph(ptr, nbrs, weights, sizes=h.sizes)
+    return OverlapGraph(ptr, nbrs, weights)
 
 
 def adjacent_layer_dag(h: Hypergraph) -> HyperedgeDag:

@@ -8,6 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hypernest import Hypergraph
+from hypernest.dynamics import spread
 
 settings.register_profile("hypernest", deadline=None)
 settings.load_profile("hypernest")
@@ -66,6 +67,13 @@ def overlap_entries(g) -> dict[tuple[int, int], int]:
     ptr, nbrs, weights = g.ptr.tolist(), g.nbrs.tolist(), g.weights.tolist()
     return {(i, nbrs[k]): weights[k]
             for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
+
+
+def run_once(prepared, config, seeds, seed_nodes=()):
+    """One contagion run of ``config.variant`` on a prepared hypergraph, from
+    the seed hyperedges and pre-activated nodes, as a batch of one."""
+    return spread(prepared.hypergraph, prepared.influence(config.variant), config,
+                  [seeds], [seed_nodes])
 
 
 @pytest.fixture

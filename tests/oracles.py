@@ -11,22 +11,38 @@ from collections import deque
 from hypernest import Hypergraph
 
 
+def edge_sets(h: Hypergraph) -> list[frozenset[int]]:
+    """Hyperedges as frozensets of ids."""
+    return [frozenset(e) for e in h.edges]
+
+
+def label_sets(h: Hypergraph) -> frozenset[frozenset]:
+    """Hyperedges as a set of label sets (order-insensitive)."""
+    return frozenset(frozenset(h.labels[u] for u in e) for e in h.edges)
+
+
+def dag_edges(dag) -> set[tuple[int, int]]:
+    """The (i, j) pairs that the CSR rows of a ``HyperedgeDag`` list."""
+    ptr, idx = dag.out_ptr.tolist(), dag.out_idx.tolist()
+    return {(i, idx[k]) for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
+
+
 def encapsulation_edges(h: Hypergraph) -> set[tuple[int, int]]:
     """All ordered pairs (i, j) with e_j a proper subset of e_i."""
-    out = set()
+    sets, out = edge_sets(h), set()
     for i in range(h.m):
         for j in range(h.m):
-            if i != j and h.edge_sets[j] < h.edge_sets[i]:
+            if i != j and sets[j] < sets[i]:
                 out.add((i, j))
     return out
 
 
 def overlap_weights(h: Hypergraph) -> dict[tuple[int, int], int]:
     """Intersection sizes for all unordered pairs with i < j."""
-    out = {}
+    sets, out = edge_sets(h), {}
     for i in range(h.m):
         for j in range(i + 1, h.m):
-            w = len(h.edge_sets[i] & h.edge_sets[j])
+            w = len(sets[i] & sets[j])
             if w:
                 out[(i, j)] = w
     return out
@@ -36,7 +52,7 @@ def gathered_encounters(h: Hypergraph, adjacent: bool = False) -> int:
     """Shared-node encounters a windowed DAG build gathers: |a & b| summed
     over the pairs (a, b) with b at or before a in (size, id) order, or,
     when ``adjacent``, with |b| = |a| - 1."""
-    sets, total = h.edge_sets, 0
+    sets, total = edge_sets(h), 0
     for a in range(h.m):
         for b in range(h.m):
             if adjacent:
@@ -77,13 +93,13 @@ def longest_path_from(out_adj: list[list[int]], src: int) -> int:
 
 def contagion_steps(h: Hypergraph, config, seeds, seed_nodes=()) -> list[list[int]]:
     """Per-round newly activated hyperedges, recounting every inactive
-    hyperedge's influence from ``h.edge_sets`` each round with the variant
+    hyperedge's influence from ``edge_sets(h)`` each round with the variant
     definitions: strict counts active proper subsets one size smaller;
     non-strict does the same except that a 2-node hyperedge counts its
     active member nodes; empirical-adjacent counts active subsets of the
     largest size it contains; threshold activates a hyperedge once at most
     ``tau`` of its member nodes are inactive."""
-    sets = h.edge_sets
+    sets = edge_sets(h)
     subsets = [[j for j in range(h.m) if sets[j] < sets[i]] for i in range(h.m)]
     active = set(seeds)
     nodes = set(seed_nodes).union(*(sets[i] for i in active))
@@ -138,7 +154,7 @@ def sorted_labels(h: Hypergraph, eid: int) -> list:
 def components(h: Hypergraph) -> list[set[int]]:
     """Node components by breadth-first search over shared hyperedges."""
     nbrs: list[set[int]] = [set() for _ in range(h.n)]
-    for e in h.edge_sets:
+    for e in edge_sets(h):
         for u in e:
             nbrs[u] |= e
     seen: set[int] = set()

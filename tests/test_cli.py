@@ -305,6 +305,16 @@ class TestRnhm:
         assert "subsets" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_eps_size_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = run_cli(
+            "rnhm", "--nodes", "15", "--max-size", "4", "--max-edges", "3",
+            "--eps", "2=0.5,2=0.7", "--seed", "1", "--out", out,
+        )
+        assert code == 2
+        assert "size 2 twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replay_byte_identical(self, tmp_path):
         args = [
             "rnhm", "--nodes", "18", "--max-size", "4", "--max-edges", "4",
@@ -429,6 +439,20 @@ class TestSimulate:
                        "--summary-out", summary)
         assert code == 2
         assert "at least one value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [plain_file]
+
+    @pytest.mark.parametrize("option,value", [("--seeds", "1,1"), ("--seeds", "2,1,2"),
+                                              ("--strategy", "uniform,uniform")])
+    @pytest.mark.parametrize("randomize", ["0", "1"])
+    def test_repeated_grid_value_is_data_error(self, plain_file, tmp_path, option, value,
+                                               randomize, capsys):
+        # a repeated value would list one cell twice: its runs twice in the
+        # CSV, pooled into one summary cell, or two identical comparison rows
+        code = run_cli("simulate", plain_file, option, value, "--runs", "2",
+                       "--randomize", randomize, "--out", tmp_path / "r.csv",
+                       "--summary-out", tmp_path / "s.json", "--trajectories", tmp_path / "t.json")
+        assert code == 2
+        assert f"{option} lists a value twice" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [plain_file]
 
     def test_too_many_seeds_is_data_error(self, plain_file, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import hypergraphs
+from conftest import hypergraphs, run_once
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -19,7 +19,6 @@ from hypernest import (
     adjacent_layer_dag,
     generate,
     prepare_dynamics,
-    run_dynamics,
     run_experiment,
     select_seeds,
     spawn_rng,
@@ -30,7 +29,7 @@ from hypernest.rng import as_rng
 
 
 def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
-    return run_dynamics(prepare_dynamics(h), config, seeds, seed_nodes)
+    return run_once(prepare_dynamics(h), config, seeds, seed_nodes)
 
 
 def non_seed_active(batch) -> int:
@@ -99,7 +98,7 @@ class TestStrictDynamics:
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=1)
         for seed in range(h.m):
-            assert run_dynamics(prep, config, seeds=[seed]).steps(0) == [[seed]]
+            assert run_once(prep, config, seeds=[seed]).steps(0) == [[seed]]
 
     def test_contained_pair_spreads(self):
         h = Hypergraph(ONE_NESTING)
@@ -111,7 +110,7 @@ class TestStrictDynamics:
         # node b is active, but without a 1-node hyperedge nothing happens
         h = Hypergraph(ONE_NESTING)
         batch = run(
-            h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.label_index["b"]]
+            h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.labels.index("b")]
         )
         assert batch.final_active()[0] == 0
 
@@ -124,8 +123,8 @@ class TestStrictDynamics:
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=2)
-        assert non_seed_active(run_dynamics(prep, config, seeds=[1])) == 0
-        assert non_seed_active(run_dynamics(prep, config, seeds=[1, 2])) == 1
+        assert non_seed_active(run_once(prep, config, seeds=[1])) == 0
+        assert non_seed_active(run_once(prep, config, seeds=[1, 2])) == 1
 
     def test_strictly_greater_comparison(self):
         h = Hypergraph(ONE_NESTING)
@@ -144,7 +143,7 @@ class TestNonStrictDynamics:
     def test_node_activates_pair_then_triangle(self):
         h = Hypergraph(ONE_NESTING)
         batch = run(
-            h, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.label_index["b"]]
+            h, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.labels.index("b")]
         )
         assert batch.steps(0) == [[], [1], [0]]
 
@@ -157,8 +156,8 @@ class TestNonStrictDynamics:
     def test_degenerates_to_strict_without_pairs(self):
         h = Hypergraph([[1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5, 6]])
         prep = prepare_dynamics(h)
-        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[0])
-        loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds=[0])
+        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[0])
+        loose = run_once(prep, DynamicsConfig(variant="non-strict"), seeds=[0])
         assert strict.steps(0) == loose.steps(0)
 
     @given(hypergraphs(min_edge_size=3))
@@ -166,8 +165,8 @@ class TestNonStrictDynamics:
     def test_degenerates_to_strict_without_pairs_property(self, h):
         prep = prepare_dynamics(h)
         seeds = [0]
-        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds)
-        loose = run_dynamics(prep, DynamicsConfig(variant="non-strict"), seeds)
+        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds)
+        loose = run_once(prep, DynamicsConfig(variant="non-strict"), seeds)
         assert strict.steps(0) == loose.steps(0)
 
 
@@ -176,25 +175,25 @@ class TestEmpiricalAdjacent:
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
         prep = prepare_dynamics(h)
         config_a = DynamicsConfig(variant="empirical-adjacent")
-        batch = run_dynamics(prep, config_a, seeds=[1])
+        batch = run_once(prep, config_a, seeds=[1])
         assert batch.edge_active[0].tolist() == [True, True]
         # under the adjacent-size rule the same seed reaches nothing
-        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[1])
+        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[1])
         assert non_seed_active(strict) == 0
 
     def test_only_largest_contained_size_counts(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 4]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="empirical-adjacent")
-        via_pair = run_dynamics(prep, config, seeds=[2])
+        via_pair = run_once(prep, config, seeds=[2])
         assert not via_pair.edge_active[0, 0]
-        via_triple = run_dynamics(prep, config, seeds=[1])
+        via_triple = run_once(prep, config, seeds=[1])
         assert via_triple.edge_active[0, 0]
 
     def test_matches_strict_when_gapless(self, chain_hypergraph):
         prep = prepare_dynamics(chain_hypergraph)
-        empirical = run_dynamics(prep, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
-        strict = run_dynamics(prep, DynamicsConfig(variant="strict"), seeds=[2])
+        empirical = run_once(prep, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
+        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[2])
         assert empirical.steps(0) == strict.steps(0)
 
 
@@ -203,9 +202,9 @@ class TestThresholdDynamics:
         h = Hypergraph([[1, 2, 3]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="threshold", tau=0)
-        partial = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1])
+        partial = run_once(prep, config, seeds=[], seed_nodes=[0, 1])
         assert partial.final_active()[0] == 0
-        full = run_dynamics(prep, config, seeds=[], seed_nodes=[0, 1, 2])
+        full = run_once(prep, config, seeds=[], seed_nodes=[0, 1, 2])
         assert full.final_active()[0] == 1
 
     def test_all_but_one(self):
@@ -238,7 +237,7 @@ class TestEngineInvariants:
         seeds = select_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
             config = DynamicsConfig(variant=variant)
-            batch = run_dynamics(prep, config, seeds)
+            batch = run_once(prep, config, seeds)
             steps = batch.steps(0)
             flat = [e for step in steps for e in step]
             assert len(flat) == len(set(flat))  # no hyperedge activates twice
@@ -266,14 +265,18 @@ class TestEngineInvariants:
         h2 = Hypergraph([base[i] for i in order])
         seeds1 = [4, 5, 7]
         label_seeds = {frozenset(base[i]) for i in seeds1}
-        seeds2 = [i for i in range(h2.m) if frozenset(h2.edge_labels(i)) in label_seeds]
+
+        def label_set(h, e):
+            return frozenset(oracles.sorted_labels(h, e))
+
+        seeds2 = [i for i in range(h2.m) if label_set(h2, i) in label_seeds]
         prep1 = prepare_dynamics(h1)
         prep2 = prepare_dynamics(h2)
         for variant in ("strict", "non-strict"):
-            t1 = run_dynamics(prep1, DynamicsConfig(variant=variant), seeds1)
-            t2 = run_dynamics(prep2, DynamicsConfig(variant=variant), seeds2)
-            steps1 = [{frozenset(h1.edge_labels(e)) for e in step} for step in t1.steps(0)]
-            steps2 = [{frozenset(h2.edge_labels(e)) for e in step} for step in t2.steps(0)]
+            t1 = run_once(prep1, DynamicsConfig(variant=variant), seeds1)
+            t2 = run_once(prep2, DynamicsConfig(variant=variant), seeds2)
+            steps1 = [{label_set(h1, e) for e in step} for step in t1.steps(0)]
+            steps2 = [{label_set(h2, e) for e in step} for step in t2.steps(0)]
             assert steps1 == steps2
 
     @given(hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
@@ -310,8 +313,8 @@ class TestEngineInvariants:
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])
         prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="non-strict")
-        a = run_dynamics(prep, config, seeds=[0, 1])
-        b = run_dynamics(prep, config, seeds=[0, 1])
+        a = run_once(prep, config, seeds=[0, 1])
+        b = run_once(prep, config, seeds=[0, 1])
         assert a.steps(0) == b.steps(0) and (a.edge_active == b.edge_active).all()
 
     def test_seed_validation(self):

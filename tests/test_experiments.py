@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 from conftest import hypergraphs
 from hypernest import ExperimentGrid, Hypergraph, RunRecord, run_experiment, summarize
-from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion
-from hypernest.experiments import (cell_trajectory, prepare_dynamics, randomized_comparison,
-                                   write_records_csv)
+from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
+from hypernest.experiments import (_cell_seeds, first_runs, prepare_dynamics,
+                                   randomized_comparison, write_records_csv)
 
 
 @pytest.fixture
@@ -69,15 +69,49 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(prepare_dynamics(ladder), GRID, runs=1, master_seed=0, jobs=jobs)
 
+    def test_workers_never_exceed_parts(self, ladder):
+        # under fork a pool starts all its workers at the first submit, so a
+        # grid of two runs must ask for two workers however many jobs it may use
+        asked = []
+
+        class SerialPool:
+            """Records the workers asked for; runs the parts in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        grid = ExperimentGrid(strategies=("uniform",), seed_counts=(2,))
+        serial = run_experiment(prepare_dynamics(ladder), grid, runs=2, master_seed=0)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
+            wide = run_experiment(prepare_dynamics(ladder), grid, runs=2, master_seed=0, jobs=64)
+        assert asked == [2]
+        assert wide == serial
+
+
+def single_run(prepared, grid, c, run, master_seed):
+    """Run ``run`` of cell ``c`` of ``grid`` alone, as a batch of one."""
+    h, cell = prepared.hypergraph, grid.cells()[c]
+    seeds = _cell_seeds(h, cell, c, run, master_seed)
+    return spread(h, prepared.influence(cell[0]), grid.config(cell[0]), [seeds])
+
 
 def per_run_records(prepared, grid, runs, master_seed) -> list[RunRecord]:
-    """The records of ``run_experiment``, one ``cell_trajectory`` at a time,
-    each read from its run's steps and activation row alone."""
+    """The records of ``run_experiment``, one ``spread`` call per run, each
+    read from its run's steps and activation row alone."""
     m = prepared.hypergraph.m
     records = []
     for idx, (variant, strategy, seed_count) in enumerate(grid.cells()):
         for run in range(runs):
-            batch = cell_trajectory(prepared, grid, idx, run, master_seed)
+            batch = single_run(prepared, grid, idx, run, master_seed)
             steps = batch.steps(0)
             seeded, final = len(steps[0]), int(batch.edge_active[0].sum())
             records.append(RunRecord("", variant, strategy, seed_count, grid.tau, run,
@@ -104,7 +138,7 @@ def grids(draw, h: Hypergraph, variants) -> ExperimentGrid:
 
 class TestBatchedRuns:
     """``run_experiment`` runs a variant's cells x runs in shared batches;
-    each record must still be what ``cell_trajectory`` gives for its run."""
+    each record must still be what a batch of that run alone gives."""
 
     @pytest.mark.parametrize("comparison", [">=", ">"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -163,13 +197,45 @@ class TestBatchedRuns:
         prepared = prepare_dynamics(ladder)
         grid = ExperimentGrid(variants=VARIANTS, strategies=("uniform",), seed_counts=(2,))
         run_experiment(prepared, grid, runs=2, master_seed=0)
-        cell_trajectory(prepared, grid, 1, 0, 0)
-        assert not {"edges", "edge_sets"} & vars(ladder).keys()
+        for variant in VARIANTS:
+            first_runs(prepared, replace(grid, variants=(variant,)), 0)
+        assert "edges" not in vars(ladder)
         for dag in (prepared.full_dag, prepared.adjacent_dag):
-            assert not {"in_adj", "out_adj"} & vars(dag).keys()
+            assert "out_adj" not in vars(dag)
         for influence in prepared.influences.values():
             maps = [*influence.edges, *(influence.nodes or ())]
             assert all(isinstance(a, np.ndarray) for a in maps)
+
+
+class TestFirstRuns:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(h=hypergraphs(max_edges=30), data=st.data())
+    @settings(max_examples=10)
+    def test_run_c_is_run_0_of_cell_c(self, variant, h, data):
+        grid = data.draw(grids(h, (variant,)))
+        prepared = prepare_dynamics(h)
+        batch = first_runs(prepared, grid, 5)
+        first = [rec for rec in run_experiment(prepared, grid, 2, 5) if rec.run == 0]
+        assert batch.num_steps().tolist() == [rec.steps for rec in first]
+        assert batch.final_active().tolist() == [rec.final_active for rec in first]
+        for c in range(len(first)):
+            assert batch.steps(c) == single_run(prepared, grid, c, 0, 5).steps(0)
+
+    def test_one_spread_call(self, ladder):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return spread(*args)
+
+        grid = replace(GRID, variants=("strict",))
+        with mock.patch("hypernest.experiments.spread", counted):
+            first_runs(prepare_dynamics(ladder), grid, 0)
+        assert calls == [len(grid.cells())]
+
+    def test_one_variant_only(self, ladder):
+        with pytest.raises(ValueError):
+            first_runs(prepare_dynamics(ladder), GRID, 0)
 
 
 class TestSummaries:

@@ -32,9 +32,9 @@ class TestEncapsulationDag:
         # nothing and contains nothing
         h = Hypergraph([["e", "f"], ["a", "b", "c", "e"], ["b", "e"]])
         dag = build_encapsulation_dag(h)
-        assert dag.out_degree(0) == 0
-        assert dag.in_degree(0) == 0
-        assert dag.edge_set() == {(1, 2)}
+        assert np.diff(dag.out_ptr)[0] == 0
+        assert np.diff(dag.in_csr[0])[0] == 0
+        assert oracles.dag_edges(dag) == {(1, 2)}
 
     def test_single_edge(self):
         dag = build_encapsulation_dag(Hypergraph([[1, 2]]))
@@ -43,21 +43,21 @@ class TestEncapsulationDag:
 
     def test_chain(self, chain_hypergraph):
         dag = build_encapsulation_dag(chain_hypergraph)
-        assert dag.edge_set() == {(0, 1), (0, 2), (1, 2)}
+        assert oracles.dag_edges(dag) == {(0, 1), (0, 2), (1, 2)}
 
     @given(hypergraphs())
     def test_matches_all_pairs_oracle(self, h):
         dag = build_encapsulation_dag(h)
-        assert dag.edge_set() == oracles.encapsulation_edges(h)
+        assert oracles.dag_edges(dag) == oracles.encapsulation_edges(h)
 
     @given(hypergraphs())
     def test_edge_semantics_and_transpose(self, h):
-        dag = build_encapsulation_dag(h)
-        for i, j in dag.edge_set():
+        dag, sets = build_encapsulation_dag(h), oracles.edge_sets(h)
+        for i, j in oracles.dag_edges(dag):
             assert len(h.edges[i]) > len(h.edges[j])
-            assert h.edge_sets[j] < h.edge_sets[i]
-        transpose = {(j, i) for i, nbrs in enumerate(dag.in_adj) for j in nbrs}
-        assert transpose == dag.edge_set()
+            assert sets[j] < sets[i]
+        transpose = {(j, i) for i, nbrs in enumerate(split_rows(*dag.in_csr)) for j in nbrs}
+        assert transpose == oracles.dag_edges(dag)
 
     @given(hypergraphs())
     def test_transitively_closed(self, h):
@@ -76,8 +76,8 @@ class TestEncapsulationDag:
         dag = build_encapsulation_dag(chain_hypergraph)
         encapsulation_counts(chain_hypergraph, dag)
         rooted_heights(dag, chain_hypergraph)
-        assert not {"in_csr", "in_adj", "out_adj"} & vars(dag).keys()
-        assert dag.in_adj == [[], [0], [0, 1]]
+        assert not {"in_csr", "out_adj"} & vars(dag).keys()
+        assert split_rows(*dag.in_csr) == [[], [0], [0, 1]]
 
     @given(hypergraphs())
     def test_acyclic(self, h):
@@ -101,7 +101,8 @@ class TestOverlapGraph:
         h = Hypergraph([[1, 2, 3], [3, 4]])
         g = build_overlap_graph(h)
         assert g.weight(0, 1) == 1
-        assert g.normalized_weight(0, 1) == pytest.approx(0.5)
+        # normalized by the smaller hyperedge: |e_0 & e_1| / min(|e_0|, |e_1|)
+        assert g.weight(0, 1) / min(h.sizes[0], h.sizes[1]) == pytest.approx(0.5)
 
     def test_disjoint_edges(self, disconnected_pairs):
         g = build_overlap_graph(disconnected_pairs)
@@ -129,13 +130,14 @@ class TestOverlapGraph:
     def test_totals_match_full_graph(self, h):
         g = build_overlap_graph(h)
         dag = build_encapsulation_dag(h)
-        assert (dag.overlap_edges, dag.overlap_weight) == (g.edge_count, g.total_weight)
+        total_weight = int(g.weights.sum()) // 2  # each edge is listed from both ends
+        assert (dag.overlap_edges, dag.overlap_weight) == (g.edge_count, total_weight)
 
     @given(hypergraphs())
     def test_every_containment_edge_overlaps(self, h):
         dag = build_encapsulation_dag(h)
         g = build_overlap_graph(h)
-        for i, j in dag.edge_set():
+        for i, j in oracles.dag_edges(dag):
             assert g.weight(i, j) == len(h.edges[j])
 
 
@@ -169,7 +171,7 @@ class TestChunkedKernel:
     def _check(h):
         dag, adj, g = build_encapsulation_dag(h), adjacent_layer_dag(h), build_overlap_graph(h)
         weights = oracles.overlap_weights(h)
-        assert dag.edge_set() == oracles.encapsulation_edges(h)
+        assert oracles.dag_edges(dag) == oracles.encapsulation_edges(h)
         assert all(nbrs == sorted(nbrs) for nbrs in dag.out_adj)
         assert (dag.overlap_edges, dag.overlap_weight) == (len(weights), sum(weights.values()))
         assert dag.candidate_visits == oracles.gathered_encounters(h)
@@ -224,14 +226,14 @@ class TestChunkedKernel:
 class TestAdjacentLayerDag:
     def test_only_size_difference_one(self, chain_hypergraph):
         adj = adjacent_layer_dag(chain_hypergraph)
-        assert adj.edge_set() == {(0, 1), (1, 2)}
+        assert oracles.dag_edges(adj) == {(0, 1), (1, 2)}
 
     @given(hypergraphs())
     def test_restriction_property(self, h):
         dag = build_encapsulation_dag(h)
         adj = adjacent_layer_dag(h)
-        assert adj.edge_set() == {
-            (i, j) for i, j in dag.edge_set() if len(h.edges[i]) - len(h.edges[j]) == 1
+        assert oracles.dag_edges(adj) == {
+            (i, j) for i, j in oracles.dag_edges(dag) if len(h.edges[i]) - len(h.edges[j]) == 1
         }
 
 
@@ -254,7 +256,7 @@ class TestEncapsulationCounts:
         rows = [range(70), range(58)] + [range(k, k + s) for s in (35, 29) for k in range(3)]
         h = preprocess(Hypergraph(rows), max_size=None)
         counts = encapsulation_counts(h, build_encapsulation_dag(h))
-        sets = h.edge_sets
+        sets = oracles.edge_sets(h)
         for (n, m_), values in counts.histograms.items():
             expected = [sum(len(b) == m_ and b < a for b in sets) / comb(n, m_)
                         for a in sets if len(a) == n]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import hypernest
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def test_every_public_name_resolves():
     missing = [name for name in hypernest.__all__ if not hasattr(hypernest, name)]
@@ -25,3 +27,26 @@ def test_import_loads_no_process_pool():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
     assert result.stdout.strip() == "False"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    modules = [p for p in sorted((ROOT / "src" / "hypernest").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources = modules + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(sources) > 2
+    unused = {str(p.relative_to(ROOT)): names for p in sources if (names := unused_imports(p))}
+    assert unused == {}
