@@ -17,9 +17,9 @@ import argparse
 import json
 
 from hypernest import ExperimentGrid, filter_by_size, largest_connected_component
-from hypernest.cli import at_least, run_script
-from hypernest.dynamics import VARIANTS
-from hypernest.experiments import prepare_dynamics, randomized_comparison, write_records_csv
+from hypernest.cli import at_least, distinct, run_script
+from hypernest.dynamics import VARIANTS, DynamicsConfig, build_influence
+from hypernest.experiments import randomized_comparison, write_records_csv
 from hypernest.hypergraph import load_auto
 
 
@@ -34,24 +34,21 @@ def main():
     ap.add_argument("--runs", type=at_least(1), default=10)
     ap.add_argument("--samples", type=at_least(1), default=5, help="layer randomization samples")
     ap.add_argument("--max-size", type=int, default=25)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=at_least(0), default=0)
     ap.add_argument("--jobs", type=at_least(1), default=1)
     ap.add_argument("--out", required=True, help="per-run results CSV")
     ap.add_argument("--summary-out", help="observed-vs-randomized summary JSON")
     args = ap.parse_args()
 
+    strategies = distinct("--strategies", tuple(args.strategies.split(",")))
+    counts = distinct("--seed-counts", tuple(int(v) for v in args.seed_counts.split(",")))
     h = largest_connected_component(filter_by_size(load_auto(args.input), args.max_size))
     # counts above m clamp to m; keep each clamped count once, as one cell
-    seed_counts = tuple(dict.fromkeys(min(int(v), h.m) for v in args.seed_counts.split(",")))
-    grid = ExperimentGrid(
-        variants=(args.variant,),
-        strategies=tuple(args.strategies.split(",")),
-        seed_counts=seed_counts,
-        tau=args.tau,
-    )
+    seed_counts = tuple(dict.fromkeys(min(v, h.m) for v in counts))
+    grid = ExperimentGrid(DynamicsConfig(args.variant, args.tau), strategies, seed_counts)
     print(f"{args.input}: n={h.n} m={h.m}; grid of {len(grid.cells())} cells x {args.runs} runs")
     records, comparisons = randomized_comparison(
-        prepare_dynamics(h), grid, runs=args.runs, samples=args.samples,
+        h, build_influence(h, args.variant), grid, runs=args.runs, samples=args.samples,
         master_seed=args.seed, dataset=args.input, jobs=args.jobs,
     )
     write_records_csv(records, args.out)

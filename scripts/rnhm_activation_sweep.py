@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import replace
 from itertools import product
 
 from hypernest import ExperimentGrid, RnhmParams, generate, spawn_rng
-from hypernest.cli import at_least, run_script
-from hypernest.dynamics import VARIANTS
-from hypernest.experiments import mean_stderr, prepare_dynamics, run_experiment
+from hypernest.cli import at_least, distinct, run_script
+from hypernest.dynamics import VARIANTS, DynamicsConfig, build_influence
+from hypernest.experiments import mean_stderr, run_experiment
 
 
 def main():
@@ -39,14 +38,14 @@ def main():
     ap.add_argument("--tau", type=int, default=1)
     ap.add_argument("--realizations", type=at_least(1), default=25)
     ap.add_argument("--runs", type=at_least(1), default=50)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=at_least(0), default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
     eps_values = [float(v) for v in args.eps_grid.split(",")]
-    strategies = args.strategies.split(",")
-    seed_counts = [int(v) for v in args.seed_counts.split(",")]
-    grid = ExperimentGrid(variants=(args.variant,), tau=args.tau)
+    strategies = distinct("--strategies", tuple(args.strategies.split(",")))
+    seed_counts = distinct("--seed-counts", tuple(int(v) for v in args.seed_counts.split(",")))
+    config = DynamicsConfig(args.variant, args.tau)
 
     rows = []
     for eps2, eps3 in product(eps_values, eps_values):
@@ -57,20 +56,19 @@ def main():
             keep_probs={s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)},
             include_singletons=True,
         )
-        realizations = [
-            prepare_dynamics(generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph)
-            for r in range(args.realizations)
-        ]
+        realizations = []
+        for r in range(args.realizations):
+            h = generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph
+            realizations.append((h, build_influence(h, args.variant)))
         for strategy, seed_count in product(strategies, seed_counts):
             # one-cell grid per realization, pooled realization-major: the order
             # fixes the rounding of the mean and stderr sums
             proportions = [
                 rec.proportion
-                for r, prepared in enumerate(realizations)
+                for r, (h, influence) in enumerate(realizations)
                 for rec in run_experiment(
-                    prepared,
-                    replace(grid, strategies=(strategy,),
-                            seed_counts=(min(seed_count, prepared.hypergraph.m),)),
+                    h, influence,
+                    ExperimentGrid(config, (strategy,), (min(seed_count, h.m),)),
                     args.runs,
                     args.seed + r,
                 )

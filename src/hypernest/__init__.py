@@ -4,11 +4,10 @@ null models, a nested random generator, and hyperedge contagion."""
 __version__ = "0.1.0"
 
 from .dagpaths import RootedHeightReport, rooted_heights, transitive_reduction
-from .dynamics import DynamicsConfig, select_seeds
+from .dynamics import DynamicsConfig, build_influence, select_seeds
 from .experiments import (
     ExperimentGrid,
     RunRecord,
-    prepare_dynamics,
     randomized_comparison,
     run_experiment,
     summarize,
@@ -56,6 +55,7 @@ __all__ = [
     "RunRecord",
     "adjacent_layer_dag",
     "build_encapsulation_dag",
+    "build_influence",
     "build_overlap_graph",
     "encapsulation_counts",
     "filter_by_size",
@@ -68,7 +68,6 @@ __all__ = [
     "load_plain",
     "load_simplex_dataset",
     "parse_plain",
-    "prepare_dynamics",
     "preprocess",
     "projected_density",
     "randomized_comparison",

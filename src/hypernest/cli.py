@@ -18,11 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .dagpaths import rooted_heights
-from .dynamics import STRATEGIES, VARIANTS
+from .dynamics import STRATEGIES, VARIANTS, DynamicsConfig, build_influence
 from .experiments import (
     ExperimentGrid,
     first_runs,
-    prepare_dynamics,
     randomized_comparison,
     run_experiment,
     summarize,
@@ -65,6 +64,14 @@ def at_least(minimum: int):
         return int(text)
 
     return count
+
+
+def distinct(option: str, values: tuple) -> tuple:
+    """``values`` as given; a ValueError if one is listed twice, since a grid
+    would then hold its cell twice."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{option} lists a value twice: {','.join(map(str, values))}")
+    return values
 
 
 def run_script(script_main) -> None:
@@ -300,39 +307,32 @@ def _parse_csv_list(value: str, cast) -> tuple:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     h = load_input(args)
-    strategies = _parse_csv_list(args.strategy, str)
-    seed_counts = _parse_csv_list(args.seeds, int)
+    strategies = distinct("--strategy", _parse_csv_list(args.strategy, str))
+    seed_counts = distinct("--seeds", _parse_csv_list(args.seeds, int))
     if not strategies or not seed_counts:
         raise ValueError("--strategy and --seeds must each list at least one value")
-    for name, values in (("--strategy", strategies), ("--seeds", seed_counts)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} lists a value twice: {','.join(map(str, values))}")
     for strat in strategies:
         if strat not in STRATEGIES:
             raise ValueError(f"unknown strategy {strat!r}; choose from {', '.join(STRATEGIES)}")
     for count in seed_counts:
         if count > h.m:
             raise ValueError(f"seed count {count} exceeds hyperedge count {h.m}")
-    grid = ExperimentGrid(
-        variants=(args.variant,),
-        strategies=strategies,
-        seed_counts=seed_counts,
-        tau=args.tau,
-        max_steps=args.max_steps,
-        comparison=args.comparison,
-    )
+    config = DynamicsConfig(args.variant, args.tau, args.max_steps, args.comparison)
+    grid = ExperimentGrid(config, strategies, seed_counts)
     dataset = args.dataset or Path(args.input).name
-    prepared = prepare_dynamics(h)
+    influence = build_influence(h, args.variant)
     if args.randomize:
         records, comparisons = randomized_comparison(
-            prepared, grid, args.runs, args.randomize, args.seed, dataset=dataset, jobs=args.jobs
+            h, influence, grid, args.runs, args.randomize, args.seed, dataset=dataset,
+            jobs=args.jobs,
         )
         summary_doc = {
             "cells": [vars(c) for c in comparisons],
             "randomize_samples": args.randomize,
         }
     else:
-        records = run_experiment(prepared, grid, args.runs, args.seed, dataset=dataset, jobs=args.jobs)
+        records = run_experiment(h, influence, grid, args.runs, args.seed, dataset=dataset,
+                                 jobs=args.jobs)
         summary_doc = {"cells": [vars(s) for s in summarize(records)]}
     out = Path(args.out)
     write_records_csv(records, out)
@@ -341,11 +341,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _atomic_write_text(Path(args.summary_out), json.dumps(summary_doc, indent=2) + "\n")
         outputs.append(Path(args.summary_out))
     if args.trajectories:
-        batch = first_runs(prepared, grid, args.seed)
+        batch = first_runs(h, influence, grid, args.seed)
         final = batch.final_active().tolist()
-        dumps = [{"variant": variant, "strategy": strategy, "seeds": seed_count, "run": 0,
+        dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
                   "steps": batch.steps(c), "final_active": final[c]}
-                 for c, (variant, strategy, seed_count) in enumerate(grid.cells())]
+                 for c, (strategy, seed_count) in enumerate(grid.cells())]
         _atomic_write_text(Path(args.trajectories), json.dumps(dumps, indent=2) + "\n")
         outputs.append(Path(args.trajectories))
     write_manifest(args, outputs)
@@ -369,14 +369,14 @@ def build_parser() -> _Parser:
     p.add_argument("--normalized", action="store_true", help="include per-size-n-hyperedge rates")
     p.add_argument("--histograms", action="store_true", help="include per-hyperedge normalized histograms")
     p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="add mean counts over K layer randomizations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", help="write JSON here (with manifest)")
     p.set_defaults(func=cmd_encapsulation)
 
     p = sub.add_parser("heights", help="rooted path heights of the containment DAG")
     _add_input_options(p)
     p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="also report K layer randomizations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", help="write per-root CSV here")
     p.add_argument("--summary-out", help="write distribution summary JSON here")
     p.set_defaults(func=cmd_heights)
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("randomize", help="layer randomization retention report")
     _add_input_options(p)
     p.add_argument("--samples", type=at_least(1), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", help="write JSON report here (with manifest)")
     p.add_argument("--emit-samples", metavar="DIR", help="also write each randomized hypergraph")
     p.set_defaults(func=cmd_randomize)
@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
         help="keep probabilities: 'v2,v3,…' for sizes 2..max-size-1, or 'size=v' pairs (default all 1)",
     )
     p.add_argument("--singletons", action="store_true", help="include each appearing node as a 1-node hyperedge")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", required=True, help="write the hypergraph here, one hyperedge per line")
     p.set_defaults(func=cmd_rnhm)
 
@@ -412,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=at_least(1), default=10)
     p.add_argument("--max-steps", type=at_least(1), default=25)
     p.add_argument("--comparison", choices=(">=", ">"), default=">=")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--randomize", type=at_least(0), default=0, metavar="K", help="compare against K layer randomizations")
     p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--dataset", default="", help="dataset name for the results table")

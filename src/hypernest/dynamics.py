@@ -11,7 +11,7 @@ node-counting threshold process is included for comparison ("threshold").
 
 The variants differ only in who influences whom and how many active
 influencers a hyperedge needs, so each is an ``Influence`` map of CSR
-arrays, built once per hypergraph by ``PreparedDynamics`` and run by the
+arrays, built once per hypergraph by ``build_influence`` and run by the
 one array engine ``spread``, which advances a batch of runs together and
 returns their ``Batch`` (a single run is a batch of one). Runs proceed in
 synchronous rounds and are deterministic once the seed hyperedges are
@@ -22,15 +22,14 @@ change (or after ``max_steps`` rounds).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .linegraph import HyperedgeDag, adjacent_layer_dag, build_encapsulation_dag
+from .linegraph import adjacent_layer_dag, build_encapsulation_dag
 from .rng import RngLike, as_rng
 
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
@@ -127,58 +126,31 @@ class Influence:
         return max(1, _BATCH_KEYS // max(*keys, 1))
 
 
-@dataclass
-class PreparedDynamics:
-    """A hypergraph with the line-graph structures its contagion runs read:
-    the containment DAG, the adjacent-layer DAG (built directly, not cut
-    from the full one) and each variant's influence map, each built on
-    first read and then shared by every run. ``strict`` and ``non-strict``
-    read only the adjacent-layer DAG, ``empirical-adjacent`` only the full
-    one, and the threshold process neither, so builds none."""
-
-    hypergraph: Hypergraph
-    influences: dict[str, Influence] = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def full_dag(self) -> HyperedgeDag:
-        return build_encapsulation_dag(self.hypergraph)
-
-    @cached_property
-    def adjacent_dag(self) -> HyperedgeDag:
-        return adjacent_layer_dag(self.hypergraph)
-
-    def influence(self, variant: str) -> Influence:
-        """The influence map of ``variant``, built on first read."""
-        if variant in self.influences:
-            return self.influences[variant]
-        h = self.hypergraph
-        if variant == "strict":
-            influence = Influence(self.adjacent_dag.in_csr)
-        elif variant == "non-strict":
-            # 2-node hyperedges hear their member nodes instead of their singletons
-            adjacent = self.adjacent_dag
-            in_pair = h.sizes[h.memb_ids] == 2
-            per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
-            pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
-            influence = Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
-        elif variant == "empirical-adjacent":
-            # a hyperedge hears only the contained hyperedges of the largest size
-            full = self.full_dag
-            parents, child_size = full.sources, h.sizes[full.out_idx]
-            largest = np.zeros(h.m, dtype=np.int64)
-            np.maximum.at(largest, parents, child_size)
-            influence = Influence(full.restrict(child_size == largest[parents]).in_csr)
-        elif variant == "threshold":
-            influence = Influence((np.zeros(h.m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)),
-                                  (h.memb_ptr, h.memb_ids))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        self.influences[variant] = influence
-        return influence
-
-
-def prepare_dynamics(h: Hypergraph) -> PreparedDynamics:
-    return PreparedDynamics(hypergraph=h)
+def build_influence(h: Hypergraph, variant: str) -> Influence:
+    """The influence map of ``variant`` on ``h``, built from the one line
+    graph it reads: ``strict`` and ``non-strict`` the adjacent-layer DAG
+    (built directly, not cut from the full one), ``empirical-adjacent`` the
+    full containment DAG, and the threshold process none."""
+    if variant == "strict":
+        return Influence(adjacent_layer_dag(h).in_csr)
+    if variant == "non-strict":
+        # 2-node hyperedges hear their member nodes instead of their singletons
+        adjacent = adjacent_layer_dag(h)
+        in_pair = h.sizes[h.memb_ids] == 2
+        per_node = np.bincount(np.repeat(np.arange(h.n), h.degrees)[in_pair], minlength=h.n)
+        pairs = (np.concatenate(([0], np.cumsum(per_node))), h.memb_ids[in_pair])
+        return Influence(adjacent.restrict(h.sizes[adjacent.sources] != 2).in_csr, pairs)
+    if variant == "empirical-adjacent":
+        # a hyperedge hears only the contained hyperedges of the largest size
+        full = build_encapsulation_dag(h)
+        parents, child_size = full.sources, h.sizes[full.out_idx]
+        largest = np.zeros(h.m, dtype=np.int64)
+        np.maximum.at(largest, parents, child_size)
+        return Influence(full.restrict(child_size == largest[parents]).in_csr)
+    if variant == "threshold":
+        return Influence((np.zeros(h.m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)),
+                         (h.memb_ptr, h.memb_ids))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
@@ -191,7 +163,8 @@ def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
             "such hyperedges self-activate with no active nodes",
             stacklevel=3,
         )
-    return h.sizes - config.tau
+    # a tau of at least the largest size leaves every need <= 0 either way
+    return h.sizes - min(config.tau, h.max_size)
 
 
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

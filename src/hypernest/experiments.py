@@ -1,22 +1,23 @@
-"""Seeded experiment grids over contagion configurations.
+"""Seeded experiment grids over one contagion configuration.
 
-A grid crosses variants x seed strategies x seed counts; each cell is run
-repeatedly with RNG streams derived from the master seed and the cell/run
-index, so results are reproducible and independent of execution order or
-worker count.
+A grid crosses seed strategies x seed counts under one ``DynamicsConfig``
+and runs on that variant's influence map (``dynamics.build_influence``);
+each cell is run repeatedly with RNG streams derived from the master seed
+and the cell/run index, so results are reproducible and independent of
+execution order or worker count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from itertools import groupby, product
+from itertools import product
 from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
-from .dynamics import (Batch, DynamicsConfig, PreparedDynamics, activation_proportion,
-                       prepare_dynamics, select_seeds, spread)
+from .dynamics import (Batch, DynamicsConfig, Influence, activation_proportion, build_influence,
+                       select_seeds, spread)
 from .hypergraph import Hypergraph
 from .randomize import layer_samples
 from .rng import spawn_rng
@@ -24,20 +25,12 @@ from .rng import spawn_rng
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    variants: tuple[str, ...] = ("strict",)
+    config: DynamicsConfig = DynamicsConfig()
     strategies: tuple[str, ...] = ("uniform",)
     seed_counts: tuple[int, ...] = (1,)
-    tau: int = 1
-    max_steps: int = 25
-    comparison: str = ">="
 
-    def cells(self) -> list[tuple[str, str, int]]:
-        return list(product(self.variants, self.strategies, self.seed_counts))
-
-    def config(self, variant: str) -> DynamicsConfig:
-        return DynamicsConfig(
-            variant=variant, tau=self.tau, max_steps=self.max_steps, comparison=self.comparison
-        )
+    def cells(self) -> list[tuple[str, int]]:
+        return list(product(self.strategies, self.seed_counts))
 
 
 @dataclass(frozen=True)
@@ -66,28 +59,27 @@ class CellSummary:
     stderr: float
 
 
-def _cell_seeds(h: Hypergraph, cell: tuple[str, str, int], cell_index: int, run: int,
+def _cell_seeds(h: Hypergraph, cell: tuple[str, int], cell_index: int, run: int,
                 master_seed: int) -> list[int]:
     """The seeds of run ``run`` of a cell: its strategy and count, drawn from
     the seed-selection stream of (cell_index, run) under ``master_seed``."""
-    _, strategy, seed_count = cell
     rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
-    return select_seeds(h, strategy, seed_count, rng)
+    return select_seeds(h, *cell, rng)
 
 
-def first_runs(prepared: PreparedDynamics, grid: ExperimentGrid, master_seed: int) -> Batch:
-    """Run 0 of every cell of a one-variant ``grid`` (else ValueError), as one
-    batch whose run c is cell c; ``run_experiment`` records the same runs."""
-    (variant,), h = grid.variants, prepared.hypergraph
-    return spread(h, prepared.influence(variant), grid.config(variant),
+def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
+               master_seed: int) -> Batch:
+    """Run 0 of every cell as one batch whose run c is cell c;
+    ``run_experiment`` records the same runs."""
+    return spread(h, influence, grid.config,
                   [_cell_seeds(h, cell, c, 0, master_seed) for c, cell in enumerate(grid.cells())])
 
 
 def _run_tasks(args) -> list[RunRecord]:
-    """Records of the (cell, run) ``tasks`` of one variant, in order, from
-    ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
-    h, influence, grid, variant, tasks, master_seed, dataset = args
-    cells, config = grid.cells(), grid.config(variant)
+    """Records of the (cell, run) ``tasks``, in order, from ``spread`` calls
+    of at most ``influence.batch_runs(h)`` runs each."""
+    h, influence, grid, tasks, master_seed, dataset = args
+    cells, config = grid.cells(), grid.config
     per_batch = influence.batch_runs(h)
     records = []
     for start in range(0, len(tasks), per_batch):
@@ -97,39 +89,40 @@ def _run_tasks(args) -> list[RunRecord]:
         for (c, run), steps, final, seeded in zip(chunk, batch.num_steps().tolist(),
                                                   batch.final_active().tolist(),
                                                   batch.seed_counts().tolist()):
-            records.append(RunRecord(dataset, *cells[c], grid.tau, run, steps, final,
-                                     final - seeded, activation_proportion(h.m, seeded, final)))
+            records.append(RunRecord(dataset, config.variant, *cells[c], config.tau, run, steps,
+                                     final, final - seeded,
+                                     activation_proportion(h.m, seeded, final)))
     return records
 
 
 def run_experiment(
-    prepared: PreparedDynamics,
+    h: Hypergraph,
+    influence: Influence,
     grid: ExperimentGrid,
     runs: int,
     master_seed: int,
     dataset: str = "",
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """All (cell, run) results on a prepared hypergraph, in deterministic
-    cell-major order. Each variant's cells x runs go to the engine together,
-    split into ``jobs`` contiguous parts run by as many worker processes."""
+    """All (cell, run) results on ``h`` under ``influence``, the map of the
+    grid's variant, in deterministic cell-major order. The cells x runs go
+    to the engine together, split into ``jobs`` contiguous parts run by as
+    many worker processes."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    work = []
-    for variant, block in groupby(enumerate(grid.cells()), key=lambda item: item[1][0]):
-        tasks = [(c, run) for c, _ in block for run in range(runs)]
-        parts = min(jobs, len(tasks))
-        bounds = [len(tasks) * i // parts for i in range(parts + 1)]
-        work += [(prepared.hypergraph, prepared.influence(variant), grid, variant, tasks[a:b],
-                  master_seed, dataset) for a, b in zip(bounds, bounds[1:])]
-    if jobs > 1 and len(work) > 1:
+    tasks = [(c, run) for c in range(len(grid.cells())) for run in range(runs)]
+    parts = min(jobs, len(tasks)) or 1
+    bounds = [len(tasks) * i // parts for i in range(parts + 1)]
+    work = [(h, influence, grid, tasks[a:b], master_seed, dataset)
+            for a, b in zip(bounds, bounds[1:])]
+    if parts > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
         # under fork every worker starts at the first submit, so ask for no
         # more workers than parts
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
             parts_done = list(pool.map(_run_tasks, work))
     else:
         parts_done = map(_run_tasks, work)
@@ -171,7 +164,8 @@ class RandomizedComparison:
 
 
 def randomized_comparison(
-    prepared: PreparedDynamics,
+    h: Hypergraph,
+    influence: Influence,
     grid: ExperimentGrid,
     runs: int,
     samples: int,
@@ -179,28 +173,27 @@ def randomized_comparison(
     dataset: str = "",
     jobs: int = 1,
 ) -> tuple[list[RunRecord], list[RandomizedComparison]]:
-    """Run the grid on the prepared observed hypergraph and on ``samples``
-    layer randomizations; returns observed records plus per-cell comparisons."""
+    """Run the grid on the observed ``h`` (under ``influence``, the map of
+    the grid's variant) and on ``samples`` layer randomizations, each under
+    its own map; returns observed records plus per-cell comparisons."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    observed_records = run_experiment(
-        prepared, grid, runs, master_seed, dataset=dataset, jobs=jobs
-    )
-    observed = {
-        (s.variant, s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)
-    }
+    observed_records = run_experiment(h, influence, grid, runs, master_seed, dataset=dataset,
+                                      jobs=jobs)
+    observed = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)}
     randomized_sums: dict[tuple, float] = {key: 0.0 for key in observed}
-    for i, randomized in enumerate(layer_samples(prepared.hypergraph, samples, master_seed)):
+    for i, randomized in enumerate(layer_samples(h, samples, master_seed)):
         records = run_experiment(
-            prepare_dynamics(randomized), grid, runs, master_seed,
+            randomized, build_influence(randomized, grid.config.variant), grid, runs, master_seed,
             dataset=f"{dataset}[rand{i}]", jobs=jobs,
         )
         for s in summarize(records):
-            randomized_sums[(s.variant, s.strategy, s.seeds)] += s.mean_proportion
+            randomized_sums[(s.strategy, s.seeds)] += s.mean_proportion
     comparisons = []
     for key in grid.cells():
         rand_mean = randomized_sums[key] / samples
-        comparisons.append(RandomizedComparison(dataset, *key, grid.tau, observed[key], rand_mean,
+        comparisons.append(RandomizedComparison(dataset, grid.config.variant, *key, grid.config.tau,
+                                                observed[key], rand_mean,
                                                 observed[key] - rand_mean))
     return observed_records, comparisons
 

@@ -177,10 +177,6 @@ class Hypergraph:
     def max_size(self) -> int:
         return int(self.sizes.max()) if self.m else 0
 
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.n else 0
-
     def has_singletons(self) -> bool:
         return bool(self.m) and int(self.sizes.min()) == 1
 

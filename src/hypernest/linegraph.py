@@ -95,15 +95,6 @@ class OverlapGraph:
     nbrs: np.ndarray
     weights: np.ndarray
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.ptr[-1]) // 2
-
-    def weight(self, i: int, j: int) -> int:
-        lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
-        k = lo + int(np.searchsorted(self.nbrs[lo:hi], j))
-        return int(self.weights[k]) if k < hi and self.nbrs[k] == j else 0
-
 
 def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``tidx``, ``lo``, ``hi`` for ``co_member_pairs`` over ``h.edge_ptr``:

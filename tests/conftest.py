@@ -69,11 +69,10 @@ def overlap_entries(g) -> dict[tuple[int, int], int]:
             for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
 
 
-def run_once(prepared, config, seeds, seed_nodes=()):
-    """One contagion run of ``config.variant`` on a prepared hypergraph, from
-    the seed hyperedges and pre-activated nodes, as a batch of one."""
-    return spread(prepared.hypergraph, prepared.influence(config.variant), config,
-                  [seeds], [seed_nodes])
+def run_once(h, influence, config, seeds, seed_nodes=()):
+    """One contagion run of ``config.variant`` on ``h`` under its influence
+    map, from the seed hyperedges and pre-activated nodes, as a batch of one."""
+    return spread(h, influence, config, [seeds], [seed_nodes])
 
 
 @pytest.fixture

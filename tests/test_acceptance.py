@@ -22,6 +22,7 @@ from hypernest import (
     Hypergraph,
     RnhmParams,
     build_encapsulation_dag,
+    build_influence,
     build_overlap_graph,
     filter_by_size,
     generate,
@@ -38,7 +39,7 @@ from hypernest import (
 )
 from hypernest.cli import main as cli_main
 from hypernest.dynamics import activation_proportion
-from hypernest.experiments import prepare_dynamics, randomized_comparison
+from hypernest.experiments import randomized_comparison
 from hypernest.linegraph import HyperedgeDag
 
 
@@ -223,12 +224,12 @@ class TestCriterion6NestedModelExtremes:
             config = DynamicsConfig(variant="strict", tau=1)
             for realization in range(25):
                 h = generate(params, spawn_rng(realization, "rnhm")).hypergraph
-                prep = prepare_dynamics(h)
+                influence = build_influence(h, "strict")
                 for run in range(10):
                     seeds = select_seeds(
                         h, "smallest-first", 20, spawn_rng(realization, "seed-selection", 0, run)
                     )
-                    assert proportion(h, run_once(prep, config, seeds)) == 1.0
+                    assert proportion(h, run_once(h, influence, config, seeds)) == 1.0
 
     def test_pair_rewiring_separates_outcomes(self):
         # controlled comparison at equal keep probability for 3-node edges
@@ -239,14 +240,14 @@ class TestCriterion6NestedModelExtremes:
                 for realization in range(25):
                     params = RnhmParams(keep_probs={2: eps2, 3: 1.0}, **FIG_PARAMS)
                     h = generate(params, spawn_rng(500 + realization, "rnhm")).hypergraph
-                    prep = prepare_dynamics(h)
+                    influence = build_influence(h, "strict")
                     config = DynamicsConfig(variant="strict", tau=1)
                     for run in range(50):
                         seeds = select_seeds(
                             h, "smallest-first", min(20, h.m),
                             spawn_rng(500 + realization, "seed-selection", 0, run),
                         )
-                        total += proportion(h, run_once(prep, config, seeds))
+                        total += proportion(h, run_once(h, influence, config, seeds))
                         count += 1
                 return total / count
 
@@ -260,22 +261,25 @@ class TestCriterion7DynamicsGroundTruth:
     def test_no_nesting_hypergraph_never_spreads(self):
         with criterion("7 no-containment hypergraph: zero spread from any single seed"):
             h = Hypergraph([["a", "b"], ["b", "c"], ["c", "d", "e"]])
-            prep = prepare_dynamics(h)
+            influence = build_influence(h, "strict")
             for seed in range(h.m):
-                batch = run_once(prep, DynamicsConfig(variant="strict", tau=1), seeds=[seed])
+                batch = run_once(h, influence, DynamicsConfig(variant="strict", tau=1),
+                                 seeds=[seed])
                 assert batch.steps(0) == [[seed]]
 
     def test_contained_pair_activates_parent(self):
         with criterion("7 containment pair: seeded subset activates its superset"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            batch = run_once(prepare_dynamics(h), DynamicsConfig(variant="strict"), seeds=[1])
+            batch = run_once(h, build_influence(h, "strict"), DynamicsConfig(variant="strict"),
+                             seeds=[1])
             assert batch.steps(0) == [[1], [0]]
 
     def test_non_strict_single_node_cascade(self):
         with criterion("7 non-strict: active node b reaches pair then triple"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
             batch = run_once(
-                prepare_dynamics(h),
+                h,
+                build_influence(h, "non-strict"),
                 DynamicsConfig(variant="non-strict"),
                 seeds=[],
                 seed_nodes=[h.labels.index("b")],
@@ -319,12 +323,12 @@ class TestCriterion9EmpiricalDirectionality:
         with criterion("9 email-Enron: smallest-first dominates; observed >= randomized"):
             h = load_lcc("email-Enron")
             grid = ExperimentGrid(
-                variants=("strict",),
                 strategies=("smallest-first", "uniform", "size-biased", "inverse-size-biased"),
                 seed_counts=ENRON_SEED_COUNTS,
             )
             records, comparisons = randomized_comparison(
-                prepare_dynamics(h), grid, runs=20, samples=5, master_seed=42, dataset="email-Enron"
+                h, build_influence(h, "strict"), grid, runs=20, samples=5, master_seed=42,
+                dataset="email-Enron"
             )
             means = {
                 (s.strategy, s.seeds): s.mean_proportion for s in summarize(records)

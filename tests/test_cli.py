@@ -106,6 +106,8 @@ class TestStats:
         ("simulate", "--max-steps", "0"),
         ("randomize", "--samples", "-1"),
         ("randomize", "--samples", "two"),
+        ("simulate", "--seed", "-1"),
+        ("heights", "--seed", "-1"),
     ],
 )
 def test_bad_count_is_usage_error(plain_file, tmp_path, argv, capsys):
@@ -153,6 +155,11 @@ def test_script_count_below_one_is_usage_error(
         ("empirical_activation_sweep.py", ("missing.txt",)),
         ("empirical_activation_sweep.py", ("{input}", "--seed-counts", "x")),
         ("empirical_activation_sweep.py", ("{input}", "--tau", "-1")),
+        # a repeated value would list one cell twice
+        ("rnhm_activation_sweep.py", ("--strategies", "uniform,uniform", "--seed-counts", "1,1")),
+        ("rnhm_activation_sweep.py", ("--seed-counts", "5,1,5")),
+        ("empirical_activation_sweep.py", ("{input}", "--strategies", "uniform,uniform")),
+        ("empirical_activation_sweep.py", ("{input}", "--seed-counts", "1,1")),
     ],
 )
 def test_script_data_error_exits_2(script, argv, plain_file, tmp_path, monkeypatch, capsys):
@@ -407,6 +414,20 @@ class TestSimulate:
         assert code == 0
         cell = json.loads(summary.read_text())["cells"][0]
         assert "observed_mean" in cell and "difference" in cell
+
+    def test_tau_beyond_int64_runs_as_tau_at_max_size(self, plain_file, tmp_path):
+        # the threshold process needs size - tau active nodes: every need is
+        # <= 0 once tau reaches the largest size (3 here), however large tau is
+        rows = {}
+        for tau in ("3", str(2**63)):
+            out = tmp_path / f"tau-{tau}.csv"
+            assert run_cli("simulate", plain_file, "--variant", "threshold", "--tau", tau,
+                           "--strategy", "uniform,smallest-first", "--seeds", "0,1",
+                           "--runs", "2", "--out", out) == 0
+            rows[tau] = [{**row, "tau": None}
+                         for row in csv.DictReader(out.read_text().splitlines())]
+        assert rows["3"] == rows[str(2**63)]
+        assert all(row["final_active"] == "4" for row in rows["3"])
 
     @pytest.mark.parametrize("variant", ["empirical-adjacent", "threshold"])
     def test_other_variants_run(self, plain_file, tmp_path, variant):

@@ -24,6 +24,9 @@ FIXTURE = Path(__file__).resolve().parent / "golden" / "nested.txt"
 # argparse accepts the values of an option's first list and rejects those of
 # its second; a drawn argv uses only accepted values unless it is "noisy"
 INTS = (["0", "1", "2", "3", "-1", "-7", "99"], ["", "x", "1.5"])
+SEEDS = (["0", "1", "2", "3", "99"], ["-1", "-7", "", "x", "1.5"])
+# 2**63 overflows int64; as a threshold tau it is as any tau >= the largest size
+TAUS = (INTS[0] + [str(2**63)], INTS[1])
 COUNTS = (["0", "1", "2"], ["-1", "", "x"])
 LISTS = (["", ",", ",,", "1", "2,1", "1,,3", "0", "-1", "x", "1;2", "99"], [])
 STRATEGY_LISTS = (
@@ -41,27 +44,27 @@ INPUT_OPTIONS = {
 OPTIONS = {
     "stats": INPUT_OPTIONS | {"--json": FLAG, "--out": OUT},
     "encapsulation": INPUT_OPTIONS | {
-        "--normalized": FLAG, "--histograms": FLAG, "--randomize": COUNTS, "--seed": INTS,
+        "--normalized": FLAG, "--histograms": FLAG, "--randomize": COUNTS, "--seed": SEEDS,
         "--out": OUT,
     },
     "heights": INPUT_OPTIONS | {
-        "--randomize": COUNTS, "--seed": INTS, "--out": OUT, "--summary-out": OUT,
+        "--randomize": COUNTS, "--seed": SEEDS, "--out": OUT, "--summary-out": OUT,
     },
     "randomize": INPUT_OPTIONS | {
-        "--samples": (["1", "2"], ["0", "-1", "x"]), "--seed": INTS, "--out": OUT,
+        "--samples": (["1", "2"], ["0", "-1", "x"]), "--seed": SEEDS, "--out": OUT,
         "--emit-samples": OUT,
     },
     "rnhm": {
         "--nodes": (["0", "1", "3", "5", "8", "-2"], ["x"]),
         "--max-size": (["0", "1", "2", "3", "5", "8", "-1"], ["", "x"]),
         "--max-edges": (["0", "1", "2", "3", "-1"], ["x"]),
-        "--eps": EPS, "--singletons": FLAG, "--seed": INTS, "--out": OUT,
+        "--eps": EPS, "--singletons": FLAG, "--seed": SEEDS, "--out": OUT,
     },
     "simulate": INPUT_OPTIONS | {
         "--variant": (["strict", "non-strict", "empirical-adjacent", "threshold"], ["bogus"]),
-        "--strategy": STRATEGY_LISTS, "--seeds": LISTS, "--tau": INTS,
+        "--strategy": STRATEGY_LISTS, "--seeds": LISTS, "--tau": TAUS,
         "--runs": (["1", "2"], ["0", "-1", "x"]), "--max-steps": INTS,
-        "--comparison": ([">=", ">"], ["=="]), "--seed": INTS, "--randomize": COUNTS,
+        "--comparison": ([">=", ">"], ["=="]), "--seed": SEEDS, "--randomize": COUNTS,
         "--jobs": (["1"], ["0", "-1", "x"]), "--dataset": (["", "name"], []),
         "--out": OUT, "--summary-out": OUT, "--trajectories": OUT,
     },

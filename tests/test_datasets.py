@@ -11,11 +11,12 @@ import pytest
 
 from conftest import dataset_prefix
 from hypernest import (
+    DynamicsConfig,
     ExperimentGrid,
+    build_influence,
     filter_by_size,
     largest_connected_component,
     load_simplex_dataset,
-    prepare_dynamics,
     retention_report,
     run_experiment,
     summarize,
@@ -49,7 +50,8 @@ class TestContactSaturation:
     @pytest.mark.parametrize("name", ["contact-high-school", "contact-primary-school"])
     def test_non_strict_single_seed_saturates(self, name):
         h = largest_connected_component(load_filtered(name))
-        grid = ExperimentGrid(variants=("non-strict",), strategies=("uniform",), seed_counts=(1,))
-        records = run_experiment(prepare_dynamics(h), grid, runs=10, master_seed=1, dataset=name)
+        grid = ExperimentGrid(DynamicsConfig("non-strict"), ("uniform",), (1,))
+        records = run_experiment(h, build_influence(h, "non-strict"), grid, runs=10,
+                                 master_seed=1, dataset=name)
         (cell,) = summarize(records)
         assert cell.mean_proportion == 1.0

@@ -17,8 +17,8 @@ from hypernest import (
     Hypergraph,
     RnhmParams,
     adjacent_layer_dag,
+    build_influence,
     generate,
-    prepare_dynamics,
     run_experiment,
     select_seeds,
     spawn_rng,
@@ -29,7 +29,7 @@ from hypernest.rng import as_rng
 
 
 def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
-    return run_once(prepare_dynamics(h), config, seeds, seed_nodes)
+    return run_once(h, build_influence(h, config.variant), config, seeds, seed_nodes)
 
 
 def non_seed_active(batch) -> int:
@@ -95,10 +95,10 @@ class TestSelectSeeds:
 class TestStrictDynamics:
     def test_no_nesting_means_no_spread(self):
         h = Hypergraph(NO_NESTING)
-        prep = prepare_dynamics(h)
+        influence = build_influence(h, "strict")
         config = DynamicsConfig(variant="strict", tau=1)
         for seed in range(h.m):
-            assert run_once(prep, config, seeds=[seed]).steps(0) == [[seed]]
+            assert run_once(h, influence, config, seeds=[seed]).steps(0) == [[seed]]
 
     def test_contained_pair_spreads(self):
         h = Hypergraph(ONE_NESTING)
@@ -121,10 +121,9 @@ class TestStrictDynamics:
 
     def test_tau_two_needs_two_children(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
-        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="strict", tau=2)
-        assert non_seed_active(run_once(prep, config, seeds=[1])) == 0
-        assert non_seed_active(run_once(prep, config, seeds=[1, 2])) == 1
+        assert non_seed_active(run(h, config, seeds=[1])) == 0
+        assert non_seed_active(run(h, config, seeds=[1, 2])) == 1
 
     def test_strictly_greater_comparison(self):
         h = Hypergraph(ONE_NESTING)
@@ -155,56 +154,49 @@ class TestNonStrictDynamics:
 
     def test_degenerates_to_strict_without_pairs(self):
         h = Hypergraph([[1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5, 6]])
-        prep = prepare_dynamics(h)
-        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[0])
-        loose = run_once(prep, DynamicsConfig(variant="non-strict"), seeds=[0])
+        strict = run(h, DynamicsConfig(variant="strict"), seeds=[0])
+        loose = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
         assert strict.steps(0) == loose.steps(0)
 
     @given(hypergraphs(min_edge_size=3))
     @settings(max_examples=30)
     def test_degenerates_to_strict_without_pairs_property(self, h):
-        prep = prepare_dynamics(h)
         seeds = [0]
-        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds)
-        loose = run_once(prep, DynamicsConfig(variant="non-strict"), seeds)
+        strict = run(h, DynamicsConfig(variant="strict"), seeds)
+        loose = run(h, DynamicsConfig(variant="non-strict"), seeds)
         assert strict.steps(0) == loose.steps(0)
 
 
 class TestEmpiricalAdjacent:
     def test_size_gap_is_bridged(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
-        prep = prepare_dynamics(h)
-        config_a = DynamicsConfig(variant="empirical-adjacent")
-        batch = run_once(prep, config_a, seeds=[1])
+        batch = run(h, DynamicsConfig(variant="empirical-adjacent"), seeds=[1])
         assert batch.edge_active[0].tolist() == [True, True]
         # under the adjacent-size rule the same seed reaches nothing
-        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[1])
+        strict = run(h, DynamicsConfig(variant="strict"), seeds=[1])
         assert non_seed_active(strict) == 0
 
     def test_only_largest_contained_size_counts(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 4]])
-        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="empirical-adjacent")
-        via_pair = run_once(prep, config, seeds=[2])
+        via_pair = run(h, config, seeds=[2])
         assert not via_pair.edge_active[0, 0]
-        via_triple = run_once(prep, config, seeds=[1])
+        via_triple = run(h, config, seeds=[1])
         assert via_triple.edge_active[0, 0]
 
     def test_matches_strict_when_gapless(self, chain_hypergraph):
-        prep = prepare_dynamics(chain_hypergraph)
-        empirical = run_once(prep, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
-        strict = run_once(prep, DynamicsConfig(variant="strict"), seeds=[2])
+        empirical = run(chain_hypergraph, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
+        strict = run(chain_hypergraph, DynamicsConfig(variant="strict"), seeds=[2])
         assert empirical.steps(0) == strict.steps(0)
 
 
 class TestThresholdDynamics:
     def test_unanimity(self):
         h = Hypergraph([[1, 2, 3]])
-        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="threshold", tau=0)
-        partial = run_once(prep, config, seeds=[], seed_nodes=[0, 1])
+        partial = run(h, config, seeds=[], seed_nodes=[0, 1])
         assert partial.final_active()[0] == 0
-        full = run_once(prep, config, seeds=[], seed_nodes=[0, 1, 2])
+        full = run(h, config, seeds=[], seed_nodes=[0, 1, 2])
         assert full.final_active()[0] == 1
 
     def test_all_but_one(self):
@@ -232,12 +224,11 @@ class TestEngineInvariants:
     @given(hypergraphs(), st.integers(0, 3))
     @settings(max_examples=40)
     def test_monotone_and_counts_consistent(self, h, seed):
-        prep = prepare_dynamics(h)
         rng = as_rng(seed)
         seeds = select_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
             config = DynamicsConfig(variant=variant)
-            batch = run_once(prep, config, seeds)
+            batch = run(h, config, seeds)
             steps = batch.steps(0)
             flat = [e for step in steps for e in step]
             assert len(flat) == len(set(flat))  # no hyperedge activates twice
@@ -270,11 +261,9 @@ class TestEngineInvariants:
             return frozenset(oracles.sorted_labels(h, e))
 
         seeds2 = [i for i in range(h2.m) if label_set(h2, i) in label_seeds]
-        prep1 = prepare_dynamics(h1)
-        prep2 = prepare_dynamics(h2)
         for variant in ("strict", "non-strict"):
-            t1 = run_once(prep1, DynamicsConfig(variant=variant), seeds1)
-            t2 = run_once(prep2, DynamicsConfig(variant=variant), seeds2)
+            t1 = run(h1, DynamicsConfig(variant=variant), seeds1)
+            t2 = run(h2, DynamicsConfig(variant=variant), seeds2)
             steps1 = [{label_set(h1, e) for e in step} for step in t1.steps(0)]
             steps2 = [{label_set(h2, e) for e in step} for step in t2.steps(0)]
             assert steps1 == steps2
@@ -300,21 +289,21 @@ class TestEngineInvariants:
             return wrapped
 
         # every hyperedge seeded: the first round gathers every influence row
-        grid = ExperimentGrid(variants=VARIANTS, seed_counts=(h.m,))
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
                 mock.patch.object(experiments_mod, "spread", batch), \
                 mock.patch.object(dynamics_mod, "_gather", sized(dynamics_mod._gather)), \
                 mock.patch.object(dynamics_mod, "_influenced", sized(dynamics_mod._influenced)):
-            run_experiment(prepare_dynamics(h), grid, 12, 0)
+            for variant in VARIANTS:
+                grid = ExperimentGrid(DynamicsConfig(variant), seed_counts=(h.m,))
+                run_experiment(h, build_influence(h, variant), grid, 12, 0)
         assert sum(runs for runs, _ in held) == 12 * len(VARIANTS)
         assert all(runs == 1 or largest <= budget for runs, largest in held)
 
     def test_deterministic_trajectories(self):
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])
-        prep = prepare_dynamics(h)
         config = DynamicsConfig(variant="non-strict")
-        a = run_once(prep, config, seeds=[0, 1])
-        b = run_once(prep, config, seeds=[0, 1])
+        a = run(h, config, seeds=[0, 1])
+        b = run(h, config, seeds=[0, 1])
         assert a.steps(0) == b.steps(0) and (a.edge_active == b.edge_active).all()
 
     def test_seed_validation(self):
@@ -371,7 +360,7 @@ class TestContagionOracle:
         config = DynamicsConfig(variant=variant, tau=data.draw(st.integers(1, 2)),
                                 comparison=data.draw(st.sampled_from([">=", ">"])),
                                 max_steps=data.draw(st.sampled_from([1, 3, 25])))
-        batch = spread(h, prepare_dynamics(h).influence(variant), config, seeds, seed_nodes)
+        batch = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
         assert [batch.steps(r) for r in range(runs)] == expected
         assert batch.num_steps().tolist() == [len(steps) - 1 for steps in expected]

@@ -46,7 +46,8 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     modules = [p for p in sorted((ROOT / "src" / "hypernest").glob("*.py"))
                if p.name != "__init__.py"]
-    sources = modules + sorted((ROOT / "scripts").glob("*.py"))
+    sources = [*modules, *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "tests").glob("*.py"))]
     assert len(sources) > 2
     unused = {str(p.relative_to(ROOT)): names for p in sources if (names := unused_imports(p))}
     assert unused == {}
