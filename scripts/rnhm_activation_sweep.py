@@ -16,18 +16,17 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import csv
 from itertools import product
 
 from hypernest import ExperimentGrid, RnhmParams, generate, spawn_rng
-from hypernest.cli import at_least, distinct, run_script
+from hypernest.cli import Parser, at_least, distinct, run_script, warn_self_activation
 from hypernest.dynamics import VARIANTS, DynamicsConfig, build_influence
 from hypernest.experiments import mean_stderr, run_experiment
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--nodes", type=int, default=20)
     ap.add_argument("--max-size", type=int, default=4)
     ap.add_argument("--max-edges", type=int, default=5)
@@ -60,6 +59,8 @@ def main():
         for r in range(args.realizations):
             h = generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph
             realizations.append((h, build_influence(h, args.variant)))
+        if not rows:  # once: every realization holds 1-node hyperedges
+            warn_self_activation(ap.prog, realizations[0][0], config)
         for strategy, seed_count in product(strategies, seed_counts):
             # one-cell grid per realization, pooled realization-major: the order
             # fixes the rounding of the mean and stderr sums

@@ -47,8 +47,8 @@ from .rnhm import GenerationError, RnhmParams, generate
 DATA_ERRORS = (FormatError, OSError, GenerationError, ValueError)
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1; argparse's default of 2 is reserved for data errors
+class Parser(argparse.ArgumentParser):
+    # usage problems exit 1, in the scripts too; argparse's default of 2 is for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -81,6 +81,16 @@ def run_script(script_main) -> None:
     except DATA_ERRORS as exc:
         sys.stderr.write(f"{Path(sys.argv[0]).name}: error: {exc}\n")
         raise SystemExit(2)
+
+
+def warn_self_activation(prog: str, h: Hypergraph, config: DynamicsConfig) -> None:
+    """One stderr line when the threshold process's ``tau`` is at least the
+    smallest hyperedge size of ``h``: hyperedges of at most ``tau`` nodes
+    then self-activate. Layer samples keep every size, so the check on an
+    observed hypergraph covers its samples."""
+    if config.variant == "threshold" and h.m and config.tau >= (smallest := int(h.sizes.min())):
+        sys.stderr.write(f"{prog}: warning: tau={config.tau} >= smallest hyperedge size "
+                         f"{smallest}: such hyperedges self-activate with no active nodes\n")
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -153,8 +163,6 @@ def _emit(args: argparse.Namespace, text: str, extra_outputs: list[Path] | None 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     h = load_input(args)
-    if h.n < 2:
-        raise FormatError(f"dataset has {h.n} node(s); need at least 2 for density")
     stats = {"n": h.n, "m": h.m, "projected_density": projected_density(h),
              "dag_edges": build_encapsulation_dag(h).edge_count}
     if args.out:
@@ -319,6 +327,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"seed count {count} exceeds hyperedge count {h.m}")
     config = DynamicsConfig(args.variant, args.tau, args.max_steps, args.comparison)
     grid = ExperimentGrid(config, strategies, seed_counts)
+    warn_self_activation(f"hypernest {args.command}", h, config)
     dataset = args.dataset or Path(args.input).name
     influence = build_influence(h, args.variant)
     if args.randomize:
@@ -353,10 +362,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hypernest", description=__doc__)
+def build_parser() -> Parser:
+    parser = Parser(prog="hypernest", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hypernest {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     p = sub.add_parser("stats", help="node/hyperedge counts, projected density, containment edges")
     _add_input_options(p)

@@ -21,7 +21,6 @@ change (or after ``max_steps`` rounds).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -157,12 +156,6 @@ def _need(h: Hypergraph, config: DynamicsConfig) -> np.ndarray:
     """Active influencers each hyperedge needs to activate."""
     if config.variant != "threshold":
         return np.full(h.m, config.tau + (config.comparison == ">"))
-    if h.m and config.tau >= int(h.sizes.min()):
-        warnings.warn(
-            f"tau={config.tau} >= smallest hyperedge size {int(h.sizes.min())}: "
-            "such hyperedges self-activate with no active nodes",
-            stacklevel=3,
-        )
     # a tau of at least the largest size leaves every need <= 0 either way
     return h.sizes - min(config.tau, h.max_size)
 

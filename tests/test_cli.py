@@ -74,6 +74,14 @@ class TestStats:
         empty.write_text("")
         assert run_cli("stats", empty) == 2
 
+    def test_one_node_is_data_error(self, tmp_path, capsys):
+        # projected density needs two nodes
+        one = tmp_path / "one.txt"
+        one.write_text("1\n")
+        assert run_cli("stats", one) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "hypernest stats: error: projected density needs at least 2 nodes, got 1"]
+
     def test_unwritable_output_is_data_error(self, plain_file, tmp_path, capsys):
         blocker = tmp_path / "somefile"
         blocker.write_text("")
@@ -108,6 +116,7 @@ class TestStats:
         ("randomize", "--samples", "two"),
         ("simulate", "--seed", "-1"),
         ("heights", "--seed", "-1"),
+        ("simulate", "--jobs", "0"),
     ],
 )
 def test_bad_count_is_usage_error(plain_file, tmp_path, argv, capsys):
@@ -119,26 +128,20 @@ def test_bad_count_is_usage_error(plain_file, tmp_path, argv, capsys):
     assert not out.exists()
 
 
+# every script takes --runs, so a script added later is held to exit 1 too
 @pytest.mark.parametrize(
     "script,option",
-    [
-        ("rnhm_activation_sweep.py", "--realizations"),
-        ("rnhm_activation_sweep.py", "--runs"),
-        ("empirical_activation_sweep.py", "--runs"),
-        ("empirical_activation_sweep.py", "--samples"),
-        ("empirical_activation_sweep.py", "--jobs"),
-    ],
+    [("rnhm_activation_sweep.py", "--realizations")]
+    + [(path.name, "--runs") for path in sorted(SCRIPTS.glob("*.py"))],
 )
-def test_script_count_below_one_is_usage_error(
-    script, option, plain_file, tmp_path, monkeypatch, capsys
-):
+def test_script_count_below_one_is_usage_error(script, option, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.csv"
-    inputs = [str(plain_file)] if script.startswith("empirical") else []
-    monkeypatch.setattr(sys, "argv", [script, *inputs, option, "0", "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", [script, option, "0", "--out", str(out)])
     with pytest.raises(SystemExit) as err:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    assert err.value.code == 2
-    assert "expected an integer >= 1" in capsys.readouterr().err
+    assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    assert "expected an integer >= 1" in err_text and "Traceback" not in err_text
     assert not out.exists()
 
 
@@ -152,24 +155,27 @@ def test_script_count_below_one_is_usage_error(
         ("rnhm_activation_sweep.py", ("--nodes", "3")),
         ("rnhm_activation_sweep.py", ("--strategies", "nope")),
         ("rnhm_activation_sweep.py", ("--tau", "0")),
-        ("empirical_activation_sweep.py", ("missing.txt",)),
-        ("empirical_activation_sweep.py", ("{input}", "--seed-counts", "x")),
-        ("empirical_activation_sweep.py", ("{input}", "--tau", "-1")),
+        # the observed-vs-randomized sweep is a `hypernest simulate` run
+        ("hypernest simulate", ("missing.txt",)),
+        ("hypernest simulate", ("{input}", "--seeds", "x")),
+        ("hypernest simulate", ("{input}", "--tau", "-1")),
         # a repeated value would list one cell twice
         ("rnhm_activation_sweep.py", ("--strategies", "uniform,uniform", "--seed-counts", "1,1")),
         ("rnhm_activation_sweep.py", ("--seed-counts", "5,1,5")),
-        ("empirical_activation_sweep.py", ("{input}", "--strategies", "uniform,uniform")),
-        ("empirical_activation_sweep.py", ("{input}", "--seed-counts", "1,1")),
     ],
 )
 def test_script_data_error_exits_2(script, argv, plain_file, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.csv"
-    argv = [a.format(input=plain_file) for a in argv]
+    argv = [a.format(input=plain_file) for a in argv] + ["--runs", "1", "--out", str(out)]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", [script, *argv, "--runs", "1", "--out", str(out)])
-    with pytest.raises(SystemExit) as err:
-        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    assert err.value.code == 2
+    if script.startswith("hypernest "):
+        code = main([script.split()[1], *argv])
+    else:
+        monkeypatch.setattr(sys, "argv", [script, *argv])
+        with pytest.raises(SystemExit) as err:
+            runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        code = err.value.code
+    assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{script}: error: ")
     assert not out.exists()
@@ -180,7 +186,7 @@ def test_rnhm_sweep_variant_choices(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script, "--variant", "bogus", "--out", str(tmp_path / "o")])
     with pytest.raises(SystemExit) as err:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    assert err.value.code == 2
+    assert err.value.code == 1
     err_text = capsys.readouterr().err
     assert "invalid choice: 'bogus'" in err_text and "Traceback" not in err_text
 
@@ -439,6 +445,16 @@ class TestSimulate:
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 and rows[0]["variant"] == variant
+
+    @pytest.mark.parametrize("parallel", [("--jobs", "1"), ("--jobs", "2", "--randomize", "2")])
+    def test_threshold_warning_is_one_line(self, plain_file, tmp_path, parallel, capfd):
+        # tau=1 reaches the 1-node hyperedge; capfd also reads what workers write
+        code = run_cli("simulate", plain_file, "--variant", "threshold", "--tau", "1",
+                       "--runs", "2", *parallel, "--out", tmp_path / "r.csv")
+        assert code == 0
+        assert capfd.readouterr().err.splitlines() == [
+            "hypernest simulate: warning: tau=1 >= smallest hyperedge size 1: "
+            "such hyperedges self-activate with no active nodes"]
 
     def test_jobs_flag_matches_serial(self, plain_file, tmp_path):
         argv = [

@@ -215,8 +215,8 @@ class TestThresholdDynamics:
     def test_degenerate_tau_warns_and_self_activates(self):
         h = Hypergraph([[1, 2], [3, 4, 5]])
         config = DynamicsConfig(variant="threshold", tau=2)
-        with pytest.warns(UserWarning, match="self-activate"):
-            batch = run(h, config, seeds=[])
+        # the engine runs it as given; the CLI warns (cli.warn_self_activation)
+        batch = run(h, config, seeds=[])
         assert batch.edge_active[0].tolist() == [True, False]
 
 
