@@ -20,8 +20,8 @@ import csv
 from itertools import product
 
 from hypernest import ExperimentGrid, RnhmParams, generate, spawn_rng
-from hypernest.cli import Parser, at_least, distinct, run_script, warn_self_activation
-from hypernest.dynamics import VARIANTS, DynamicsConfig, build_influence
+from hypernest.cli import Parser, at_least, grid_values, run_script, warn_self_activation
+from hypernest.dynamics import STRATEGIES, VARIANTS, DynamicsConfig, build_influence
 from hypernest.experiments import mean_stderr, run_experiment
 
 
@@ -42,8 +42,8 @@ def main():
     args = ap.parse_args()
 
     eps_values = [float(v) for v in args.eps_grid.split(",")]
-    strategies = distinct("--strategies", tuple(args.strategies.split(",")))
-    seed_counts = distinct("--seed-counts", tuple(int(v) for v in args.seed_counts.split(",")))
+    strategies = grid_values("--strategies", args.strategies, STRATEGIES)
+    seed_counts = grid_values("--seed-counts", args.seed_counts)
     config = DynamicsConfig(args.variant, args.tau)
 
     rows = []

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: stats | encapsulation | heights | randomize | rnhm | simulate.
-Every run that writes files also writes a ``<file>.manifest.json`` with the
-full parameter set, RNG seed, and output checksums, so any result can be
-reproduced byte for byte by replaying the recorded argv. Exit codes: 0
-success, 1 usage error, 2 data or generation error.
+Every run that writes files writes all of them or none, and with them one
+``<first file>.manifest.json`` with the full parameter set, RNG seed, and
+input and output checksums, so any result can be reproduced byte for byte
+by replaying the recorded argv. Exit codes: 0 success, 1 usage error, 2
+data or generation error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +37,7 @@ from .hypergraph import (
     load_auto,
     preprocess,
     projected_density,
+    resolve_simplex_prefix,
     write_plain,
 )
 from .linegraph import build_encapsulation_dag, encapsulation_counts
@@ -66,11 +69,22 @@ def at_least(minimum: int):
     return count
 
 
-def distinct(option: str, values: tuple) -> tuple:
-    """``values`` as given; a ValueError if one is listed twice, since a grid
-    would then hold its cell twice."""
+def grid_values(option: str, text: str, strategies: tuple[str, ...] = ()) -> tuple:
+    """The comma-separated values of a grid option: seed strategies out of
+    ``strategies`` if given, else seed counts. A ValueError naming the option
+    if the list is empty, holds an unknown strategy or a count below 0, or
+    repeats a value (its cell would be run twice)."""
+    tokens = [tok for tok in text.split(",") if tok]
+    if not tokens:
+        raise ValueError(f"{option} must list at least one value")
+    if unknown := [tok for tok in tokens if strategies and tok not in strategies]:
+        raise ValueError(f"{option}: unknown strategy {unknown[0]!r}; "
+                         f"choose from {', '.join(strategies)}")
+    if not strategies and not all(tok.strip().isdecimal() for tok in tokens):
+        raise ValueError(f"{option} must list counts >= 0, got {text!r}")
+    values = tuple(tokens if strategies else map(int, tokens))
     if len(set(values)) < len(values):
-        raise ValueError(f"{option} lists a value twice: {','.join(map(str, values))}")
+        raise ValueError(f"{option} lists a value twice: {','.join(tokens)}")
     return values
 
 
@@ -121,59 +135,73 @@ def _sha256(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def write_manifest(args: argparse.Namespace, outputs: list[Path], extra: dict | None = None) -> Path:
-    """Record everything needed to replay this run next to its first output."""
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "command") and not callable(v)
-    }
-    manifest = {
-        "command": args.command,
-        "argv": list(getattr(args, "_argv", [])),
-        "version": __version__,
-        "seed": getattr(args, "seed", None),
-        "parameters": params,
-        "inputs": {},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    if getattr(args, "input", None) is not None and Path(args.input).is_file():
-        manifest["inputs"][str(args.input)] = _sha256(Path(args.input))
-    if extra:
-        manifest.update(extra)
-    manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, default=str) + "\n")
-    return manifest_path
-
-
-def _emit(args: argparse.Namespace, text: str, extra_outputs: list[Path] | None = None,
-          manifest_extra: dict | None = None) -> None:
-    """Write the main payload to --out (plus manifest) or print it."""
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        _atomic_write_text(out, text)
-        write_manifest(args, [out] + (extra_outputs or []), manifest_extra)
-    else:
-        sys.stdout.write(text)
+def publish(args: argparse.Namespace, outputs, document: str | None = None,
+            extra: dict | None = None) -> int:
+    """Finish a command, all or nothing: write ``outputs``, (path, text or
+    path writer) pairs in order, those with no path skipped, then a manifest
+    next to the first. Each file goes to ``<path>.tmp`` and is renamed into
+    place only once every one is written; on failure the temporaries are
+    deleted and the error re-raised. Then print ``document``, or else one
+    ``wrote`` line."""
+    named = [(Path(path), content) for path, content in outputs if path]
+    if named:
+        first = named[0][0]
+        paths = [path for path, _ in named] + [first.with_name(first.name + ".manifest.json")]
+        temps = [path.with_name(path.name + ".tmp") for path in paths]
+        seen = set()
+        for path in paths + temps:
+            if (key := path.resolve()) in seen:
+                raise ValueError(f"two outputs use the path {path}")
+            seen.add(key)
+        started = []
+        try:
+            for (_, content), tmp in zip(named, temps):
+                started.append(tmp)
+                if callable(content):
+                    content(tmp)
+                else:
+                    tmp.write_text(content)
+            source = getattr(args, "input", None)
+            inputs = [] if source is None else [Path(source)]
+            if source is not None and args.format != "plain":
+                prefix = resolve_simplex_prefix(source)
+                simplex = [prefix.with_name(prefix.name + "-nverts.txt"),
+                           prefix.with_name(prefix.name + "-simplices.txt")]
+                inputs = simplex if simplex[0].is_file() else inputs
+            manifest = {
+                "command": args.command,
+                "argv": args._argv,
+                "version": __version__,
+                "seed": getattr(args, "seed", None),
+                "parameters": {k: v for k, v in vars(args).items()
+                               if k not in ("func", "command", "_argv")},
+                "inputs": {str(p): _sha256(p) for p in inputs},
+                "outputs": {str(p): _sha256(t) for p, t in zip(paths, temps[:-1])},
+                **(extra or {}),
+            }
+            started.append(temps[-1])
+            temps[-1].write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+            for tmp, path in zip(temps, paths):
+                os.replace(tmp, path)
+        except BaseException:
+            for tmp in started:
+                tmp.unlink(missing_ok=True)
+            raise
+    if document is not None:
+        sys.stdout.write(document)
+    elif named:
+        print(f"wrote {', '.join(str(path) for path, _ in named)}")
+    return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     h = load_input(args)
     stats = {"n": h.n, "m": h.m, "projected_density": projected_density(h),
              "dag_edges": build_encapsulation_dag(h).edge_count}
-    if args.out:
-        _emit(args, json.dumps(stats, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    elif args.json:
-        print(json.dumps(stats, indent=2))
-    else:
-        print("n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}"
-              .format(**stats))
-    return 0
+    text = json.dumps(stats, indent=2) + "\n"
+    line = "n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}\n"
+    return publish(args, [(args.out, text)],
+                   None if args.out else text if args.json else line.format(**stats))
 
 
 def cmd_encapsulation(args: argparse.Namespace) -> int:
@@ -195,8 +223,8 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "mean_pair_counts": {k: v / args.randomize for k, v in sorted(pair_sums.items())},
         }
-    _emit(args, json.dumps(doc, indent=2) + "\n")
-    return 0
+    text = json.dumps(doc, indent=2) + "\n"
+    return publish(args, [(args.out, text)], None if args.out else text)
 
 
 def cmd_heights(args: argparse.Namespace) -> int:
@@ -223,34 +251,22 @@ def cmd_heights(args: argparse.Namespace) -> int:
             "mean_max_height": sum(sample_max) / len(sample_max),
             "height_distributions": sample_dists,
         }
-    outputs = []
-    if args.out:
-        report.write_csv(args.out)
-        outputs.append(Path(args.out))
-    if args.summary_out:
-        _atomic_write_text(Path(args.summary_out), json.dumps(summary, indent=2) + "\n")
-        outputs.append(Path(args.summary_out))
-    if outputs:
-        write_manifest(args, outputs)
-        print(f"wrote {', '.join(str(p) for p in outputs)}")
-    else:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0
+    text = json.dumps(summary, indent=2) + "\n"
+    return publish(args, [(args.out, report.write_csv), (args.summary_out, text)],
+                   None if args.out or args.summary_out else text)
 
 
 def cmd_randomize(args: argparse.Namespace) -> int:
     h = load_input(args)
     report = retention_report(h, args.samples, args.seed)
-    extra_outputs: list[Path] = []
+    samples = []
     if args.emit_samples:
         outdir = Path(args.emit_samples)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, randomized in enumerate(report.randomized):
-            sample_path = outdir / f"sample_{i:03d}.txt"
-            write_plain(randomized, sample_path)
-            extra_outputs.append(sample_path)
-    _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n", extra_outputs)
-    return 0
+        samples = [(outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
+                   for i, randomized in enumerate(report.randomized)]
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return publish(args, [(args.out, text), *samples], None if args.out else text)
 
 
 def _parse_eps(spec: str, max_size: int) -> dict[int, float]:
@@ -287,41 +303,22 @@ def cmd_rnhm(args: argparse.Namespace) -> int:
         include_singletons=args.singletons,
     )
     sample = generate(params, spawn_rng(args.seed, "rnhm"))
-    out = Path(args.out)
-    write_plain(sample.hypergraph, out)
-    write_manifest(
-        args,
-        [out],
-        extra={
-            "rnhm": {
-                **vars(params),
-                "keep_probs": {str(k): v for k, v in sorted(params.keep_probs.items())},
-                "rewired_edges": sample.rewired_edges,
-                "connectivity_rejections": sample.connectivity_rejections,
-                "rewire_rejections": sample.rewire_rejections,
-            }
-        },
-    )
-    print(
-        f"wrote {out}: n={sample.hypergraph.n} m={sample.hypergraph.m} "
-        f"rewired={sample.rewired_edges} rejections={sample.connectivity_rejections}"
-    )
+    publish(args, [(args.out, partial(write_plain, sample.hypergraph))], extra={"rnhm": {
+        **vars(params),
+        "keep_probs": {str(k): v for k, v in sorted(params.keep_probs.items())},
+        "rewired_edges": sample.rewired_edges,
+        "connectivity_rejections": sample.connectivity_rejections,
+        "rewire_rejections": sample.rewire_rejections,
+    }})
+    print(f"n={sample.hypergraph.n} m={sample.hypergraph.m} "
+          f"rewired={sample.rewired_edges} rejections={sample.connectivity_rejections}")
     return 0
 
 
-def _parse_csv_list(value: str, cast) -> tuple:
-    return tuple(cast(tok) for tok in value.split(",") if tok)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    strategies = grid_values("--strategy", args.strategy, STRATEGIES)
+    seed_counts = grid_values("--seeds", args.seeds)
     h = load_input(args)
-    strategies = distinct("--strategy", _parse_csv_list(args.strategy, str))
-    seed_counts = distinct("--seeds", _parse_csv_list(args.seeds, int))
-    if not strategies or not seed_counts:
-        raise ValueError("--strategy and --seeds must each list at least one value")
-    for strat in strategies:
-        if strat not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strat!r}; choose from {', '.join(STRATEGIES)}")
     for count in seed_counts:
         if count > h.m:
             raise ValueError(f"seed count {count} exceeds hyperedge count {h.m}")
@@ -343,23 +340,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records = run_experiment(h, influence, grid, args.runs, args.seed, dataset=dataset,
                                  jobs=args.jobs)
         summary_doc = {"cells": [vars(s) for s in summarize(records)]}
-    out = Path(args.out)
-    write_records_csv(records, out)
-    outputs = [out]
-    if args.summary_out:
-        _atomic_write_text(Path(args.summary_out), json.dumps(summary_doc, indent=2) + "\n")
-        outputs.append(Path(args.summary_out))
+    trajectories = None
     if args.trajectories:
         batch = first_runs(h, influence, grid, args.seed)
         final = batch.final_active().tolist()
         dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
                   "steps": batch.steps(c), "final_active": final[c]}
                  for c, (strategy, seed_count) in enumerate(grid.cells())]
-        _atomic_write_text(Path(args.trajectories), json.dumps(dumps, indent=2) + "\n")
-        outputs.append(Path(args.trajectories))
-    write_manifest(args, outputs)
-    print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return 0
+        trajectories = json.dumps(dumps, indent=2) + "\n"
+    return publish(args, [(args.out, partial(write_records_csv, records)),
+                          (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),
+                          (args.trajectories, trajectories)])
 
 
 def build_parser() -> Parser:

@@ -443,9 +443,13 @@ def projected_density(h: Hypergraph) -> float:
 
 def preprocess(h: Hypergraph, max_size: int | None = 25, lcc: bool = False) -> Hypergraph:
     """Canonical preprocessing pipeline: dedup (at construction), then size
-    filter, then largest connected component."""
+    filter, then largest connected component. A ValueError if no hyperedge
+    is left to analyse."""
     if max_size is not None:
         h = filter_by_size(h, max_size)
+    if h.m == 0:
+        raise ValueError(f"no hyperedges of at most {max_size} nodes" if max_size
+                         else "hypergraph has no hyperedges")
     if lcc:
         h = largest_connected_component(h)
     return h

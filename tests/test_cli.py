@@ -66,6 +66,17 @@ class TestStats:
         assert manifest["command"] == "stats"
         assert str(out) in manifest["outputs"]
 
+    @pytest.mark.parametrize("as_directory", [False, True])
+    def test_manifest_checksums_simplex_inputs(self, simplex_files, tmp_path, as_directory):
+        source = tmp_path if as_directory else simplex_files
+        out = tmp_path / "stats.json"
+        assert run_cli("stats", source, "--out", out) == 0
+        manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+        files = [tmp_path / "mini-nverts.txt", tmp_path / "mini-simplices.txt"]
+        assert manifest["inputs"] == {str(f): cli_mod._sha256(f) for f in files}
+        assert manifest["argv"] == ["stats", str(source), "--out", str(out)]
+        assert "_argv" not in manifest["parameters"]
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli("stats", tmp_path / "absent.txt") == 2
 
@@ -191,6 +202,88 @@ def test_rnhm_sweep_variant_choices(tmp_path, monkeypatch, capsys):
     assert "invalid choice: 'bogus'" in err_text and "Traceback" not in err_text
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--strategies", "nope", "{}: unknown strategy 'nope'; choose from "
+                             "uniform, size-biased, inverse-size-biased, smallest-first"),
+    ("--seed-counts", "-1", "{} must list counts >= 0, got '-1'"),
+], ids=["strategy", "count"])
+def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, plain_file,
+                                                      tmp_path, monkeypatch, capsys):
+    import hypernest
+
+    def never(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(hypernest, "generate", never)
+    script = "rnhm_activation_sweep.py"
+    monkeypatch.setattr(sys, "argv", [script, option, value, "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"{script}: error: {message.format(option)}"]
+    # `hypernest simulate` gives the same message for its own option
+    simulate_option = {"--strategies": "--strategy", "--seed-counts": "--seeds"}[option]
+    assert run_cli("simulate", plain_file, simulate_option, value, "--out", tmp_path / "r") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypernest simulate: error: {message.format(simulate_option)}"]
+
+
+@pytest.mark.parametrize("command", ["stats", "encapsulation", "heights", "randomize", "simulate"])
+@pytest.mark.parametrize("source", ["filtered", "empty simplex"])
+@pytest.mark.parametrize("lcc", [False, True])
+def test_no_hyperedge_left_is_data_error(command, source, lcc, tmp_path, capsys):
+    if source == "filtered":
+        path, options = tmp_path / "triple.txt", ["--max-size", "2"]
+        path.write_text("1 2 3\n")
+    else:
+        path, options = tmp_path / "empty", []
+        for suffix in ("-nverts.txt", "-simplices.txt"):
+            (tmp_path / f"empty{suffix}").write_text("")
+    inputs = sorted(tmp_path.iterdir())
+    code = run_cli(command, path, *options, *["--lcc"] * lcc, "--out", tmp_path / "out")
+    assert code == 2
+    limit = 2 if source == "filtered" else 25
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypernest {command}: error: no hyperedges of at most {limit} nodes"]
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("argv", [
+    # an unwritable second output
+    ("heights", "--out", "first", "--summary-out", "missing/second"),
+    ("simulate", "--runs", "1", "--out", "first", "--summary-out", "missing/second"),
+    ("simulate", "--runs", "1", "--out", "first", "--trajectories", "missing/second"),
+    # one path named by two outputs
+    ("heights", "--out", "first", "--summary-out", "first"),
+    ("simulate", "--runs", "1", "--out", "first", "--trajectories", "first"),
+    ("heights", "--out", "first", "--summary-out", "first.manifest.json"),
+    ("randomize", "--samples", "1", "--out", "first", "--emit-samples", "."),
+])
+def test_failed_write_leaves_no_file(argv, plain_file, tmp_path, monkeypatch, capsys):
+    # a run writes all of its files and their manifest, or none of them
+    monkeypatch.chdir(tmp_path)
+    first = tmp_path / "first"
+    first.write_text("kept\n")
+    if "." in argv:  # a link to an output names that output
+        (tmp_path / "sample_000.txt").symlink_to(first)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv[0], plain_file, *argv[1:]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"hypernest {argv[0]}: error: ")
+    assert first.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command,options", [
+    ("stats", ()), ("encapsulation", ()), ("heights", ()), ("randomize", ("--samples", "1")),
+    ("simulate", ("--runs", "1")),
+])
+def test_out_prints_one_wrote_line(command, options, plain_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, plain_file, *options, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out}"]
+
+
 def test_rnhm_sweep_generates_each_realization_once(tmp_path, monkeypatch, capsys):
     # default grid: 2x2 eps pairs, 2 strategies x 5 seed counts per pair
     import hypernest
@@ -259,6 +352,17 @@ class TestRandomize:
         assert doc["seed"] == 3
         assert (samples / "sample_000.txt").exists()
         assert (samples / "sample_001.txt").exists()
+
+    def test_samples_alone_keep_stdout_json(self, plain_file, tmp_path, capsys):
+        samples = tmp_path / "samples"
+        code = run_cli("randomize", plain_file, "--samples", "2", "--emit-samples", samples)
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["seed"] == 0
+        manifest = json.loads((samples / "sample_000.txt.manifest.json").read_text())
+        assert list(manifest["outputs"]) == [str(samples / f"sample_00{i}.txt") for i in range(2)]
+        assert sorted(p.name for p in samples.iterdir()) == [
+            "sample_000.txt", "sample_000.txt.manifest.json", "sample_001.txt"]
 
     def test_each_sample_is_drawn_once(self, plain_file, tmp_path, monkeypatch):
         calls = []

@@ -51,3 +51,28 @@ def test_no_unused_imports():
     assert len(sources) > 2
     unused = {str(p.relative_to(ROOT)): names for p in sources if (names := unused_imports(p))}
     assert unused == {}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` renames or writes a file: ``os.replace``/``os.rename``,
+    a ``write_*`` function or method (``write_text``, the library's path
+    writers such as ``write_plain``), or an ``open`` whose mode is not a
+    read-only literal."""
+    name = ast.unparse(call.func)
+    if name in ("os.replace", "os.rename") or name.rpartition(".")[2].startswith("write_"):
+        return True
+    if name == "open" or name.endswith(".open"):
+        # the mode is open()'s second argument, Path.open()'s first
+        modes = call.args[1:2] if name == "open" else call.args[:1]
+        modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(m.value) - set("rbt") for m in modes)
+    return False
+
+
+def test_cli_writes_files_in_one_function():
+    # `publish` writes all of a run's files and its manifest or none of them;
+    # a subcommand that wrote a file itself would bypass that
+    tree = ast.parse((ROOT / "src" / "hypernest" / "cli.py").read_text())
+    writers = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call) and writes_a_file(node)}
+    assert writers == {"publish"}
