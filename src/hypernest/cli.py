@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -136,13 +137,14 @@ def _sha256(path: Path) -> str:
 
 
 def publish(args: argparse.Namespace, outputs, document: str | None = None,
-            extra: dict | None = None) -> int:
+            extra: dict | None = None, directory: Path | None = None) -> int:
     """Finish a command, all or nothing: write ``outputs``, (path, text or
     path writer) pairs in order, those with no path skipped, then a manifest
     next to the first. Each file goes to ``<path>.tmp`` and is renamed into
-    place only once every one is written; on failure the temporaries are
-    deleted and the error re-raised. Then print ``document``, or else one
-    ``wrote`` line."""
+    place only once every one is written; on failure the temporaries, and
+    whatever of ``directory`` (made once the paths are checked) this run
+    made, are deleted and the error re-raised, naming the user's path.
+    Then print ``document``, or else one ``wrote`` line."""
     named = [(Path(path), content) for path, content in outputs if path]
     if named:
         first = named[0][0]
@@ -153,8 +155,12 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
             if (key := path.resolve()) in seen:
                 raise ValueError(f"two outputs use the path {path}")
             seen.add(key)
+        made = [] if directory is None else list(
+            takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
         started = []
         try:
+            if directory is not None:
+                directory.mkdir(parents=True, exist_ok=True)
             for (_, content), tmp in zip(named, temps):
                 started.append(tmp)
                 if callable(content):
@@ -183,9 +189,14 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
             temps[-1].write_text(json.dumps(manifest, indent=2, default=str) + "\n")
             for tmp, path in zip(temps, paths):
                 os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             for tmp in started:
                 tmp.unlink(missing_ok=True)
+            for made_dir in filter(Path.is_dir, made):
+                made_dir.rmdir()
+            if isinstance(exc, OSError) and exc.filename2 is None:
+                real = {str(tmp): str(path) for tmp, path in zip(temps, paths)}
+                exc.filename = real.get(exc.filename, exc.filename)
             raise
     if document is not None:
         sys.stdout.write(document)
@@ -237,7 +248,8 @@ def cmd_heights(args: argparse.Namespace) -> int:
             "max_height": report.max_height(),
         }
     }
-    if args.randomize:
+    # the summary goes to --summary-out, or to stdout without --out; else nowhere
+    if args.randomize and (args.summary_out or not args.out):
         sample_max = []
         sample_dists = []
         for randomized in layer_samples(h, args.randomize, args.seed):
@@ -259,14 +271,13 @@ def cmd_heights(args: argparse.Namespace) -> int:
 def cmd_randomize(args: argparse.Namespace) -> int:
     h = load_input(args)
     report = retention_report(h, args.samples, args.seed)
-    samples = []
-    if args.emit_samples:
-        outdir = Path(args.emit_samples)
-        outdir.mkdir(parents=True, exist_ok=True)
-        samples = [(outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
-                   for i, randomized in enumerate(report.randomized)]
+    outdir = Path(args.emit_samples) if args.emit_samples else None
+    samples = [] if outdir is None else [
+        (outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
+        for i, randomized in enumerate(report.randomized)]
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    return publish(args, [(args.out, text), *samples], None if args.out else text)
+    return publish(args, [(args.out, text), *samples], None if args.out else text,
+                   directory=outdir)
 
 
 def _parse_eps(spec: str, max_size: int) -> dict[int, float]:

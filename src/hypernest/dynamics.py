@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,8 +76,28 @@ def activation_proportion(m: int, seed_count: int, final_active: int) -> float:
     return (final_active - seed_count) / remaining if remaining else 1.0
 
 
-def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list[int]:
-    """Choose ``count`` distinct seed hyperedges.
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """Per row of ``keys``, the ids of its ``count`` smallest keys, ascending,
+    ties going to the lower id (the first ``count`` of a stable argsort, as a
+    set), in O(m) a row: every key below the row's ``count``-th smallest,
+    then the lowest ids equal to it."""
+    runs, m = keys.shape
+    if count in (0, m):
+        return np.broadcast_to(np.arange(count), (runs, count))
+    kth = np.partition(keys, count - 1, axis=1)[:, count - 1:count]
+    below = keys < kth
+    tied = keys == kth
+    # the ties fill what the keys below leave, lowest ids first
+    free = count - np.count_nonzero(below, axis=1, keepdims=True)
+    below |= tied & (np.cumsum(tied, axis=1) <= free)
+    return np.nonzero(below)[1].reshape(runs, count)
+
+
+def seed_picker(h: Hypergraph, strategy: str,
+                count: int) -> Callable[[Sequence[np.random.Generator]], list[list[int]]]:
+    """The draws of ``count`` distinct seed hyperedges of ``h``, one
+    ascending list per generator, with ``strategy`` and ``count`` checked
+    once and the runs' keys selected together.
 
     uniform: uniformly at random. size-biased / inverse-size-biased:
     successive draws proportional to size or its inverse (realized with
@@ -88,20 +108,30 @@ def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list
         raise ValueError(f"unknown seed strategy {strategy!r}")
     if not 0 <= count <= h.m:
         raise ValueError(f"seed count {count} outside 0..{h.m}")
-    gen = as_rng(rng)
+
+    def rows(draws: list[np.ndarray], width: int) -> np.ndarray:
+        return np.array(draws).reshape(len(draws), width)
+
     if strategy == "uniform":
-        picked = gen.choice(h.m, size=count, replace=False)
-    elif strategy == "smallest-first":
-        shuffled = gen.permutation(h.m)
-        order = shuffled[np.argsort(h.sizes[shuffled], kind="stable")]
-        picked = order[:count]
-    else:
-        weights = h.sizes.astype(float)
-        if strategy == "inverse-size-biased":
-            weights = 1.0 / weights
-        keys = gen.standard_exponential(h.m) / weights
-        picked = np.argsort(keys, kind="stable")[:count]
-    return sorted(picked.tolist())
+        return lambda gens: np.sort(rows([gen.choice(h.m, size=count, replace=False)
+                                          for gen in gens], count), axis=1).tolist()
+    if strategy == "smallest-first":
+        def pick(gens: Sequence[np.random.Generator]) -> list[list[int]]:
+            shuffled = rows([gen.permutation(h.m) for gen in gens], h.m)
+            picked = np.take_along_axis(shuffled, _smallest(h.sizes[shuffled], count), axis=1)
+            return np.sort(picked, axis=1).tolist()
+        return pick
+    weights = h.sizes.astype(float)
+    if strategy == "inverse-size-biased":
+        weights = 1.0 / weights
+    return lambda gens: _smallest(rows([gen.standard_exponential(h.m) for gen in gens], h.m)
+                                  / weights, count).tolist()
+
+
+def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list[int]:
+    """Choose ``count`` distinct seed hyperedges by ``strategy`` (see
+    ``seed_picker``)."""
+    return seed_picker(h, strategy, count)([as_rng(rng)])[0]
 
 
 @dataclass(frozen=True)

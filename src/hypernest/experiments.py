@@ -14,13 +14,15 @@ from dataclasses import dataclass, fields
 from itertools import product
 from math import sqrt
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .dynamics import (Batch, DynamicsConfig, Influence, activation_proportion, build_influence,
-                       select_seeds, spread)
+                       seed_picker, spread)
 from .hypergraph import Hypergraph
 from .randomize import layer_samples
-from .rng import spawn_rng
+from .rng import spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -59,33 +61,42 @@ class CellSummary:
     stderr: float
 
 
-def _cell_seeds(h: Hypergraph, cell: tuple[str, int], cell_index: int, run: int,
-                master_seed: int) -> list[int]:
-    """The seeds of run ``run`` of a cell: its strategy and count, drawn from
-    the seed-selection stream of (cell_index, run) under ``master_seed``."""
-    rng = spawn_rng(master_seed, "seed-selection", cell_index, run)
-    return select_seeds(h, *cell, rng)
+def _cell_seeds(pickers: Sequence[Callable], tasks: Sequence[tuple[int, int]],
+                master_seed: int) -> list[list[int]]:
+    """The seeds of each (cell index, run) of ``tasks``, drawn from the
+    seed-selection stream of (cell index, run) under ``master_seed``; the
+    streams come from one derivation, and each stretch of one cell's runs
+    from one call of its picker."""
+    cell, run = np.array(tasks, dtype=np.int64).reshape(-1, 2).T
+    gens = spawn_rngs(master_seed, "seed-selection", cell, run)
+    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), len(tasks)]
+    return [seeds for a, b in zip(bounds, bounds[1:])
+            for seeds in pickers[cell[a]](gens[a:b])]
+
+
+def _pickers(h: Hypergraph, grid: ExperimentGrid) -> list[Callable]:
+    return [seed_picker(h, *cell) for cell in grid.cells()]
 
 
 def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
                master_seed: int) -> Batch:
     """Run 0 of every cell as one batch whose run c is cell c;
     ``run_experiment`` records the same runs."""
+    pickers = _pickers(h, grid)
     return spread(h, influence, grid.config,
-                  [_cell_seeds(h, cell, c, 0, master_seed) for c, cell in enumerate(grid.cells())])
+                  _cell_seeds(pickers, [(c, 0) for c in range(len(pickers))], master_seed))
 
 
 def _run_tasks(args) -> list[RunRecord]:
     """Records of the (cell, run) ``tasks``, in order, from ``spread`` calls
     of at most ``influence.batch_runs(h)`` runs each."""
     h, influence, grid, tasks, master_seed, dataset = args
-    cells, config = grid.cells(), grid.config
+    cells, config, pickers = grid.cells(), grid.config, _pickers(h, grid)
     per_batch = influence.batch_runs(h)
     records = []
     for start in range(0, len(tasks), per_batch):
         chunk = tasks[start:start + per_batch]
-        batch = spread(h, influence, config,
-                       [_cell_seeds(h, cells[c], c, run, master_seed) for c, run in chunk])
+        batch = spread(h, influence, config, _cell_seeds(pickers, chunk, master_seed))
         for (c, run), steps, final, seeded in zip(chunk, batch.num_steps().tolist(),
                                                   batch.final_active().tolist(),
                                                   batch.seed_counts().tolist()):

@@ -6,7 +6,10 @@ independent of the construction code they verify.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
+
+import numpy as np
 
 from hypernest import Hypergraph
 
@@ -185,3 +188,32 @@ def layer_randomize(h: Hypergraph, gen) -> tuple[tuple, tuple[tuple[int, ...], .
         for e in ids:
             mapped[e] = [h.labels[image[u]] for u in h.edges[e]]
     return label_rows(mapped)
+
+
+def seed_sequence_rng(master_seed: int, *path) -> np.random.Generator:
+    """The stream of (master seed, path parts) from NumPy's own
+    ``SeedSequence``: an int part is the spawn-key word ``part % 2**32``, any
+    other part the first four bytes of the SHA-256 of its text."""
+    key = [int(part) % 2**32 if isinstance(part, (int, np.integer))
+           else int.from_bytes(hashlib.sha256(str(part).encode()).digest()[:4], "little")
+           for part in path]
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def sorted_seeds(h: Hypergraph, strategy: str, count: int, gen) -> list[int]:
+    """Seeds of ``strategy`` drawn from ``gen`` by a stable argsort of all m
+    keys: uniform by ``choice``, smallest-first by the sizes of one
+    permutation, the biased strategies by exponential keys over size or its
+    inverse."""
+    if strategy == "uniform":
+        picked = gen.choice(h.m, size=count, replace=False)
+    elif strategy == "smallest-first":
+        shuffled = gen.permutation(h.m)
+        picked = shuffled[np.argsort(h.sizes[shuffled], kind="stable")[:count]]
+    else:
+        weights = h.sizes.astype(float)
+        if strategy == "inverse-size-biased":
+            weights = 1.0 / weights
+        picked = np.argsort(gen.standard_exponential(h.m) / weights, kind="stable")[:count]
+    return sorted(picked.tolist())

@@ -258,6 +258,10 @@ def test_no_hyperedge_left_is_data_error(command, source, lcc, tmp_path, capsys)
     ("simulate", "--runs", "1", "--out", "first", "--trajectories", "first"),
     ("heights", "--out", "first", "--summary-out", "first.manifest.json"),
     ("randomize", "--samples", "1", "--out", "first", "--emit-samples", "."),
+    # a samples directory is made only after the path checks, and only kept
+    # when every file is written
+    ("randomize", "--samples", "1", "--out", "new/sample_000.txt", "--emit-samples", "new"),
+    ("randomize", "--samples", "1", "--out", "missing/r.json", "--emit-samples", "new/dir"),
 ])
 def test_failed_write_leaves_no_file(argv, plain_file, tmp_path, monkeypatch, capsys):
     # a run writes all of its files and their manifest, or none of them
@@ -272,6 +276,13 @@ def test_failed_write_leaves_no_file(argv, plain_file, tmp_path, monkeypatch, ca
     assert len(lines) == 1 and lines[0].startswith(f"hypernest {argv[0]}: error: ")
     assert first.read_text() == "kept\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_failed_write_names_the_users_path(plain_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("heights", plain_file, "--out", "o/h.csv") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "hypernest heights: error: [Errno 2] No such file or directory: 'o/h.csv'"]
 
 
 @pytest.mark.parametrize("command,options", [
@@ -336,6 +347,17 @@ class TestHeights:
         assert run_cli("heights", plain_file) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["observed"]["roots"] == 1
+
+    def test_unshown_randomizations_are_not_drawn(self, plain_file, tmp_path, monkeypatch):
+        # with --out alone the summary goes nowhere, so no sample is drawn
+        plain = tmp_path / "plain.csv"
+        assert run_cli("heights", plain_file, "--out", plain) == 0
+        calls = []
+        monkeypatch.setattr(randomize_mod, "layer_randomize", lambda *args: calls.append(args))
+        out = tmp_path / "roots.csv"
+        assert run_cli("heights", plain_file, "--randomize", "3", "--out", out) == 0
+        assert calls == []
+        assert out.read_bytes() == plain.read_bytes()
 
 
 class TestRandomize:

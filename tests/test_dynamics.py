@@ -3,6 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from hypernest import (
     spawn_rng,
 )
 from hypernest.cli import main
-from hypernest.dynamics import VARIANTS, activation_proportion, spread
+from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
 from hypernest.rng import as_rng
 
 
@@ -90,6 +91,28 @@ class TestSelectSeeds:
         assert hits > 60
         assert inverse_hits < 20
         assert hits > 3 * inverse_hits
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @settings(max_examples=40)
+    def test_same_draws_and_set_as_a_full_sort(self, strategy, h, data):
+        count, seed = data.draw(st.integers(0, h.m)), data.draw(st.integers(0, 2**16))
+        gen, expected_gen = as_rng(seed), as_rng(seed)
+        assert select_seeds(h, strategy, count, gen) == oracles.sorted_seeds(h, strategy, count,
+                                                                             expected_gen)
+        # both consumed the same draws
+        assert gen.bit_generator.state == expected_gen.bit_generator.state
+
+    @given(m=st.integers(0, 30), data=st.data())
+    def test_smallest_keys_break_ties_by_id(self, m, data):
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m),
+                                  max_size=4))
+        keys = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+        count = data.draw(st.integers(0, m))
+        picked = dynamics_mod._smallest(keys, count)
+        assert picked.shape == (len(rows), count)
+        assert picked.tolist() == np.sort(np.argsort(keys, axis=1, kind="stable")[:, :count],
+                                          axis=1).tolist()
 
 
 class TestStrictDynamics:

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
+import oracles
 from conftest import hypergraphs
 from hypernest import (DynamicsConfig, ExperimentGrid, HyperedgeDag, Hypergraph, RunRecord,
-                       build_influence, run_experiment, summarize)
+                       build_influence, run_experiment, select_seeds, summarize)
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
-from hypernest.experiments import (_cell_seeds, first_runs, randomized_comparison,
-                                   write_records_csv)
+from hypernest.experiments import first_runs, randomized_comparison, write_records_csv
 
 
 @pytest.fixture
@@ -106,9 +106,10 @@ class TestRunExperiment:
 
 
 def single_run(h, influence, grid, c, run, master_seed):
-    """Run ``run`` of cell ``c`` of ``grid`` alone, as a batch of one."""
-    seeds = _cell_seeds(h, grid.cells()[c], c, run, master_seed)
-    return spread(h, influence, grid.config, [seeds])
+    """Run ``run`` of cell ``c`` of ``grid`` alone, as a batch of one, its
+    seeds drawn from NumPy's own ``SeedSequence`` stream of the run."""
+    gen = oracles.seed_sequence_rng(master_seed, "seed-selection", c, run)
+    return spread(h, influence, grid.config, [select_seeds(h, *grid.cells()[c], gen)])
 
 
 def per_run_records(h, grid, runs, master_seed) -> list[RunRecord]:
@@ -199,6 +200,40 @@ class TestBatchedRuns:
         assert [[run for _, run in part[3]] for part in parts] == [[0, 1], [2, 3, 4]]
         parallel = experiment(ladder, grid, runs=5, master_seed=2, jobs=2)
         assert split == parallel == serial == per_run_records(ladder, grid, 5, 2)
+
+    @pytest.mark.parametrize("budget", [1, dynamics_mod._BATCH_KEYS])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_matches_seed_sequence_loop(self, ladder, strategy, jobs, budget):
+        parts = []
+
+        class InlinePool:
+            """Runs the parts in this process and records them."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                parts.extend(work)
+                return map(fn, parts)
+
+        grid = ExperimentGrid(DynamicsConfig("strict"), (strategy,), (1, 3, 5))
+        # a budget of one key runs one run per batch, the full one a part's
+        # runs of every cell in one batch
+        with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
+                mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
+            records = experiment(ladder, grid, runs=2, master_seed=9, jobs=jobs)
+        if jobs == 2:
+            # six runs split as three and three: cell 1 goes to both workers
+            assert [part[3] for part in parts] == [[(0, 0), (0, 1), (1, 0)],
+                                                   [(1, 1), (2, 0), (2, 1)]]
+        assert records == per_run_records(ladder, grid, 2, 9)
 
     def test_contagion_leaves_row_views_unbuilt(self, ladder):
         unbuilt = property(lambda dag: pytest.fail("contagion read a DAG's row lists"))

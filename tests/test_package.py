@@ -76,3 +76,27 @@ def test_cli_writes_files_in_one_function():
     writers = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
                for node in ast.walk(top) if isinstance(node, ast.Call) and writes_a_file(node)}
     assert writers == {"publish"}
+
+
+RNG_CONSTRUCTORS = {"SeedSequence", "default_rng", "PCG64", "Generator"}
+
+
+def rng_constructions(path: Path) -> list[str]:
+    """The calls in ``path`` that construct a NumPy seed sequence, bit
+    generator or generator, by name or attribute."""
+    tree = ast.parse(path.read_text())
+    return sorted(ast.unparse(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).rpartition(".")[2] in RNG_CONSTRUCTORS)
+
+
+def test_streams_come_from_rng_alone():
+    # one derivation of streams: any other generator would not be reproducible
+    # from the master seed and a path
+    sources = [*sorted((ROOT / "src" / "hypernest").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py"))]
+    assert (ROOT / "src" / "hypernest" / "rng.py") in sources
+    found = {str(p.relative_to(ROOT)): calls for p in sources
+             if p.name != "rng.py" and (calls := rng_constructions(p))}
+    assert found == {}
+    assert rng_constructions(ROOT / "src" / "hypernest" / "rng.py")
