@@ -41,7 +41,7 @@ def main():
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
-    eps_values = [float(v) for v in args.eps_grid.split(",")]
+    eps_values = grid_values("--eps-grid", args.eps_grid, float)
     strategies = grid_values("--strategies", args.strategies, STRATEGIES)
     seed_counts = grid_values("--seed-counts", args.seed_counts)
     config = DynamicsConfig(args.variant, args.tau)

@@ -33,12 +33,12 @@ from .experiments import (
 from .hypergraph import (
     FormatError,
     Hypergraph,
+    dataset_files,
     load_plain,
     load_simplex_dataset,
     load_auto,
     preprocess,
     projected_density,
-    resolve_simplex_prefix,
     write_plain,
 )
 from .linegraph import build_encapsulation_dag, encapsulation_counts
@@ -70,20 +70,27 @@ def at_least(minimum: int):
     return count
 
 
-def grid_values(option: str, text: str, strategies: tuple[str, ...] = ()) -> tuple:
+def grid_values(option: str, text: str, kind: tuple[str, ...] | type = int) -> tuple:
     """The comma-separated values of a grid option: seed strategies out of
-    ``strategies`` if given, else seed counts. A ValueError naming the option
-    if the list is empty, holds an unknown strategy or a count below 0, or
-    repeats a value (its cell would be run twice)."""
+    ``kind`` if it is a tuple, else numbers of type ``kind``, an int being a
+    seed count. A ValueError naming the option if the list is empty, holds
+    an unknown strategy, a malformed number or a count below 0, or repeats a
+    value (its cell would be run twice)."""
     tokens = [tok for tok in text.split(",") if tok]
     if not tokens:
         raise ValueError(f"{option} must list at least one value")
-    if unknown := [tok for tok in tokens if strategies and tok not in strategies]:
-        raise ValueError(f"{option}: unknown strategy {unknown[0]!r}; "
-                         f"choose from {', '.join(strategies)}")
-    if not strategies and not all(tok.strip().isdecimal() for tok in tokens):
-        raise ValueError(f"{option} must list counts >= 0, got {text!r}")
-    values = tuple(tokens if strategies else map(int, tokens))
+    if isinstance(kind, tuple):
+        if unknown := [tok for tok in tokens if tok not in kind]:
+            raise ValueError(f"{option}: unknown strategy {unknown[0]!r}; "
+                             f"choose from {', '.join(kind)}")
+        values = tuple(tokens)
+    else:
+        if kind is int and not all(tok.strip().isdecimal() for tok in tokens):
+            raise ValueError(f"{option} must list counts >= 0, got {text!r}")
+        try:
+            values = tuple(map(kind, tokens))
+        except ValueError:
+            raise ValueError(f"{option} must list numbers, got {text!r}") from None
     if len(set(values)) < len(values):
         raise ValueError(f"{option} lists a value twice: {','.join(tokens)}")
     return values
@@ -119,8 +126,7 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 def load_input(args: argparse.Namespace) -> Hypergraph:
     path = Path(args.input)
-    is_prefix = (path.parent / (path.name + "-nverts.txt")).is_file()
-    if not path.exists() and not is_prefix:
+    if not path.exists() and not dataset_files(path, args.format)[0].is_file():
         raise FormatError(f"input not found: {path}")
     if args.max_size < 0:
         raise ValueError(f"--max-size must be >= 0 (0 disables the filter), got {args.max_size}")
@@ -168,12 +174,7 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
                 else:
                     tmp.write_text(content)
             source = getattr(args, "input", None)
-            inputs = [] if source is None else [Path(source)]
-            if source is not None and args.format != "plain":
-                prefix = resolve_simplex_prefix(source)
-                simplex = [prefix.with_name(prefix.name + "-nverts.txt"),
-                           prefix.with_name(prefix.name + "-simplices.txt")]
-                inputs = simplex if simplex[0].is_file() else inputs
+            inputs = [] if source is None else dataset_files(source, args.format)
             manifest = {
                 "command": args.command,
                 "argv": args._argv,

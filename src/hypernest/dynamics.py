@@ -258,9 +258,6 @@ class Batch:
             steps[_tally(keys // self.m)[0]] += 1
         return steps
 
-    def seed_counts(self) -> np.ndarray:
-        return np.bincount(self.rounds[0] // self.m, minlength=len(self.edge_active))
-
     def final_active(self) -> np.ndarray:
         return np.count_nonzero(self.edge_active, axis=1)
 

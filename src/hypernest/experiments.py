@@ -61,15 +61,15 @@ class CellSummary:
     stderr: float
 
 
-def _cell_seeds(pickers: Sequence[Callable], tasks: Sequence[tuple[int, int]],
+def _cell_seeds(pickers: Sequence[Callable], flat: np.ndarray, runs: int,
                 master_seed: int) -> list[list[int]]:
-    """The seeds of each (cell index, run) of ``tasks``, drawn from the
-    seed-selection stream of (cell index, run) under ``master_seed``; the
-    streams come from one derivation, and each stretch of one cell's runs
-    from one call of its picker."""
-    cell, run = np.array(tasks, dtype=np.int64).reshape(-1, 2).T
+    """The seeds of each flat run index ``cell * runs + run`` of ``flat``
+    (ascending), drawn from the seed-selection stream of (cell, run) under
+    ``master_seed``; the streams come from one derivation, and each stretch
+    of one cell's runs from one call of its picker."""
+    cell, run = np.divmod(flat, runs)
     gens = spawn_rngs(master_seed, "seed-selection", cell, run)
-    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), len(tasks)]
+    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), len(flat)]
     return [seeds for a, b in zip(bounds, bounds[1:])
             for seeds in pickers[cell[a]](gens[a:b])]
 
@@ -84,24 +84,25 @@ def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
     ``run_experiment`` records the same runs."""
     pickers = _pickers(h, grid)
     return spread(h, influence, grid.config,
-                  _cell_seeds(pickers, [(c, 0) for c in range(len(pickers))], master_seed))
+                  _cell_seeds(pickers, np.arange(len(pickers)), 1, master_seed))
 
 
 def _run_tasks(args) -> list[RunRecord]:
-    """Records of the (cell, run) ``tasks``, in order, from ``spread`` calls
-    of at most ``influence.batch_runs(h)`` runs each."""
-    h, influence, grid, tasks, master_seed, dataset = args
+    """Records of the flat run indices ``start`` to ``stop``, in order, from
+    ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
+    h, influence, grid, (start, stop), runs, master_seed, dataset = args
     cells, config, pickers = grid.cells(), grid.config, _pickers(h, grid)
     per_batch = influence.batch_runs(h)
     records = []
-    for start in range(0, len(tasks), per_batch):
-        chunk = tasks[start:start + per_batch]
-        batch = spread(h, influence, config, _cell_seeds(pickers, chunk, master_seed))
-        for (c, run), steps, final, seeded in zip(chunk, batch.num_steps().tolist(),
-                                                  batch.final_active().tolist(),
-                                                  batch.seed_counts().tolist()):
-            records.append(RunRecord(dataset, config.variant, *cells[c], config.tau, run, steps,
-                                     final, final - seeded,
+    for lo in range(start, stop, per_batch):
+        hi = min(lo + per_batch, stop)
+        batch = spread(h, influence, config,
+                       _cell_seeds(pickers, np.arange(lo, hi), runs, master_seed))
+        for i, steps, final in zip(range(lo, hi), batch.num_steps().tolist(),
+                                   batch.final_active().tolist()):
+            (strategy, seeded), run = cells[i // runs], i % runs
+            records.append(RunRecord(dataset, config.variant, strategy, seeded, config.tau, run,
+                                     steps, final, final - seeded,
                                      activation_proportion(h.m, seeded, final)))
     return records
 
@@ -116,18 +117,19 @@ def run_experiment(
     jobs: int = 1,
 ) -> list[RunRecord]:
     """All (cell, run) results on ``h`` under ``influence``, the map of the
-    grid's variant, in deterministic cell-major order. The cells x runs go
-    to the engine together, split into ``jobs`` contiguous parts run by as
+    grid's variant, in deterministic cell-major order, run ``run`` of cell
+    ``cell`` at the flat index ``cell * runs + run``. The flat indices go to
+    the engine together, split into ``jobs`` contiguous ranges run by as
     many worker processes."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(c, run) for c in range(len(grid.cells())) for run in range(runs)]
-    parts = min(jobs, len(tasks)) or 1
-    bounds = [len(tasks) * i // parts for i in range(parts + 1)]
-    work = [(h, influence, grid, tasks[a:b], master_seed, dataset)
-            for a, b in zip(bounds, bounds[1:])]
+    total = len(grid.cells()) * runs
+    parts = min(jobs, total) or 1
+    bounds = [total * i // parts for i in range(parts + 1)]
+    work = [(h, influence, grid, span, runs, master_seed, dataset)
+            for span in zip(bounds, bounds[1:])]
     if parts > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 

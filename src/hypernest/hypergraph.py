@@ -283,34 +283,40 @@ def _read_int_column(path: Path) -> list[int]:
         raise FormatError(f"{path}: non-integer entry ({exc})") from exc
 
 
-def resolve_simplex_prefix(path: str | Path) -> Path:
-    """Accepts a dataset prefix, an ``…-nverts.txt`` file, or a directory
-    holding exactly one such file; returns the prefix path."""
+def dataset_files(path: str | Path, fmt: str = "auto") -> list[Path]:
+    """The files that the dataset ``path`` names in format ``fmt``: the path
+    itself as a plain file, or a simplex dataset's ``<prefix>-nverts.txt``
+    and ``<prefix>-simplices.txt``. A simplex path is the prefix, its
+    ``-nverts.txt`` file or a directory holding exactly one such file;
+    ``auto`` takes any path so named, or the prefix of an existing
+    ``-nverts.txt`` file, as simplex and every other path as plain."""
     p = Path(path)
+    if fmt == "auto":
+        simplex = p.is_dir() or p.name.endswith("-nverts.txt") or (
+            p.parent / (p.name + "-nverts.txt")).is_file()
+        fmt = "simplex" if simplex else "plain"
+    if fmt == "plain":
+        return [p]
     if p.is_dir():
         hits = sorted(p.glob("*-nverts.txt"))
         if len(hits) != 1:
             raise FormatError(f"{p}: expected exactly one *-nverts.txt, found {len(hits)}")
         p = hits[0]
-    name = p.name
-    if name.endswith("-nverts.txt"):
-        return p.with_name(name[: -len("-nverts.txt")])
-    return p
+    prefix = p.name.removesuffix("-nverts.txt")
+    return [p.parent / (prefix + suffix) for suffix in ("-nverts.txt", "-simplices.txt")]
 
 
 def load_simplex_dataset(path: str | Path) -> Hypergraph:
     """Load the two-file (optionally three, with ignored timestamps) simplex
     format: ``<prefix>-nverts.txt`` and ``<prefix>-simplices.txt`` of
     newline-separated ASCII integers."""
-    prefix = resolve_simplex_prefix(path)
-    nverts_path = prefix.parent / (prefix.name + "-nverts.txt")
-    simplices_path = prefix.parent / (prefix.name + "-simplices.txt")
-    for req in (nverts_path, simplices_path):
+    files = dataset_files(path, "simplex")
+    for req in files:
         if not req.is_file():
             raise FormatError(f"missing dataset file {req}")
     # A <prefix>-times.txt may sit alongside; interactions are aggregated
     # into one static hypergraph, so timestamps are not read.
-    return ingest_simplex(_read_int_column(nverts_path), _read_int_column(simplices_path))
+    return ingest_simplex(*map(_read_int_column, files))
 
 
 def parse_plain(lines: Iterable[str]) -> Hypergraph:
@@ -363,13 +369,10 @@ def write_plain(h: Hypergraph, path: str | Path) -> None:
 
 
 def load_auto(path: str | Path) -> Hypergraph:
-    """Load either format, detecting the simplex layout from the path."""
-    p = Path(path)
-    if p.is_dir() or p.name.endswith("-nverts.txt"):
-        return load_simplex_dataset(p)
-    if (p.parent / (p.name + "-nverts.txt")).is_file():
-        return load_simplex_dataset(p)
-    return load_plain(p)
+    """Load either format, detecting the simplex layout from the path (see
+    ``dataset_files``)."""
+    files = dataset_files(path)
+    return load_simplex_dataset(files[0]) if len(files) > 1 else load_plain(files[0])
 
 
 def filter_by_size(h: Hypergraph, max_size: int) -> Hypergraph:

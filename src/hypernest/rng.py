@@ -7,13 +7,12 @@ independent regardless of execution order or worker count.
 A stream is the PCG64 generator of NumPy's
 ``SeedSequence(entropy=master_seed, spawn_key=words)``, where an int part
 of the path gives the word ``part % 2**32`` and any other part the first
-four bytes of the SHA-256 of its text. ``spawn_rngs`` computes that
-algorithm itself (the master seed split into 32-bit words and zero-padded
-to the pool of four, ``hashmix``/``mix`` of every word into the pool, then
-``generate_state(4, uint64)``), so that a part may be an array of indices
-and all of its streams come out of one vectorized pass. The pool of the
-master seed and the names before the first index is computed once and
-cached.
+four bytes of the SHA-256 of its text. A part may also be an array of
+indices, so that all of its streams come out of one vectorized pass:
+NumPy absorbs the master seed and the scalar parts before the first array
+into its pool, and ``spawn_rngs`` mixes in only the array words (and any
+parts after them) with SeedSequence's ``hashmix``/``mix``, then computes
+``generate_state(4, uint64)`` per stream.
 ``tests/test_rng.py`` checks the streams bit for bit against
 ``np.random.SeedSequence`` (``tests/oracles.py:seed_sequence_rng``).
 """
@@ -21,7 +20,6 @@ cached.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -43,77 +41,35 @@ def _stream_word(part: object) -> int | np.ndarray:
         return part.astype(np.uint32)
     if isinstance(part, (int, np.integer)):
         return int(part) & _M32
-    return _name_word(str(part))
-
-
-@lru_cache(maxsize=None)
-def _name_word(name: str) -> int:
-    """The word of a named stream part; the few names repeat for every run."""
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    digest = hashlib.sha256(str(part).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
 
-def _constants(const: int, mult: int, count: int) -> list[int]:
-    """The running hash constant from ``const`` over ``count`` hash steps."""
-    out = [const]
+def _constants(const: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The running hash constant from ``const`` at hash steps ``first`` to
+    ``first + count``, as a uint32 column."""
+    out = [const * pow(mult, first, 1 << 32) & _M32]
     for _ in range(count):
         out.append(out[-1] * mult & _M32)
-    return out
+    return np.array(out, dtype=np.uint32)[:, None]
 
 
-def _hash(value, const, nxt):
-    """SeedSequence's hash step of ``value`` (ints, or uint32 arrays that
-    broadcast) under the running constant ``const`` and its successor."""
-    value = (value ^ const) * nxt & _M32
+def _hash(value, consts: np.ndarray):
+    """SeedSequence's hash step of ``value`` (an int, or a uint32 array that
+    broadcasts) under each running constant of ``consts`` and its successor."""
+    value = (value ^ consts[:-1]) * consts[1:] & _M32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of ``x`` and ``y``, both ints or both uint32 arrays."""
+    """SeedSequence's mix of ``x`` and ``y``, uint32 arrays."""
     value = _MIX_L * x - _MIX_R * y & _M32
     return value ^ value >> 16
 
 
-def _mix_in(pool: np.ndarray, const: int, word) -> tuple[np.ndarray, int]:
-    """Mix ``word`` (an int, or a uint32 array holding one word per stream)
-    into every row of ``pool`` (four rows, one column per stream), as
-    SeedSequence does with each entropy word beyond its pool; returns the
-    new pool and the running constant."""
-    consts = _constants(const, _MULT_A, _POOL)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    return _mix(pool, _hash(word, column[:-1], column[1:])), consts[-1]
-
-
 # generate_state(4, uint64) hashes eight 32-bit words, cycling through the pool
 _STATE_ROWS = np.arange(2 * _POOL) % _POOL
-_STATE_CONSTS = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
-
-
-@lru_cache(maxsize=1024)
-def _named_pool(master_seed: int, names: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The pool after the master seed and the words of the ``names`` that
-    follow it, as a 4 x 1 array, and the running constant."""
-    if master_seed < 0:
-        raise ValueError(f"expected a non-negative master seed, got {master_seed}")
-    # the seed's 32-bit words, least significant first; 0 is one word
-    entropy = [master_seed >> bit & _M32 for bit in range(0, max(master_seed.bit_length(), 1), 32)]
-    # a spawn key follows a zero-padded pool; with no key the padding hashes
-    # as the missing words would, so it is always applied
-    entropy += [0] * (_POOL - len(entropy))
-    consts = _constants(_INIT_A, _MULT_A, _POOL * _POOL)
-    pool = [_hash(word, consts[i], consts[i + 1]) for i, word in enumerate(entropy[:_POOL])]
-    k = _POOL
-    # every pool word into every other one
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[k], consts[k + 1]))
-                k += 1
-    pool, const = np.array(pool, dtype=np.uint32)[:, None], consts[k]
-    for word in [*entropy[_POOL:], *names]:
-        pool, const = _mix_in(pool, const, word)
-    pool.setflags(write=False)  # every caller of the cache shares it
-    return pool, const
+_STATE_CONSTS = _constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
 
 
 class _StateWords(ISeedSequence):
@@ -131,13 +87,16 @@ def spawn_rngs(master_seed: int, *path: object) -> list[np.random.Generator]:
     one per entry of the path's array parts (integer arrays, broadcast
     together); with scalar parts alone, one generator."""
     words = [_stream_word(part) for part in path]
-    lead = next((i for i, part in enumerate(path)
-                 if isinstance(part, (int, np.integer, np.ndarray))), len(path))
-    pool, const = _named_pool(int(master_seed), tuple(words[:lead]))
-    # from the first index on, each stream is one column of the pool
-    for word in words[lead:]:
-        pool, const = _mix_in(pool, const, word)
-    state = _hash(pool[_STATE_ROWS], _STATE_CONSTS[:-1], _STATE_CONSTS[1:]).astype(np.uint64)
+    lead = next((i for i, word in enumerate(words) if isinstance(word, np.ndarray)), len(words))
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=words[:lead])
+    # NumPy hashed the seed's words (at least four) and each key word into
+    # every pool word; from the first array part on, each stream is one column
+    first = _POOL * (max((seq.entropy.bit_length() + 31) // 32, _POOL) + lead)
+    consts = _constants(_INIT_A, _MULT_A, first, _POOL * (len(words) - lead))
+    pool = seq.pool[:, None]
+    for k, word in enumerate(words[lead:]):
+        pool = _mix(pool, _hash(word, consts[_POOL * k:_POOL * (k + 1) + 1]))
+    state = _hash(pool[_STATE_ROWS], _STATE_CONSTS).astype(np.uint64)
     # little-endian pairs of 32-bit words make the four uint64 state words
     state = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]

@@ -52,6 +52,8 @@ class RnhmParams:
     def __post_init__(self):
         if not 2 <= self.max_size <= self.num_nodes:
             raise ValueError(f"need 2 <= max_size <= num_nodes, got {self.max_size}/{self.num_nodes}")
+        if self.num_nodes > 2**63 - 1:  # node ids are drawn as int64
+            raise ValueError(f"num_nodes must be at most 2**63 - 1, got {self.num_nodes}")
         if self.num_max_edges < 1:
             raise ValueError(f"num_max_edges must be >= 1, got {self.num_max_edges}")
         # past size 20 the count exceeds the limit anyway; the cap keeps a

@@ -228,6 +228,28 @@ def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, pl
         f"hypernest simulate: error: {message.format(simulate_option)}"]
 
 
+@pytest.mark.parametrize("value,message", [
+    # a repeated keep probability would write each of its rows again
+    ("1,1", "--eps-grid lists a value twice: 1,1"),
+    ("0,1,0.0", "--eps-grid lists a value twice: 0,1,0.0"),
+    ("", "--eps-grid must list at least one value"),
+    ("0,x", "--eps-grid must list numbers, got '0,x'"),
+])
+def test_rnhm_sweep_checks_its_eps_grid(value, message, tmp_path, monkeypatch, capsys):
+    import hypernest
+
+    def never(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(hypernest, "generate", never)
+    script = "rnhm_activation_sweep.py"
+    monkeypatch.setattr(sys, "argv", [script, "--eps-grid", value, "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"{script}: error: {message}"]
+
+
 @pytest.mark.parametrize("command", ["stats", "encapsulation", "heights", "randomize", "simulate"])
 @pytest.mark.parametrize("source", ["filtered", "empty simplex"])
 @pytest.mark.parametrize("lcc", [False, True])

@@ -2,9 +2,10 @@
 
 Every argv must end in a result (0), a usage error (``SystemExit(1)``) or a
 data error (2), and never print a traceback. Values are drawn from small
-ints, zero, negatives, empty and malformed lists and unknown flags, on the
-golden RNHM fixture, on a 3-line input and on malformed inputs; RNHM sizes
-stay at most 8 so every example is fast.
+ints, zero, negatives, ints past int64, empty and malformed lists and
+unknown flags, on the golden RNHM fixture, on a 3-line input and on
+malformed inputs. Every RNHM sample that passes validation has at most 8
+nodes, so every example is fast.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ FIXTURE = Path(__file__).resolve().parent / "golden" / "nested.txt"
 # argparse accepts the values of an option's first list and rejects those of
 # its second; a drawn argv uses only accepted values unless it is "noisy"
 INTS = (["0", "1", "2", "3", "-1", "-7", "99"], ["", "x", "1.5"])
-SEEDS = (["0", "1", "2", "3", "99"], ["-1", "-7", "", "x", "1.5"])
+# past int64 and past uint64
+HUGE = [str(2**63), str(10**20)]
+SEEDS = (["0", "1", "2", "3", "99", *HUGE], ["-1", "-7", "", "x", "1.5"])
 # 2**63 overflows int64; as a threshold tau it is as any tau >= the largest size
 TAUS = (INTS[0] + [str(2**63)], INTS[1])
 COUNTS = (["0", "1", "2"], ["-1", "", "x"])
@@ -38,7 +41,7 @@ OUT = "out"  # an option that takes a path under the work directory
 
 INPUT_OPTIONS = {
     "--format": (["auto", "plain", "simplex"], ["bogus"]),
-    "--max-size": INTS,
+    "--max-size": (INTS[0] + HUGE, INTS[1]),
     "--lcc": FLAG,
 }
 OPTIONS = {
@@ -55,15 +58,15 @@ OPTIONS = {
         "--emit-samples": OUT,
     },
     "rnhm": {
-        "--nodes": (["0", "1", "3", "5", "8", "-2"], ["x"]),
-        "--max-size": (["0", "1", "2", "3", "5", "8", "-1"], ["", "x"]),
-        "--max-edges": (["0", "1", "2", "3", "-1"], ["x"]),
+        "--nodes": (["0", "1", "3", "5", "8", "-2", *HUGE], ["x"]),
+        "--max-size": (["0", "1", "2", "3", "5", "8", "-1", *HUGE], ["", "x"]),
+        "--max-edges": (["0", "1", "2", "3", "-1", *HUGE], ["x"]),
         "--eps": EPS, "--singletons": FLAG, "--seed": SEEDS, "--out": OUT,
     },
     "simulate": INPUT_OPTIONS | {
         "--variant": (["strict", "non-strict", "empirical-adjacent", "threshold"], ["bogus"]),
         "--strategy": STRATEGY_LISTS, "--seeds": LISTS, "--tau": TAUS,
-        "--runs": (["1", "2"], ["0", "-1", "x"]), "--max-steps": INTS,
+        "--runs": (["1", "2"], ["0", "-1", "x"]), "--max-steps": (INTS[0] + HUGE, INTS[1]),
         "--comparison": ([">=", ">"], ["=="]), "--seed": SEEDS, "--randomize": COUNTS,
         "--jobs": (["1"], ["0", "-1", "x"]), "--dataset": (["", "name"], []),
         "--out": OUT, "--summary-out": OUT, "--trajectories": OUT,

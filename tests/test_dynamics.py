@@ -337,7 +337,7 @@ class TestEngineInvariants:
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
         batch = run(h, DynamicsConfig(), seeds=[0, 1])
-        (seeded,), (final,) = batch.seed_counts(), batch.final_active()
+        seeded, (final,) = len(batch.steps(0)[0]), batch.final_active()
         assert seeded == h.m
         assert activation_proportion(h.m, seeded, final) == 1.0
 
@@ -388,4 +388,3 @@ class TestContagionOracle:
         assert [batch.steps(r) for r in range(runs)] == expected
         assert batch.num_steps().tolist() == [len(steps) - 1 for steps in expected]
         assert batch.final_active().tolist() == [sum(map(len, steps)) for steps in expected]
-        assert batch.seed_counts().tolist() == [len(s) for s in seeds]

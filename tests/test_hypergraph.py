@@ -23,7 +23,7 @@ from hypernest import (
     projected_density,
     write_plain,
 )
-from hypernest.hypergraph import RepeatedNodeError, component_labels, split_rows
+from hypernest.hypergraph import RepeatedNodeError, component_labels, dataset_files, split_rows
 
 # small label domains, so rows repeat; "mixed" rows hold ints and strs
 INT_LABEL = st.integers(0, 7)
@@ -182,6 +182,21 @@ class TestIngestSimplex:
         for arg in (tmp_path, tmp_path / "toy", tmp_path / "toy-nverts.txt"):
             h = load_simplex_dataset(arg)
             assert h.m == 2 and h.n == 3
+
+    def test_dataset_files_per_format(self, tmp_path):
+        (tmp_path / "toy-nverts.txt").write_text("2\n3\n")
+        plain = tmp_path / "toy.txt"
+        plain.write_text("1 2\n")
+        pair = [tmp_path / "toy-nverts.txt", tmp_path / "toy-simplices.txt"]
+        for arg in (tmp_path, tmp_path / "toy", tmp_path / "toy-nverts.txt"):
+            assert dataset_files(arg) == dataset_files(arg, "simplex") == pair
+            assert dataset_files(arg, "plain") == [arg]
+        assert dataset_files(plain) == dataset_files(plain, "plain") == [plain]
+        assert dataset_files(plain, "simplex") == [tmp_path / "toy.txt-nverts.txt",
+                                                   tmp_path / "toy.txt-simplices.txt"]
+        (tmp_path / "two-nverts.txt").write_text("2\n")
+        with pytest.raises(FormatError, match="expected exactly one \\*-nverts.txt, found 2$"):
+            dataset_files(tmp_path)
 
 
 class TestPlainFormat:

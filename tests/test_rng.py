@@ -39,10 +39,23 @@ def state(gen: np.random.Generator) -> dict:
     return gen.bit_generator.state
 
 
+def wide_master_examples(test):
+    """Examples at master seeds of four words and more, where the hash steps
+    of the array words start after all of the seed's words rather than after
+    a pool padded to four: each with no path, with a name and an int alone,
+    and with an array part after a name and an int."""
+    for master in (2**96, 2**128 - 1, 2**128, 2**160 + 1):
+        for drawn in (([], 1), (["layer-randomization", 5], 1),
+                      (["seed-selection", 7, np.arange(3), np.arange(3) + 2**32], 3)):
+            test = example(master=master, drawn=drawn)(test)
+    return test
+
+
 class TestSeedSequenceStreams:
     @given(master=MASTERS, drawn=paths())
     @settings(max_examples=300)
     @example(master=2**70 + 3, drawn=(["seed-selection", np.arange(4), np.arange(4) + 2**32], 4))
+    @wide_master_examples
     def test_each_stream_is_numpys(self, master, drawn):
         path, streams = drawn
         gens = spawn_rngs(master, *path)

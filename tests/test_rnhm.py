@@ -43,6 +43,13 @@ class TestParams:
         with pytest.raises(ValueError):
             RnhmParams(num_nodes=3, max_size=1, num_max_edges=1)
 
+    def test_node_ids_fit_int64(self):
+        # NumPy draws node ids as int64; a larger count overflowed in the draw
+        RnhmParams(num_nodes=2**63 - 1, max_size=3, num_max_edges=1)
+        for nodes in (2**63, 10**20):
+            with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+                RnhmParams(num_nodes=nodes, max_size=3, num_max_edges=1)
+
     def test_too_many_max_edges(self):
         with pytest.raises(ValueError, match="distinct"):
             RnhmParams(num_nodes=4, max_size=4, num_max_edges=2)
