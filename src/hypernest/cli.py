@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: stats | encapsulation | heights | randomize | rnhm | simulate.
+Subcommands: stats | encapsulation | heights | randomize | rnhm | simulate |
+rnhm-sweep.
 Every run that writes files writes all of them or none, and with them one
 ``<first file>.manifest.json`` with the full parameter set, RNG seed, and
 input and output checksums, so any result can be reproduced byte for byte
@@ -11,12 +12,14 @@ data or generation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
 from functools import partial
-from itertools import takewhile
+from itertools import product, takewhile
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +28,7 @@ from .dynamics import STRATEGIES, VARIANTS, DynamicsConfig, build_influence
 from .experiments import (
     ExperimentGrid,
     first_runs,
+    mean_stderr,
     randomized_comparison,
     run_experiment,
     summarize,
@@ -52,7 +56,7 @@ DATA_ERRORS = (FormatError, OSError, GenerationError, ValueError)
 
 
 class Parser(argparse.ArgumentParser):
-    # usage problems exit 1, in the scripts too; argparse's default of 2 is for data errors
+    # usage problems exit 1; argparse's default of 2 is for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -94,15 +98,6 @@ def grid_values(option: str, text: str, kind: tuple[str, ...] | type = int) -> t
     if len(set(values)) < len(values):
         raise ValueError(f"{option} lists a value twice: {','.join(tokens)}")
     return values
-
-
-def run_script(script_main) -> None:
-    """Run a script's ``main()``; a data error exits 2 with one line on stderr."""
-    try:
-        script_main()
-    except DATA_ERRORS as exc:
-        sys.stderr.write(f"{Path(sys.argv[0]).name}: error: {exc}\n")
-        raise SystemExit(2)
 
 
 def warn_self_activation(prog: str, h: Hypergraph, config: DynamicsConfig) -> None:
@@ -160,6 +155,8 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
         for path in paths + temps:
             if (key := path.resolve()) in seen:
                 raise ValueError(f"two outputs use the path {path}")
+            if path.is_dir():
+                raise ValueError(f"output path {path} is a directory")
             seen.add(key)
         made = [] if directory is None else list(
             takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
@@ -288,22 +285,22 @@ def _parse_eps(spec: str, max_size: int) -> dict[int, float]:
     if not spec:
         return {}
     entries = spec.split(",")
-    eps: dict[int, float] = {}
-    if all("=" in e for e in entries):
-        for e in entries:
-            size_s, _, val = e.partition("=")
-            size = int(size_s)
-            if size in eps:
-                raise ValueError(f"--eps gives size {size} twice")
-            eps[size] = float(val)
-        return eps
-    values = [float(e) for e in entries]
-    expected = max(0, max_size - 2)
-    if len(values) != expected:
+    paired = all("=" in e for e in entries)
+    try:
+        values = [float(e.partition("=")[2] if paired else e) for e in entries]
+        sizes = [int(e.partition("=")[0]) for e in entries] if paired else range(2, max_size)
+    except ValueError:
+        raise ValueError(f"--eps must list numbers or size=number pairs, got {spec!r}") from None
+    if not paired and len(values) != (expected := max(0, max_size - 2)):
         raise ValueError(
             f"--eps needs {expected} values for sizes 2..{max_size - 1}, got {len(values)}"
         )
-    return {s: v for s, v in zip(range(2, max_size), values)}
+    eps: dict[int, float] = {}
+    for size, value in zip(sizes, values):
+        if size in eps:
+            raise ValueError(f"--eps gives size {size} twice")
+        eps[size] = value
+    return eps
 
 
 def cmd_rnhm(args: argparse.Namespace) -> int:
@@ -363,6 +360,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return publish(args, [(args.out, partial(write_records_csv, records)),
                           (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),
                           (args.trajectories, trajectories)])
+
+
+def cmd_rnhm_sweep(args: argparse.Namespace) -> int:
+    """Activation sweep on random nested hypergraphs. For each pair of keep
+    probabilities (eps2, eps3) from ``--eps-grid``, generate
+    ``--realizations`` hypergraphs with singletons, run every (strategy,
+    seed count) cell ``--runs`` times on each (a seed count above a
+    realization's hyperedge count is clamped to it), and write one CSV row
+    per cell with the mean and standard error of the non-seed activation
+    proportion over all realizations and runs."""
+    eps_values = grid_values("--eps-grid", args.eps_grid, float)
+    strategies = grid_values("--strategies", args.strategies, STRATEGIES)
+    seed_counts = grid_values("--seed-counts", args.seed_counts)
+    config = DynamicsConfig(args.variant, args.tau)
+    rows = [["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"]]
+    for eps2, eps3 in product(eps_values, eps_values):
+        keep_probs = {s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)}
+        params = RnhmParams(args.nodes, args.max_size, args.max_edges, keep_probs,
+                            include_singletons=True)
+        realizations = []
+        for r in range(args.realizations):
+            h = generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph
+            realizations.append((h, build_influence(h, args.variant)))
+        if len(rows) == 1:  # once: every realization holds 1-node hyperedges
+            warn_self_activation(f"hypernest {args.command}", realizations[0][0], config)
+        for strategy, seed_count in product(strategies, seed_counts):
+            # one-cell grid per realization, pooled realization-major: the order
+            # fixes the rounding of the mean and stderr sums
+            mean, stderr = mean_stderr([
+                rec.proportion for r, (h, influence) in enumerate(realizations)
+                for rec in run_experiment(h, influence, ExperimentGrid(
+                    config, (strategy,), (min(seed_count, h.m),)), args.runs, args.seed + r)])
+            rows.append([eps2, eps3, strategy, seed_count, f"{mean:.6f}", f"{stderr:.6f}"])
+            print(f"eps2={eps2} eps3={eps3} {strategy:>14} seeds={seed_count:>4} "
+                  f"-> {mean:.4f} +/- {stderr:.4f}")
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return publish(args, [(args.out, text.getvalue())])
 
 
 def build_parser() -> Parser:
@@ -432,6 +467,22 @@ def build_parser() -> Parser:
     p.add_argument("--summary-out", help="write per-cell summary JSON here")
     p.add_argument("--trajectories", help="write first-run trajectories JSON here")
     p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("rnhm-sweep", help="activation over RNHM keep probabilities and seedings",
+                       description=cmd_rnhm_sweep.__doc__)
+    p.add_argument("--nodes", type=int, default=20)
+    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-edges", type=int, default=5)
+    p.add_argument("--eps-grid", default="0,1", help="keep probabilities tried for every size")
+    p.add_argument("--strategies", default="uniform,smallest-first")
+    p.add_argument("--seed-counts", default="1,5,10,20,35")
+    p.add_argument("--variant", default="strict", choices=VARIANTS)
+    p.add_argument("--tau", type=int, default=1)
+    p.add_argument("--realizations", type=at_least(1), default=25)
+    p.add_argument("--runs", type=at_least(1), default=50)
+    p.add_argument("--seed", type=at_least(0), default=0)
+    p.add_argument("--out", required=True, help="write per-cell CSV here")
+    p.set_defaults(func=cmd_rnhm_sweep)
     return parser
 
 

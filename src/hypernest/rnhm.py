@@ -24,6 +24,8 @@ from .rng import RngLike, as_rng
 # subset hyperedges a sample may enumerate: the 1M-hyperedge scale of the
 # largest datasets (coauth-MAG)
 MAX_SUBSETS = 1_000_000
+# draws of replacement nodes before a rewire gives up
+MAX_REWIRE_DRAWS = 100
 
 
 class GenerationError(RuntimeError):
@@ -93,7 +95,6 @@ def rewire_edge(
     existing: set[frozenset[int]],
     num_nodes: int,
     rng: RngLike,
-    max_tries: int = 100,
 ) -> tuple[int, ...]:
     """Keep one pivot node of ``edge`` and replace the rest with nodes drawn
     uniformly from outside every current superset of the edge, redrawing
@@ -112,14 +113,14 @@ def rewire_edge(
             f"rewiring a size-{size} edge needs {size - 1} replacement nodes "
             f"but only {pool_size} are outside its supersets"
         )
-    for _ in range(max_tries):
+    for _ in range(MAX_REWIRE_DRAWS):
         replacement = gen.choice(pool_size, size=size - 1, replace=False)
         drawn = [int(i) + bisect_right(below, int(i)) for i in replacement]
         candidate = tuple(sorted([pivot] + drawn))
         if frozenset(candidate) not in existing:
             return candidate
     raise RewireInfeasibleError(
-        f"no unused replacement for edge {edge} after {max_tries} draws"
+        f"no unused replacement for edge {edge} after {MAX_REWIRE_DRAWS} draws"
     )
 
 

@@ -187,8 +187,10 @@ def test_script_data_error_exits_2(script, argv, plain_file, tmp_path, monkeypat
             runpy.run_path(str(SCRIPTS / script), run_name="__main__")
         code = err.value.code
     assert code == 2
+    # the script is an alias of `hypernest rnhm-sweep`, which reports its errors
+    command = script if script.startswith("hypernest ") else "hypernest rnhm-sweep"
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"{script}: error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: error: ")
     assert not out.exists()
 
 
@@ -209,18 +211,17 @@ def test_rnhm_sweep_variant_choices(tmp_path, monkeypatch, capsys):
 ], ids=["strategy", "count"])
 def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, plain_file,
                                                       tmp_path, monkeypatch, capsys):
-    import hypernest
-
     def never(*args):
         raise AssertionError("generation started")
 
-    monkeypatch.setattr(hypernest, "generate", never)
+    monkeypatch.setattr(cli_mod, "generate", never)
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(sys, "argv", [script, option, value, "--out", str(tmp_path / "o")])
     with pytest.raises(SystemExit) as err:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines() == [f"{script}: error: {message.format(option)}"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypernest rnhm-sweep: error: {message.format(option)}"]
     # `hypernest simulate` gives the same message for its own option
     simulate_option = {"--strategies": "--strategy", "--seed-counts": "--seeds"}[option]
     assert run_cli("simulate", plain_file, simulate_option, value, "--out", tmp_path / "r") == 2
@@ -236,18 +237,16 @@ def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, pl
     ("0,x", "--eps-grid must list numbers, got '0,x'"),
 ])
 def test_rnhm_sweep_checks_its_eps_grid(value, message, tmp_path, monkeypatch, capsys):
-    import hypernest
-
     def never(*args):
         raise AssertionError("generation started")
 
-    monkeypatch.setattr(hypernest, "generate", never)
+    monkeypatch.setattr(cli_mod, "generate", never)
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(sys, "argv", [script, "--eps-grid", value, "--out", str(tmp_path / "o")])
     with pytest.raises(SystemExit) as err:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines() == [f"{script}: error: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"hypernest rnhm-sweep: error: {message}"]
 
 
 @pytest.mark.parametrize("command", ["stats", "encapsulation", "heights", "randomize", "simulate"])
@@ -284,6 +283,10 @@ def test_no_hyperedge_left_is_data_error(command, source, lcc, tmp_path, capsys)
     # when every file is written
     ("randomize", "--samples", "1", "--out", "new/sample_000.txt", "--emit-samples", "new"),
     ("randomize", "--samples", "1", "--out", "missing/r.json", "--emit-samples", "new/dir"),
+    # an output that is an existing directory, checked before anything is
+    # written, so no earlier output is renamed over an existing file
+    ("heights", "--out", "first", "--summary-out", "outdir"),
+    ("randomize", "--samples", "1", "--out", "first", "--emit-samples", "em"),
 ])
 def test_failed_write_leaves_no_file(argv, plain_file, tmp_path, monkeypatch, capsys):
     # a run writes all of its files and their manifest, or none of them
@@ -292,12 +295,29 @@ def test_failed_write_leaves_no_file(argv, plain_file, tmp_path, monkeypatch, ca
     first.write_text("kept\n")
     if "." in argv:  # a link to an output names that output
         (tmp_path / "sample_000.txt").symlink_to(first)
-    before = sorted(tmp_path.iterdir())
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "em" / "sample_000.txt").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     assert run_cli(argv[0], plain_file, *argv[1:]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"hypernest {argv[0]}: error: ")
+    assert ".tmp" not in lines[0]
     assert first.read_text() == "kept\n"
-    assert sorted(tmp_path.iterdir()) == before
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out,message", [
+    ("missing/s.csv", "[Errno 2] No such file or directory: 'missing/s.csv'"),
+    ("outdir", "output path outdir is a directory"),
+])
+def test_rnhm_sweep_failed_write_leaves_no_file(out, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    code = run_cli("rnhm-sweep", "--realizations", "1", "--runs", "1", "--eps-grid", "1",
+                   "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"hypernest rnhm-sweep: error: {message}"]
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "outdir"]
 
 
 def test_failed_write_names_the_users_path(plain_file, tmp_path, monkeypatch, capsys):
@@ -319,11 +339,9 @@ def test_out_prints_one_wrote_line(command, options, plain_file, tmp_path, capsy
 
 def test_rnhm_sweep_generates_each_realization_once(tmp_path, monkeypatch, capsys):
     # default grid: 2x2 eps pairs, 2 strategies x 5 seed counts per pair
-    import hypernest
-
     calls = []
-    generate = hypernest.generate
-    monkeypatch.setattr(hypernest, "generate", lambda *a: calls.append(a) or generate(*a))
+    generate = cli_mod.generate
+    monkeypatch.setattr(cli_mod, "generate", lambda *a: calls.append(a) or generate(*a))
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(
         sys, "argv", [script, "--realizations", "3", "--runs", "1", "--out", str(tmp_path / "o")]
@@ -476,6 +494,16 @@ class TestRnhm:
         assert "size 2 twice" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["2=0.5,0.3", "x=1", "=0.5", "2=x", "0.5,"])
+    def test_malformed_eps_is_one_line_naming_it(self, eps, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = run_cli("rnhm", "--nodes", "15", "--max-size", "4", "--max-edges", "3",
+                       "--eps", eps, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"hypernest rnhm: error: --eps must list numbers or size=number pairs, got {eps!r}"]
+        assert not out.exists()
+
     def test_replay_byte_identical(self, tmp_path):
         args = [
             "rnhm", "--nodes", "18", "--max-size", "4", "--max-edges", "4",
@@ -485,6 +513,19 @@ class TestRnhm:
         assert run_cli(*args, "--out", out1) == 0
         assert run_cli(*args, "--out", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestRnhmSweep:
+    def test_replay_byte_identical(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("rnhm-sweep", "--realizations", "2", "--runs", "3", "--seed", "5",
+                       "--strategies", "uniform,size-biased", "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["command"] == "rnhm-sweep" and manifest["seed"] == 5
+        out.unlink()
+        assert main(manifest["argv"]) == 0
+        assert manifest["outputs"] == {str(out): cli_mod._sha256(out)}
 
 
 class TestSimulate:

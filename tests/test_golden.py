@@ -9,10 +9,11 @@ empirical-adjacent bridges gaps the other variants cannot: its first six
 pairs each extended by two new nodes (the pair is the largest hyperedge
 inside), a 4-node hyperedge whose only contained hyperedge is a pair, and a
 5-node hyperedge containing a triple and a disjoint pair. The RNHM
-activation sweep script (``scripts/rnhm_activation_sweep.py``) is recorded
-too, at a size whose seed count 70 exceeds the hyperedge count of some
-realizations (m is 64-75 there) and is clamped in those only. A deliberate
-output change regenerates the recorded files with::
+activation sweep (``hypernest rnhm-sweep``, run through its alias
+``scripts/rnhm_activation_sweep.py``) is recorded too, at a size whose seed
+count 70 exceeds the hyperedge count of some realizations (m is 64-75
+there) and is clamped in those only. A deliberate output change
+regenerates the recorded files with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -126,6 +127,6 @@ def test_rnhm_sweep_matches_golden(tmp_path):
 if __name__ == "__main__":
     written = [p for case in sorted(CASES) for p in run_case(case, GOLDEN)]
     written += [p for name in sorted(ANALYSES) for p in run_analysis(name, GOLDEN)]
+    written.append(run_sweep(GOLDEN))
     for path in written:
         path.with_name(path.name + ".manifest.json").unlink(missing_ok=True)
-    run_sweep(GOLDEN)

@@ -69,13 +69,21 @@ def writes_a_file(call: ast.Call) -> bool:
     return False
 
 
+def file_writers(path: Path) -> set[str]:
+    """The top-level definitions of ``path`` (or ``line N`` statements)
+    that call a file writer."""
+    tree = ast.parse(path.read_text())
+    return {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.Call) and writes_a_file(node)}
+
+
 def test_cli_writes_files_in_one_function():
     # `publish` writes all of a run's files and its manifest or none of them;
-    # a subcommand that wrote a file itself would bypass that
-    tree = ast.parse((ROOT / "src" / "hypernest" / "cli.py").read_text())
-    writers = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
-               for node in ast.walk(top) if isinstance(node, ast.Call) and writes_a_file(node)}
-    assert writers == {"publish"}
+    # a subcommand or a script that wrote a file itself would bypass that
+    assert file_writers(ROOT / "src" / "hypernest" / "cli.py") == {"publish"}
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    assert {p.name: names for p in scripts if (names := file_writers(p))} == {}
 
 
 RNG_CONSTRUCTORS = {"SeedSequence", "default_rng", "PCG64", "Generator"}
