@@ -4,7 +4,7 @@ null models, a nested random generator, and hyperedge contagion."""
 __version__ = "0.1.0"
 
 from .dagpaths import RootedHeightReport, rooted_heights, transitive_reduction
-from .dynamics import DynamicsConfig, build_influence, select_seeds
+from .dynamics import DynamicsConfig, build_influence
 from .experiments import (
     ExperimentGrid,
     RunRecord,
@@ -75,7 +75,6 @@ __all__ = [
     "rewire_edge",
     "rooted_heights",
     "run_experiment",
-    "select_seeds",
     "spawn_rng",
     "summarize",
     "transitive_reduction",

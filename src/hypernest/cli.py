@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -137,6 +138,29 @@ def _sha256(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+def check_outputs(args: argparse.Namespace, outputs: list[Path], directory: Path | None = None):
+    """The paths a run writes (``outputs``, then a manifest next to the
+    first), their ``.tmp`` files and the run's input files. An OSError or
+    ValueError unless each path's directory exists (or is ``directory``,
+    which the run makes), the path is not a directory, and no two paths,
+    nor a path and an input file, resolve to the same file."""
+    paths = [*outputs, outputs[0].with_name(outputs[0].name + ".manifest.json")]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    source = getattr(args, "input", None)
+    inputs = [] if source is None else dataset_files(source, args.format)
+    seen = {p.resolve(): "the input" for p in inputs}
+    for path in paths + temps:
+        if (key := path.resolve()) in seen:
+            raise ValueError(f"output path {path} would overwrite {seen[key]}")
+        if path.is_dir():
+            raise ValueError(f"output path {path} is a directory")
+        if not path.parent.is_dir() and path.parent != directory:
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
+        seen[key] = "another output"
+    return paths, temps, inputs
+
+
 def publish(args: argparse.Namespace, outputs, document: str | None = None,
             extra: dict | None = None, directory: Path | None = None) -> int:
     """Finish a command, all or nothing: write ``outputs``, (path, text or
@@ -148,16 +172,7 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
     Then print ``document``, or else one ``wrote`` line."""
     named = [(Path(path), content) for path, content in outputs if path]
     if named:
-        first = named[0][0]
-        paths = [path for path, _ in named] + [first.with_name(first.name + ".manifest.json")]
-        temps = [path.with_name(path.name + ".tmp") for path in paths]
-        seen = set()
-        for path in paths + temps:
-            if (key := path.resolve()) in seen:
-                raise ValueError(f"two outputs use the path {path}")
-            if path.is_dir():
-                raise ValueError(f"output path {path} is a directory")
-            seen.add(key)
+        paths, temps, inputs = check_outputs(args, [path for path, _ in named], directory)
         made = [] if directory is None else list(
             takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
         started = []
@@ -170,8 +185,6 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
                     content(tmp)
                 else:
                     tmp.write_text(content)
-            source = getattr(args, "input", None)
-            inputs = [] if source is None else dataset_files(source, args.format)
             manifest = {
                 "command": args.command,
                 "argv": args._argv,
@@ -375,10 +388,10 @@ def cmd_rnhm_sweep(args: argparse.Namespace) -> int:
     seed_counts = grid_values("--seed-counts", args.seed_counts)
     config = DynamicsConfig(args.variant, args.tau)
     rows = [["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"]]
-    for eps2, eps3 in product(eps_values, eps_values):
-        keep_probs = {s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)}
-        params = RnhmParams(args.nodes, args.max_size, args.max_edges, keep_probs,
-                            include_singletons=True)
+    pairs = [(eps2, eps3, RnhmParams(args.nodes, args.max_size, args.max_edges, {
+        s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)}, include_singletons=True))
+        for eps2, eps3 in product(eps_values, eps_values)]
+    for eps2, eps3, params in pairs:
         realizations = []
         for r in range(args.realizations):
             h = generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph
@@ -491,6 +504,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        # a bad output path fails before the work, not after it
+        named = [Path(path) for key in ("out", "summary_out", "trajectories")
+                 if (path := getattr(args, key, None))]
+        if named:
+            samples = getattr(args, "emit_samples", None)
+            check_outputs(args, named, samples and Path(samples))
         return args.func(args)
     except DATA_ERRORS as exc:
         sys.stderr.write(f"hypernest {args.command}: error: {exc}\n")

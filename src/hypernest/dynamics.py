@@ -29,7 +29,6 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 from .linegraph import adjacent_layer_dag, build_encapsulation_dag
-from .rng import RngLike, as_rng
 
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
 STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
@@ -126,12 +125,6 @@ def seed_picker(h: Hypergraph, strategy: str,
         weights = 1.0 / weights
     return lambda gens: _smallest(rows([gen.standard_exponential(h.m) for gen in gens], h.m)
                                   / weights, count).tolist()
-
-
-def select_seeds(h: Hypergraph, strategy: str, count: int, rng: RngLike) -> list[int]:
-    """Choose ``count`` distinct seed hyperedges by ``strategy`` (see
-    ``seed_picker``)."""
-    return seed_picker(h, strategy, count)([as_rng(rng)])[0]
 
 
 @dataclass(frozen=True)

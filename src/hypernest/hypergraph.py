@@ -180,18 +180,14 @@ class Hypergraph:
     def has_singletons(self) -> bool:
         return bool(self.m) and int(self.sizes.min()) == 1
 
-    def subhypergraph(self, edge_ids: Iterable[int]) -> Hypergraph:
-        """Sub-hypergraph induced by the given hyperedges, original id order.
+    def subhypergraph(self, ids: np.ndarray) -> Hypergraph:
+        """Sub-hypergraph induced by the hyperedges ``ids``, ascending and
+        distinct (as ``np.flatnonzero`` gives them).
 
         Nodes only present in dropped hyperedges disappear; remaining nodes
         are re-indexed densely, by first appearance over the kept rows in
         label order, while keeping their original labels.
         """
-        if not isinstance(edge_ids, np.ndarray):
-            edge_ids = np.fromiter(edge_ids, dtype=np.int64)
-        chosen = np.zeros(self.m, dtype=bool)
-        chosen[edge_ids] = True
-        ids = np.flatnonzero(chosen)
         sizes = self.sizes[ids]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         at = np.repeat(self.edge_ptr[ids] - ptr[:-1], sizes) + np.arange(ptr[-1])

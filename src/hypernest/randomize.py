@@ -17,10 +17,10 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 from .linegraph import build_encapsulation_dag
-from .rng import RngLike, as_rng, spawn_rng
+from .rng import spawn_rng
 
 
-def layer_randomize(h: Hypergraph, rng: RngLike) -> Hypergraph:
+def layer_randomize(h: Hypergraph, rng: np.random.Generator) -> Hypergraph:
     """Apply an independent uniform node-label permutation to each size layer.
 
     The permutation domain of a layer is the set of nodes appearing in it;
@@ -29,13 +29,12 @@ def layer_randomize(h: Hypergraph, rng: RngLike) -> Hypergraph:
     bijection, distinct hyperedges stay distinct. Nodes of the result are
     numbered by first appearance over the mapped rows.
     """
-    gen = as_rng(rng)
     entry_size = np.repeat(h.sizes, h.sizes)
     order = np.argsort(entry_size, kind="stable")
     mapped = h.edge_nodes.copy()
     for at in np.split(order, np.flatnonzero(np.diff(entry_size[order])) + 1):
         nodes, rank = np.unique(h.edge_nodes[at], return_inverse=True)
-        mapped[at] = nodes[gen.permutation(nodes.size)][rank]
+        mapped[at] = nodes[rng.permutation(nodes.size)][rank]
     return Hypergraph.from_arrays(h.edge_ptr, mapped, h.labels)
 
 

@@ -24,8 +24,6 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-RngLike = int | np.random.Generator
-
 _M32 = 0xFFFF_FFFF
 # SeedSequence's hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -106,11 +104,3 @@ def spawn_rng(master_seed: int, *path: object) -> np.random.Generator:
     """Generator for the stream identified by (master seed, path parts)."""
     (gen,) = spawn_rngs(master_seed, *path)
     return gen
-
-
-def as_rng(rng: RngLike) -> np.random.Generator:
-    """Accept either a seed or an existing generator; a seed gives the stream
-    of ``np.random.default_rng(seed)``."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return spawn_rng(rng)

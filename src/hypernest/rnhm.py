@@ -17,8 +17,9 @@ from itertools import combinations
 from math import comb
 from typing import Mapping
 
+import numpy as np
+
 from .hypergraph import Hypergraph, is_connected
-from .rng import RngLike, as_rng
 
 
 # subset hyperedges a sample may enumerate: the 1M-hyperedge scale of the
@@ -26,6 +27,8 @@ from .rng import RngLike, as_rng
 MAX_SUBSETS = 1_000_000
 # draws of replacement nodes before a rewire gives up
 MAX_REWIRE_DRAWS = 100
+# samples drawn before generation gives up
+MAX_ATTEMPTS = 100
 
 
 class GenerationError(RuntimeError):
@@ -94,14 +97,13 @@ def rewire_edge(
     superset_nodes: set[int],
     existing: set[frozenset[int]],
     num_nodes: int,
-    rng: RngLike,
+    rng: np.random.Generator,
 ) -> tuple[int, ...]:
     """Keep one pivot node of ``edge`` and replace the rest with nodes drawn
     uniformly from outside every current superset of the edge, redrawing
     until the result is not already a hyperedge."""
-    gen = as_rng(rng)
     size = len(edge)
-    pivot = edge[int(gen.integers(size))]
+    pivot = edge[int(rng.integers(size))]
     # draws index the ascending pool of nodes outside the supersets without
     # building it: index i is node i + (excluded nodes below it), and below[j]
     # counts the pool nodes under the j-th excluded node
@@ -114,7 +116,7 @@ def rewire_edge(
             f"but only {pool_size} are outside its supersets"
         )
     for _ in range(MAX_REWIRE_DRAWS):
-        replacement = gen.choice(pool_size, size=size - 1, replace=False)
+        replacement = rng.choice(pool_size, size=size - 1, replace=False)
         drawn = [int(i) + bisect_right(below, int(i)) for i in replacement]
         candidate = tuple(sorted([pivot] + drawn))
         if frozenset(candidate) not in existing:
@@ -141,14 +143,13 @@ def _sample_max_edges(params: RnhmParams, gen) -> list[tuple[int, ...]]:
     return edges
 
 
-def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmSample:
+def generate(params: RnhmParams, rng: np.random.Generator) -> RnhmSample:
     """Draw one connected sample; rejects disconnected draws and samples
-    where a rewire became infeasible, up to ``max_attempts`` times."""
-    gen = as_rng(rng)
+    where a rewire became infeasible, up to ``MAX_ATTEMPTS`` times."""
     connectivity_rejections = 0
     rewire_rejections = 0
-    for _ in range(max_attempts):
-        max_edges = _sample_max_edges(params, gen)
+    for _ in range(MAX_ATTEMPTS):
+        max_edges = _sample_max_edges(params, rng)
         subsets_by_size: dict[int, list[tuple[int, ...]]] = {
             s: [] for s in range(2, params.max_size)
         }
@@ -172,12 +173,12 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
             for s in range(params.max_size - 1, 1, -1):
                 keep = params.keep_prob(s)
                 for edge in subsets_by_size[s]:
-                    if gen.random() >= 1.0 - keep:
+                    if rng.random() >= 1.0 - keep:
                         continue
                     edge_key = frozenset(edge)
                     # the current edges holding all its nodes: itself and its supersets
                     superset_nodes = set().union(*set.intersection(*(holding[u] for u in edge)))
-                    new_edge = rewire_edge(edge, superset_nodes, current, params.num_nodes, gen)
+                    new_edge = rewire_edge(edge, superset_nodes, current, params.num_nodes, rng)
                     new_key = frozenset(new_edge)
                     current.remove(edge_key)
                     current.add(new_key)
@@ -205,7 +206,7 @@ def generate(params: RnhmParams, rng: RngLike, max_attempts: int = 100) -> RnhmS
             )
         connectivity_rejections += 1
     raise GenerationError(
-        f"no connected sample within {max_attempts} attempts "
+        f"no connected sample within {MAX_ATTEMPTS} attempts "
         f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible); "
         "the parameter combination may make connectivity too unlikely"
     )

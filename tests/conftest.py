@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hypernest import Hypergraph
-from hypernest.dynamics import spread
+from hypernest.dynamics import seed_picker, spread
 
 settings.register_profile("hypernest", deadline=None)
 settings.load_profile("hypernest")
@@ -67,6 +67,11 @@ def overlap_entries(g) -> dict[tuple[int, int], int]:
     ptr, nbrs, weights = g.ptr.tolist(), g.nbrs.tolist(), g.weights.tolist()
     return {(i, nbrs[k]): weights[k]
             for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
+
+
+def pick_seeds(h, strategy, count, gen) -> list[int]:
+    """The ``count`` seed hyperedges that ``strategy`` draws from ``gen``."""
+    return seed_picker(h, strategy, count)([gen])[0]
 
 
 def run_once(h, influence, config, seeds, seed_nodes=()):

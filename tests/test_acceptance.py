@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import dataset_prefix, overlap_entries, run_once
+from conftest import dataset_prefix, overlap_entries, pick_seeds, run_once
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -32,7 +34,6 @@ from hypernest import (
     load_simplex_dataset,
     projected_density,
     rooted_heights,
-    select_seeds,
     spawn_rng,
     summarize,
     transitive_reduction,
@@ -121,6 +122,61 @@ class TestCriterion2ProjectedDensity:
             assert projected_density(h) == pytest.approx(LCC_DENSITY[name], abs=0.005)
 
 
+# offline stand-in for criteria 1 and 2: fully nested blocks chained by one
+# shared node each, a smaller nested block on its own, and one hyperedge over
+# 26 nodes that joins the two until the size filter drops it
+PLANTED_CHAIN = (3, 4, 5, 6)
+PLANTED_OTHER = 4
+# the chain's nodes: each block after the first shares one with the block before
+PLANTED_N = sum(PLANTED_CHAIN) - (len(PLANTED_CHAIN) - 1)
+
+
+def write_planted_dataset(prefix) -> None:
+    blocks, start = [], 0
+    for k in PLANTED_CHAIN:
+        blocks.append(range(start, start + k))
+        start += k - 1
+    blocks.append(range(100, 100 + PLANTED_OTHER))
+    simplices = [list(sub) for block in blocks for s in range(2, len(block) + 1)
+                 for sub in combinations(block, s)]
+    # repeated interactions, as the datasets record them
+    simplices += [list(block) for block in blocks]
+    # the last chain node, the other block's first and 24 nodes of its own
+    simplices.append([blocks[-2][-1], blocks[-1][0], *range(200, 224)])
+    rng = random.Random(5)
+    rng.shuffle(simplices)
+    for simplex in simplices:
+        rng.shuffle(simplex)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    (prefix.parent / f"{prefix.name}-nverts.txt").write_text(
+        "".join(f"{len(s)}\n" for s in simplices))
+    (prefix.parent / f"{prefix.name}-simplices.txt").write_text(
+        "".join(f"{u}\n" for s in simplices for u in s))
+
+
+class TestCriteria1And2PlantedStandIn:
+    @pytest.fixture
+    def planted(self, tmp_path):
+        prefix = tmp_path / "planted" / "planted"
+        write_planted_dataset(prefix)
+        return largest_connected_component(filter_by_size(load_simplex_dataset(prefix), 25))
+
+    def test_counts_match_closed_form(self, planted):
+        with criterion("1 dataset statistics [planted stand-in]"):
+            dag = build_encapsulation_dag(planted)
+            assert planted.n == PLANTED_N
+            # each block of k nodes holds its 2^k - 1 - k subsets of two or more
+            assert planted.m == sum(2**k - 1 - k for k in PLANTED_CHAIN)
+            # a size-s hyperedge contains its 2^s - 2 - s proper subsets of two or more
+            assert dag.edge_count == sum(comb(k, s) * (2**s - 2 - s)
+                                         for k in PLANTED_CHAIN for s in range(2, k + 1))
+
+    def test_density_matches_closed_form(self, planted):
+        with criterion("2 projected density [planted stand-in]"):
+            expected = sum(comb(k, 2) for k in PLANTED_CHAIN) / comb(PLANTED_N, 2)
+            assert projected_density(planted) == expected
+
+
 class TestCriterion3ConstructionOracle:
     def test_thousand_random_hypergraphs(self):
         with criterion("3 construction equals brute-force oracle (1000 hypergraphs)"):
@@ -195,10 +251,10 @@ class TestCriterion5LayerRandomizationInvariants:
             for h in bases:
                 before = _layer_profile(h)
                 for seed in range(55):
-                    randomized = layer_randomize(h, seed)
+                    randomized = layer_randomize(h, spawn_rng(seed))
                     assert sorted(randomized.sizes.tolist()) == sorted(h.sizes.tolist())
                     assert _layer_profile(randomized) == before
-                    again = layer_randomize(h, seed)
+                    again = layer_randomize(h, spawn_rng(seed))
                     assert list(again.iter_label_edges()) == list(randomized.iter_label_edges())
                     runs += 1
             assert runs >= 100
@@ -226,7 +282,7 @@ class TestCriterion6NestedModelExtremes:
                 h = generate(params, spawn_rng(realization, "rnhm")).hypergraph
                 influence = build_influence(h, "strict")
                 for run in range(10):
-                    seeds = select_seeds(
+                    seeds = pick_seeds(
                         h, "smallest-first", 20, spawn_rng(realization, "seed-selection", 0, run)
                     )
                     assert proportion(h, run_once(h, influence, config, seeds)) == 1.0
@@ -243,7 +299,7 @@ class TestCriterion6NestedModelExtremes:
                     influence = build_influence(h, "strict")
                     config = DynamicsConfig(variant="strict", tau=1)
                     for run in range(50):
-                        seeds = select_seeds(
+                        seeds = pick_seeds(
                             h, "smallest-first", min(20, h.m),
                             spawn_rng(500 + realization, "seed-selection", 0, run),
                         )

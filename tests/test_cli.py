@@ -235,6 +235,8 @@ def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, pl
     ("0,1,0.0", "--eps-grid lists a value twice: 0,1,0.0"),
     ("", "--eps-grid must list at least one value"),
     ("0,x", "--eps-grid must list numbers, got '0,x'"),
+    # every pair's keep probabilities are checked before the first pair runs
+    ("0,2", "keep probability for size 3 must be in [0, 1], got 2.0"),
 ])
 def test_rnhm_sweep_checks_its_eps_grid(value, message, tmp_path, monkeypatch, capsys):
     def never(*args):
@@ -246,7 +248,9 @@ def test_rnhm_sweep_checks_its_eps_grid(value, message, tmp_path, monkeypatch, c
     with pytest.raises(SystemExit) as err:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines() == [f"hypernest rnhm-sweep: error: {message}"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"hypernest rnhm-sweep: error: {message}"]
 
 
 @pytest.mark.parametrize("command", ["stats", "encapsulation", "heights", "randomize", "simulate"])
@@ -325,6 +329,67 @@ def test_failed_write_names_the_users_path(plain_file, tmp_path, monkeypatch, ca
     assert run_cli("heights", plain_file, "--out", "o/h.csv") == 2
     assert capsys.readouterr().err.splitlines() == [
         "hypernest heights: error: [Errno 2] No such file or directory: 'o/h.csv'"]
+
+
+@pytest.mark.parametrize("command,source,options,clash", [
+    ("stats", "a.txt", ("--out", "a.txt"), "a.txt"),
+    ("stats", "sx/d", ("--out", "sx/d-simplices.txt"), "sx/d-simplices.txt"),
+    ("encapsulation", "a.txt", ("--out", "a.txt"), "a.txt"),
+    ("heights", "a.txt", ("--out", "h.csv", "--summary-out", "a.txt"), "a.txt"),
+    ("heights", "h.csv.manifest.json", ("--out", "h.csv"), "h.csv.manifest.json"),
+    ("randomize", "a.txt", ("--samples", "1", "--out", "a.txt"), "a.txt"),
+    ("randomize", "s/sample_000.txt", ("--samples", "1", "--emit-samples", "s"),
+     "s/sample_000.txt"),
+    ("simulate", "c.txt", ("--runs", "1", "--out", "c.txt"), "c.txt"),
+    ("simulate", "c.csv.tmp", ("--runs", "1", "--out", "c.csv"), "c.csv.tmp"),
+])
+def test_output_never_overwrites_the_input(command, source, options, clash, plain_file,
+                                           simplex_files, tmp_path, monkeypatch, capsys):
+    # a manifest listing one file as input and output could not be replayed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / Path(source).parent).mkdir(exist_ok=True)
+    if source == "sx/d":
+        for suffix in ("-nverts.txt", "-simplices.txt"):
+            (simplex_files.parent / f"mini{suffix}").rename(tmp_path / f"sx/d{suffix}")
+    else:
+        plain_file.rename(tmp_path / source)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert run_cli(command, source, *options) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypernest {command}: error: output path {clash} would overwrite the input"]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+@pytest.mark.parametrize("argv", [
+    ("rnhm-sweep", "--realizations", "1", "--runs", "1", "--out", "missing/s.csv"),
+    ("rnhm-sweep", "--realizations", "1", "--runs", "1", "--out", "outdir"),
+    ("simulate", "{input}", "--runs", "1", "--out", "missing/r.csv"),
+    ("simulate", "{input}", "--runs", "1", "--out", "r.csv", "--summary-out", "outdir"),
+    ("simulate", "{input}", "--runs", "1", "--out", "r.csv", "--trajectories", "r.csv"),
+])
+def test_bad_output_path_fails_before_the_work(argv, plain_file, tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli_mod, "generate", never)
+    monkeypatch.setattr(cli_mod, "load_input", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*(arg.format(input=plain_file) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_may_go_in_the_samples_directory(plain_file, tmp_path, monkeypatch):
+    # the checks before the work know that the run makes --emit-samples DIR
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("randomize", plain_file, "--samples", "1", "--out", "new/r.json",
+                   "--emit-samples", "new") == 0
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
+        "r.json", "r.json.manifest.json", "sample_000.txt"]
 
 
 @pytest.mark.parametrize("command,options", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import hypergraphs, run_once
+from conftest import hypergraphs, pick_seeds, run_once
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -21,12 +21,10 @@ from hypernest import (
     build_influence,
     generate,
     run_experiment,
-    select_seeds,
     spawn_rng,
 )
 from hypernest.cli import main
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
-from hypernest.rng import as_rng
 
 
 def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
@@ -47,21 +45,21 @@ ONE_NESTING = [["a", "b", "c"], ["a", "b"]]
 class TestSelectSeeds:
     def test_smallest_first_picks_smallest(self):
         h = Hypergraph([[1], [2], [3, 4], [5, 6, 7]])
-        seeds = select_seeds(h, "smallest-first", 2, as_rng(0))
+        seeds = pick_seeds(h, "smallest-first", 2, spawn_rng(0))
         assert seeds == [0, 1]
 
     @pytest.mark.parametrize("strategy", ["uniform", "size-biased", "inverse-size-biased", "smallest-first"])
     def test_count_equals_m_selects_all(self, strategy):
         h = Hypergraph([[1], [2, 3], [3, 4, 5]])
-        assert select_seeds(h, strategy, h.m, as_rng(1)) == [0, 1, 2]
+        assert pick_seeds(h, strategy, h.m, spawn_rng(1)) == [0, 1, 2]
 
     def test_count_above_m_rejected(self):
         with pytest.raises(ValueError):
-            select_seeds(Hypergraph([[1, 2]]), "uniform", 2, as_rng(0))
+            pick_seeds(Hypergraph([[1, 2]]), "uniform", 2, spawn_rng(0))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            select_seeds(Hypergraph([[1, 2]]), "biggest-first", 1, as_rng(0))
+            pick_seeds(Hypergraph([[1, 2]]), "biggest-first", 1, spawn_rng(0))
 
     def test_rnhm_smallest_first_takes_all_singletons(self):
         params = RnhmParams(
@@ -70,22 +68,22 @@ class TestSelectSeeds:
         )
         h = generate(params, spawn_rng(0, "rnhm")).hypergraph
         singleton_ids = [i for i in range(h.m) if len(h.edges[i]) == 1]
-        seeds = select_seeds(h, "smallest-first", 20, as_rng(2))
+        seeds = pick_seeds(h, "smallest-first", 20, spawn_rng(2))
         assert set(singleton_ids) <= set(seeds)
 
     def test_deterministic_given_rng(self):
         h = Hypergraph([[i, i + 1] for i in range(30)] + [[i, i + 1, i + 2] for i in range(20)])
         for strategy in ("uniform", "size-biased", "inverse-size-biased", "smallest-first"):
-            assert select_seeds(h, strategy, 10, as_rng(5)) == select_seeds(h, strategy, 10, as_rng(5))
+            assert pick_seeds(h, strategy, 10, spawn_rng(5)) == pick_seeds(h, strategy, 10, spawn_rng(5))
 
     def test_size_bias_direction(self):
         # one big hyperedge among many singletons: size bias should pick it
         # as the single seed far more often than uniform would
         h = Hypergraph([[i] for i in range(10)] + [[100, 101, 102, 103, 104, 105, 106, 107, 108, 109]])
         big = h.m - 1
-        hits = sum(select_seeds(h, "size-biased", 1, as_rng(seed)) == [big] for seed in range(200))
+        hits = sum(pick_seeds(h, "size-biased", 1, spawn_rng(seed)) == [big] for seed in range(200))
         inverse_hits = sum(
-            select_seeds(h, "inverse-size-biased", 1, as_rng(seed)) == [big] for seed in range(200)
+            pick_seeds(h, "inverse-size-biased", 1, spawn_rng(seed)) == [big] for seed in range(200)
         )
         # weight 10/20 under size bias vs 0.1/10.1 under inverse bias
         assert hits > 60
@@ -97,8 +95,8 @@ class TestSelectSeeds:
     @settings(max_examples=40)
     def test_same_draws_and_set_as_a_full_sort(self, strategy, h, data):
         count, seed = data.draw(st.integers(0, h.m)), data.draw(st.integers(0, 2**16))
-        gen, expected_gen = as_rng(seed), as_rng(seed)
-        assert select_seeds(h, strategy, count, gen) == oracles.sorted_seeds(h, strategy, count,
+        gen, expected_gen = spawn_rng(seed), spawn_rng(seed)
+        assert pick_seeds(h, strategy, count, gen) == oracles.sorted_seeds(h, strategy, count,
                                                                              expected_gen)
         # both consumed the same draws
         assert gen.bit_generator.state == expected_gen.bit_generator.state
@@ -247,8 +245,8 @@ class TestEngineInvariants:
     @given(hypergraphs(), st.integers(0, 3))
     @settings(max_examples=40)
     def test_monotone_and_counts_consistent(self, h, seed):
-        rng = as_rng(seed)
-        seeds = select_seeds(h, "uniform", min(2, h.m), rng)
+        rng = spawn_rng(seed)
+        seeds = pick_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
             config = DynamicsConfig(variant=variant)
             batch = run(h, config, seeds)
@@ -272,7 +270,7 @@ class TestEngineInvariants:
     @given(st.integers(0, 50))
     @settings(max_examples=25)
     def test_order_independence(self, seed):
-        rng = as_rng(seed)
+        rng = spawn_rng(seed)
         base = [[1, 2, 3, 4], [1, 2, 3], [1, 2], [2, 3], [1], [2], [4, 5], [5]]
         order = rng.permutation(len(base))
         h1 = Hypergraph(base)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
 import oracles
-from conftest import hypergraphs
+from conftest import hypergraphs, pick_seeds
 from hypernest import (DynamicsConfig, ExperimentGrid, HyperedgeDag, Hypergraph, RunRecord,
-                       build_influence, run_experiment, select_seeds, summarize)
+                       build_influence, run_experiment, summarize)
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
 from hypernest.experiments import first_runs, randomized_comparison, write_records_csv
 
@@ -109,7 +109,7 @@ def single_run(h, influence, grid, c, run, master_seed):
     """Run ``run`` of cell ``c`` of ``grid`` alone, as a batch of one, its
     seeds drawn from NumPy's own ``SeedSequence`` stream of the run."""
     gen = oracles.seed_sequence_rng(master_seed, "seed-selection", c, run)
-    return spread(h, influence, grid.config, [select_seeds(h, *grid.cells()[c], gen)])
+    return spread(h, influence, grid.config, [pick_seeds(h, *grid.cells()[c], gen)])
 
 
 def per_run_records(h, grid, runs, master_seed) -> list[RunRecord]:

@@ -129,7 +129,7 @@ class TestArrayModel:
     def test_subhypergraph_matches_label_sorted_rebuild(self, rows, data):
         h = Hypergraph(rows)
         ids = data.draw(st.lists(st.integers(0, h.m - 1), max_size=h.m))
-        sub = h.subhypergraph(ids)
+        sub = h.subhypergraph(np.unique(np.array(ids, dtype=np.int64)))
         expect = oracles.label_rows([oracles.sorted_labels(h, e) for e in sorted(set(ids))])
         assert (sub.labels, sub.edges) == expect
 

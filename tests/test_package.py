@@ -108,3 +108,27 @@ def test_streams_come_from_rng_alone():
              if p.name != "rng.py" and (calls := rng_constructions(p))}
     assert found == {}
     assert rng_constructions(ROOT / "src" / "hypernest" / "rng.py")
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The modules ``path`` imports or imports names from, as absolute
+    ``hypernest.*`` names (every relative import is inside the package),
+    with each imported name also taken as a possible submodule."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["hypernest" if node.level else "", node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_seeds_become_generators_only_at_the_edges():
+    # library functions that draw take a Generator; only the command line,
+    # the layer-sample source and the contagion batches turn a seed into one
+    sources = [p for p in sorted((ROOT / "src" / "hypernest").glob("*.py"))
+               if p.name not in ("__init__.py", "rng.py")] + sorted((ROOT / "scripts").glob("*.py"))
+    importers = {p.name for p in sources if "hypernest.rng" in imported_modules(p)}
+    assert importers == {"cli.py", "randomize.py", "experiments.py"}

@@ -32,40 +32,40 @@ def layer_profile(h: Hypergraph):
 class TestLayerRandomize:
     def test_star_layer_preserves_shape(self):
         h = Hypergraph([[0, i] for i in range(1, 6)])
-        out = layer_randomize(h, 7)
+        out = layer_randomize(h, spawn_rng(7))
         assert out.m == h.m
         assert layer_profile(out) == layer_profile(h)
 
     def test_single_edge_layer_unchanged(self):
         # the layer's node set is exactly the edge, so any bijection fixes it
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 4]])
-        out = layer_randomize(h, 3)
+        out = layer_randomize(h, spawn_rng(3))
         assert frozenset({1, 2, 3}) in oracles.label_sets(out)
 
     def test_singleton_layer_set_preserved(self):
         h = Hypergraph([[1], [2], [5], [1, 2, 5]])
-        out = layer_randomize(h, 11)
+        out = layer_randomize(h, spawn_rng(11))
         singles = {next(iter(e)) for e in oracles.label_sets(out) if len(e) == 1}
         assert singles == {1, 2, 5}
 
     @given(hypergraphs())
     @settings(max_examples=40)
     def test_invariants(self, h):
-        out = layer_randomize(h, 123)
+        out = layer_randomize(h, spawn_rng(123))
         assert sorted(out.sizes.tolist()) == sorted(h.sizes.tolist())
         assert layer_profile(out) == layer_profile(h)
 
     @given(hypergraphs())
     @settings(max_examples=20)
     def test_deterministic_given_seed(self, h):
-        a = layer_randomize(h, 99)
-        b = layer_randomize(h, 99)
+        a = layer_randomize(h, spawn_rng(99))
+        b = layer_randomize(h, spawn_rng(99))
         assert list(a.iter_label_edges()) == list(b.iter_label_edges())
 
     @given(hypergraphs(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
     def test_matches_oracle_and_keeps_each_size(self, h, seed):
-        out = layer_randomize(h, seed)
+        out = layer_randomize(h, spawn_rng(seed))
         assert (out.labels, out.edges) == oracles.layer_randomize(h, spawn_rng(seed))
         assert out.m == h.m and np.array_equal(out.sizes, h.sizes)
         assert layer_profile(out) == layer_profile(h)
@@ -73,12 +73,12 @@ class TestLayerRandomize:
     def test_mixed_labels_match_oracle(self):
         h = Hypergraph([["a", 1], [2, "b"], ["a", "b"], [1, 2, "c"], ["c"], [3]])
         for seed in range(5):
-            out = layer_randomize(h, seed)
+            out = layer_randomize(h, spawn_rng(seed))
             assert (out.labels, out.edges) == oracles.layer_randomize(h, spawn_rng(seed))
 
     def test_different_seeds_usually_differ(self):
         h = Hypergraph([[i, i + 1, i + 2] for i in range(20)])
-        outcomes = {tuple(layer_randomize(h, s).iter_label_edges()) for s in range(5)}
+        outcomes = {tuple(layer_randomize(h, spawn_rng(s)).iter_label_edges()) for s in range(5)}
         assert len(outcomes) > 1
 
 

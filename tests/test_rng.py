@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hypernest.rng import as_rng, spawn_rng, spawn_rngs
+from hypernest.rng import spawn_rng, spawn_rngs
 
 # master seeds of one, two and three or more 32-bit words
 MASTERS = st.one_of(st.sampled_from([0, 3, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]),
@@ -73,7 +73,7 @@ class TestSeedSequenceStreams:
 
     @pytest.mark.parametrize("master", [0, 7, 2**32, 2**64 + 5])
     def test_seed_alone_is_default_rng(self, master):
-        assert state(as_rng(master)) == state(np.random.default_rng(master))
+        assert state(spawn_rng(master)) == state(np.random.default_rng(master))
 
     @pytest.mark.parametrize("path", [(), ("seed-selection", np.arange(3), np.arange(3))])
     def test_negative_master_seed_rejected(self, path):

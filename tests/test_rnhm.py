@@ -18,8 +18,8 @@ from hypernest import (
     rewire_edge,
     spawn_rng,
 )
+import hypernest.rnhm as rnhm_mod
 from hypernest.cli import main
-from hypernest.rng import as_rng
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -107,7 +107,7 @@ class TestFullNesting:
 
 class TestRewireEdge:
     def test_replacements_avoid_superset_nodes(self):
-        rng = as_rng(0)
+        rng = spawn_rng(0)
         superset_nodes = {0, 1, 2, 3}
         existing = {frozenset({0, 1})}
         for _ in range(50):
@@ -118,7 +118,7 @@ class TestRewireEdge:
             assert len(new) == 2
 
     def test_result_not_already_present(self):
-        rng = as_rng(1)
+        rng = spawn_rng(1)
         existing = {frozenset({0, 1}), frozenset({0, 4}), frozenset({1, 4})}
         # nodes 0..4 with supersets covering 2,3: pool is {4} only
         new = rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=6, rng=rng)
@@ -126,18 +126,18 @@ class TestRewireEdge:
 
     def test_infeasible_pool(self):
         with pytest.raises(GenerationError, match="replacement nodes"):
-            rewire_edge((0, 1, 2), {0, 1, 2, 3, 4}, set(), num_nodes=6, rng=as_rng(0))
+            rewire_edge((0, 1, 2), {0, 1, 2, 3, 4}, set(), num_nodes=6, rng=spawn_rng(0))
 
     def test_exhausted_draws(self):
         # the only candidate pair {0,4}/{1,4} style edges all exist already
         existing = {frozenset({0, 4}), frozenset({1, 4})}
         with pytest.raises(GenerationError, match="no unused replacement"):
-            rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=5, rng=as_rng(0))
+            rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=5, rng=spawn_rng(0))
 
     def test_pool_is_never_built(self):
         # a pool list of 10**12 node ids could not be allocated
         superset_nodes = {0, 1, 2, 3, 10**12 - 1}
-        new = rewire_edge((0, 1, 2), superset_nodes, set(), num_nodes=10**12, rng=as_rng(0))
+        new = rewire_edge((0, 1, 2), superset_nodes, set(), num_nodes=10**12, rng=spawn_rng(0))
         assert len(new) == 3 and len(set(new) & {0, 1, 2}) == 1
         assert all(3 < v < 10**12 - 1 for v in set(new) - {0, 1, 2})
 
@@ -152,11 +152,11 @@ class TestRewireEdge:
         superset_nodes |= set(edge)
         pool = [v for v in range(num_nodes) if v not in superset_nodes]
         assume(len(pool) >= 2)
-        gen = as_rng(seed)
+        gen = spawn_rng(seed)
         pivot = edge[int(gen.integers(3))]
         drawn = [pool[int(i)] for i in gen.choice(len(pool), size=2, replace=False)]
         expected = tuple(sorted([pivot, *drawn]))
-        assert rewire_edge(edge, superset_nodes, set(), num_nodes, as_rng(seed)) == expected
+        assert rewire_edge(edge, superset_nodes, set(), num_nodes, spawn_rng(seed)) == expected
 
 
 class TestGenerate:
@@ -185,11 +185,12 @@ class TestGenerate:
         # every 2-node hyperedge was rewired, so most leave the subset lattice
         assert observed_pairs - lattice_pairs
 
-    def test_impossible_rewire_raises(self):
+    def test_impossible_rewire_raises(self, monkeypatch):
         # the single maximal hyperedge covers all nodes: no replacement pool
         params = RnhmParams(num_nodes=4, max_size=4, num_max_edges=1, keep_probs={2: 0.0, 3: 0.0})
+        monkeypatch.setattr(rnhm_mod, "MAX_ATTEMPTS", 5)
         with pytest.raises(GenerationError, match="attempts"):
-            generate(params, spawn_rng(0, "rnhm"), max_attempts=5)
+            generate(params, spawn_rng(0, "rnhm"))
 
     def test_regenerates_golden_fixture(self, tmp_path, capsys):
         # the RNHM part of golden/nested.txt, which has 40 rewires
