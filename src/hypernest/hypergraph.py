@@ -35,15 +35,24 @@ def split_rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def pair_shift(m: int) -> int:
+    """The bits of the low field of a pair key ``(high << shift) | low`` of
+    low ids below ``m``: ``key >> shift`` and ``key & ((1 << shift) - 1)``
+    decode it, and keys sort by (high, low)."""
+    return max(m - 1, 0).bit_length()
+
+
 def transpose(ptr: np.ndarray, idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The transpose of the CSR array ``ptr``/``idx`` of entries below ``n``:
     row u lists, ascending, the rows holding u."""
     m = ptr.size - 1
+    shift = pair_shift(m)
     # one sort of (entry, row) keys lists each entry's rows in order
-    key = idx.astype(np.int64) * m
-    key += np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
+    key = idx.astype(np.int64) << shift
+    key |= np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
     key.sort()
-    return np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))), key % max(m, 1)
+    key &= (1 << shift) - 1
+    return np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))), key
 
 
 def _sort_rows(sizes: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
@@ -201,21 +210,25 @@ class Hypergraph:
 
 def co_member_pairs(
     ptr: np.ndarray, tidx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Every (a, b) pair that the rows of ``ptr`` gather, with how often a
-    gathers b, ascending by (a, b) and yielded in chunks of whole rows as
-    ``(a0, a1, a, b, count)`` for rows ``a0 <= a < a1``.
+) -> Iterator[tuple[int, int, np.ndarray, int]]:
+    """Every (a, b) pair that the rows of ``ptr`` gather, in chunks of whole
+    rows, yielded as ``(a0, a1, keys, total)`` for rows ``a0 <= a < a1``.
 
     Row a holds the entries ``ptr[a]:ptr[a + 1]``, at least one, and entry
     i gathers the window ``tidx[lo[i]:hi[i]]`` of ids below ``ptr.size - 1``.
     With whole windows (``whole_rows``) these are the pairs of rows of a CSR
     array sharing an entry, counted once per shared entry; every row then
-    holds the pair (a, a). Each (row a, entry, gathered b) encounter is one key
-    ``(a - a0) * m + b``; a chunk holds about ``_CHUNK_ENCOUNTERS`` of them
-    (a row larger than that is a chunk of its own), and one sort per chunk
-    turns runs of equal keys into pairs and counts.
+    holds the pair (a, a). Each (row a, entry, gathered b) encounter is one
+    int64 key ``((a - a0) << pair_shift(m)) | b``. ``keys[:total]`` holds the
+    chunk's keys sorted, so a run of equal keys is one pair and its length
+    the number of entries a shares with b; one sentinel -1 per entry of the
+    longest row follows them, so a caller may read up to that far past any
+    key without a bounds check. A chunk holds about ``_CHUNK_ENCOUNTERS``
+    keys (a row gathering more is a chunk of its own), possibly none.
     """
     m = ptr.size - 1
+    shift = pair_shift(m)
+    pad = int(np.diff(ptr).max()) if m else 0
     # encounters before each row: row a spans work[a]:work[a + 1]; a row's
     # windows lie in its entries' rows of tidx, so its total fits their dtype
     work = np.zeros(m + 1, dtype=np.int64)
@@ -231,15 +244,19 @@ def co_member_pairs(
         # each entry's run of encounters walks its window
         at = np.repeat(lo[e0:e1] - (np.cumsum(per) - per), per)
         at += np.arange(total)
-        keys = np.repeat(np.repeat(np.arange(a1 - a0) * m, np.diff(ptr[a0:a1 + 1])), per)
-        keys += tidx[at]
-        del at
-        keys.sort()
-        starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
-        counts = np.diff(np.append(starts, total))
-        rows, b = np.divmod(keys[starts], m)
-        yield a0, a1, rows + a0, b, counts
+        keys = np.empty(total + pad, dtype=np.int64)
+        keys[total:] = -1
+        rows = np.repeat(np.arange(a1 - a0, dtype=np.int64) << shift, np.diff(work[a0:a1 + 1]))
+        np.bitwise_or(rows, tidx[at], out=keys[:total])
+        del at, rows
+        keys[:total].sort()
+        yield a0, a1, keys, total
         a0 = a1
+
+
+def count_runs(keys: np.ndarray) -> int:
+    """The number of runs of equal values in ``keys``."""
+    return keys.size - int(np.count_nonzero(keys[1:] == keys[:-1]))
 
 
 def whole_rows(idx: np.ndarray, tptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +452,7 @@ def projected_density(h: Hypergraph) -> float:
     if h.n < 2:
         raise ValueError(f"projected density needs at least 2 nodes, got {h.n}")
     n = h.n
-    pairs = sum(u.size for _, _, u, _, _ in co_member_pairs(
+    pairs = sum(count_runs(keys[:total]) for _, _, keys, total in co_member_pairs(
         h.memb_ptr, h.edge_nodes, *whole_rows(h.memb_ids, h.edge_ptr)))
     return (pairs - n) // 2 / (n * (n - 1) // 2)
 

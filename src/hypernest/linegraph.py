@@ -6,15 +6,20 @@ line graphs over hyperedge ids: a DAG of strict-containment relations
 an undirected intersection graph weighted by shared-node counts. All are
 built by the same array kernel, ``hypergraph.co_member_pairs``: every
 (hyperedge a, node u in a, hyperedge b containing u) encounter becomes one
-integer key for the pair (a, b), found through the node->hyperedge
-membership index, never by an all-pairs scan. The keys are sorted in
-chunks of whole rows a of bounded size, so memory stays bounded while the
-per-call overhead is paid per chunk, not per hyperedge. The overlap graph
-walks every membership row whole, sum_u deg(u)^2 encounters. The DAG
-builds list each node's hyperedges by size and walk only a window of that
-list: the full DAG the hyperedges up to a in (size, id) order, which also
-yields the overlap graph's totals, and the adjacent-layer DAG only those
-one size smaller than a.
+int64 key ``((a - a0) << shift) | b`` for the pair (a, b), with ``a0`` the
+first row of its chunk and ``shift`` the bit length of m - 1, found
+through the node->hyperedge membership index, never by an all-pairs scan.
+The keys are sorted in chunks of whole rows a of bounded size, so memory
+stays bounded while the per-call overhead is paid per chunk, not per
+hyperedge; a run of equal keys is one pair, its length |a & b|. The
+overlap graph walks every membership row whole, sum_u deg(u)^2
+encounters, and decodes each run with ``>>`` and ``&``. The DAG builds
+list each node's hyperedges by size and walk only a window of that list:
+the full DAG the hyperedges before a in (size, id) order, so no pair
+(a, a) is gathered and the distinct keys are the overlap graph's edges,
+and the adjacent-layer DAG only those one size smaller than a. Both read
+containment straight off the sorted keys: b is in a iff its run is |b|
+keys long, which a run never exceeds.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, co_member_pairs, split_rows, transpose, whole_rows
+from .hypergraph import (Hypergraph, co_member_pairs, count_runs, pair_shift, split_rows,
+                         transpose, whole_rows)
 
 
 @dataclass
@@ -36,10 +42,12 @@ class HyperedgeDag:
 
     Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending.
     The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row list
-    ``out_adj`` are built on first read. A build records how many
-    (hyperedge, shared-node, candidate) encounters it gathered, for checking
-    the complexity bound; ``build_encapsulation_dag`` also records the
-    overlap graph's edge count and total weight.
+    ``out_adj`` are built on first read. ``candidate_visits``, for checking
+    the complexity bound, is |a & b| summed over the pairs of hyperedges
+    (a, b) with b at or before a in (size, id) order (a = b included, though
+    no build gathers it) for ``build_encapsulation_dag``, and over those
+    with |b| = |a| - 1 for ``adjacent_layer_dag``. ``build_encapsulation_dag``
+    also records the overlap graph's edge count and total weight.
     """
 
     out_ptr: np.ndarray
@@ -100,8 +108,8 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     """``tidx``, ``lo``, ``hi`` for ``co_member_pairs`` over ``h.edge_ptr``:
     ``tidx`` lists each node's hyperedges by (size, id), and entry i of
     ``h.edge_nodes`` (node u of hyperedge a) gathers the slice of u's list
-    that runs up to a itself or, when ``adjacent``, the hyperedges of u one
-    size smaller than a. Each slice is contiguous because the list is
+    that ends just before a itself or, when ``adjacent``, the hyperedges of
+    u one size smaller than a. Each slice is contiguous because the list is
     size-ordered."""
     total, sizes = h.edge_nodes.size, h.sizes
     pos = np.int32 if total < 2**31 else np.int64
@@ -131,7 +139,7 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     tidx = np.repeat(np.arange(h.m, dtype=pos), sizes)[entry]
     if not adjacent:
         hi = np.empty(total, dtype=pos)
-        hi[entry] = np.arange(1, total + 1, dtype=pos)
+        hi[entry] = np.arange(total, dtype=pos)
         return tidx, h.memb_ptr.astype(pos)[h.edge_nodes], hi
     # a run gathers the run before it when that holds the same node's
     # hyperedges one size smaller
@@ -153,57 +161,82 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     return tidx, lo, hi
 
 
-def _kept_pairs(h: Hypergraph, windows: tuple, keep: Callable[..., np.ndarray]) -> tuple:
-    """CSR ``ptr``/``idx`` (int32) of the pairs (a, b) that hyperedge a
-    gathers through ``windows`` (``tidx``, ``lo``, ``hi`` of
-    ``co_member_pairs``) and ``keep(a, b, cnt)`` marks, their shared-node
-    counts, the number of all pairs gathered and of all encounters."""
-    per_row, idx, shared = [], [], []
-    pairs = visits = 0
-    for a0, a1, a, b, cnt in co_member_pairs(h.edge_ptr, *windows):
-        pairs += a.size
-        visits += int(cnt.sum())
-        sel = keep(a, b, cnt)
-        per_row.append(np.bincount(a[sel] - a0, minlength=a1 - a0))
-        idx.append(b[sel].astype(np.int32))
-        shared.append(cnt[sel].astype(np.int32))
-    ptr = np.cumsum(np.concatenate([[0], *per_row]), dtype=np.int64)
+def _csr(per_row: list, *columns: list) -> tuple:
+    """CSR ``ptr`` of the per-chunk row counts ``per_row``, then each of
+    ``columns`` joined into one int32 array."""
     none = np.empty(0, dtype=np.int32)
-    return ptr, np.concatenate([none, *idx]), np.concatenate([none, *shared]), pairs, visits
+    return (np.cumsum(np.concatenate([[0], *per_row]), dtype=np.int64),
+            *(np.concatenate([none, *col]) for col in columns))
+
+
+def _kept_pairs(h: Hypergraph, windows: tuple) -> tuple:
+    """CSR ``ptr``/``idx`` (int32) of the pairs (a, b) with b a subset of a
+    that hyperedge a gathers through ``windows`` (``tidx``, ``lo``, ``hi`` of
+    ``co_member_pairs``), the number of distinct pairs gathered and of
+    encounters. No window may gather a itself, which would pass as its own
+    subset.
+
+    Containment is read off each chunk's sorted keys: a run of equal keys is
+    one pair, as long as |a & b| and so never longer than |b|, so encounter
+    i starts a run of exactly |b| keys iff ``keys[i + |b| - 1]`` equals
+    ``keys[i]``. The kernel's ``max_size`` sentinels keep that read inside
+    the chunk's buffer and unequal to any key."""
+    shift = pair_shift(h.m)
+    mask, last = (1 << shift) - 1, h.sizes - 1
+    per_row, idx = [], []
+    pairs = visits = 0
+    for a0, a1, keys, total in co_member_pairs(h.edge_ptr, *windows):
+        run = keys[:total]
+        b = run & mask
+        at = last[b]
+        at += np.arange(total)
+        hit = np.flatnonzero(keys[at] == run)
+        per_row.append(np.bincount(run[hit] >> shift, minlength=a1 - a0))
+        idx.append(b[hit].astype(np.int32))
+        pairs += count_runs(run)
+        visits += total
+    return *_csr(per_row, idx), pairs, visits
 
 
 def build_encapsulation_dag(h: Hypergraph) -> HyperedgeDag:
     """DAG of strict containment: edge i->j iff e_j is a proper subset of e_i.
 
-    A candidate j shares ``cnt`` nodes with i; it is contained in i exactly
-    when ``cnt`` equals its own size, and strictness requires it to be
-    smaller than i. Acyclicity follows from the size ordering. Hyperedge i
-    gathers only the candidates up to itself in (size, id) order, so each
-    overlapping pair is gathered once, besides the m self pairs; node u is
-    in deg(u) hyperedges, so the overlap weight has a closed form.
+    Hyperedge i gathers only the candidates before itself in (size, id)
+    order, so each overlapping pair is gathered once and never (i, i). A
+    candidate j is at most as large as i and differs from it, so it is
+    contained in i only strictly, and acyclicity follows from the size
+    ordering. Node u is in deg(u) hyperedges, so the overlap weight has a
+    closed form.
     """
     sizes = h.sizes
-    ptr, idx, _, pairs, visits = _kept_pairs(
-        h, _size_windows(h, adjacent=False),
-        lambda a, b, cnt: (cnt == sizes[b]) & (sizes[b] < sizes[a]))
+    ptr, idx, pairs, visits = _kept_pairs(h, _size_windows(h, adjacent=False))
     deg = h.degrees
-    return HyperedgeDag(ptr, idx, candidate_visits=visits, overlap_edges=pairs - h.m,
+    return HyperedgeDag(ptr, idx, candidate_visits=visits + h.edge_nodes.size,
+                        overlap_edges=pairs,
                         overlap_weight=(int(deg @ deg) - int(sizes.sum())) // 2)
 
 
 def build_overlap_graph(h: Hypergraph) -> OverlapGraph:
-    windows = (h.memb_ids, *whole_rows(h.edge_nodes, h.memb_ptr))
-    ptr, nbrs, weights, _, _ = _kept_pairs(h, windows, lambda a, b, cnt: a != b)
-    return OverlapGraph(ptr, nbrs, weights)
+    shift = pair_shift(h.m)
+    per_row, nbrs, weights = [], [], []
+    windows = whole_rows(h.edge_nodes, h.memb_ptr)
+    for a0, a1, keys, total in co_member_pairs(h.edge_ptr, h.memb_ids, *windows):
+        run = keys[:total]
+        starts = np.flatnonzero(np.concatenate((run[:1] == run[:1], run[1:] != run[:-1])))
+        pair = run[starts]
+        a, b = pair >> shift, pair & ((1 << shift) - 1)
+        keep = a + a0 != b
+        per_row.append(np.bincount(a[keep], minlength=a1 - a0))
+        nbrs.append(b[keep].astype(np.int32))
+        weights.append(np.diff(starts, append=total)[keep].astype(np.int32))
+    return OverlapGraph(*_csr(per_row, nbrs, weights))
 
 
 def adjacent_layer_dag(h: Hypergraph) -> HyperedgeDag:
     """The containment DAG restricted to edges whose size difference is
     exactly one, the substrate the contagion engine spreads over, built
     directly: each hyperedge gathers only the hyperedges one size smaller."""
-    sizes = h.sizes
-    ptr, idx, _, _, visits = _kept_pairs(h, _size_windows(h, adjacent=True),
-                                         lambda a, b, cnt: cnt == sizes[b])
+    ptr, idx, _, visits = _kept_pairs(h, _size_windows(h, adjacent=True))
     return HyperedgeDag(ptr, idx, candidate_visits=visits)
 
 

@@ -177,6 +177,43 @@ class TestCriteria1And2PlantedStandIn:
             assert projected_density(planted) == expected
 
 
+# offline stand-in for criteria 9 and 10: a fixed RNHM sample that keeps every
+# subset of its ten 6-node hyperedges except the 5-node ones, which are all
+# rewired, so its deepest chains (6 > 4 > 3 > 2) step across a missing size
+NESTED_PARAMS = RnhmParams(num_nodes=40, max_size=6, num_max_edges=10, keep_probs={5: 0.0})
+NESTED_SEED_COUNTS = (1, 5, 20)
+
+
+class TestCriteria9And10PlantedStandIn:
+    @pytest.fixture(scope="class")
+    def nested(self):
+        return generate(NESTED_PARAMS, spawn_rng(2, "rnhm")).hypergraph
+
+    def test_smallest_first_dominates_and_observed_beats_randomized(self, nested):
+        with criterion("9 smallest-first dominates; observed >= randomized [planted stand-in]"):
+            grid = ExperimentGrid(
+                strategies=("smallest-first", "uniform", "size-biased", "inverse-size-biased"),
+                seed_counts=NESTED_SEED_COUNTS,
+            )
+            records, comparisons = randomized_comparison(
+                nested, build_influence(nested, "strict"), grid, runs=20, samples=5,
+                master_seed=42)
+            means = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(records)}
+            for seeds in NESTED_SEED_COUNTS:
+                for strategy in ("uniform", "size-biased", "inverse-size-biased"):
+                    assert means[("smallest-first", seeds)] >= means[(strategy, seeds)]
+            assert all(comp.difference >= 0.0 for comp in comparisons)
+            # a relabeling of the whole sample would tie every cell
+            assert any(comp.difference > 0.0 for comp in comparisons)
+
+    def test_observed_paths_deep_randomized_shallow(self, nested):
+        with criterion("10 observed height >= 3; randomized mean max <= 3 [planted stand-in]"):
+            assert rooted_heights(build_encapsulation_dag(nested), nested).max_height() >= 3
+            sample_max = [rooted_heights(build_encapsulation_dag(r), r).max_height()
+                          for r in layer_samples(nested, 5, 7)]
+            assert sum(sample_max) / len(sample_max) <= 3.0, sample_max
+
+
 class TestCriterion3ConstructionOracle:
     def test_thousand_random_hypergraphs(self):
         with criterion("3 construction equals brute-force oracle (1000 hypergraphs)"):

@@ -13,6 +13,7 @@ from hypothesis import given
 import oracles
 from conftest import hypergraphs, overlap_entries
 import hypernest.hypergraph as hypergraph
+import hypernest.linegraph as linegraph
 from hypernest import (
     Hypergraph,
     adjacent_layer_dag,
@@ -151,6 +152,16 @@ WINDOW_CASES = [
     [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2], [4, 5], [6]],
     [[7], [1, 2, 3, 4], [1, 2, 3], [1, 2], [5, 6], [1, 3, 5, 6], [8]],
     [[1, 2, 3, 4, 5], [3, 4, 5], [5, 6, 7], [5]],
+    # near misses: b shares |b| - 1 nodes with a, so its run of keys is one
+    # short of containment. In the first the near miss is the last row's
+    # only pair, so at every chunk size that run ends at its chunk's last key
+    # and the containment test reads the sentinel pad; its first row gathers
+    # nothing. In the others near misses sit between contained pairs, of
+    # several sizes, and past rows gathering nothing.
+    [[1, 2, 5], [1, 2, 3, 4]],
+    [[1, 2, 3, 4, 5], [1, 2, 3, 6], [1, 2, 3], [2, 3, 4, 7], [4, 5], [5, 8]],
+    [[9], [1, 2, 3, 4], [1, 2, 4, 5], [1, 3, 4], [2, 3, 6], [1, 2, 3, 4, 5, 6]],
+    [[1, 2], [3, 4], [5, 6], [1, 2, 3], [3, 4, 5], [5, 6, 7, 1]],
 ]
 CHUNKS = [1, 7, hypergraph._CHUNK_ENCOUNTERS]
 
@@ -193,6 +204,46 @@ class TestChunkedKernel:
     def test_empty_windows_and_equal_sizes(self, chunk, rows):
         with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
             self._check(Hypergraph(rows))
+
+    def test_near_miss_at_the_end_of_the_last_chunk(self):
+        h = Hypergraph([[1, 2, 5], [1, 2, 3, 4]])
+        for adjacent in (False, True):
+            *_, (a0, a1, keys, total) = hypergraph.co_member_pairs(
+                h.edge_ptr, *linegraph._size_windows(h, adjacent))
+            # row 1 gathers row 0 through nodes 1 and 2, one key short of |b| = 3
+            assert (a1, total, keys[total - 1] & 1, keys[total:].tolist()) == (2, 2, 0, [-1] * 4)
+        assert build_encapsulation_dag(h).edge_count == adjacent_layer_dag(h).edge_count == 0
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @given(h=hypergraphs())
+    def test_chunks_tile_the_rows_and_gather_no_self_pair(self, chunk, h):
+        shift = hypergraph.pair_shift(h.m)
+        for adjacent in (False, True):
+            with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
+                chunks = list(hypergraph.co_member_pairs(
+                    h.edge_ptr, *linegraph._size_windows(h, adjacent)))
+            assert [c[0] for c in chunks] == [0, *(c[1] for c in chunks[:-1])]
+            assert chunks[-1][1] == h.m
+            for a0, a1, keys, total in chunks:
+                run = keys[:total]
+                assert keys[total:].tolist() == [-1] * h.max_size
+                assert (run[1:] >= run[:-1]).all()
+                a, b = (run >> shift) + a0, run & ((1 << shift) - 1)
+                assert ((a0 <= a) & (a < a1) & (b < h.m) & (a != b)).all()
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_chunks_that_gather_nothing(self, chunk):
+        # every hyperedge is the smallest of each of its nodes' lists, so no
+        # row gathers anything, yet every build still walks every chunk
+        h = Hypergraph([[1, 2], [3, 4], [5, 6], [7]])
+        with mock.patch.object(hypergraph, "_CHUNK_ENCOUNTERS", chunk):
+            chunks = list(hypergraph.co_member_pairs(
+                h.edge_ptr, *linegraph._size_windows(h, adjacent=False)))
+            dag, adj = build_encapsulation_dag(h), adjacent_layer_dag(h)
+            self._check(h)
+        assert [(a0, a1, total) for a0, a1, _, total in chunks] == [(0, 4, 0)]
+        assert (dag.out_ptr.tolist(), dag.candidate_visits, dag.overlap_edges) == ([0] * 5, 7, 0)
+        assert (adj.out_ptr.tolist(), adj.candidate_visits) == ([0] * 5, 0)
 
     def test_equal_size_pairs_gathered_once(self):
         # three 2-node hyperedges pairwise sharing one node, under a
