@@ -39,8 +39,6 @@ from .hypergraph import (
     FormatError,
     Hypergraph,
     dataset_files,
-    load_plain,
-    load_simplex_dataset,
     load_auto,
     preprocess,
     projected_density,
@@ -53,7 +51,7 @@ from .rnhm import GenerationError, RnhmParams, generate
 
 
 # exceptions that report bad data or a failed generation: exit 2, one line
-DATA_ERRORS = (FormatError, OSError, GenerationError, ValueError)
+DATA_ERRORS = (OSError, GenerationError, ValueError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -126,8 +124,7 @@ def load_input(args: argparse.Namespace) -> Hypergraph:
         raise FormatError(f"input not found: {path}")
     if args.max_size < 0:
         raise ValueError(f"--max-size must be >= 0 (0 disables the filter), got {args.max_size}")
-    load = {"plain": load_plain, "simplex": load_simplex_dataset, "auto": load_auto}[args.format]
-    return preprocess(load(path), max_size=args.max_size or None, lcc=args.lcc)
+    return preprocess(load_auto(path, args.format), max_size=args.max_size or None, lcc=args.lcc)
 
 
 def _sha256(path: Path) -> str:

@@ -16,14 +16,15 @@ one array engine ``spread``, which advances a batch of runs together and
 returns their ``Batch`` (a single run is a batch of one). Runs proceed in
 synchronous rounds and are deterministic once the seed hyperedges are
 fixed; activation is monotone, so a run stops at the first round with no
-change (or after ``max_steps`` rounds).
+change (or after ``max_steps`` rounds). ``pick_seeds`` draws the seed
+hyperedges of a batch's runs under one of ``STRATEGIES``, a generator a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,11 +93,10 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
     return np.nonzero(below)[1].reshape(runs, count)
 
 
-def seed_picker(h: Hypergraph, strategy: str,
-                count: int) -> Callable[[Sequence[np.random.Generator]], list[list[int]]]:
-    """The draws of ``count`` distinct seed hyperedges of ``h``, one
-    ascending list per generator, with ``strategy`` and ``count`` checked
-    once and the runs' keys selected together.
+def pick_seeds(h: Hypergraph, strategy: str, count: int,
+               gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """The draws of ``count`` distinct seed hyperedges of ``h``, one row of
+    ascending ids per generator, the rows' keys selected together.
 
     uniform: uniformly at random. size-biased / inverse-size-biased:
     successive draws proportional to size or its inverse (realized with
@@ -107,24 +107,19 @@ def seed_picker(h: Hypergraph, strategy: str,
         raise ValueError(f"unknown seed strategy {strategy!r}")
     if not 0 <= count <= h.m:
         raise ValueError(f"seed count {count} outside 0..{h.m}")
-
-    def rows(draws: list[np.ndarray], width: int) -> np.ndarray:
-        return np.array(draws).reshape(len(draws), width)
-
+    runs = len(gens)
     if strategy == "uniform":
-        return lambda gens: np.sort(rows([gen.choice(h.m, size=count, replace=False)
-                                          for gen in gens], count), axis=1).tolist()
+        picked = np.array([gen.choice(h.m, size=count, replace=False) for gen in gens])
+        return np.sort(picked.reshape(runs, count), axis=1)
     if strategy == "smallest-first":
-        def pick(gens: Sequence[np.random.Generator]) -> list[list[int]]:
-            shuffled = rows([gen.permutation(h.m) for gen in gens], h.m)
-            picked = np.take_along_axis(shuffled, _smallest(h.sizes[shuffled], count), axis=1)
-            return np.sort(picked, axis=1).tolist()
-        return pick
+        shuffled = np.array([gen.permutation(h.m) for gen in gens]).reshape(runs, h.m)
+        picked = np.take_along_axis(shuffled, _smallest(h.sizes[shuffled], count), axis=1)
+        return np.sort(picked, axis=1)
     weights = h.sizes.astype(float)
     if strategy == "inverse-size-biased":
         weights = 1.0 / weights
-    return lambda gens: _smallest(rows([gen.standard_exponential(h.m) for gen in gens], h.m)
-                                  / weights, count).tolist()
+    keys = np.array([gen.standard_exponential(h.m) for gen in gens]).reshape(runs, h.m)
+    return _smallest(keys / weights, count)
 
 
 @dataclass(frozen=True)

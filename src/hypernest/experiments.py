@@ -4,7 +4,8 @@ A grid crosses seed strategies x seed counts under one ``DynamicsConfig``
 and runs on that variant's influence map (``dynamics.build_influence``);
 each cell is run repeatedly with RNG streams derived from the master seed
 and the cell/run index, so results are reproducible and independent of
-execution order or worker count.
+execution order or worker count. A batch of runs draws each stretch of one
+cell's runs with one ``dynamics.pick_seeds`` call, which checks the cell.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass, fields
 from itertools import product
 from math import sqrt
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import (Batch, DynamicsConfig, Influence, activation_proportion, build_influence,
-                       seed_picker, spread)
+                       pick_seeds, spread)
 from .hypergraph import Hypergraph
 from .randomize import layer_samples
 from .rng import spawn_rngs
@@ -61,43 +62,38 @@ class CellSummary:
     stderr: float
 
 
-def _cell_seeds(pickers: Sequence[Callable], flat: np.ndarray, runs: int,
-                master_seed: int) -> list[list[int]]:
-    """The seeds of each flat run index ``cell * runs + run`` of ``flat``
-    (ascending), drawn from the seed-selection stream of (cell, run) under
-    ``master_seed``; the streams come from one derivation, and each stretch
-    of one cell's runs from one call of its picker."""
-    cell, run = np.divmod(flat, runs)
+def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
+                  runs: int, master_seed: int) -> Batch:
+    """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
+    batch, each run's seeds drawn from the seed-selection stream of (cell,
+    run) under ``master_seed``: the streams in one derivation, each stretch
+    of one cell's runs in one ``pick_seeds`` call."""
+    cells = grid.cells()
+    cell, run = np.divmod(np.arange(lo, hi), runs)
     gens = spawn_rngs(master_seed, "seed-selection", cell, run)
-    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), len(flat)]
-    return [seeds for a, b in zip(bounds, bounds[1:])
-            for seeds in pickers[cell[a]](gens[a:b])]
-
-
-def _pickers(h: Hypergraph, grid: ExperimentGrid) -> list[Callable]:
-    return [seed_picker(h, *cell) for cell in grid.cells()]
+    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), hi - lo]
+    seeds = [row for a, b in zip(bounds, bounds[1:])
+             for row in pick_seeds(h, *cells[cell[a]], gens[a:b]).tolist()]
+    return spread(h, influence, grid.config, seeds)
 
 
 def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
                master_seed: int) -> Batch:
     """Run 0 of every cell as one batch whose run c is cell c;
     ``run_experiment`` records the same runs."""
-    pickers = _pickers(h, grid)
-    return spread(h, influence, grid.config,
-                  _cell_seeds(pickers, np.arange(len(pickers)), 1, master_seed))
+    return _spread_range(h, influence, grid, 0, len(grid.cells()), 1, master_seed)
 
 
 def _run_tasks(args) -> list[RunRecord]:
     """Records of the flat run indices ``start`` to ``stop``, in order, from
     ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
     h, influence, grid, (start, stop), runs, master_seed, dataset = args
-    cells, config, pickers = grid.cells(), grid.config, _pickers(h, grid)
+    cells, config = grid.cells(), grid.config
     per_batch = influence.batch_runs(h)
     records = []
     for lo in range(start, stop, per_batch):
         hi = min(lo + per_batch, stop)
-        batch = spread(h, influence, config,
-                       _cell_seeds(pickers, np.arange(lo, hi), runs, master_seed))
+        batch = _spread_range(h, influence, grid, lo, hi, runs, master_seed)
         for i, steps, final in zip(range(lo, hi), batch.num_steps().tolist(),
                                    batch.final_active().tolist()):
             (strategy, seeded), run = cells[i // runs], i % runs
@@ -195,11 +191,9 @@ def randomized_comparison(
                                       jobs=jobs)
     observed = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)}
     randomized_sums: dict[tuple, float] = {key: 0.0 for key in observed}
-    for i, randomized in enumerate(layer_samples(h, samples, master_seed)):
-        records = run_experiment(
-            randomized, build_influence(randomized, grid.config.variant), grid, runs, master_seed,
-            dataset=f"{dataset}[rand{i}]", jobs=jobs,
-        )
+    for randomized in layer_samples(h, samples, master_seed):
+        records = run_experiment(randomized, build_influence(randomized, grid.config.variant),
+                                 grid, runs, master_seed, jobs=jobs)
         for s in summarize(records):
             randomized_sums[(s.strategy, s.seeds)] += s.mean_proportion
     comparisons = []

@@ -118,8 +118,9 @@ class Hypergraph:
             r = int(np.searchsorted(ptr, repeat.argmax(), "right")) - 1
             raise RepeatedNodeError(r, tuple(flat[ptr[r]:ptr[r + 1]]))
         keep = _first_rows(ptr, nodes, sizes)
+        # a dropped row repeats a kept one: the ids follow first appearance
         self._set_rows(np.concatenate(([0], np.cumsum(sizes[keep]))),
-                       ids[np.repeat(keep, sizes)], list(index))
+                       nodes[np.repeat(keep, sizes)], tuple(index))
 
     @classmethod
     def from_arrays(cls, edge_ptr: np.ndarray, nodes: np.ndarray,
@@ -127,11 +128,6 @@ class Hypergraph:
         """Hypergraph of distinct rows of ids into ``labels``, without hashing
         a label: nodes are renumbered by first appearance in ``nodes`` (row
         by row, in the given within-row order) and each row is sorted."""
-        h = cls.__new__(cls)
-        h._set_rows(edge_ptr, nodes, labels)
-        return h
-
-    def _set_rows(self, edge_ptr: np.ndarray, nodes: np.ndarray, labels: Sequence[Label]) -> None:
         n, total = len(labels), nodes.size
         # the position where each label id first appears, then those ids in order
         first = np.full(n, total)
@@ -141,11 +137,18 @@ class Hypergraph:
         kept = nodes[at_first]
         new_id = np.empty(n, dtype=np.int64)
         new_id[kept] = np.arange(kept.size)
-        self.labels = tuple(map(labels.__getitem__, kept.tolist()))
+        h = cls.__new__(cls)
+        h._set_rows(edge_ptr, _sort_rows(np.diff(edge_ptr), new_id[nodes], kept.size),
+                    tuple(map(labels.__getitem__, kept.tolist())))
+        return h
+
+    def _set_rows(self, edge_ptr: np.ndarray, nodes: np.ndarray, labels: tuple[Label, ...]) -> None:
+        """Take rows of ids into ``labels``, each ascending, as the hyperedges."""
+        self.labels = labels
         self.edge_ptr = edge_ptr
         self.sizes = np.diff(edge_ptr)
-        self.edge_nodes = _sort_rows(self.sizes, new_id[nodes], kept.size)
-        self.memb_ptr, self.memb_ids = transpose(edge_ptr, self.edge_nodes, kept.size)
+        self.edge_nodes = nodes
+        self.memb_ptr, self.memb_ids = transpose(edge_ptr, nodes, len(labels))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -319,17 +322,24 @@ def dataset_files(path: str | Path, fmt: str = "auto") -> list[Path]:
     return [p.parent / (prefix + suffix) for suffix in ("-nverts.txt", "-simplices.txt")]
 
 
-def load_simplex_dataset(path: str | Path) -> Hypergraph:
-    """Load the two-file (optionally three, with ignored timestamps) simplex
-    format: ``<prefix>-nverts.txt`` and ``<prefix>-simplices.txt`` of
-    newline-separated ASCII integers."""
-    files = dataset_files(path, "simplex")
+def load_auto(path: str | Path, fmt: str = "auto") -> Hypergraph:
+    """Load the dataset ``path`` in format ``fmt`` (``auto`` detects the
+    simplex layout from the path; see ``dataset_files``): a plain file, or
+    the two-file simplex format, ``<prefix>-nverts.txt`` and
+    ``<prefix>-simplices.txt`` of newline-separated ASCII integers."""
+    files = dataset_files(path, fmt)
+    if len(files) == 1:
+        return load_plain(files[0])
     for req in files:
         if not req.is_file():
             raise FormatError(f"missing dataset file {req}")
     # A <prefix>-times.txt may sit alongside; interactions are aggregated
     # into one static hypergraph, so timestamps are not read.
     return ingest_simplex(*map(_read_int_column, files))
+
+
+def load_simplex_dataset(path: str | Path) -> Hypergraph:
+    return load_auto(path, "simplex")
 
 
 def parse_plain(lines: Iterable[str]) -> Hypergraph:
@@ -379,13 +389,6 @@ def write_plain(h: Hypergraph, path: str | Path) -> None:
         seps[end] = "\n"
     with open(path, "w") as fh:
         fh.write("".join(chain.from_iterable(zip(tokens, seps))))
-
-
-def load_auto(path: str | Path) -> Hypergraph:
-    """Load either format, detecting the simplex layout from the path (see
-    ``dataset_files``)."""
-    files = dataset_files(path)
-    return load_simplex_dataset(files[0]) if len(files) > 1 else load_plain(files[0])
 
 
 def filter_by_size(h: Hypergraph, max_size: int) -> Hypergraph:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hypernest import Hypergraph
-from hypernest.dynamics import seed_picker, spread
+from hypernest import Hypergraph, dynamics
 
 settings.register_profile("hypernest", deadline=None)
 settings.load_profile("hypernest")
@@ -71,13 +70,13 @@ def overlap_entries(g) -> dict[tuple[int, int], int]:
 
 def pick_seeds(h, strategy, count, gen) -> list[int]:
     """The ``count`` seed hyperedges that ``strategy`` draws from ``gen``."""
-    return seed_picker(h, strategy, count)([gen])[0]
+    return dynamics.pick_seeds(h, strategy, count, [gen])[0].tolist()
 
 
 def run_once(h, influence, config, seeds, seed_nodes=()):
     """One contagion run of ``config.variant`` on ``h`` under its influence
     map, from the seed hyperedges and pre-activated nodes, as a batch of one."""
-    return spread(h, influence, config, [seeds], [seed_nodes])
+    return dynamics.spread(h, influence, config, [seeds], [seed_nodes])
 
 
 @pytest.fixture

@@ -101,6 +101,23 @@ class TestSelectSeeds:
         # both consumed the same draws
         assert gen.bit_generator.state == expected_gen.bit_generator.state
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @settings(max_examples=40)
+    def test_stretch_rows_are_the_single_draws(self, strategy, h, data):
+        count = data.draw(st.one_of(st.just(0), st.just(h.m), st.integers(0, h.m)))
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4, unique=True))
+        gens = [spawn_rng(seed) for seed in seeds]
+        rows = dynamics_mod.pick_seeds(h, strategy, count, gens)
+        assert rows.shape == (len(seeds), count)
+        assert (np.diff(rows, axis=1) > 0).all()
+        for k, seed in enumerate(seeds):
+            # row k is what gens[k] draws alone, and gens[k] ends where that draw leaves it
+            alone = spawn_rng(seed)
+            single = dynamics_mod.pick_seeds(h, strategy, count, [alone])
+            assert rows[k].tolist() == single[0].tolist()
+            assert gens[k].bit_generator.state == alone.bit_generator.state
+
     @given(m=st.integers(0, 30), data=st.data())
     def test_smallest_keys_break_ties_by_id(self, m, data):
         rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m),

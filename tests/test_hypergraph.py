@@ -86,6 +86,8 @@ class TestArrayModel:
     """The CSR arrays against brute-force oracles (``tests/oracles.py``)."""
 
     @given(label_rows())
+    # a dropped row between kept ones, listing its labels in another order
+    @example([["b", "a", 3], ["x"], [3, "a", "b"], ["a", "y"]])
     def test_matches_oracle_constructor(self, rows):
         h = Hypergraph(rows)
         assert (h.labels, h.edges) == oracles.label_rows(rows)
