@@ -23,18 +23,12 @@ from functools import partial
 from itertools import product, takewhile
 from pathlib import Path
 
-from . import __version__
-from .dagpaths import rooted_heights
+# The package registers its modules lazily, so a module executes on its first
+# attribute use. Names are imported only from the modules that the parser,
+# load_input and publish execute anyway; the others are reached as attributes
+# where they are called, so a command executes only the modules it runs.
+from . import __version__, dagpaths, experiments, randomize, rng, rnhm
 from .dynamics import STRATEGIES, VARIANTS, DynamicsConfig, build_influence
-from .experiments import (
-    ExperimentGrid,
-    first_runs,
-    mean_stderr,
-    randomized_comparison,
-    run_experiment,
-    summarize,
-    write_records_csv,
-)
 from .hypergraph import (
     FormatError,
     Hypergraph,
@@ -45,13 +39,6 @@ from .hypergraph import (
     write_plain,
 )
 from .linegraph import build_encapsulation_dag, encapsulation_counts
-from .randomize import layer_samples, retention_report
-from .rng import spawn_rng
-from .rnhm import GenerationError, RnhmParams, generate
-
-
-# exceptions that report bad data or a failed generation: exit 2, one line
-DATA_ERRORS = (OSError, GenerationError, ValueError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -232,7 +219,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
     }
     if args.randomize:
         pair_sums: dict[str, float] = {}
-        for randomized in layer_samples(h, args.randomize, args.seed):
+        for randomized in randomize.layer_samples(h, args.randomize, args.seed):
             rdag = build_encapsulation_dag(randomized)
             rcounts = encapsulation_counts(randomized, rdag)
             for (n, m_), c in rcounts.pair_counts.items():
@@ -248,7 +235,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
 
 def cmd_heights(args: argparse.Namespace) -> int:
     h = load_input(args)
-    report = rooted_heights(build_encapsulation_dag(h), h)
+    report = dagpaths.rooted_heights(build_encapsulation_dag(h), h)
     summary: dict = {
         "observed": {
             "roots": report.num_roots,
@@ -260,8 +247,8 @@ def cmd_heights(args: argparse.Namespace) -> int:
     if args.randomize and (args.summary_out or not args.out):
         sample_max = []
         sample_dists = []
-        for randomized in layer_samples(h, args.randomize, args.seed):
-            rreport = rooted_heights(build_encapsulation_dag(randomized), randomized)
+        for randomized in randomize.layer_samples(h, args.randomize, args.seed):
+            rreport = dagpaths.rooted_heights(build_encapsulation_dag(randomized), randomized)
             sample_max.append(rreport.max_height())
             sample_dists.append({str(k): v for k, v in rreport.height_distribution().items()})
         summary["randomized"] = {
@@ -278,7 +265,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
 
 def cmd_randomize(args: argparse.Namespace) -> int:
     h = load_input(args)
-    report = retention_report(h, args.samples, args.seed)
+    report = randomize.retention_report(h, args.samples, args.seed)
     outdir = Path(args.emit_samples) if args.emit_samples else None
     samples = [] if outdir is None else [
         (outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
@@ -314,14 +301,14 @@ def _parse_eps(spec: str, max_size: int) -> dict[int, float]:
 
 
 def cmd_rnhm(args: argparse.Namespace) -> int:
-    params = RnhmParams(
+    params = rnhm.RnhmParams(
         num_nodes=args.nodes,
         max_size=args.max_size,
         num_max_edges=args.max_edges,
         keep_probs=_parse_eps(args.eps, args.max_size),
         include_singletons=args.singletons,
     )
-    sample = generate(params, spawn_rng(args.seed, "rnhm"))
+    sample = rnhm.generate(params, rng.spawn_rng(args.seed, "rnhm"))
     publish(args, [(args.out, partial(write_plain, sample.hypergraph))], extra={"rnhm": {
         **vars(params),
         "keep_probs": {str(k): v for k, v in sorted(params.keep_probs.items())},
@@ -342,12 +329,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if count > h.m:
             raise ValueError(f"seed count {count} exceeds hyperedge count {h.m}")
     config = DynamicsConfig(args.variant, args.tau, args.max_steps, args.comparison)
-    grid = ExperimentGrid(config, strategies, seed_counts)
+    grid = experiments.ExperimentGrid(config, strategies, seed_counts)
     warn_self_activation(f"hypernest {args.command}", h, config)
     dataset = args.dataset or Path(args.input).name
     influence = build_influence(h, args.variant)
     if args.randomize:
-        records, comparisons = randomized_comparison(
+        records, comparisons = experiments.randomized_comparison(
             h, influence, grid, args.runs, args.randomize, args.seed, dataset=dataset,
             jobs=args.jobs,
         )
@@ -356,18 +343,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "randomize_samples": args.randomize,
         }
     else:
-        records = run_experiment(h, influence, grid, args.runs, args.seed, dataset=dataset,
-                                 jobs=args.jobs)
-        summary_doc = {"cells": [vars(s) for s in summarize(records)]}
+        records = experiments.run_experiment(h, influence, grid, args.runs, args.seed,
+                                             dataset=dataset, jobs=args.jobs)
+        summary_doc = {"cells": [vars(s) for s in experiments.summarize(records)]}
     trajectories = None
     if args.trajectories:
-        batch = first_runs(h, influence, grid, args.seed)
+        batch = experiments.first_runs(h, influence, grid, args.seed)
         final = batch.final_active().tolist()
         dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
                   "steps": batch.steps(c), "final_active": final[c]}
                  for c, (strategy, seed_count) in enumerate(grid.cells())]
         trajectories = json.dumps(dumps, indent=2) + "\n"
-    return publish(args, [(args.out, partial(write_records_csv, records)),
+    return publish(args, [(args.out, partial(experiments.write_records_csv, records)),
                           (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),
                           (args.trajectories, trajectories)])
 
@@ -385,22 +372,22 @@ def cmd_rnhm_sweep(args: argparse.Namespace) -> int:
     seed_counts = grid_values("--seed-counts", args.seed_counts)
     config = DynamicsConfig(args.variant, args.tau)
     rows = [["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"]]
-    pairs = [(eps2, eps3, RnhmParams(args.nodes, args.max_size, args.max_edges, {
+    pairs = [(eps2, eps3, rnhm.RnhmParams(args.nodes, args.max_size, args.max_edges, {
         s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)}, include_singletons=True))
         for eps2, eps3 in product(eps_values, eps_values)]
     for eps2, eps3, params in pairs:
         realizations = []
         for r in range(args.realizations):
-            h = generate(params, spawn_rng(args.seed + r, "rnhm")).hypergraph
+            h = rnhm.generate(params, rng.spawn_rng(args.seed + r, "rnhm")).hypergraph
             realizations.append((h, build_influence(h, args.variant)))
         if len(rows) == 1:  # once: every realization holds 1-node hyperedges
             warn_self_activation(f"hypernest {args.command}", realizations[0][0], config)
         for strategy, seed_count in product(strategies, seed_counts):
             # one-cell grid per realization, pooled realization-major: the order
             # fixes the rounding of the mean and stderr sums
-            mean, stderr = mean_stderr([
+            mean, stderr = experiments.mean_stderr([
                 rec.proportion for r, (h, influence) in enumerate(realizations)
-                for rec in run_experiment(h, influence, ExperimentGrid(
+                for rec in experiments.run_experiment(h, influence, experiments.ExperimentGrid(
                     config, (strategy,), (min(seed_count, h.m),)), args.runs, args.seed + r)])
             rows.append([eps2, eps3, strategy, seed_count, f"{mean:.6f}", f"{stderr:.6f}"])
             print(f"eps2={eps2} eps3={eps3} {strategy:>14} seeds={seed_count:>4} "
@@ -508,7 +495,10 @@ def main(argv: list[str] | None = None) -> int:
             samples = getattr(args, "emit_samples", None)
             check_outputs(args, named, samples and Path(samples))
         return args.func(args)
-    except DATA_ERRORS as exc:
+    # bad data or a failed generation: exit 2, one line; the tuple is read
+    # only when an exception arrives, so a run that succeeds executes rnhm
+    # only if its command uses it
+    except (OSError, ValueError, rnhm.GenerationError) as exc:
         sys.stderr.write(f"hypernest {args.command}: error: {exc}\n")
         return 2
 

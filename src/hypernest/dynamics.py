@@ -23,7 +23,6 @@ hyperedges of a batch's runs under one of ``STRATEGIES``, a generator a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -188,9 +187,12 @@ def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
-    """Per-run id lists as ascending keys ``run * width + id``, each id once."""
+    """Per-run id rows (arrays or lists) as ascending keys ``run * width +
+    id``, each id once."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    # the leading empty array allows no rows; "unsafe" lets an empty list,
+    # which NumPy reads as float64, join the int64 ids
+    ids = np.concatenate((np.empty(0, np.int64), *rows), dtype=np.int64, casting="unsafe")
     if ids.size and not 0 <= ids.min() <= ids.max() < width:
         raise ValueError(f"{what} ids out of range")
     ids += np.repeat(np.arange(len(rows), dtype=np.int64) * width, lengths)

@@ -73,7 +73,7 @@ def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo:
     gens = spawn_rngs(master_seed, "seed-selection", cell, run)
     bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), hi - lo]
     seeds = [row for a, b in zip(bounds, bounds[1:])
-             for row in pick_seeds(h, *cells[cell[a]], gens[a:b]).tolist()]
+             for row in pick_seeds(h, *cells[cell[a]], gens[a:b])]
     return spread(h, influence, grid.config, seeds)
 
 

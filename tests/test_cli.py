@@ -11,6 +11,7 @@ import pytest
 import hypernest.cli as cli_mod
 import hypernest.dynamics as dynamics_mod
 import hypernest.randomize as randomize_mod
+import hypernest.rnhm as rnhm_mod
 from hypernest import largest_connected_component, parse_plain
 from hypernest.cli import main
 
@@ -214,7 +215,7 @@ def test_rnhm_sweep_checks_its_grid_before_generating(option, value, message, pl
     def never(*args):
         raise AssertionError("generation started")
 
-    monkeypatch.setattr(cli_mod, "generate", never)
+    monkeypatch.setattr(rnhm_mod, "generate", never)
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(sys, "argv", [script, option, value, "--out", str(tmp_path / "o")])
     with pytest.raises(SystemExit) as err:
@@ -242,7 +243,7 @@ def test_rnhm_sweep_checks_its_eps_grid(value, message, tmp_path, monkeypatch, c
     def never(*args):
         raise AssertionError("generation started")
 
-    monkeypatch.setattr(cli_mod, "generate", never)
+    monkeypatch.setattr(rnhm_mod, "generate", never)
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(sys, "argv", [script, "--eps-grid", value, "--out", str(tmp_path / "o")])
     with pytest.raises(SystemExit) as err:
@@ -371,7 +372,7 @@ def test_bad_output_path_fails_before_the_work(argv, plain_file, tmp_path, monke
     def never(*args):
         raise AssertionError("the work started")
 
-    monkeypatch.setattr(cli_mod, "generate", never)
+    monkeypatch.setattr(rnhm_mod, "generate", never)
     monkeypatch.setattr(cli_mod, "load_input", never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "outdir").mkdir()
@@ -405,8 +406,8 @@ def test_out_prints_one_wrote_line(command, options, plain_file, tmp_path, capsy
 def test_rnhm_sweep_generates_each_realization_once(tmp_path, monkeypatch, capsys):
     # default grid: 2x2 eps pairs, 2 strategies x 5 seed counts per pair
     calls = []
-    generate = cli_mod.generate
-    monkeypatch.setattr(cli_mod, "generate", lambda *a: calls.append(a) or generate(*a))
+    generate = rnhm_mod.generate
+    monkeypatch.setattr(rnhm_mod, "generate", lambda *a: calls.append(a) or generate(*a))
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(
         sys, "argv", [script, "--realizations", "3", "--runs", "1", "--out", str(tmp_path / "o")]
@@ -541,7 +542,7 @@ class TestRnhm:
         def never(*args, **kwargs):
             raise AssertionError("generation started")
 
-        monkeypatch.setattr(cli_mod, "generate", never)
+        monkeypatch.setattr(rnhm_mod, "generate", never)
         out = tmp_path / "r.txt"
         code = run_cli("rnhm", "--nodes", "50", "--max-size", "30", "--max-edges", "3",
                        "--out", out)

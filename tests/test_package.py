@@ -1,32 +1,80 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hypernest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the modules ``import hypernest`` registers lazily, each executed on first use
+SUBMODULES = ["dagpaths", "dynamics", "experiments", "hypergraph", "linegraph", "randomize",
+              "rng", "rnhm"]
+GOLDEN = ROOT / "tests" / "golden" / "nested.txt"
+
+REPORT = """
+import json, sys, types
+ours = {n.removeprefix("hypernest."): m for n, m in sys.modules.items()
+        if n.startswith("hypernest.")}
+print(json.dumps({
+    "registered": sorted(ours),
+    # a lazy module not yet used is a subclass; executing it makes it a module
+    "executed": sorted(n for n, m in ours.items() if type(m) is types.ModuleType),
+    "pool": "concurrent.futures" in sys.modules,
+}))
+"""
+
+
+def modules_after(code: str) -> dict:
+    """Which ``hypernest.*`` modules a fresh interpreter holds after running
+    ``code``, which of them executed, and whether it imported a process pool."""
+    src = str(Path(hypernest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code + REPORT], capture_output=True,
+                            text=True, env=env, check=True, timeout=60)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def test_every_public_name_resolves():
+    # the tracer wraps the modules in sys.modules after the import, so each
+    # is registered there, yet none executes before its first use
+    assert modules_after("import hypernest") == {
+        "registered": SUBMODULES, "executed": [], "pool": False}
+    assert hypernest.__all__ == sorted(hypernest._OWNER)
     missing = [name for name in hypernest.__all__ if not hasattr(hypernest, name)]
     assert missing == []
+    assert set(hypernest.__all__) <= set(dir(hypernest))
     namespace: dict = {}
     exec("from hypernest import *", namespace)
     assert set(hypernest.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypernest.no_such_name
 
 
-def test_import_loads_no_process_pool():
-    # only `run_experiment(jobs > 1)` needs concurrent.futures; importing it
-    # (with multiprocessing, logging and socket) would cost every command
-    code = "import sys, hypernest.cli; print('concurrent.futures' in sys.modules)"
-    src = str(Path(hypernest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+@pytest.mark.parametrize("code,executed", [
+    ("from hypernest.hypergraph import load_auto", ["hypergraph"]),
+    ("from hypernest.cli import main; main(['stats', {golden!r}])",
+     ["cli", "dynamics", "hypergraph", "linegraph"]),
+    ("from hypernest.cli import main; main(['simulate', {golden!r}, '--runs', '1',"
+     " '--out', {out!r}])",
+     ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "randomize", "rng"]),
+    ("from hypernest.cli import main; main(['rnhm', '--nodes', '6', '--max-size', '3',"
+     " '--max-edges', '2', '--out', {out!r}])",
+     ["cli", "dynamics", "hypergraph", "linegraph", "rng", "rnhm"]),
+], ids=["load_auto", "stats", "simulate", "rnhm"])
+def test_commands_execute_only_the_modules_they_run(code, executed, tmp_path):
+    # each module costs a process its compile and execution; only
+    # `run_experiment(jobs > 1)` needs concurrent.futures, whose import (with
+    # multiprocessing, logging and socket) would cost every command
+    code = code.format(golden=str(GOLDEN), out=str(tmp_path / "out"))
+    found = modules_after(code)
+    assert (found["executed"], found["pool"]) == (executed, False)
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -44,10 +92,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = [p for p in sorted((ROOT / "src" / "hypernest").glob("*.py"))
-               if p.name != "__init__.py"]
-    sources = [*modules, *sorted((ROOT / "scripts").glob("*.py")),
-               *sorted((ROOT / "tests").glob("*.py"))]
+    sources = [*sorted((ROOT / "src" / "hypernest").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
     assert len(sources) > 2
     unused = {str(p.relative_to(ROOT)): names for p in sources if (names := unused_imports(p))}
     assert unused == {}
