@@ -4,7 +4,9 @@ of paths starting from root hyperedges.
 Long root-to-leaf paths mean containment is deep (a chain of intermediate
 hyperedges of every size), while short paths mean it only links two sizes
 at a time. Longest paths are the same in a DAG and in its transitive
-reduction, so heights are read from the containment DAG directly.
+reduction, so heights are read from the containment DAG directly. Both
+work on the DAG's CSR arrays: heights by one ``maximum.reduceat`` per
+level, the reduction on int64 pair keys ``u * n + w``, one per edge.
 """
 
 from __future__ import annotations
@@ -12,32 +14,37 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 from functools import cached_property
-from graphlib import TopologicalSorter
 from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, gather_rows
 from .linegraph import HyperedgeDag
 
 
 def transitive_reduction(dag: HyperedgeDag) -> HyperedgeDag:
     """Remove every edge implied by a longer path; unique for a DAG.
 
-    An edge (u, w) is redundant exactly when w is a descendant of another
-    out-neighbor of u, so each vertex keeps the out-neighbors not reachable
-    through its siblings. Descendant sets are accumulated children first;
-    a cycle raises ``graphlib.CycleError``, a ``ValueError``.
+    With edges as keys ``u * n + w`` (A), the closure C grows from A by the
+    paths A.C until it stops growing: for each edge (u, v), row v of C is
+    gathered as keys of u. An edge (u, w) is redundant exactly when w is
+    reachable through another out-neighbor of u, that is when it is in A.C.
+    A transitively closed DAG, as every containment DAG is, stops after one
+    step. A cycle shows as a pair (v, v) in C and raises a ``ValueError``.
     """
-    out_adj = dag.out_adj
-    descendants: list[frozenset[int]] = [frozenset()] * len(out_adj)
-    for v in TopologicalSorter(dict(enumerate(out_adj))).static_order():
-        descendants[v] = frozenset(out_adj[v]).union(*(descendants[w] for w in out_adj[v]))
-    reduced = []
-    for children in out_adj:
-        indirect = frozenset().union(*(descendants[v] for v in children))
-        reduced.append([w for w in children if w not in indirect])
-    return HyperedgeDag.from_rows(reduced)
+    n = dag.num_vertices
+    edges = dag.sources * n + dag.out_idx
+    closure = edges
+    while True:
+        implied = gather_rows(np.searchsorted(closure, np.arange(n + 1) * n), closure % n,
+                              edges, n, n)
+        grown = np.union1d(closure, implied)
+        if grown.size == closure.size:
+            break
+        closure = grown
+    if np.any(closure // n == closure % n):
+        raise ValueError("transitive reduction of a graph with a cycle")
+    return dag.restrict(~np.isin(edges, implied))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, gather_rows
 from .linegraph import adjacent_layer_dag, build_encapsulation_dag
 
 VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
@@ -199,30 +199,14 @@ def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
     return _tally(ids)[0]
 
 
-def _gather(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,
-            out_width: int) -> np.ndarray:
-    """The rows of ``ptr``/``idx`` named by keys ``run * width + row``, each
-    entry as the key ``run * out_width + entry``, row after row."""
-    run, row = np.divmod(keys, width)
-    lengths = ptr[row + 1] - ptr[row]
-    ends = np.cumsum(lengths)
-    at = np.repeat(ptr[row] - ends + lengths, lengths)
-    at += np.arange(at.size)
-    # in place from here: a round's largest arrays are these, one key each
-    out = idx.take(at).astype(np.int64, copy=False)
-    del at
-    out += np.repeat(run * out_width, lengths)
-    return out
-
-
 def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: int,
                 n: int) -> np.ndarray:
     """One key ``run * m + hyperedge`` per (newly active influencer, hyperedge
     it influences) pair of the newly active ``edges`` and ``nodes``."""
-    hits = _gather(*influence.edges, edges, m, m)
+    hits = gather_rows(*influence.edges, edges, m, m)
     if influence.nodes is None:
         return hits
-    by_node = _gather(*influence.nodes, nodes, n, m)
+    by_node = gather_rows(*influence.nodes, nodes, n, m)
     return np.concatenate((hits, by_node)) if hits.size else by_node
 
 
@@ -294,7 +278,7 @@ def spread(
     rounds = [new_edges]
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)
-        members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+        members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
         new_nodes = _tally(np.concatenate((members, new_nodes)))[0]
         node_active[new_nodes] = True
     zero_need = np.flatnonzero(need <= 0)
@@ -314,7 +298,7 @@ def spread(
         edge_active[new_edges] = True
         rounds.append(new_edges)
         if influence.nodes is not None:
-            members = _gather(h.edge_ptr, h.edge_nodes, new_edges, m, n)
+            members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
             new_nodes = _tally(members[~node_active[members]])[0]
             node_active[new_nodes] = True
             del members

@@ -55,6 +55,22 @@ def transpose(ptr: np.ndarray, idx: np.ndarray, n: int) -> tuple[np.ndarray, np.
     return np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))), key
 
 
+def gather_rows(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, width: int,
+                out_width: int) -> np.ndarray:
+    """The rows of ``ptr``/``idx`` named by keys ``run * width + row``, each
+    entry as the key ``run * out_width + entry``, row after row."""
+    run, row = np.divmod(keys, width)
+    lengths = ptr[row + 1] - ptr[row]
+    ends = np.cumsum(lengths)
+    at = np.repeat(ptr[row] - ends + lengths, lengths)
+    at += np.arange(at.size)
+    # in place from here: a contagion round's largest arrays are these, one key each
+    out = idx.take(at).astype(np.int64, copy=False)
+    del at
+    out += np.repeat(run * out_width, lengths)
+    return out
+
+
 def _sort_rows(sizes: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
     """``nodes`` (ids below ``n``, in rows of ``sizes``) with each row ascending."""
     base = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes)

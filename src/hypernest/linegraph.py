@@ -26,28 +26,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import (Hypergraph, co_member_pairs, count_runs, pair_shift, split_rows,
-                         transpose, whole_rows)
+from .hypergraph import (Hypergraph, co_member_pairs, count_runs, pair_shift, transpose,
+                         whole_rows)
 
 
 @dataclass
 class HyperedgeDag:
     """Directed acyclic line graph over hyperedge ids, stored as CSR.
 
-    Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending.
-    The transpose ``in_csr`` (``in_ptr``, ``in_idx``) and the row list
-    ``out_adj`` are built on first read. ``candidate_visits``, for checking
-    the complexity bound, is |a & b| summed over the pairs of hyperedges
-    (a, b) with b at or before a in (size, id) order (a = b included, though
-    no build gathers it) for ``build_encapsulation_dag``, and over those
-    with |b| = |a| - 1 for ``adjacent_layer_dag``. ``build_encapsulation_dag``
-    also records the overlap graph's edge count and total weight.
+    Vertex i points to ``out_idx[out_ptr[i]:out_ptr[i + 1]]``, ascending,
+    with ``out_ptr`` int64 and ``out_idx`` int32. The transpose ``in_csr``
+    (``in_ptr``, ``in_idx``) is built on first read. ``candidate_visits``,
+    for checking the complexity bound, is |a & b| summed over the pairs of
+    hyperedges (a, b) with b at or before a in (size, id) order (a = b
+    included, though no build gathers it) for ``build_encapsulation_dag``,
+    and over those with |b| = |a| - 1 for ``adjacent_layer_dag``.
+    ``build_encapsulation_dag`` also records the overlap graph's edge count
+    and total weight.
     """
 
     out_ptr: np.ndarray
@@ -56,20 +55,9 @@ class HyperedgeDag:
     overlap_edges: int = 0
     overlap_weight: int = 0
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> HyperedgeDag:
-        """The graph in which vertex i points to each vertex of ``rows[i]``."""
-        ptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
-        idx = np.fromiter(chain.from_iterable(map(sorted, rows)), dtype=np.int32)
-        return cls(ptr, idx)
-
     @cached_property
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
         return transpose(self.out_ptr, self.out_idx, self.num_vertices)
-
-    @cached_property
-    def out_adj(self) -> list[list[int]]:
-        return split_rows(self.out_ptr, self.out_idx)
 
     @property
     def num_vertices(self) -> int:

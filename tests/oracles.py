@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from graphlib import TopologicalSorter
+from itertools import chain
 
 import numpy as np
 
 from hypernest import Hypergraph
+from hypernest.hypergraph import split_rows
+from hypernest.linegraph import HyperedgeDag
 
 
 def edge_sets(h: Hypergraph) -> list[frozenset[int]]:
@@ -28,6 +32,18 @@ def dag_edges(dag) -> set[tuple[int, int]]:
     """The (i, j) pairs that the CSR rows of a ``HyperedgeDag`` list."""
     ptr, idx = dag.out_ptr.tolist(), dag.out_idx.tolist()
     return {(i, idx[k]) for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
+
+
+def dag_from_rows(rows: list[list[int]]) -> HyperedgeDag:
+    """The DAG in which vertex i points to each vertex of ``rows[i]``."""
+    ptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+    idx = np.fromiter(chain.from_iterable(map(sorted, rows)), dtype=np.int32)
+    return HyperedgeDag(ptr, idx)
+
+
+def out_rows(dag) -> list[list[int]]:
+    """The out-neighbor rows of a ``HyperedgeDag`` as Python lists."""
+    return split_rows(dag.out_ptr, dag.out_idx)
 
 
 def encapsulation_edges(h: Hypergraph) -> set[tuple[int, int]]:
@@ -81,6 +97,20 @@ def reachable_from(out_adj: list[list[int]], src: int) -> set[int]:
 
 def reachability(out_adj: list[list[int]]) -> dict[int, set[int]]:
     return {v: reachable_from(out_adj, v) for v in range(len(out_adj))}
+
+
+def transitive_reduction(out_adj: list[list[int]]) -> list[list[int]]:
+    """Each vertex's out-neighbors not reachable through its siblings, from
+    frozenset descendant sets accumulated children first; a cycle raises
+    ``graphlib.CycleError``, a ``ValueError``."""
+    descendants: list[frozenset[int]] = [frozenset()] * len(out_adj)
+    for v in TopologicalSorter(dict(enumerate(out_adj))).static_order():
+        descendants[v] = frozenset(out_adj[v]).union(*(descendants[w] for w in out_adj[v]))
+    reduced = []
+    for children in out_adj:
+        indirect = frozenset().union(*(descendants[v] for v in children))
+        reduced.append(sorted(w for w in children if w not in indirect))
+    return reduced
 
 
 def longest_path_from(out_adj: list[list[int]], src: int) -> int:

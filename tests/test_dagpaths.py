@@ -6,7 +6,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import hypergraphs, random_dags
@@ -14,24 +15,33 @@ from hypernest import (Hypergraph, build_encapsulation_dag, preprocess, rooted_h
                       transitive_reduction)
 from hypernest.cli import main as cli_main
 from hypernest.dagpaths import max_root_out_degree
-from hypernest.linegraph import HyperedgeDag
 
 
-def dag_from_edges(n: int, edges: list[tuple[int, int]]) -> HyperedgeDag:
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        out_adj[u].append(v)
-    return HyperedgeDag.from_rows(out_adj)
+@st.composite
+def relabelled_graphs(draw):
+    """``random_dags()`` rows with the vertex ids permuted, so edges need not
+    run from low to high ids, and maybe one more edge, which can close a
+    cycle."""
+    out_adj = draw(random_dags())
+    n = len(out_adj)
+    perm = draw(st.permutations(range(n)))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, nbrs in enumerate(out_adj):
+        rows[perm[u]] = [perm[v] for v in nbrs]
+    extra = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    if extra is not None and extra[1] not in rows[extra[0]]:
+        rows[extra[0]].append(extra[1])
+    return rows
 
 
 class TestTransitiveReduction:
     def test_shortcut_edge_removed(self):
-        dag = dag_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        dag = oracles.dag_from_rows([[1, 2], [2], []])
         reduced = transitive_reduction(dag)
         assert oracles.dag_edges(reduced) == {(0, 1), (1, 2)}
 
     def test_already_reduced_chain(self):
-        dag = dag_from_edges(3, [(0, 1), (1, 2)])
+        dag = oracles.dag_from_rows([[1], [2], []])
         assert oracles.dag_edges(transitive_reduction(dag)) == {(0, 1), (1, 2)}
 
     def test_chain_hypergraph(self, chain_hypergraph):
@@ -39,28 +49,57 @@ class TestTransitiveReduction:
         assert oracles.dag_edges(reduced) == {(0, 1), (1, 2)}
 
     def test_cycle_rejected(self):
-        cyclic = HyperedgeDag.from_rows([[1], [0]])
+        cyclic = oracles.dag_from_rows([[1], [0]])
         with pytest.raises(ValueError, match="cycle"):
             transitive_reduction(cyclic)
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            transitive_reduction(oracles.dag_from_rows([[0]]))
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[], [], []]])
+    def test_edgeless_dags_reduce_to_themselves(self, rows):
+        reduced = transitive_reduction(oracles.dag_from_rows(rows))
+        assert oracles.out_rows(reduced) == rows
+        assert (reduced.out_ptr.dtype, reduced.out_idx.dtype) == (np.int64, np.int32)
+
+    @given(relabelled_graphs())
+    @example([[1, 3], [2], [3], []])  # (0, 3) is implied only through three edges
+    @example([[1], [2], [0]])  # a cycle, which both reject
+    def test_matches_frozenset_reference(self, rows):
+        try:
+            expected = oracles.transitive_reduction(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="cycle"):
+                transitive_reduction(oracles.dag_from_rows(rows))
+        else:
+            assert oracles.out_rows(transitive_reduction(oracles.dag_from_rows(rows))) == expected
+
+    @given(hypergraphs())
+    def test_containment_dag_matches_frozenset_reference(self, h):
+        dag = build_encapsulation_dag(h)
+        reduced = transitive_reduction(dag)
+        assert oracles.out_rows(reduced) == oracles.transitive_reduction(oracles.out_rows(dag))
+
     @given(random_dags())
     def test_reachability_preserved(self, out_adj):
-        dag = dag_from_edges(len(out_adj), [(u, v) for u, n in enumerate(out_adj) for v in n])
+        dag = oracles.dag_from_rows(out_adj)
         reduced = transitive_reduction(dag)
-        assert oracles.reachability(reduced.out_adj) == oracles.reachability(dag.out_adj)
+        assert (oracles.reachability(oracles.out_rows(reduced))
+                == oracles.reachability(oracles.out_rows(dag)))
 
     @given(random_dags(max_vertices=30))
     def test_minimality(self, out_adj):
-        dag = dag_from_edges(len(out_adj), [(u, v) for u, n in enumerate(out_adj) for v in n])
+        dag = oracles.dag_from_rows(out_adj)
         reduced = transitive_reduction(dag)
         for u, v in oracles.dag_edges(reduced):
-            pruned = [list(nbrs) for nbrs in reduced.out_adj]
+            pruned = oracles.out_rows(reduced)
             pruned[u].remove(v)
             assert v not in oracles.reachable_from(pruned, u)
 
     @given(random_dags())
     def test_matches_networkx(self, out_adj):
-        dag = dag_from_edges(len(out_adj), [(u, v) for u, n in enumerate(out_adj) for v in n])
+        dag = oracles.dag_from_rows(out_adj)
         g = nx.DiGraph(oracles.dag_edges(dag))
         g.add_nodes_from(range(len(out_adj)))
         expected = set(nx.transitive_reduction(g).edges())
@@ -68,7 +107,7 @@ class TestTransitiveReduction:
 
     @given(random_dags())
     def test_edge_subset(self, out_adj):
-        dag = dag_from_edges(len(out_adj), [(u, v) for u, n in enumerate(out_adj) for v in n])
+        dag = oracles.dag_from_rows(out_adj)
         assert oracles.dag_edges(transitive_reduction(dag)) <= oracles.dag_edges(dag)
 
 
@@ -89,7 +128,8 @@ class TestRoots:
         in_deg = [0] * h.m
         for _, j in oracles.dag_edges(dag):
             in_deg[j] += 1
-        expected = [v for v in range(h.m) if in_deg[v] == 0 and dag.out_adj[v]]
+        rows = oracles.out_rows(dag)
+        expected = [v for v in range(h.m) if in_deg[v] == 0 and rows[v]]
         assert root_ids(h) == expected
 
 
@@ -127,9 +167,9 @@ class TestRootedHeights:
     @given(hypergraphs())
     def test_height_is_longest_path_in_reduction(self, h):
         dag = build_encapsulation_dag(h)
-        reduced = transitive_reduction(dag)
+        reduced = oracles.out_rows(transitive_reduction(dag))
         for rec in rooted_heights(dag, h).records:
-            assert rec.max_height == oracles.longest_path_from(reduced.out_adj, rec.root_id)
+            assert rec.max_height == oracles.longest_path_from(reduced, rec.root_id)
             assert rec.dag_degree == np.diff(dag.out_ptr)[rec.root_id]
 
     def test_norm_degree_denominator_without_singletons(self):

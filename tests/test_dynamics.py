@@ -279,7 +279,8 @@ class TestEngineInvariants:
     @settings(max_examples=30)
     def test_empty_adjacent_dag_never_spreads(self, h):
         adj = adjacent_layer_dag(h)
-        if any(adj.out_adj[i] for i in range(h.m)):
+        rows = oracles.out_rows(adj)
+        if any(rows[i] for i in range(h.m)):
             return
         batch = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
         assert non_seed_active(batch) == 0
@@ -329,7 +330,7 @@ class TestEngineInvariants:
         # every hyperedge seeded: the first round gathers every influence row
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
                 mock.patch.object(experiments_mod, "spread", batch), \
-                mock.patch.object(dynamics_mod, "_gather", sized(dynamics_mod._gather)), \
+                mock.patch.object(dynamics_mod, "gather_rows", sized(dynamics_mod.gather_rows)), \
                 mock.patch.object(dynamics_mod, "_influenced", sized(dynamics_mod._influenced)):
             for variant in VARIANTS:
                 grid = ExperimentGrid(DynamicsConfig(variant), seed_counts=(h.m,))
