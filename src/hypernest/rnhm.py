@@ -95,13 +95,15 @@ class RnhmSample:
 def rewire_edge(
     edge: tuple[int, ...],
     superset_nodes: set[int],
-    existing: set[frozenset[int]],
+    existing: set[tuple[int, ...]],
     num_nodes: int,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
     """Keep one pivot node of ``edge`` and replace the rest with nodes drawn
     uniformly from outside every current superset of the edge, redrawing
-    until the result is not already a hyperedge."""
+    until the result is not already a hyperedge. Edges are ascending tuples
+    of node ids: ``edge``, each member of the set ``existing`` and the
+    returned edge."""
     size = len(edge)
     pivot = edge[int(rng.integers(size))]
     # draws index the ascending pool of nodes outside the supersets without
@@ -119,7 +121,7 @@ def rewire_edge(
         replacement = rng.choice(pool_size, size=size - 1, replace=False)
         drawn = [int(i) + bisect_right(below, int(i)) for i in replacement]
         candidate = tuple(sorted([pivot] + drawn))
-        if frozenset(candidate) not in existing:
+        if candidate not in existing:
             return candidate
     raise RewireInfeasibleError(
         f"no unused replacement for edge {edge} after {MAX_REWIRE_DRAWS} draws"
@@ -127,25 +129,22 @@ def rewire_edge(
 
 
 def _sample_max_edges(params: RnhmParams, gen) -> list[tuple[int, ...]]:
-    edges: list[tuple[int, ...]] = []
-    chosen: set[frozenset[int]] = set()
+    chosen: dict[tuple[int, ...], None] = {}
     tries = 0
-    while len(edges) < params.num_max_edges:
+    while len(chosen) < params.num_max_edges:
         if tries > 100 * params.num_max_edges:
             raise GenerationError("could not sample distinct maximum-size hyperedges")
         tries += 1
         draw = gen.choice(params.num_nodes, size=params.max_size, replace=False)
-        edge = tuple(sorted(int(v) for v in draw))
-        if frozenset(edge) in chosen:
-            continue
-        chosen.add(frozenset(edge))
-        edges.append(edge)
-    return edges
+        chosen[tuple(sorted(int(v) for v in draw))] = None
+    return list(chosen)
 
 
 def generate(params: RnhmParams, rng: np.random.Generator) -> RnhmSample:
     """Draw one connected sample; rejects disconnected draws and samples
-    where a rewire became infeasible, up to ``MAX_ATTEMPTS`` times."""
+    where a rewire became infeasible, up to ``MAX_ATTEMPTS`` times. Every
+    edge is an ascending tuple of node ids, from the sampled maximum edges
+    through their subsets to the rewired edges."""
     connectivity_rejections = 0
     rewire_rejections = 0
     for _ in range(MAX_ATTEMPTS):
@@ -153,20 +152,22 @@ def generate(params: RnhmParams, rng: np.random.Generator) -> RnhmSample:
         subsets_by_size: dict[int, list[tuple[int, ...]]] = {
             s: [] for s in range(2, params.max_size)
         }
-        current: set[frozenset[int]] = {frozenset(e) for e in max_edges}
+        current = set(max_edges)
         for parent in max_edges:
             for s in range(params.max_size - 1, 1, -1):
                 for sub in combinations(parent, s):
-                    if frozenset(sub) not in current:
-                        current.add(frozenset(sub))
+                    if sub not in current:
+                        current.add(sub)
                         subsets_by_size[s].append(sub)
 
-        # node -> the current edges holding it, so an edge's supersets are
-        # the larger edges common to all its nodes
-        holding: dict[int, set[frozenset[int]]] = {}
-        for key in current:
-            for u in key:
-                holding.setdefault(u, set()).add(key)
+        # node -> the maximum and rewired edges holding it. A current superset
+        # of a subset is one of these or an unrewired subset, which lies in a
+        # maximum edge that holds the subset too, so the indexed edges common
+        # to all the subset's nodes span every superset node
+        holding: dict[int, set[tuple[int, ...]]] = {}
+        for parent in max_edges:
+            for u in parent:
+                holding.setdefault(u, set()).add(parent)
         rewired = 0
         try:
             # largest sizes first, creation order within a size
@@ -175,28 +176,20 @@ def generate(params: RnhmParams, rng: np.random.Generator) -> RnhmSample:
                 for edge in subsets_by_size[s]:
                     if rng.random() >= 1.0 - keep:
                         continue
-                    edge_key = frozenset(edge)
-                    # the current edges holding all its nodes: itself and its supersets
                     superset_nodes = set().union(*set.intersection(*(holding[u] for u in edge)))
                     new_edge = rewire_edge(edge, superset_nodes, current, params.num_nodes, rng)
-                    new_key = frozenset(new_edge)
-                    current.remove(edge_key)
-                    current.add(new_key)
-                    for u in edge:
-                        holding[u].remove(edge_key)
+                    current.remove(edge)
+                    current.add(new_edge)
                     for u in new_edge:
-                        holding.setdefault(u, set()).add(new_key)
+                        holding.setdefault(u, set()).add(new_edge)
                     rewired += 1
         except RewireInfeasibleError:
             rewire_rejections += 1
             continue
 
-        final_edges = sorted(tuple(sorted(e)) for e in current)
         if params.include_singletons:
-            appearing = sorted({u for e in final_edges for u in e})
-            final_edges = [(u,) for u in appearing] + final_edges
-        final_edges.sort(key=lambda e: (len(e), e))
-        h = Hypergraph(final_edges)
+            current |= {(u,) for e in current for u in e}
+        h = Hypergraph(sorted(current, key=lambda e: (len(e), e)))
         if is_connected(h):
             return RnhmSample(
                 hypergraph=h,

@@ -9,12 +9,12 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from graphlib import TopologicalSorter
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
-from hypernest import Hypergraph
-from hypernest.hypergraph import split_rows
+from hypernest import Hypergraph, rnhm
+from hypernest.hypergraph import is_connected, split_rows
 from hypernest.linegraph import HyperedgeDag
 
 
@@ -247,3 +247,69 @@ def sorted_seeds(h: Hypergraph, strategy: str, count: int, gen) -> list[int]:
             weights = 1.0 / weights
         picked = np.argsort(gen.standard_exponential(h.m) / weights, kind="stable")[:count]
     return sorted(picked.tolist())
+
+
+def rnhm_generate(params, rng) -> rnhm.RnhmSample:
+    """An RNHM sample drawn from ``rng`` with every current hyperedge kept as
+    a frozenset, and each node indexed to all the current hyperedges holding
+    it: the rewired ones are dropped from that index and the new ones added.
+    The draws follow ``rnhm.generate``; ``rewire_edge`` is given the current
+    hyperedges as ascending tuples."""
+    connectivity_rejections = rewire_rejections = 0
+    for _ in range(rnhm.MAX_ATTEMPTS):
+        max_edges, chosen, tries = [], set(), 0
+        while len(max_edges) < params.num_max_edges:
+            if tries > 100 * params.num_max_edges:
+                raise rnhm.GenerationError("could not sample distinct maximum-size hyperedges")
+            tries += 1
+            draw = rng.choice(params.num_nodes, size=params.max_size, replace=False)
+            edge = tuple(sorted(int(v) for v in draw))
+            if frozenset(edge) not in chosen:
+                chosen.add(frozenset(edge))
+                max_edges.append(edge)
+        subsets_by_size = {s: [] for s in range(2, params.max_size)}
+        current = {frozenset(e) for e in max_edges}
+        for parent in max_edges:
+            for s in range(params.max_size - 1, 1, -1):
+                for sub in combinations(parent, s):
+                    if frozenset(sub) not in current:
+                        current.add(frozenset(sub))
+                        subsets_by_size[s].append(sub)
+        holding: dict[int, set[frozenset[int]]] = {}
+        for key in current:
+            for u in key:
+                holding.setdefault(u, set()).add(key)
+        rewired = 0
+        try:
+            for s in range(params.max_size - 1, 1, -1):
+                keep = params.keep_prob(s)
+                for edge in subsets_by_size[s]:
+                    if rng.random() >= 1.0 - keep:
+                        continue
+                    superset_nodes = set().union(*set.intersection(*(holding[u] for u in edge)))
+                    existing = {tuple(sorted(e)) for e in current}
+                    new_edge = rnhm.rewire_edge(edge, superset_nodes, existing, params.num_nodes, rng)
+                    current.remove(frozenset(edge))
+                    current.add(frozenset(new_edge))
+                    for u in edge:
+                        holding[u].remove(frozenset(edge))
+                    for u in new_edge:
+                        holding.setdefault(u, set()).add(frozenset(new_edge))
+                    rewired += 1
+        except rnhm.RewireInfeasibleError:
+            rewire_rejections += 1
+            continue
+        final_edges = sorted(tuple(sorted(e)) for e in current)
+        if params.include_singletons:
+            appearing = sorted({u for e in final_edges for u in e})
+            final_edges = [(u,) for u in appearing] + final_edges
+        final_edges.sort(key=lambda e: (len(e), e))
+        h = Hypergraph(final_edges)
+        if is_connected(h):
+            return rnhm.RnhmSample(h, rewired, connectivity_rejections, rewire_rejections)
+        connectivity_rejections += 1
+    raise rnhm.GenerationError(
+        f"no connected sample within {rnhm.MAX_ATTEMPTS} attempts "
+        f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible); "
+        "the parameter combination may make connectivity too unlikely"
+    )

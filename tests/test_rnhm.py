@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import oracles
 
@@ -24,6 +26,28 @@ from hypernest.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FULL_KEEP = {2: 1.0, 3: 1.0}
+
+
+@st.composite
+def small_params(draw) -> RnhmParams:
+    """Parameters small enough for the frozenset reference generator."""
+    nodes = draw(st.integers(4, 30))
+    max_size = draw(st.integers(2, min(5, nodes)))
+    max_edges = draw(st.integers(1, min(6, comb(nodes, max_size))))
+    keep = {s: draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))) for s in range(2, max_size)}
+    return RnhmParams(nodes, max_size, max_edges, keep, draw(st.booleans()))
+
+
+def outcome(make, params: RnhmParams, seed: int) -> tuple:
+    """Labels, edge arrays and counters of the sample ``make`` draws, or the
+    type and message of the error it raises."""
+    try:
+        sample = make(params, spawn_rng(seed, "rnhm"))
+    except GenerationError as exc:
+        return type(exc), str(exc)
+    h = sample.hypergraph
+    return (h.labels, h.edge_ptr.tolist(), h.edge_nodes.tolist(), sample.rewired_edges,
+            sample.connectivity_rejections, sample.rewire_rejections)
 
 
 def fig_params(eps2: float = 1.0, eps3: float = 1.0, singletons: bool = True) -> RnhmParams:
@@ -109,7 +133,7 @@ class TestRewireEdge:
     def test_replacements_avoid_superset_nodes(self):
         rng = spawn_rng(0)
         superset_nodes = {0, 1, 2, 3}
-        existing = {frozenset({0, 1})}
+        existing = {(0, 1)}
         for _ in range(50):
             new = rewire_edge((0, 1), superset_nodes, existing, num_nodes=20, rng=rng)
             kept = set(new) & {0, 1}
@@ -119,10 +143,12 @@ class TestRewireEdge:
 
     def test_result_not_already_present(self):
         rng = spawn_rng(1)
-        existing = {frozenset({0, 1}), frozenset({0, 4}), frozenset({1, 4})}
-        # nodes 0..4 with supersets covering 2,3: pool is {4} only
+        existing = {(0, 1), (0, 4), (1, 4)}
+        # nodes 0..5 with supersets covering 0..3: the pool is {4, 5}, and
+        # only the pairs with node 5 are new
         new = rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=6, rng=rng)
-        assert frozenset(new) not in existing
+        assert new not in existing
+        assert new in {(0, 5), (1, 5)}
 
     def test_infeasible_pool(self):
         with pytest.raises(GenerationError, match="replacement nodes"):
@@ -130,7 +156,7 @@ class TestRewireEdge:
 
     def test_exhausted_draws(self):
         # the only candidate pair {0,4}/{1,4} style edges all exist already
-        existing = {frozenset({0, 4}), frozenset({1, 4})}
+        existing = {(0, 4), (1, 4)}
         with pytest.raises(GenerationError, match="no unused replacement"):
             rewire_edge((0, 1), {0, 1, 2, 3}, existing, num_nodes=5, rng=spawn_rng(0))
 
@@ -157,6 +183,18 @@ class TestRewireEdge:
         drawn = [pool[int(i)] for i in gen.choice(len(pool), size=2, replace=False)]
         expected = tuple(sorted([pivot, *drawn]))
         assert rewire_edge(edge, superset_nodes, set(), num_nodes, spawn_rng(seed)) == expected
+
+
+class TestMatchesReference:
+    @given(params=small_params(), seed=st.integers(0, 2**32 - 1))
+    # a rewired edge holds a later subset, so its nodes join that subset's supersets
+    @example(params=RnhmParams(10, 4, 2, {2: 0.3, 3: 0.3}), seed=0)
+    # one disconnected draw and one infeasible rewire before the sample
+    @example(params=RnhmParams(6, 3, 2, {2: 0.8}), seed=3937)
+    # no draw has room for a rewire
+    @example(params=RnhmParams(4, 3, 2, {2: 0.0}), seed=0)
+    def test_same_sample_as_frozenset_reference(self, params, seed):
+        assert outcome(generate, params, seed) == outcome(oracles.rnhm_generate, params, seed)
 
 
 class TestGenerate:
@@ -201,6 +239,18 @@ class TestGenerate:
         assert "rewired=40" in capsys.readouterr().out
         produced = out.read_bytes()
         assert (GOLDEN / "nested.txt").read_bytes()[: len(produced)] == produced
+
+    def test_rejection_counters(self, tmp_path, capsys):
+        # seed 3937 rejects one disconnected draw and one infeasible rewire
+        sample = generate(RnhmParams(6, 3, 2, {2: 0.8}), spawn_rng(3937, "rnhm"))
+        counts = {"rewired_edges": 3, "connectivity_rejections": 1, "rewire_rejections": 1}
+        assert {key: getattr(sample, key) for key in counts} == counts
+        out = tmp_path / "rnhm.txt"
+        assert main(["rnhm", "--nodes", "6", "--max-size", "3", "--max-edges", "2",
+                     "--eps", "0.8", "--seed", "3937", "--out", str(out)]) == 0
+        assert "rewired=3 rejections=1" in capsys.readouterr().out
+        block = json.loads(out.with_name("rnhm.txt.manifest.json").read_text())["rnhm"]
+        assert {key: block[key] for key in counts} == counts
 
     def test_edge_sizes_within_bounds(self):
         sample = generate(fig_params(eps2=0.5, eps3=0.5), spawn_rng(12, "rnhm"))
