@@ -24,8 +24,7 @@ _EXPORTS = {
                    "write_plain"),
     "linegraph": ("EncapsulationCounts", "HyperedgeDag", "OverlapGraph", "adjacent_layer_dag",
                   "build_encapsulation_dag", "build_overlap_graph", "encapsulation_counts"),
-    "randomize": ("LayerRandomizationReport", "layer_randomize", "layer_samples",
-                  "retention_report"),
+    "randomize": ("layer_randomize", "layer_samples", "retention_report"),
     "rng": ("spawn_rng",),
     "rnhm": ("GenerationError", "RnhmParams", "RnhmSample", "generate", "rewire_edge"),
 }

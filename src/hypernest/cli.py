@@ -265,12 +265,14 @@ def cmd_heights(args: argparse.Namespace) -> int:
 
 def cmd_randomize(args: argparse.Namespace) -> int:
     h = load_input(args)
-    report = randomize.retention_report(h, args.samples, args.seed)
     outdir = Path(args.emit_samples) if args.emit_samples else None
+    drawn = randomize.layer_samples(h, args.samples, args.seed)
+    if outdir is not None:  # held only when written; otherwise one at a time
+        drawn = list(drawn)
+    text = json.dumps(randomize.retention_report(h, drawn, args.seed), indent=2) + "\n"
     samples = [] if outdir is None else [
         (outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
-        for i, randomized in enumerate(report.randomized)]
-    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        for i, randomized in enumerate(drawn)]
     return publish(args, [(args.out, text), *samples], None if args.out else text,
                    directory=outdir)
 
@@ -317,7 +319,8 @@ def cmd_rnhm(args: argparse.Namespace) -> int:
         "rewire_rejections": sample.rewire_rejections,
     }})
     print(f"n={sample.hypergraph.n} m={sample.hypergraph.m} "
-          f"rewired={sample.rewired_edges} rejections={sample.connectivity_rejections}")
+          f"rewired={sample.rewired_edges} rejections={sample.connectivity_rejections} "
+          f"rewire_rejections={sample.rewire_rejections}")
     return 0
 
 

@@ -190,9 +190,13 @@ def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
     """Per-run id rows (arrays or lists) as ascending keys ``run * width +
     id``, each id once."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    # the leading empty array allows no rows; "unsafe" lets an empty list,
-    # which NumPy reads as float64, join the int64 ids
-    ids = np.concatenate((np.empty(0, np.int64), *rows), dtype=np.int64, casting="unsafe")
+    # the leading empty array allows no rows. Empty rows are left out, as
+    # NumPy reads an empty list as float64; any other float id is an error
+    try:
+        ids = np.concatenate((np.empty(0, np.int64), *(row for row in rows if len(row))),
+                             dtype=np.int64, casting="same_kind")
+    except TypeError:
+        raise ValueError(f"{what} ids must be integers") from None
     if ids.size and not 0 <= ids.min() <= ids.max() < width:
         raise ValueError(f"{what} ids out of range")
     ids += np.repeat(np.arange(len(rows), dtype=np.int64) * width, lengths)

@@ -444,7 +444,8 @@ def is_connected(h: Hypergraph) -> bool:
 
 def largest_connected_component(h: Hypergraph) -> Hypergraph:
     """Sub-hypergraph induced by the largest node component; ties broken by
-    the smallest minimum original node label, int labels before str ones."""
+    the smallest minimum original node label, int labels before str ones,
+    or, when the tied labels do not compare, by the smallest node id."""
     if h.m == 0:
         raise ValueError("empty hypergraph has no components")
     comp = component_labels(h)
@@ -453,8 +454,11 @@ def largest_connected_component(h: Hypergraph) -> Hypergraph:
     best = int(counts.argmax())
     if np.count_nonzero(tied) > 1:
         labels = h.labels
-        first = min(np.flatnonzero(tied[comp]).tolist(),
-                    key=lambda u: (isinstance(labels[u], str), labels[u]))
+        nodes = np.flatnonzero(tied[comp]).tolist()
+        try:
+            first = min(nodes, key=lambda u: (isinstance(labels[u], str), labels[u]))
+        except TypeError:
+            first = nodes[0]
         best = int(comp[first])
     # every node of a hyperedge shares that hyperedge, so the component of
     # one node decides the whole edge

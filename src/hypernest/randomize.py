@@ -10,8 +10,7 @@ of that structure is non-random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,30 +45,6 @@ def layer_samples(h: Hypergraph, k: int, seed: int) -> Iterator[Hypergraph]:
         yield layer_randomize(h, spawn_rng(seed, "layer-randomization", i))
 
 
-@dataclass
-class LayerRandomizationReport:
-    """Observed line-graph quantities and the proportion retained in each
-    randomization sample; 0/0 ratios are reported as 1.0 and flagged.
-    ``randomized`` keeps the sampled hypergraphs, in stream order, so they
-    can be written without drawing them again; they are not serialized."""
-
-    observed: dict[str, float]
-    samples: list[dict[str, float]]
-    means: dict[str, float]
-    seed: int
-    degenerate_ratios: list[str] = field(default_factory=list)
-    randomized: list[Hypergraph] = field(default_factory=list, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "observed": self.observed,
-            "samples": self.samples,
-            "means": self.means,
-            "seed": self.seed,
-            "degenerate_ratios": self.degenerate_ratios,
-        }
-
-
 _QUANTITIES = ("dag_edges", "overlap_edges", "overlap_weight")
 
 
@@ -82,27 +57,25 @@ def _line_graph_quantities(h: Hypergraph) -> dict[str, float]:
     }
 
 
-def retention_report(h: Hypergraph, samples: int, master_seed: int) -> LayerRandomizationReport:
-    """Rebuild the containment DAG and overlap graph on ``samples``
-    randomizations and report each quantity as a proportion of its observed
-    value, plus the mean across samples."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+def retention_report(h: Hypergraph, randomized: Iterable[Hypergraph], master_seed: int) -> dict:
+    """The document ``hypernest randomize`` prints: the observed line-graph
+    quantities of ``h``, each randomized sample's as a proportion of them
+    (0/0 reads 1.0 and is flagged in ``degenerate_ratios``), and their means.
+    The samples are read once, in order, so a generator is never held whole;
+    ``master_seed`` is the seed they were drawn under."""
     observed = _line_graph_quantities(h)
-    degenerate = sorted(name for name in _QUANTITIES if observed[name] == 0)
-    rows: list[dict[str, float]] = []
-    randomized = list(layer_samples(h, samples, master_seed))
+    rows = []
     for sample in randomized:
         values = _line_graph_quantities(sample)
         rows.append(
             {name: values[name] / observed[name] if observed[name] else 1.0 for name in _QUANTITIES}
         )
-    means = {name: sum(r[name] for r in rows) / samples for name in _QUANTITIES}
-    return LayerRandomizationReport(
-        observed=observed,
-        samples=rows,
-        means=means,
-        seed=master_seed,
-        degenerate_ratios=degenerate,
-        randomized=randomized,
-    )
+    if not rows:
+        raise ValueError("retention_report needs at least one sample")
+    return {
+        "observed": observed,
+        "samples": rows,
+        "means": {name: sum(r[name] for r in rows) / len(rows) for name in _QUANTITIES},
+        "seed": master_seed,
+        "degenerate_ratios": sorted(name for name in _QUANTITIES if observed[name] == 0),
+    }

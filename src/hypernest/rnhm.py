@@ -198,8 +198,10 @@ def generate(params: RnhmParams, rng: np.random.Generator) -> RnhmSample:
                 rewire_rejections=rewire_rejections,
             )
         connectivity_rejections += 1
-    raise GenerationError(
-        f"no connected sample within {MAX_ATTEMPTS} attempts "
-        f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible); "
-        "the parameter combination may make connectivity too unlikely"
-    )
+    message = (f"no connected sample within {MAX_ATTEMPTS} attempts "
+               f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible)")
+    if connectivity_rejections:
+        message += "; the parameter combination may make connectivity too unlikely"
+    if rewire_rejections:
+        message += "; rewires found no room outside their supersets"
+    raise GenerationError(message)

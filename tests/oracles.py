@@ -308,8 +308,11 @@ def rnhm_generate(params, rng) -> rnhm.RnhmSample:
         if is_connected(h):
             return rnhm.RnhmSample(h, rewired, connectivity_rejections, rewire_rejections)
         connectivity_rejections += 1
+    hints = [hint for count, hint in (
+        (connectivity_rejections, "the parameter combination may make connectivity too unlikely"),
+        (rewire_rejections, "rewires found no room outside their supersets")) if count]
     raise rnhm.GenerationError(
         f"no connected sample within {rnhm.MAX_ATTEMPTS} attempts "
-        f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible); "
-        "the parameter combination may make connectivity too unlikely"
+        f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible)"
+        + "".join(f"; {hint}" for hint in hints)
     )

@@ -509,6 +509,16 @@ class TestRandomize:
         assert len(calls) == 3
         assert len(list((tmp_path / "samples").iterdir())) == 3
 
+    def test_report_same_with_and_without_samples(self, plain_file, tmp_path):
+        # the samples are held as a list only when --emit-samples writes them
+        runs = {"alone": (), "with-samples": ("--emit-samples", tmp_path / "samples")}
+        for name, extra in runs.items():
+            assert run_cli("randomize", plain_file, "--samples", "3", "--seed", "2",
+                           "--out", tmp_path / f"{name}.json", *extra) == 0
+        alone, written = ((tmp_path / f"{name}.json").read_bytes() for name in runs)
+        assert alone == written
+        assert len(json.loads(alone)["samples"]) == 3
+
 
 class TestRnhm:
     def test_generates_with_manifest(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypernest import (
     build_influence,
     filter_by_size,
     largest_connected_component,
+    layer_samples,
     load_simplex_dataset,
     retention_report,
     run_experiment,
@@ -42,8 +43,8 @@ class TestFullDatasetStatistics:
 class TestRetentionDirection:
     def test_enron_containment_drops_more_than_overlap(self):
         h = largest_connected_component(load_filtered("email-Enron"))
-        report = retention_report(h, samples=5, master_seed=0)
-        assert report.means["dag_edges"] < report.means["overlap_edges"]
+        doc = retention_report(h, layer_samples(h, 5, 0), master_seed=0)
+        assert doc["means"]["dag_edges"] < doc["means"]["overlap_edges"]
 
 
 class TestContactSaturation:

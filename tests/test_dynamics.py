@@ -350,6 +350,17 @@ class TestEngineInvariants:
         with pytest.raises(ValueError):
             run(h, DynamicsConfig(), seeds=[5])
 
+    def test_non_integer_seed_ids_rejected(self):
+        h = Hypergraph([[1, 2, 3], [1, 2], [1]])
+        influence = build_influence(h, "strict")
+        for seeds, seed_nodes in (([[1.7]], ()), ([[0]], [[0.0]]), ([["1"]], ())):
+            with pytest.raises(ValueError, match="must be integers"):
+                spread(h, influence, DynamicsConfig(), seeds, seed_nodes)
+        # empty lists and empty int arrays stay valid rows
+        batch = spread(h, influence, DynamicsConfig(),
+                       [[], np.empty(0, np.int64), [2], np.array([1], np.int32)])
+        assert [batch.steps(run)[0] for run in range(4)] == [[], [], [2], [1]]
+
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
         batch = run(h, DynamicsConfig(), seeds=[0, 1])

@@ -262,6 +262,11 @@ class TestLargestConnectedComponent:
         out = largest_connected_component(h)
         assert oracles.label_sets(out) == frozenset({frozenset({1, 2})})
 
+    def test_tie_of_labels_that_do_not_compare_keeps_lowest_node_id(self):
+        # a tuple label and an int label do not compare; node ids follow first appearance
+        assert largest_connected_component(Hypergraph([[(1,)], [2]])).labels == ((1,),)
+        assert largest_connected_component(Hypergraph([[2], [(1,)]])).labels == (2,)
+
     def test_is_connected(self):
         assert is_connected(Hypergraph([[1, 2], [2, 3]]))
         assert not is_connected(Hypergraph([[1, 2], [3, 4]]))

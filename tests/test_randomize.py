@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import hypernest.randomize as randomize_mod
 import oracles
 from conftest import hypergraphs
-from hypernest import Hypergraph, layer_randomize, retention_report, spawn_rng
+from hypernest import Hypergraph, layer_randomize, layer_samples, retention_report, spawn_rng
+from hypernest.linegraph import build_encapsulation_dag
 
 
 def layer_profile(h: Hypergraph):
@@ -83,45 +84,63 @@ class TestLayerRandomize:
 
 
 class TestRetentionReport:
-    def test_identity_randomization_gives_ones(self, monkeypatch):
-        monkeypatch.setattr(randomize_mod, "layer_randomize", lambda h, rng: h)
+    def test_identity_randomization_gives_ones(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3]])
-        report = retention_report(h, samples=3, master_seed=0)
-        for row in report.samples:
+        report = retention_report(h, [h, h, h], master_seed=0)
+        for row in report["samples"]:
             assert row["dag_edges"] == 1.0
             assert row["overlap_edges"] == 1.0
             assert row["overlap_weight"] == 1.0
-        assert report.means == {"dag_edges": 1.0, "overlap_edges": 1.0, "overlap_weight": 1.0}
+        assert report["means"] == {"dag_edges": 1.0, "overlap_edges": 1.0, "overlap_weight": 1.0}
 
     def test_zero_observed_flagged_as_one(self):
         h = Hypergraph([[1, 2], [3, 4]])  # no containment, no overlap
-        report = retention_report(h, samples=2, master_seed=0)
-        assert report.observed["dag_edges"] == 0
-        assert set(report.degenerate_ratios) == {"dag_edges", "overlap_edges", "overlap_weight"}
-        for row in report.samples:
+        report = retention_report(h, layer_samples(h, 2, 0), master_seed=0)
+        assert report["observed"]["dag_edges"] == 0
+        assert report["degenerate_ratios"] == ["dag_edges", "overlap_edges", "overlap_weight"]
+        for row in report["samples"]:
             assert row["dag_edges"] == 1.0
 
     def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            retention_report(Hypergraph([[1, 2]]), samples=0, master_seed=0)
+        h = Hypergraph([[1, 2]])
+        for empty in ([], iter(()), layer_samples(h, 0, 0)):
+            with pytest.raises(ValueError, match="at least one sample"):
+                retention_report(h, empty, master_seed=0)
+
+    def test_reads_each_sample_once_in_order(self, monkeypatch):
+        h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [3, 4], [1, 4]])
+        samples = list(layer_samples(h, 3, 8))
+        expected = retention_report(h, samples, master_seed=8)
+        read, built = [], []
+
+        def one_shot():
+            for sample in samples:
+                read.append(sample)
+                yield sample
+
+        def counted(g):
+            built.append(g)
+            return build_encapsulation_dag(g)
+
+        monkeypatch.setattr(randomize_mod, "build_encapsulation_dag", counted)
+        assert retention_report(h, one_shot(), master_seed=8) == expected
+        assert read == samples
+        assert built == [h, *samples]
 
     def test_report_shape_and_collapse_count(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
-        report = retention_report(h, samples=4, master_seed=5)
-        assert len(report.samples) == 4
-        assert report.seed == 5
+        report = retention_report(h, layer_samples(h, 4, 5), master_seed=5)
+        assert list(report) == ["observed", "samples", "means", "seed", "degenerate_ratios"]
+        assert len(report["samples"]) == 4
+        assert report["seed"] == 5
         # a per-layer bijection cannot merge distinct hyperedges
         for i in range(4):
             assert layer_randomize(h, spawn_rng(5, "layer-randomization", i)).m == h.m
-        doc = report.to_json_dict()
-        assert set(doc) == {"observed", "samples", "means", "seed", "degenerate_ratios"}
 
     def test_same_streams_as_direct_calls(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [3, 4], [1, 4]])
-        report = retention_report(h, samples=2, master_seed=17)
-        from hypernest.linegraph import build_encapsulation_dag
-
+        report = retention_report(h, layer_samples(h, 2, 17), master_seed=17)
         direct = layer_randomize(h, spawn_rng(17, "layer-randomization", 0))
         expect = build_encapsulation_dag(direct).edge_count
-        observed = report.observed["dag_edges"]
-        assert report.samples[0]["dag_edges"] == (expect / observed if observed else 1.0)
+        observed = report["observed"]["dag_edges"]
+        assert report["samples"][0]["dag_edges"] == (expect / observed if observed else 1.0)

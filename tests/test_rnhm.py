@@ -230,6 +230,23 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="attempts"):
             generate(params, spawn_rng(0, "rnhm"))
 
+    @pytest.mark.parametrize("params,seed,attempts,counts,hints", [
+        # no draw has room for a rewire: no hint about connectivity
+        (RnhmParams(4, 3, 2, {2: 0.0}), 0, 100, "0 disconnected, 100 rewire-infeasible",
+         "rewires found no room outside their supersets"),
+        (RnhmParams(20, 2, 2), 0, 2, "2 disconnected, 0 rewire-infeasible",
+         "the parameter combination may make connectivity too unlikely"),
+        (RnhmParams(6, 3, 2, {2: 0.8}), 2991, 2, "1 disconnected, 1 rewire-infeasible",
+         "the parameter combination may make connectivity too unlikely; "
+         "rewires found no room outside their supersets"),
+    ])
+    def test_final_error_names_each_cause_seen(self, monkeypatch, params, seed, attempts,
+                                               counts, hints):
+        monkeypatch.setattr(rnhm_mod, "MAX_ATTEMPTS", attempts)
+        with pytest.raises(GenerationError) as info:
+            generate(params, spawn_rng(seed, "rnhm"))
+        assert str(info.value) == f"no connected sample within {attempts} attempts ({counts}); {hints}"
+
     def test_regenerates_golden_fixture(self, tmp_path, capsys):
         # the RNHM part of golden/nested.txt, which has 40 rewires
         out = tmp_path / "rnhm.txt"
@@ -248,7 +265,7 @@ class TestGenerate:
         out = tmp_path / "rnhm.txt"
         assert main(["rnhm", "--nodes", "6", "--max-size", "3", "--max-edges", "2",
                      "--eps", "0.8", "--seed", "3937", "--out", str(out)]) == 0
-        assert "rewired=3 rejections=1" in capsys.readouterr().out
+        assert "rewired=3 rejections=1 rewire_rejections=1\n" in capsys.readouterr().out
         block = json.loads(out.with_name("rnhm.txt.manifest.json").read_text())["rnhm"]
         assert {key: block[key] for key in counts} == counts
 
