@@ -220,8 +220,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
     if args.randomize:
         pair_sums: dict[str, float] = {}
         for randomized in randomize.layer_samples(h, args.randomize, args.seed):
-            rdag = build_encapsulation_dag(randomized)
-            rcounts = encapsulation_counts(randomized, rdag)
+            rcounts = encapsulation_counts(randomized, build_encapsulation_dag(randomized))
             for (n, m_), c in rcounts.pair_counts.items():
                 pair_sums[f"{n},{m_}"] = pair_sums.get(f"{n},{m_}", 0.0) + c
         doc["randomized"] = {
@@ -374,24 +373,18 @@ def cmd_rnhm_sweep(args: argparse.Namespace) -> int:
     strategies = grid_values("--strategies", args.strategies, STRATEGIES)
     seed_counts = grid_values("--seed-counts", args.seed_counts)
     config = DynamicsConfig(args.variant, args.tau)
+    grid = experiments.ExperimentGrid(config, strategies, seed_counts)
     rows = [["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"]]
     pairs = [(eps2, eps3, rnhm.RnhmParams(args.nodes, args.max_size, args.max_edges, {
         s: (eps2 if s == 2 else eps3) for s in range(2, args.max_size)}, include_singletons=True))
         for eps2, eps3 in product(eps_values, eps_values)]
     for eps2, eps3, params in pairs:
-        realizations = []
-        for r in range(args.realizations):
-            h = rnhm.generate(params, rng.spawn_rng(args.seed + r, "rnhm")).hypergraph
-            realizations.append((h, build_influence(h, args.variant)))
+        realizations = [rnhm.generate(params, rng.spawn_rng(args.seed + r, "rnhm")).hypergraph
+                        for r in range(args.realizations)]
         if len(rows) == 1:  # once: every realization holds 1-node hyperedges
-            warn_self_activation(f"hypernest {args.command}", realizations[0][0], config)
-        for strategy, seed_count in product(strategies, seed_counts):
-            # one-cell grid per realization, pooled realization-major: the order
-            # fixes the rounding of the mean and stderr sums
-            mean, stderr = experiments.mean_stderr([
-                rec.proportion for r, (h, influence) in enumerate(realizations)
-                for rec in experiments.run_experiment(h, influence, experiments.ExperimentGrid(
-                    config, (strategy,), (min(seed_count, h.m),)), args.runs, args.seed + r)])
+            warn_self_activation(f"hypernest {args.command}", realizations[0], config)
+        for (strategy, seed_count), (mean, stderr) in zip(grid.cells(), experiments.pooled_cells(
+                realizations, grid, args.runs, args.seed)):
             rows.append([eps2, eps3, strategy, seed_count, f"{mean:.6f}", f"{stderr:.6f}"])
             print(f"eps2={eps2} eps3={eps3} {strategy:>14} seeds={seed_count:>4} "
                   f"-> {mean:.4f} +/- {stderr:.4f}")

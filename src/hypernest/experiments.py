@@ -11,7 +11,7 @@ cell's runs with one ``dynamics.pick_seeds`` call, which checks the cell.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from math import sqrt
 from pathlib import Path
@@ -63,14 +63,14 @@ class CellSummary:
 
 
 def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
-                  runs: int, master_seed: int) -> Batch:
+                  runs: int, master_seed: int, streams: np.ndarray) -> Batch:
     """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
-    batch, each run's seeds drawn from the seed-selection stream of (cell,
-    run) under ``master_seed``: the streams in one derivation, each stretch
-    of one cell's runs in one ``pick_seeds`` call."""
+    batch, each run's seeds drawn from the seed-selection stream of
+    (``streams[cell]``, run) under ``master_seed``: the streams in one
+    derivation, each stretch of one cell's runs in one ``pick_seeds`` call."""
     cells = grid.cells()
     cell, run = np.divmod(np.arange(lo, hi), runs)
-    gens = spawn_rngs(master_seed, "seed-selection", cell, run)
+    gens = spawn_rngs(master_seed, "seed-selection", streams[cell], run)
     bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), hi - lo]
     seeds = [row for a, b in zip(bounds, bounds[1:])
              for row in pick_seeds(h, *cells[cell[a]], gens[a:b])]
@@ -81,50 +81,40 @@ def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
                master_seed: int) -> Batch:
     """Run 0 of every cell as one batch whose run c is cell c;
     ``run_experiment`` records the same runs."""
-    return _spread_range(h, influence, grid, 0, len(grid.cells()), 1, master_seed)
+    cells = len(grid.cells())
+    return _spread_range(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells))
 
 
-def _run_tasks(args) -> list[RunRecord]:
-    """Records of the flat run indices ``start`` to ``stop``, in order, from
-    ``spread`` calls of at most ``influence.batch_runs(h)`` runs each."""
-    h, influence, grid, (start, stop), runs, master_seed, dataset = args
-    cells, config = grid.cells(), grid.config
+def _run_tasks(args) -> np.ndarray:
+    """Rounds that activated something and final active count (two rows) of
+    the flat run indices ``start`` to ``stop``, from ``spread`` calls of at
+    most ``influence.batch_runs(h)`` runs each."""
+    h, influence, grid, (start, stop), runs, master_seed, streams = args
     per_batch = influence.batch_runs(h)
-    records = []
+    outcomes = np.zeros((2, stop - start), dtype=np.int64)
     for lo in range(start, stop, per_batch):
         hi = min(lo + per_batch, stop)
-        batch = _spread_range(h, influence, grid, lo, hi, runs, master_seed)
-        for i, steps, final in zip(range(lo, hi), batch.num_steps().tolist(),
-                                   batch.final_active().tolist()):
-            (strategy, seeded), run = cells[i // runs], i % runs
-            records.append(RunRecord(dataset, config.variant, strategy, seeded, config.tau, run,
-                                     steps, final, final - seeded,
-                                     activation_proportion(h.m, seeded, final)))
-    return records
+        batch = _spread_range(h, influence, grid, lo, hi, runs, master_seed, streams)
+        outcomes[:, lo - start:hi - start] = batch.num_steps(), batch.final_active()
+    return outcomes
 
 
-def run_experiment(
-    h: Hypergraph,
-    influence: Influence,
-    grid: ExperimentGrid,
-    runs: int,
-    master_seed: int,
-    dataset: str = "",
-    jobs: int = 1,
-) -> list[RunRecord]:
+def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
+                   master_seed: int, dataset: str = "", jobs: int = 1) -> list[RunRecord]:
     """All (cell, run) results on ``h`` under ``influence``, the map of the
     grid's variant, in deterministic cell-major order, run ``run`` of cell
-    ``cell`` at the flat index ``cell * runs + run``. The flat indices go to
-    the engine together, split into ``jobs`` contiguous ranges run by as
-    many worker processes."""
+    ``cell`` at the flat index ``cell * runs + run`` on the streams of its
+    own cell index. The flat indices go to the engine together, split into
+    ``jobs`` contiguous ranges run by as many worker processes."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    total = len(grid.cells()) * runs
+    cells, config = grid.cells(), grid.config
+    total = len(cells) * runs
     parts = min(jobs, total) or 1
     bounds = [total * i // parts for i in range(parts + 1)]
-    work = [(h, influence, grid, span, runs, master_seed, dataset)
+    work = [(h, influence, grid, span, runs, master_seed, np.arange(len(cells)))
             for span in zip(bounds, bounds[1:])]
     if parts > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
@@ -135,7 +125,10 @@ def run_experiment(
             parts_done = list(pool.map(_run_tasks, work))
     else:
         parts_done = map(_run_tasks, work)
-    return [rec for part in parts_done for rec in part]
+    steps, finals = np.concatenate(list(parts_done), axis=1).tolist()
+    return [RunRecord(dataset, config.variant, strategy, seeded, config.tau, i % runs, steps[i],
+                      final, final - seeded, activation_proportion(h.m, seeded, final))
+            for i, final in enumerate(finals) for strategy, seeded in [cells[i // runs]]]
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
@@ -146,6 +139,27 @@ def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, sqrt(var / n)
+
+
+def pooled_cells(hypergraphs: Sequence[Hypergraph], grid: ExperimentGrid, runs: int,
+                 master_seed: int) -> list[tuple[float, float]]:
+    """Per cell of ``grid``, mean and standard error of the activation
+    proportion over ``runs`` runs on each of ``hypergraphs`` in turn, the
+    k-th under master seed ``master_seed + k`` with seed counts clamped to
+    its m. Run r of every cell draws from ("seed-selection", 0, r), as a
+    one-cell grid's does, so all cells x runs go to the engine as one range."""
+    pooled = [[] for _ in grid.cells()]
+    for k, h in enumerate(hypergraphs):
+        clamped = replace(grid, seed_counts=tuple(min(c, h.m) for c in grid.seed_counts))
+        cells = clamped.cells()
+        finals = _run_tasks((h, build_influence(h, grid.config.variant), clamped,
+                             (0, len(cells) * runs), runs, master_seed + k,
+                             np.zeros(len(cells), dtype=np.int64)))[1].tolist()
+        # realization-major, as the one-cell grids were pooled: the order
+        # fixes the rounding of the mean and stderr sums
+        for i, final in enumerate(finals):
+            pooled[i // runs].append(activation_proportion(h.m, cells[i // runs][1], final))
+    return [mean_stderr(values) for values in pooled]
 
 
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
@@ -172,16 +186,9 @@ class RandomizedComparison:
     difference: float
 
 
-def randomized_comparison(
-    h: Hypergraph,
-    influence: Influence,
-    grid: ExperimentGrid,
-    runs: int,
-    samples: int,
-    master_seed: int,
-    dataset: str = "",
-    jobs: int = 1,
-) -> tuple[list[RunRecord], list[RandomizedComparison]]:
+def randomized_comparison(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
+                          samples: int, master_seed: int, dataset: str = "", jobs: int = 1
+                          ) -> tuple[list[RunRecord], list[RandomizedComparison]]:
     """Run the grid on the observed ``h`` (under ``influence``, the map of
     the grid's variant) and on ``samples`` layer randomizations, each under
     its own map; returns observed records plus per-cell comparisons."""
@@ -196,13 +203,10 @@ def randomized_comparison(
                                  grid, runs, master_seed, jobs=jobs)
         for s in summarize(records):
             randomized_sums[(s.strategy, s.seeds)] += s.mean_proportion
-    comparisons = []
-    for key in grid.cells():
-        rand_mean = randomized_sums[key] / samples
-        comparisons.append(RandomizedComparison(dataset, grid.config.variant, *key, grid.config.tau,
-                                                observed[key], rand_mean,
-                                                observed[key] - rand_mean))
-    return observed_records, comparisons
+    means = {key: total / samples for key, total in randomized_sums.items()}
+    return observed_records, [
+        RandomizedComparison(dataset, grid.config.variant, *key, grid.config.tau, observed[key],
+                             means[key], observed[key] - means[key]) for key in grid.cells()]
 
 
 def write_records_csv(records: Sequence[RunRecord], path: str | Path) -> None:

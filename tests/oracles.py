@@ -13,7 +13,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from hypernest import Hypergraph, rnhm
+from hypernest import ExperimentGrid, Hypergraph, build_influence, rnhm, run_experiment
+from hypernest.experiments import mean_stderr
 from hypernest.hypergraph import is_connected, split_rows
 from hypernest.linegraph import HyperedgeDag
 
@@ -316,3 +317,17 @@ def rnhm_generate(params, rng) -> rnhm.RnhmSample:
         f"({connectivity_rejections} disconnected, {rewire_rejections} rewire-infeasible)"
         + "".join(f"; {hint}" for hint in hints)
     )
+
+
+def sweep_cells(hypergraphs, grid, runs: int, master_seed: int) -> list[tuple[float, float]]:
+    """The per-cell pooling of ``experiments.pooled_cells`` done one cell at a
+    time: per cell, one one-cell ``run_experiment`` on each hypergraph k (master
+    seed ``master_seed + k``, seed count clamped to its m), the proportions
+    pooled hypergraph-major into one mean and standard error."""
+    pooled = []
+    for strategy, count in grid.cells():
+        pooled.append(mean_stderr([
+            rec.proportion for k, h in enumerate(hypergraphs)
+            for rec in run_experiment(h, build_influence(h, grid.config.variant), ExperimentGrid(
+                grid.config, (strategy,), (min(count, h.m),)), runs, master_seed + k)]))
+    return pooled

@@ -10,10 +10,12 @@ import pytest
 
 import hypernest.cli as cli_mod
 import hypernest.dynamics as dynamics_mod
+import hypernest.experiments as experiments_mod
 import hypernest.randomize as randomize_mod
 import hypernest.rnhm as rnhm_mod
 from hypernest import largest_connected_component, parse_plain
 from hypernest.cli import main
+from test_golden import GOLDEN, run_sweep
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -414,6 +416,37 @@ def test_rnhm_sweep_generates_each_realization_once(tmp_path, monkeypatch, capsy
     )
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert len(calls) == 4 * 3
+
+
+def count_spread_runs(monkeypatch) -> list[int]:
+    """The runs of each contagion engine call the experiment harness makes."""
+    calls, spread = [], experiments_mod.spread
+
+    def counted(h, influence, config, seeds, *rest):
+        calls.append(len(seeds))
+        return spread(h, influence, config, seeds, *rest)
+
+    monkeypatch.setattr(experiments_mod, "spread", counted)
+    return calls
+
+
+def test_rnhm_sweep_runs_each_realization_in_one_batch(tmp_path, monkeypatch, capsys):
+    # default grid: 2x2 eps pairs, 10 cells of 3 runs, one spread call per
+    # realization (one per cell and realization, 40 x 2, before batching)
+    calls = count_spread_runs(monkeypatch)
+    assert run_cli("rnhm-sweep", "--realizations", "2", "--runs", "3",
+                   "--out", tmp_path / "o.csv") == 0
+    assert calls == [10 * 3] * 4 * 2
+
+
+@pytest.mark.parametrize("budget", [1, 700])
+def test_rnhm_sweep_batches_ending_inside_cells_match_golden(tmp_path, monkeypatch, budget):
+    # runs of one cell split across batches draw the same seeds
+    calls = count_spread_runs(monkeypatch)
+    monkeypatch.setattr(dynamics_mod, "_BATCH_KEYS", budget)
+    path = run_sweep(tmp_path)
+    assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+    assert max(calls) < 3 * 4 and any(runs % 4 for runs in calls)
 
 
 class TestEncapsulation:

@@ -338,6 +338,36 @@ class TestEngineInvariants:
         assert sum(runs for runs, _ in held) == 12 * len(VARIANTS)
         assert all(runs == 1 or largest <= budget for runs, largest in held)
 
+    @given(hypergraphs(max_nodes=20, max_edges=80), st.sampled_from([64, 512, 4096]),
+           st.integers(1, 7))
+    @settings(max_examples=20)
+    def test_sweep_batches_stay_within_the_key_budget(self, h, budget, runs):
+        # a sweep hands each hypergraph's cells x runs to the engine as one
+        # range: every spread call, and every stream derivation, still holds
+        # at most batch_runs runs
+        spread_runs, stream_runs = [], []
+        spawn_rngs = experiments_mod.spawn_rngs
+
+        def batch(h, influence, config, seeds, *rest):
+            spread_runs.append(len(seeds))
+            return spread(h, influence, config, seeds, *rest)
+
+        def derive(master_seed, *path):
+            stream_runs.append(len(path[-1]))
+            return spawn_rngs(master_seed, *path)
+
+        with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
+                mock.patch.object(experiments_mod, "spread", batch), \
+                mock.patch.object(experiments_mod, "spawn_rngs", derive):
+            for variant in VARIANTS:
+                grid = ExperimentGrid(DynamicsConfig(variant), STRATEGIES, (0, 1, h.m + 1))
+                experiments_mod.pooled_cells([h, h], grid, runs, 0)
+                assert sum(spread_runs) == 2 * len(grid.cells()) * runs
+                assert max(spread_runs) <= build_influence(h, variant).batch_runs(h)
+                assert stream_runs == spread_runs
+                spread_runs.clear()
+                stream_runs.clear()
+
     def test_deterministic_trajectories(self):
         h = Hypergraph([[1], [2], [1, 2], [2, 3], [1, 2, 3]])
         config = DynamicsConfig(variant="non-strict")

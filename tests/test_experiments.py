@@ -2,20 +2,23 @@ from __future__ import annotations
 
 import csv
 from dataclasses import replace
+from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
 import oracles
 from conftest import hypergraphs, pick_seeds
-from hypernest import (DynamicsConfig, ExperimentGrid, Hypergraph, RunRecord, build_influence,
+from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
+                       RunRecord, build_influence, generate, spawn_rng,
                        run_experiment, summarize)
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
-from hypernest.experiments import first_runs, randomized_comparison, write_records_csv
+from hypernest.experiments import (first_runs, pooled_cells, randomized_comparison,
+                                   write_records_csv)
 
 
 @pytest.fixture
@@ -269,6 +272,45 @@ class TestFirstRuns:
         with mock.patch("hypernest.experiments.spread", counted):
             first_runs(ladder, build_influence(ladder, "non-strict"), GRID, 0)
         assert calls == [len(GRID.cells())]
+
+
+@st.composite
+def sweep_params(draw) -> RnhmParams:
+    """RNHM parameters small enough for many sweeps."""
+    nodes = draw(st.integers(4, 12))
+    max_size = draw(st.integers(2, 4))
+    max_edges = draw(st.integers(1, min(4, comb(nodes, max_size))))
+    keep = {s: draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))) for s in range(2, max_size)}
+    return RnhmParams(nodes, max_size, max_edges, keep, draw(st.booleans()))
+
+
+class TestPooledCells:
+    """``pooled_cells`` runs each hypergraph's cells x runs as one range on
+    shared streams; its rows must be those of one one-cell grid per cell."""
+
+    @given(params=sweep_params(), variant=st.sampled_from(VARIANTS), tau=st.integers(0, 2),
+           realizations=st.integers(1, 3), seed=st.integers(0, 2**16),
+           counts=st.lists(st.integers(1, 20), max_size=2, unique=True), runs=st.integers(1, 7),
+           budget=st.sampled_from([1, 64, dynamics_mod._BATCH_KEYS]))
+    # the benchmark sweep's parameters at its first keep-probability pair
+    @example(params=RnhmParams(20, 4, 5, {2: 0.0, 3: 0.0}, True), variant="strict", tau=1,
+             realizations=2, seed=0, counts=[1, 5, 10, 20, 35], runs=7, budget=700)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_rows_match_one_cell_grids(self, params, variant, tau, realizations, seed, counts,
+                                       runs, budget):
+        try:
+            hs = [generate(params, spawn_rng(seed + r, "rnhm")).hypergraph
+                  for r in range(realizations)]
+        except GenerationError:
+            assume(False)
+        config = DynamicsConfig(variant, tau if variant == "threshold" else max(tau, 1))
+        # 0 and a count above every m, which each hypergraph clamps to its m
+        grid = ExperimentGrid(config, STRATEGIES, (0, *counts, 99))
+        # a budget of one key runs one run per batch; smaller budgets end
+        # batches inside cells
+        with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget):
+            rows = pooled_cells(hs, grid, runs, seed)
+        assert rows == oracles.sweep_cells(hs, grid, runs, seed)
 
 
 class TestSummaries:
