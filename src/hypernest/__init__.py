@@ -12,9 +12,14 @@ import sys
 
 __version__ = "0.1.0"
 
+# the contagion variants and seed strategies of ``dynamics``, defined here so
+# that the command-line parser offers them without executing the engine
+VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
+STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
+
 # submodule -> the public names it defines; the one list of the package's names
 _EXPORTS = {
-    "dagpaths": ("RootedHeightReport", "rooted_heights", "transitive_reduction"),
+    "dagpaths": ("rooted_heights", "transitive_reduction"),
     "dynamics": ("DynamicsConfig", "build_influence"),
     "experiments": ("ExperimentGrid", "RunRecord", "randomized_comparison", "run_experiment",
                     "summarize"),
@@ -22,8 +27,8 @@ _EXPORTS = {
                    "is_connected", "largest_connected_component", "load_plain",
                    "load_simplex_dataset", "parse_plain", "preprocess", "projected_density",
                    "write_plain"),
-    "linegraph": ("EncapsulationCounts", "HyperedgeDag", "OverlapGraph", "adjacent_layer_dag",
-                  "build_encapsulation_dag", "build_overlap_graph", "encapsulation_counts"),
+    "linegraph": ("HyperedgeDag", "OverlapGraph", "adjacent_layer_dag", "build_encapsulation_dag",
+                  "build_overlap_graph", "encapsulation_counts"),
     "randomize": ("layer_randomize", "layer_samples", "retention_report"),
     "rng": ("spawn_rng",),
     "rnhm": ("GenerationError", "RnhmParams", "RnhmSample", "generate", "rewire_edge"),

@@ -24,11 +24,11 @@ from itertools import product, takewhile
 from pathlib import Path
 
 # The package registers its modules lazily, so a module executes on its first
-# attribute use. Names are imported only from the modules that the parser,
+# attribute use. Names are imported only from the package and the module that
 # load_input and publish execute anyway; the others are reached as attributes
 # where they are called, so a command executes only the modules it runs.
-from . import __version__, dagpaths, experiments, randomize, rng, rnhm
-from .dynamics import STRATEGIES, VARIANTS, DynamicsConfig, build_influence
+from . import (STRATEGIES, VARIANTS, __version__, dagpaths, dynamics, experiments, linegraph,
+               randomize, rng, rnhm)
 from .hypergraph import (
     FormatError,
     Hypergraph,
@@ -38,7 +38,6 @@ from .hypergraph import (
     projected_density,
     write_plain,
 )
-from .linegraph import build_encapsulation_dag, encapsulation_counts
 
 
 class Parser(argparse.ArgumentParser):
@@ -86,7 +85,7 @@ def grid_values(option: str, text: str, kind: tuple[str, ...] | type = int) -> t
     return values
 
 
-def warn_self_activation(prog: str, h: Hypergraph, config: DynamicsConfig) -> None:
+def warn_self_activation(prog: str, h: Hypergraph, config: dynamics.DynamicsConfig) -> None:
     """One stderr line when the threshold process's ``tau`` is at least the
     smallest hyperedge size of ``h``: hyperedges of at most ``tau`` nodes
     then self-activate. Layer samples keep every size, so the check on an
@@ -203,7 +202,7 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
 def cmd_stats(args: argparse.Namespace) -> int:
     h = load_input(args)
     stats = {"n": h.n, "m": h.m, "projected_density": projected_density(h),
-             "dag_edges": build_encapsulation_dag(h).edge_count}
+             "dag_edges": linegraph.build_encapsulation_dag(h).edge_count}
     text = json.dumps(stats, indent=2) + "\n"
     line = "n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}\n"
     return publish(args, [(args.out, text)],
@@ -212,15 +211,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_encapsulation(args: argparse.Namespace) -> int:
     h = load_input(args)
-    dag = build_encapsulation_dag(h)
-    counts = encapsulation_counts(h, dag)
+    dag = linegraph.build_encapsulation_dag(h)
+    counts = linegraph.encapsulation_counts(h, dag)
     doc: dict = {
         "observed": counts.to_json_dict(normalized=args.normalized, histograms=args.histograms)
     }
     if args.randomize:
         pair_sums: dict[str, float] = {}
         for randomized in randomize.layer_samples(h, args.randomize, args.seed):
-            rcounts = encapsulation_counts(randomized, build_encapsulation_dag(randomized))
+            rcounts = linegraph.encapsulation_counts(
+                randomized, linegraph.build_encapsulation_dag(randomized))
             for (n, m_), c in rcounts.pair_counts.items():
                 pair_sums[f"{n},{m_}"] = pair_sums.get(f"{n},{m_}", 0.0) + c
         doc["randomized"] = {
@@ -234,7 +234,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
 
 def cmd_heights(args: argparse.Namespace) -> int:
     h = load_input(args)
-    report = dagpaths.rooted_heights(build_encapsulation_dag(h), h)
+    report = dagpaths.rooted_heights(linegraph.build_encapsulation_dag(h), h)
     summary: dict = {
         "observed": {
             "roots": report.num_roots,
@@ -247,7 +247,8 @@ def cmd_heights(args: argparse.Namespace) -> int:
         sample_max = []
         sample_dists = []
         for randomized in randomize.layer_samples(h, args.randomize, args.seed):
-            rreport = dagpaths.rooted_heights(build_encapsulation_dag(randomized), randomized)
+            rdag = linegraph.build_encapsulation_dag(randomized)
+            rreport = dagpaths.rooted_heights(rdag, randomized)
             sample_max.append(rreport.max_height())
             sample_dists.append({str(k): v for k, v in rreport.height_distribution().items()})
         summary["randomized"] = {
@@ -330,11 +331,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for count in seed_counts:
         if count > h.m:
             raise ValueError(f"seed count {count} exceeds hyperedge count {h.m}")
-    config = DynamicsConfig(args.variant, args.tau, args.max_steps, args.comparison)
+    config = dynamics.DynamicsConfig(args.variant, args.tau, args.max_steps, args.comparison)
     grid = experiments.ExperimentGrid(config, strategies, seed_counts)
     warn_self_activation(f"hypernest {args.command}", h, config)
     dataset = args.dataset or Path(args.input).name
-    influence = build_influence(h, args.variant)
+    influence = dynamics.build_influence(h, args.variant)
     if args.randomize:
         records, comparisons = experiments.randomized_comparison(
             h, influence, grid, args.runs, args.randomize, args.seed, dataset=dataset,
@@ -372,7 +373,7 @@ def cmd_rnhm_sweep(args: argparse.Namespace) -> int:
     eps_values = grid_values("--eps-grid", args.eps_grid, float)
     strategies = grid_values("--strategies", args.strategies, STRATEGIES)
     seed_counts = grid_values("--seed-counts", args.seed_counts)
-    config = DynamicsConfig(args.variant, args.tau)
+    config = dynamics.DynamicsConfig(args.variant, args.tau)
     grid = experiments.ExperimentGrid(config, strategies, seed_counts)
     rows = [["eps2", "eps3", "strategy", "seeds", "mean_proportion", "stderr"]]
     pairs = [(eps2, eps3, rnhm.RnhmParams(args.nodes, args.max_size, args.max_edges, {

@@ -27,11 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import STRATEGIES, VARIANTS
 from .hypergraph import Hypergraph, gather_rows
 from .linegraph import adjacent_layer_dag, build_encapsulation_dag
-
-VARIANTS = ("strict", "non-strict", "empirical-adjacent", "threshold")
-STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
 
 # keys one batch of runs may hold: its per-run flags and counts (m + n
 # entries a run) and any one round's int64 gather stay within this many,

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import randomize
 from .dynamics import (Batch, DynamicsConfig, Influence, activation_proportion, build_influence,
                        pick_seeds, spread)
 from .hypergraph import Hypergraph
-from .randomize import layer_samples
 from .rng import spawn_rngs
 
 
@@ -198,7 +198,7 @@ def randomized_comparison(h: Hypergraph, influence: Influence, grid: ExperimentG
                                       jobs=jobs)
     observed = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)}
     randomized_sums: dict[tuple, float] = {key: 0.0 for key in observed}
-    for randomized in layer_samples(h, samples, master_seed):
+    for randomized in randomize.layer_samples(h, samples, master_seed):
         records = run_experiment(randomized, build_influence(randomized, grid.config.variant),
                                  grid, runs, master_seed, jobs=jobs)
         for s in summarize(records):

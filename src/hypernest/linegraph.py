@@ -98,20 +98,19 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     ``h.edge_nodes`` (node u of hyperedge a) gathers the slice of u's list
     that ends just before a itself or, when ``adjacent``, the hyperedges of
     u one size smaller than a. Each slice is contiguous because the list is
-    size-ordered."""
+    size-ordered. A ValueError if the sort keys could pass int64: if n *
+    (largest size + 1) * 2^(bit length of the entry count) > 2^63 - 1."""
     total, sizes = h.edge_nodes.size, h.sizes
     pos = np.int32 if total < 2**31 else np.int64
-    count = np.bincount(sizes)
-    present = np.flatnonzero(count)
-    layers = present.size
-    layer = (np.cumsum(count > 0, dtype=np.int32) - 1)[sizes]
-    # one sort of (node, size layer, entry) keys orders every node's list;
-    # a run of equal (node, layer) is one size class of one node's list
+    width = int(sizes.max(initial=0)) + 1
     bits = total.bit_length()
-    if (h.n * layers) << bits > np.iinfo(np.int64).max:
-        raise ValueError(f"{h.n} nodes in {layers} sizes overflow the membership sort keys")
-    key = h.edge_nodes * layers
-    key += np.repeat(layer, sizes)
+    if (h.n * width) << bits > np.iinfo(np.int64).max:
+        raise ValueError(f"{h.n} nodes and sizes up to {width - 1} overflow the sort keys")
+    # one sort of ((u * width + |a|) << bits) | i keys orders every list; a
+    # run of equal u * width + |a| is one size class of u's list, and runs of
+    # two nodes differ by at least 2, as every size is at least 1
+    key = h.edge_nodes * width
+    key += np.repeat(sizes, sizes)
     key <<= bits
     key |= np.arange(total)
     key.sort()
@@ -122,30 +121,21 @@ def _size_windows(h: Hypergraph, adjacent: bool) -> tuple[np.ndarray, np.ndarray
     if adjacent:
         key >>= bits
         starts = np.flatnonzero(np.concatenate((key[:1] == key[:1], key[1:] != key[:-1])))
-        group = key[starts]
+        below = np.flatnonzero(np.diff(key[starts]) == 1) + 1
     del key
     tidx = np.repeat(np.arange(h.m, dtype=pos), sizes)[entry]
+    hi = np.empty(total, dtype=pos)
     if not adjacent:
-        hi = np.empty(total, dtype=pos)
         hi[entry] = np.arange(total, dtype=pos)
         return tidx, h.memb_ptr.astype(pos)[h.edge_nodes], hi
-    # a run gathers the run before it when that holds the same node's
-    # hyperedges one size smaller
-    step = np.zeros(layers, dtype=bool)
-    step[1:] = present[1:] - present[:-1] == 1
-    below = np.diff(group) == 1
-    below &= step[group[1:] % layers]
-    del group
     lengths = np.diff(starts, append=total)
     starts = starts.astype(pos)
-    lo_run = starts.copy()
-    below = np.flatnonzero(below) + 1
-    lo_run[below] = starts[below - 1]
-    lo = np.empty(total, dtype=pos)
-    lo[entry] = np.repeat(lo_run, lengths)
-    del lo_run
-    hi = np.empty(total, dtype=pos)
     hi[entry] = np.repeat(starts, lengths)
+    # a run gathers the run before it when they differ by 1: the same node's
+    # hyperedges one size smaller
+    starts[below] = starts[below - 1]
+    lo = np.empty(total, dtype=pos)
+    lo[entry] = np.repeat(starts, lengths)
     return tidx, lo, hi
 
 

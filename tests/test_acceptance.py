@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -23,6 +23,7 @@ from hypernest import (
     ExperimentGrid,
     Hypergraph,
     RnhmParams,
+    adjacent_layer_dag,
     build_encapsulation_dag,
     build_influence,
     build_overlap_graph,
@@ -32,6 +33,7 @@ from hypernest import (
     layer_randomize,
     layer_samples,
     load_simplex_dataset,
+    preprocess,
     projected_density,
     rooted_heights,
     spawn_rng,
@@ -41,6 +43,7 @@ from hypernest import (
 from hypernest.cli import main as cli_main
 from hypernest.dynamics import activation_proportion
 from hypernest.experiments import randomized_comparison
+from hypernest.hypergraph import load_auto
 from hypernest.linegraph import HyperedgeDag
 
 
@@ -175,6 +178,56 @@ class TestCriteria1And2PlantedStandIn:
         with criterion("2 projected density [planted stand-in]"):
             expected = sum(comb(k, 2) for k in PLANTED_CHAIN) / comb(PLANTED_N, 2)
             assert projected_density(planted) == expected
+
+
+# offline stand-in for criterion 1's coauthorship stretch at a tenth of its
+# hyperedges: SCALE_BLOCKS fully nested 6-node blocks (57 hyperedges, 416 DAG
+# edges and 156 adjacent-layer edges each), each sharing one node with the
+# block before, then a chain of SCALE_PAIRS pairs that each add one node, so
+# m = 100,000 with MAG-Geology's 1.74 DAG edges a hyperedge. A nested block
+# on its own and a 26-node hyperedge joining it to the chain leave under the
+# size filter and the largest component.
+SCALE_BLOCKS, SCALE_PAIRS = 418, 76_174
+
+
+def write_scale_dataset(prefix, blocks: int, pairs: int) -> list[int]:
+    """Write the stand-in as a shuffled simplex dataset with repeated
+    records; return the labels of the component that must remain."""
+    subsets = [c for s in range(2, 7) for c in combinations(range(6), s)]
+    chained = 5 * blocks + 1 + pairs
+    rows = [[5 * b + u for u in c] for b in range(blocks) for c in subsets]
+    rows += [[5 * blocks + i, 5 * blocks + i + 1] for i in range(pairs)]
+    rows += [[chained + u for u in c] for c in subsets]
+    rows.append([chained - 1, chained, *range(chained + 6, chained + 30)])
+    # repeated interactions, as the datasets record them
+    rows += rows[::50]
+    rng = random.Random(7)
+    rng.shuffle(rows)
+    for row in rows:
+        rng.shuffle(row)
+    labels = np.random.default_rng(7).permutation(chained + 30) + 1
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    (prefix.parent / f"{prefix.name}-nverts.txt").write_text(
+        "".join(f"{len(row)}\n" for row in rows))
+    flat = labels[list(chain.from_iterable(rows))].tolist()
+    (prefix.parent / f"{prefix.name}-simplices.txt").write_text("\n".join(map(str, flat)) + "\n")
+    return labels[:chained].tolist()
+
+
+class TestCriterion1ScaleStandIn:
+    def test_counts_match_closed_form(self, tmp_path):
+        with criterion("1 dataset statistics [planted stand-in, 100k hyperedges]"):
+            prefix = tmp_path / "scale" / "scale"
+            kept = write_scale_dataset(prefix, SCALE_BLOCKS, SCALE_PAIRS)
+            start = time.perf_counter()
+            h = preprocess(load_auto(prefix), max_size=25, lcc=True)
+            dag, adjacent = build_encapsulation_dag(h), adjacent_layer_dag(h)
+            elapsed = time.perf_counter() - start
+            blocks, pairs = SCALE_BLOCKS, SCALE_PAIRS
+            assert (h.n, h.m) == (5 * blocks + 1 + pairs, 57 * blocks + pairs) == (78_265, 100_000)
+            assert (dag.edge_count, adjacent.edge_count) == (416 * blocks, 156 * blocks)
+            assert sorted(h.labels) == sorted(kept)
+            assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
 
 
 # offline stand-in for criteria 9 and 10: a fixed RNHM sample that keeps every

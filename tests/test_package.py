@@ -60,14 +60,24 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("code,executed", [
     ("from hypernest.hypergraph import load_auto", ["hypergraph"]),
     ("from hypernest.cli import main; main(['stats', {golden!r}])",
-     ["cli", "dynamics", "hypergraph", "linegraph"]),
+     ["cli", "hypergraph", "linegraph"]),
+    ("from hypernest.cli import main; main(['encapsulation', {golden!r}, '--randomize', '1'])",
+     ["cli", "hypergraph", "linegraph", "randomize", "rng"]),
+    ("from hypernest.cli import main; main(['heights', {golden!r}])",
+     ["cli", "dagpaths", "hypergraph", "linegraph"]),
+    ("from hypernest.cli import main; main(['randomize', {golden!r}, '--samples', '1'])",
+     ["cli", "hypergraph", "linegraph", "randomize", "rng"]),
     ("from hypernest.cli import main; main(['simulate', {golden!r}, '--runs', '1',"
      " '--out', {out!r}])",
-     ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "randomize", "rng"]),
+     ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "rng"]),
     ("from hypernest.cli import main; main(['rnhm', '--nodes', '6', '--max-size', '3',"
      " '--max-edges', '2', '--out', {out!r}])",
-     ["cli", "dynamics", "hypergraph", "linegraph", "rng", "rnhm"]),
-], ids=["load_auto", "stats", "simulate", "rnhm"])
+     ["cli", "hypergraph", "rng", "rnhm"]),
+    ("from hypernest.cli import main; main(['rnhm-sweep', '--realizations', '1', '--runs', '1',"
+     " '--eps-grid', '1', '--seed-counts', '1', '--out', {out!r}])",
+     ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "rng", "rnhm"]),
+], ids=["load_auto", "stats", "encapsulation", "heights", "randomize", "simulate", "rnhm",
+        "rnhm-sweep"])
 def test_commands_execute_only_the_modules_they_run(code, executed, tmp_path):
     # each module costs a process its compile and execution; only
     # `run_experiment(jobs > 1)` needs concurrent.futures, whose import (with
