@@ -352,7 +352,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajectories = None
     if args.trajectories:
         batch = experiments.first_runs(h, influence, grid, args.seed)
-        final = batch.final_active().tolist()
+        final = batch.final_active.tolist()
         dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
                   "steps": batch.steps(c), "final_active": final[c]}
                  for c, (strategy, seed_count) in enumerate(grid.cells())]

@@ -217,25 +217,18 @@ class Batch:
     """Outcome of runs made together. ``rounds[k]`` holds the hyperedges
     newly active in round k (round 0: the seeds) of every run, as ascending
     keys ``run * m + hyperedge``; ``edge_active`` is the final runs x m
-    activation matrix."""
+    activation matrix. Per run, ``num_steps`` counts the rounds that
+    activated something (a run's first round without activation is its
+    last) and ``final_active`` the hyperedges active at the end."""
 
     rounds: list[np.ndarray]
     edge_active: np.ndarray
+    num_steps: np.ndarray
+    final_active: np.ndarray
 
     @property
     def m(self) -> int:
         return self.edge_active.shape[1]
-
-    def num_steps(self) -> np.ndarray:
-        """Per run, the rounds that activated something; a run's first
-        round without activation is its last."""
-        steps = np.zeros(len(self.edge_active), dtype=np.int64)
-        for keys in self.rounds[1:]:
-            steps[_tally(keys // self.m)[0]] += 1
-        return steps
-
-    def final_active(self) -> np.ndarray:
-        return np.count_nonzero(self.edge_active, axis=1)
 
     def steps(self, run: int) -> list[list[int]]:
         """Run ``run``'s newly active hyperedge ids per round, round 0 the
@@ -278,6 +271,7 @@ def spread(
     new_nodes = _flat_keys(seed_nodes, n, "seed node")
     edge_active[new_edges] = True
     rounds = [new_edges]
+    num_steps = np.zeros(runs, dtype=np.int64)
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)
         members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
@@ -299,9 +293,12 @@ def spread(
             break
         edge_active[new_edges] = True
         rounds.append(new_edges)
+        # a run's activating rounds are contiguous: after one adds nothing it gathers nothing
+        num_steps[new_edges // m] = step + 1
         if influence.nodes is not None:
             members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
             new_nodes = _tally(members[~node_active[members]])[0]
             node_active[new_nodes] = True
             del members
-    return Batch(rounds, edge_active.reshape(runs, m))
+    edge_active = edge_active.reshape(runs, m)
+    return Batch(rounds, edge_active, num_steps, np.count_nonzero(edge_active, axis=1))

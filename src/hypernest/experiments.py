@@ -86,16 +86,16 @@ def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
 
 
 def _run_tasks(args) -> np.ndarray:
-    """Rounds that activated something and final active count (two rows) of
-    the flat run indices ``start`` to ``stop``, from ``spread`` calls of at
-    most ``influence.batch_runs(h)`` runs each."""
+    """``Batch.num_steps`` and ``Batch.final_active`` (two rows) of the flat
+    run indices ``start`` to ``stop``, from ``spread`` calls of at most
+    ``influence.batch_runs(h)`` runs each."""
     h, influence, grid, (start, stop), runs, master_seed, streams = args
     per_batch = influence.batch_runs(h)
     outcomes = np.zeros((2, stop - start), dtype=np.int64)
     for lo in range(start, stop, per_batch):
         hi = min(lo + per_batch, stop)
         batch = _spread_range(h, influence, grid, lo, hi, runs, master_seed, streams)
-        outcomes[:, lo - start:hi - start] = batch.num_steps(), batch.final_active()
+        outcomes[:, lo - start:hi - start] = batch.num_steps, batch.final_active
     return outcomes
 
 

@@ -1,7 +1,8 @@
 """Whole commands against the brute-force oracles: each test draws a small
-hypergraph, writes it in the plain and the simplex format, runs the command
-with ``--lcc`` and a drawn ``--max-size`` and compares what it prints with a
-document built only from ``tests/oracles.py`` and brute-force counting.
+hypergraph, writes it in the plain format (and the simplex format where the
+command's own reading is under test), runs the command with ``--lcc`` and a
+drawn ``--max-size`` and compares what it prints with a document built only
+from ``tests/oracles.py`` and brute-force counting.
 """
 
 from __future__ import annotations
@@ -10,16 +11,19 @@ import csv
 import io
 import json
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hypernest import VARIANTS
 from hypernest.cli import main
 
 # repeated and reordered rows, singletons and several components are all likely
@@ -121,3 +125,73 @@ def test_heights_matches_the_oracles(rows, max_size, tmp_path):
         assert json.loads(summary_path.read_text()) == {"observed": {
             "roots": len(roots), "height_distribution": distribution,
             "max_height": max(heights, default=0)}}
+
+
+@OPTIONS
+@given(rows=raw_rows, max_size=max_sizes, normalized=st.booleans(), histograms=st.booleans())
+def test_encapsulation_matches_the_oracles(rows, max_size, normalized, histograms, tmp_path):
+    h = expected_lcc(rows, max_size)
+    source = write_both_formats(rows, Path(tempfile.mkdtemp(dir=tmp_path)))[0]
+    flags = ["--normalized"] * normalized + ["--histograms"] * histograms
+    code, out = run(["encapsulation", source, "--lcc", "--max-size", max_size, *flags])
+    if h is None:
+        assert (code, out) == (2, "")
+        return
+    sizes = [len(e) for e in h.edges]
+    present = sorted(set(sizes))
+    # per hyperedge i and size m, the size-m hyperedges i contains
+    contained = Counter((i, len(h.edges[j])) for i, j in oracles.encapsulation_edges(h))
+    pairs = {}
+    # every pair of present sizes, zero counts included, by (n, m) as integers
+    for n in present:
+        for m_ in [s for s in present if s < n]:
+            column = [contained[i, m_] for i in range(h.m) if sizes[i] == n]
+            entry: dict = {"count": sum(column), "size_n_edges": sizes.count(n)}
+            if normalized:
+                entry["per_size_n_edge"] = sum(column) / sizes.count(n)
+            if histograms:
+                entry["histogram"] = [c / comb(n, m_) for c in column]
+            pairs[f"{n},{m_}"] = entry
+    expected = {"observed": {"sizes": {str(n): sizes.count(n) for n in present},
+                             "pairs": pairs}}
+    # the printed text, so the key order of sizes, pairs and fields is checked too
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@OPTIONS
+@given(rows=raw_rows, max_size=max_sizes, variant=st.sampled_from(VARIANTS), data=st.data())
+def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
+    h = expected_lcc(rows, max_size)
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    source = write_both_formats(rows, directory)[0]
+    counts = data.draw(st.lists(st.integers(0, h.m if h else 3), min_size=1, max_size=3,
+                                unique=True))
+    config = SimpleNamespace(variant=variant,
+                             tau=data.draw(st.integers(variant != "threshold", 2)),
+                             max_steps=data.draw(st.sampled_from([1, 3, 25])),
+                             comparison=data.draw(st.sampled_from([">=", ">"])))
+    strategies, master_seed = ("uniform", "smallest-first"), data.draw(st.integers(0, 9))
+    csv_path = directory / "runs.csv"
+    code, _ = run(["simulate", source, "--lcc", "--max-size", max_size, "--variant", variant,
+                   "--strategy", ",".join(strategies), "--seeds", ",".join(map(str, counts)),
+                   "--runs", 2, "--tau", config.tau, "--max-steps", config.max_steps,
+                   "--comparison", config.comparison, "--seed", master_seed, "--out", csv_path])
+    if h is None:
+        assert code == 2
+        return
+    assert code == 0
+    h.sizes = np.array([len(e) for e in h.edges])
+    expected = []
+    for cell, (strategy, count) in enumerate((s, c) for s in strategies for c in counts):
+        for r in range(2):
+            gen = oracles.seed_sequence_rng(master_seed, "seed-selection", cell, r)
+            steps = oracles.contagion_steps(h, config, oracles.sorted_seeds(h, strategy, count,
+                                                                             gen))
+            final = sum(map(len, steps))
+            proportion = (final - count) / (h.m - count) if h.m > count else 1.0
+            expected.append(["rows.txt", variant, strategy, str(count), str(config.tau), str(r),
+                             str(len(steps) - 1), str(final), str(final - count),
+                             f"{proportion:.10g}"])
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == expected

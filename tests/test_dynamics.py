@@ -142,7 +142,7 @@ class TestStrictDynamics:
         h = Hypergraph(ONE_NESTING)
         batch = run(h, DynamicsConfig(variant="strict"), seeds=[1])
         assert batch.steps(0) == [[1], [0]]
-        assert batch.final_active()[0] == 2
+        assert batch.final_active[0] == 2
 
     def test_nodes_do_not_feed_back(self):
         # node b is active, but without a 1-node hyperedge nothing happens
@@ -150,7 +150,7 @@ class TestStrictDynamics:
         batch = run(
             h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.labels.index("b")]
         )
-        assert batch.final_active()[0] == 0
+        assert batch.final_active[0] == 0
 
     def test_explicit_singletons_do_feed_pairs(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3]])
@@ -172,8 +172,8 @@ class TestStrictDynamics:
         h = Hypergraph([[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]])
         config = DynamicsConfig(variant="strict", max_steps=2)
         batch = run(h, config, seeds=[0])
-        assert batch.num_steps()[0] == 2
-        assert batch.final_active()[0] == 3
+        assert batch.num_steps[0] == 2
+        assert batch.final_active[0] == 3
 
 
 class TestNonStrictDynamics:
@@ -233,15 +233,15 @@ class TestThresholdDynamics:
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=0)
         partial = run(h, config, seeds=[], seed_nodes=[0, 1])
-        assert partial.final_active()[0] == 0
+        assert partial.final_active[0] == 0
         full = run(h, config, seeds=[], seed_nodes=[0, 1, 2])
-        assert full.final_active()[0] == 1
+        assert full.final_active[0] == 1
 
     def test_all_but_one(self):
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=1)
         batch = run(h, config, seeds=[], seed_nodes=[0, 1])
-        assert batch.final_active()[0] == 1
+        assert batch.final_active[0] == 1
 
     def test_activation_spreads_through_nodes(self):
         h = Hypergraph([[1, 2], [2, 3], [3, 4]])
@@ -394,7 +394,7 @@ class TestEngineInvariants:
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
         batch = run(h, DynamicsConfig(), seeds=[0, 1])
-        seeded, (final,) = len(batch.steps(0)[0]), batch.final_active()
+        seeded, (final,) = len(batch.steps(0)[0]), batch.final_active
         assert seeded == h.m
         assert activation_proportion(h.m, seeded, final) == 1.0
 
@@ -443,5 +443,5 @@ class TestContagionOracle:
         batch = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
         assert [batch.steps(r) for r in range(runs)] == expected
-        assert batch.num_steps().tolist() == [len(steps) - 1 for steps in expected]
-        assert batch.final_active().tolist() == [sum(map(len, steps)) for steps in expected]
+        assert batch.num_steps.tolist() == [len(steps) - 1 for steps in expected]
+        assert batch.final_active.tolist() == [sum(map(len, steps)) for steps in expected]

@@ -257,8 +257,8 @@ class TestFirstRuns:
         influence = build_influence(h, variant)
         batch = first_runs(h, influence, grid, 5)
         first = [rec for rec in run_experiment(h, influence, grid, 2, 5) if rec.run == 0]
-        assert batch.num_steps().tolist() == [rec.steps for rec in first]
-        assert batch.final_active().tolist() == [rec.final_active for rec in first]
+        assert batch.num_steps.tolist() == [rec.steps for rec in first]
+        assert batch.final_active.tolist() == [rec.final_active for rec in first]
         for c in range(len(first)):
             assert batch.steps(c) == single_run(h, influence, grid, c, 0, 5).steps(0)
 
