@@ -212,17 +212,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_encapsulation(args: argparse.Namespace) -> int:
     h = load_input(args)
     dag = linegraph.build_encapsulation_dag(h)
-    counts = linegraph.encapsulation_counts(h, dag)
-    doc: dict = {
-        "observed": counts.to_json_dict(normalized=args.normalized, histograms=args.histograms)
-    }
+    doc: dict = {"observed": linegraph.encapsulation_counts(
+        h, dag, normalized=args.normalized, histograms=args.histograms)}
     if args.randomize:
         pair_sums: dict[str, float] = {}
         for randomized in randomize.layer_samples(h, args.randomize, args.seed):
-            rcounts = linegraph.encapsulation_counts(
+            sample = linegraph.encapsulation_counts(
                 randomized, linegraph.build_encapsulation_dag(randomized))
-            for (n, m_), c in rcounts.pair_counts.items():
-                pair_sums[f"{n},{m_}"] = pair_sums.get(f"{n},{m_}", 0.0) + c
+            for key, entry in sample["pairs"].items():
+                pair_sums[key] = pair_sums.get(key, 0.0) + entry["count"]
         doc["randomized"] = {
             "samples": args.randomize,
             "seed": args.seed,

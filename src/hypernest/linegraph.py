@@ -218,60 +218,33 @@ def adjacent_layer_dag(h: Hypergraph) -> HyperedgeDag:
     return HyperedgeDag(ptr, idx, candidate_visits=visits)
 
 
-@dataclass
-class EncapsulationCounts:
-    """Containment tallies per (larger size n, smaller size m) pair.
-
-    ``pair_counts`` holds the number of DAG edges from size-n to size-m
-    hyperedges; ``size_counts`` the number of hyperedges of each size;
-    ``histograms`` one entry per size-n hyperedge giving its count of
-    contained size-m hyperedges divided by the maximum possible, C(n, m),
-    in hyperedge-id order.
-    """
-
-    pair_counts: dict[tuple[int, int], int]
-    size_counts: dict[int, int]
-    histograms: dict[tuple[int, int], list[float]]
-
-    def normalized_pair_counts(self) -> dict[tuple[int, int], float]:
-        """Containment count per size-n hyperedge, for each (n, m) pair."""
-        return {
-            (n, m): c / self.size_counts[n] for (n, m), c in self.pair_counts.items()
-        }
-
-    def to_json_dict(self, normalized: bool = True, histograms: bool = False) -> dict:
-        norm = self.normalized_pair_counts() if normalized else None
-        pairs = {}
-        for (n, m), count in sorted(self.pair_counts.items()):
-            entry: dict = {"count": count, "size_n_edges": self.size_counts[n]}
-            if normalized:
-                entry["per_size_n_edge"] = norm[(n, m)]
-            if histograms:
-                entry["histogram"] = self.histograms[(n, m)]
-            pairs[f"{n},{m}"] = entry
-        return {"sizes": {str(k): v for k, v in sorted(self.size_counts.items())}, "pairs": pairs}
-
-
-def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag) -> EncapsulationCounts:
-    """Tally DAG edges by (container size, contained size) with per-hyperedge
-    normalized histograms; covers every size pair present in the data."""
+def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag, normalized: bool = False,
+                         histograms: bool = False) -> dict:
+    """The ``observed`` document of ``encapsulation``: ``sizes`` maps each
+    size to its hyperedge count, and ``pairs`` maps ``"n,m"``, for every
+    present size n and smaller present size m in numeric order, to the
+    number of DAG edges from size-n to size-m hyperedges (``count``) and
+    ``size_n_edges``; ``normalized`` adds the count per size-n hyperedge,
+    ``histograms`` each size-n hyperedge's count of contained size-m
+    hyperedges divided by the maximum possible, C(n, m), in id order."""
     sizes = h.sizes
     present, counts = np.unique(sizes, return_counts=True)
     size_code = np.searchsorted(present, sizes)
     heads, tails = dag.sources, dag.out_idx
-    pair_counts: dict[tuple[int, int], int] = {}
-    histograms: dict[tuple[int, int], list[float]] = {}
-    for i, n in enumerate(present.tolist()):
+    pairs: dict[str, dict] = {}
+    for i, (n, num) in enumerate(zip(present.tolist(), counts.tolist())):
         # per size-n hyperedge, in id order, how many of each smaller size it contains
         members = sizes == n
         mine = members[heads]
-        contained = np.zeros((counts[i], i), dtype=np.int64)
+        contained = np.zeros((num, i), dtype=np.int64)
         np.add.at(contained, ((np.cumsum(members) - 1)[heads[mine]], size_code[tails[mine]]), 1)
         for j, m_ in enumerate(present[:i].tolist()):
-            col, k = contained[:, j].tolist(), comb(n, m_)
-            pair_counts[(n, m_)] = sum(col)
-            # Python int division: C(n, m) may pass int64 and 2^53
-            histograms[(n, m_)] = [c / k for c in col]
-    return EncapsulationCounts(pair_counts=pair_counts,
-                               size_counts=dict(zip(present.tolist(), counts.tolist())),
-                               histograms=histograms)
+            col = contained[:, j].tolist()
+            entry = pairs[f"{n},{m_}"] = {"count": sum(col), "size_n_edges": num}
+            if normalized:
+                entry["per_size_n_edge"] = entry["count"] / num
+            if histograms:
+                # Python int division: C(n, m) may pass int64 and 2^53
+                k = comb(n, m_)
+                entry["histogram"] = [c / k for c in col]
+    return {"sizes": dict(zip(map(str, present.tolist()), counts.tolist())), "pairs": pairs}

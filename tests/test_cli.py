@@ -466,6 +466,18 @@ class TestEncapsulation:
         assert doc["randomized"]["samples"] == 3
         assert "3,2" in doc["randomized"]["mean_pair_counts"]
 
+    def test_pair_key_orders_at_two_digit_sizes(self, tmp_path, capsys):
+        # observed pairs go by (n, m) as numbers, the randomized means by key text
+        path = tmp_path / "wide.txt"
+        rows = [range(11), range(10), range(9), [0, 1], [0], range(20, 31), [20, 21]]
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        assert run_cli("encapsulation", path, "--randomize", "2", "--seed", "1") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["observed"]["pairs"]) == (
+            "2,1 9,1 9,2 10,1 10,2 10,9 11,1 11,2 11,9 11,10".split())
+        assert list(doc["randomized"]["mean_pair_counts"]) == (
+            "10,1 10,2 10,9 11,1 11,10 11,2 11,9 2,1 9,1 9,2".split())
+
 
 class TestHeights:
     def test_csv_and_summary(self, plain_file, tmp_path, capsys):

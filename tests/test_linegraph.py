@@ -290,56 +290,63 @@ class TestAdjacentLayerDag:
         }
 
 
+def _pair_counts(doc: dict) -> dict[tuple[int, int], int]:
+    """``(n, m) -> count`` read from an ``encapsulation_counts`` document."""
+    return {tuple(map(int, key.split(","))): e["count"] for key, e in doc["pairs"].items()}
+
+
 class TestEncapsulationCounts:
     def test_chain_counts(self, chain_hypergraph):
-        counts = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph))
-        assert counts.pair_counts == {(3, 2): 1, (3, 1): 1, (2, 1): 1}
-        assert counts.size_counts == {1: 1, 2: 1, 3: 1}
+        doc = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph))
+        assert _pair_counts(doc) == {(3, 2): 1, (3, 1): 1, (2, 1): 1}
+        assert doc["sizes"] == {"1": 1, "2": 1, "3": 1}
 
     def test_full_complex_histogram_at_one(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [1, 3], [2, 3], [1], [2], [3]])
-        counts = encapsulation_counts(h, build_encapsulation_dag(h))
-        assert counts.histograms[(3, 2)] == [3 / comb(3, 2)] == [1.0]
-        assert counts.histograms[(3, 1)] == [1.0]
-        assert counts.histograms[(2, 1)] == [1.0, 1.0, 1.0]
+        pairs = encapsulation_counts(h, build_encapsulation_dag(h), histograms=True)["pairs"]
+        assert pairs["3,2"]["histogram"] == [3 / comb(3, 2)] == [1.0]
+        assert pairs["3,1"]["histogram"] == [1.0]
+        assert pairs["2,1"]["histogram"] == [1.0, 1.0, 1.0]
 
     def test_histograms_of_large_hyperedges(self):
         # C(70, 35) passes int64 and C(58, 29) passes 2^53: each value must
         # be the correctly rounded c / C(n, m) of Python ints
         rows = [range(70), range(58)] + [range(k, k + s) for s in (35, 29) for k in range(3)]
         h = preprocess(Hypergraph(rows), max_size=None)
-        counts = encapsulation_counts(h, build_encapsulation_dag(h))
+        pairs = encapsulation_counts(h, build_encapsulation_dag(h), histograms=True)["pairs"]
         sets = oracles.edge_sets(h)
-        for (n, m_), values in counts.histograms.items():
+        for key, entry in pairs.items():
+            n, m_ = map(int, key.split(","))
             expected = [sum(len(b) == m_ and b < a for b in sets) / comb(n, m_)
                         for a in sets if len(a) == n]
-            assert values == expected
-        assert counts.histograms[(70, 35)] == [3 / comb(70, 35)]
+            assert entry["histogram"] == expected
+        assert pairs["70,35"]["histogram"] == [3 / comb(70, 35)]
 
     def test_no_encapsulations(self, disconnected_pairs):
-        counts = encapsulation_counts(
+        doc = encapsulation_counts(
             disconnected_pairs, build_encapsulation_dag(disconnected_pairs)
         )
-        assert all(v == 0 for v in counts.pair_counts.values())
+        assert all(v == 0 for v in _pair_counts(doc).values())
 
     def test_normalized_counts(self, chain_hypergraph):
-        counts = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph))
-        assert counts.normalized_pair_counts()[(3, 2)] == 1.0
+        doc = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph),
+                                   normalized=True)
+        assert doc["pairs"]["3,2"]["per_size_n_edge"] == 1.0
 
     @given(hypergraphs())
     def test_invariants(self, h):
-        counts = encapsulation_counts(h, build_encapsulation_dag(h))
-        for (n, m_), c in counts.pair_counts.items():
+        doc = encapsulation_counts(h, build_encapsulation_dag(h), histograms=True)
+        for (n, m_), c in _pair_counts(doc).items():
             assert n > m_
-            assert 0 <= c <= counts.size_counts[n] * comb(n, m_)
-        for values in counts.histograms.values():
-            assert all(0.0 <= v <= 1.0 for v in values)
+            assert 0 <= c <= doc["sizes"][str(n)] * comb(n, m_)
+        for entry in doc["pairs"].values():
+            assert all(0.0 <= v <= 1.0 for v in entry["histogram"])
         # pair counts must add up to the DAG edge count
-        assert sum(counts.pair_counts.values()) == build_encapsulation_dag(h).edge_count
+        assert sum(_pair_counts(doc).values()) == build_encapsulation_dag(h).edge_count
 
     def test_json_round_trip(self, chain_hypergraph):
-        counts = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph))
-        doc = counts.to_json_dict(normalized=True, histograms=True)
+        doc = encapsulation_counts(chain_hypergraph, build_encapsulation_dag(chain_hypergraph),
+                                   normalized=True, histograms=True)
         parsed = json.loads(json.dumps(doc))
         assert parsed["pairs"]["3,2"]["count"] == 1
         # the single size-2 hyperedge contains one of its C(2,1)=2 subsets
