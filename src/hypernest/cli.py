@@ -335,18 +335,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dataset = args.dataset or Path(args.input).name
     influence = dynamics.build_influence(h, args.variant)
     if args.randomize:
-        records, comparisons = experiments.randomized_comparison(
+        records, summary_doc = experiments.randomized_comparison(
             h, influence, grid, args.runs, args.randomize, args.seed, dataset=dataset,
             jobs=args.jobs,
         )
-        summary_doc = {
-            "cells": [vars(c) for c in comparisons],
-            "randomize_samples": args.randomize,
-        }
     else:
         records = experiments.run_experiment(h, influence, grid, args.runs, args.seed,
                                              dataset=dataset, jobs=args.jobs)
-        summary_doc = {"cells": [vars(s) for s in experiments.summarize(records)]}
+        summary_doc = experiments.summarize(records)
     trajectories = None
     if args.trajectories:
         batch = experiments.first_runs(h, influence, grid, args.seed)

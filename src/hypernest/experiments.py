@@ -50,18 +50,6 @@ class RunRecord:
     proportion: float
 
 
-@dataclass(frozen=True)
-class CellSummary:
-    dataset: str
-    variant: str
-    strategy: str
-    seeds: int
-    tau: int
-    runs: int
-    mean_proportion: float
-    stderr: float
-
-
 def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
                   runs: int, master_seed: int, streams: np.ndarray) -> Batch:
     """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
@@ -99,6 +87,36 @@ def _run_tasks(args) -> np.ndarray:
     return outcomes
 
 
+def _outcomes(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
+              master_seed: int, streams: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """``_run_tasks`` of the flat run indices ``0 .. cells * runs``, split
+    into at most ``jobs`` contiguous ranges run by as many worker processes."""
+    total = len(grid.cells()) * runs
+    parts = min(jobs, total) or 1
+    bounds = [total * i // parts for i in range(parts + 1)]
+    work = [(h, influence, grid, span, runs, master_seed, streams)
+            for span in zip(bounds, bounds[1:])]
+    if parts > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
+        # under fork every worker starts at the first submit, so ask for no
+        # more workers than parts
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            parts_done = list(pool.map(_run_tasks, work))
+    else:
+        parts_done = map(_run_tasks, work)
+    return np.concatenate(list(parts_done), axis=1)
+
+
+def _cell_proportions(h: Hypergraph, grid: ExperimentGrid, runs: int,
+                      finals: list[int]) -> list[list[float]]:
+    """Per cell of ``grid``, the activation proportions of its runs in run
+    order, from the cell-major final active counts ``finals``."""
+    return [[activation_proportion(h.m, seeded, final)
+             for final in finals[c * runs:(c + 1) * runs]]
+            for c, (_, seeded) in enumerate(grid.cells())]
+
+
 def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
                    master_seed: int, dataset: str = "", jobs: int = 1) -> list[RunRecord]:
     """All (cell, run) results on ``h`` under ``influence``, the map of the
@@ -111,21 +129,8 @@ def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, ru
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells, config = grid.cells(), grid.config
-    total = len(cells) * runs
-    parts = min(jobs, total) or 1
-    bounds = [total * i // parts for i in range(parts + 1)]
-    work = [(h, influence, grid, span, runs, master_seed, np.arange(len(cells)))
-            for span in zip(bounds, bounds[1:])]
-    if parts > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
-
-        # under fork every worker starts at the first submit, so ask for no
-        # more workers than parts
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            parts_done = list(pool.map(_run_tasks, work))
-    else:
-        parts_done = map(_run_tasks, work)
-    steps, finals = np.concatenate(list(parts_done), axis=1).tolist()
+    steps, finals = _outcomes(h, influence, grid, runs, master_seed, np.arange(len(cells)),
+                              jobs).tolist()
     return [RunRecord(dataset, config.variant, strategy, seeded, config.tau, i % runs, steps[i],
                       final, final - seeded, activation_proportion(h.m, seeded, final))
             for i, final in enumerate(finals) for strategy, seeded in [cells[i // runs]]]
@@ -151,62 +156,55 @@ def pooled_cells(hypergraphs: Sequence[Hypergraph], grid: ExperimentGrid, runs: 
     pooled = [[] for _ in grid.cells()]
     for k, h in enumerate(hypergraphs):
         clamped = replace(grid, seed_counts=tuple(min(c, h.m) for c in grid.seed_counts))
-        cells = clamped.cells()
-        finals = _run_tasks((h, build_influence(h, grid.config.variant), clamped,
-                             (0, len(cells) * runs), runs, master_seed + k,
-                             np.zeros(len(cells), dtype=np.int64)))[1].tolist()
+        finals = _outcomes(h, build_influence(h, grid.config.variant), clamped, runs,
+                           master_seed + k, np.zeros(len(pooled), dtype=np.int64))[1].tolist()
         # realization-major, as the one-cell grids were pooled: the order
         # fixes the rounding of the mean and stderr sums
-        for i, final in enumerate(finals):
-            pooled[i // runs].append(activation_proportion(h.m, cells[i // runs][1], final))
+        for values, props in zip(pooled, _cell_proportions(h, clamped, runs, finals)):
+            values += props
     return [mean_stderr(values) for values in pooled]
 
 
-def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
+def summarize(records: Sequence[RunRecord]) -> dict:
+    """``simulate``'s summary document: per (dataset, variant, strategy,
+    seeds, tau) in first-seen order, the run count and the mean and standard
+    error of the activation proportion."""
     groups: dict[tuple, list[float]] = {}
     for rec in records:
         key = (rec.dataset, rec.variant, rec.strategy, rec.seeds, rec.tau)
         groups.setdefault(key, []).append(rec.proportion)
-    # a key lists the leading CellSummary fields, in order
-    return [CellSummary(*key, len(props), *mean_stderr(props)) for key, props in groups.items()]
-
-
-@dataclass(frozen=True)
-class RandomizedComparison:
-    """Per-cell mean activation on the observed hypergraph vs the average
-    over layer-randomized samples, and their difference."""
-
-    dataset: str
-    variant: str
-    strategy: str
-    seeds: int
-    tau: int
-    observed_mean: float
-    randomized_mean: float
-    difference: float
+    names = ("dataset", "variant", "strategy", "seeds", "tau", "runs", "mean_proportion", "stderr")
+    return {"cells": [dict(zip(names, (*key, len(props), *mean_stderr(props))))
+                      for key, props in groups.items()]}
 
 
 def randomized_comparison(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
                           samples: int, master_seed: int, dataset: str = "", jobs: int = 1
-                          ) -> tuple[list[RunRecord], list[RandomizedComparison]]:
+                          ) -> tuple[list[RunRecord], dict]:
     """Run the grid on the observed ``h`` (under ``influence``, the map of
     the grid's variant) and on ``samples`` layer randomizations, each under
-    its own map; returns observed records plus per-cell comparisons."""
+    its own map; returns the observed records and ``simulate --randomize``'s
+    summary document: per cell, the observed mean activation, the average
+    over the samples of their mean, and the difference. A sample's runs
+    build no records: its means come from the engine's outcome arrays."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    observed_records = run_experiment(h, influence, grid, runs, master_seed, dataset=dataset,
-                                      jobs=jobs)
-    observed = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(observed_records)}
-    randomized_sums: dict[tuple, float] = {key: 0.0 for key in observed}
+    records = run_experiment(h, influence, grid, runs, master_seed, dataset=dataset, jobs=jobs)
+    cells, config = grid.cells(), grid.config
+    sums = [0.0] * len(cells)
     for randomized in randomize.layer_samples(h, samples, master_seed):
-        records = run_experiment(randomized, build_influence(randomized, grid.config.variant),
-                                 grid, runs, master_seed, jobs=jobs)
-        for s in summarize(records):
-            randomized_sums[(s.strategy, s.seeds)] += s.mean_proportion
-    means = {key: total / samples for key, total in randomized_sums.items()}
-    return observed_records, [
-        RandomizedComparison(dataset, grid.config.variant, *key, grid.config.tau, observed[key],
-                             means[key], observed[key] - means[key]) for key in grid.cells()]
+        finals = _outcomes(randomized, build_influence(randomized, config.variant), grid, runs,
+                           master_seed, np.arange(len(cells)), jobs)[1].tolist()
+        for c, props in enumerate(_cell_proportions(randomized, grid, runs, finals)):
+            sums[c] += sum(props) / runs
+    doc = []
+    for c, (strategy, seeded) in enumerate(cells):
+        observed = sum(rec.proportion for rec in records[c * runs:(c + 1) * runs]) / runs
+        null = sums[c] / samples
+        doc.append({"dataset": dataset, "variant": config.variant, "strategy": strategy,
+                    "seeds": seeded, "tau": config.tau, "observed_mean": observed,
+                    "randomized_mean": null, "difference": observed - null})
+    return records, {"cells": doc, "randomize_samples": samples}
 
 
 def write_records_csv(records: Sequence[RunRecord], path: str | Path) -> None:

@@ -251,13 +251,14 @@ class TestCriteria9And10PlantedStandIn:
             records, comparisons = randomized_comparison(
                 nested, build_influence(nested, "strict"), grid, runs=20, samples=5,
                 master_seed=42)
-            means = {(s.strategy, s.seeds): s.mean_proportion for s in summarize(records)}
+            means = {(s["strategy"], s["seeds"]): s["mean_proportion"]
+                     for s in summarize(records)["cells"]}
             for seeds in NESTED_SEED_COUNTS:
                 for strategy in ("uniform", "size-biased", "inverse-size-biased"):
                     assert means[("smallest-first", seeds)] >= means[(strategy, seeds)]
-            assert all(comp.difference >= 0.0 for comp in comparisons)
+            assert all(comp["difference"] >= 0.0 for comp in comparisons["cells"])
             # a relabeling of the whole sample would tie every cell
-            assert any(comp.difference > 0.0 for comp in comparisons)
+            assert any(comp["difference"] > 0.0 for comp in comparisons["cells"])
 
     def test_observed_paths_deep_randomized_shallow(self, nested):
         with criterion("10 observed height >= 3; randomized mean max <= 3 [planted stand-in]"):
@@ -478,7 +479,8 @@ class TestCriterion9EmpiricalDirectionality:
                 dataset="email-Enron"
             )
             means = {
-                (s.strategy, s.seeds): s.mean_proportion for s in summarize(records)
+                (s["strategy"], s["seeds"]): s["mean_proportion"]
+                for s in summarize(records)["cells"]
             }
             for seeds in ENRON_SEED_COUNTS:
                 best = means[("smallest-first", seeds)]
@@ -487,10 +489,10 @@ class TestCriterion9EmpiricalDirectionality:
                         f"smallest-first {best} < {strategy} {means[(strategy, seeds)]} "
                         f"at {seeds} seeds"
                     )
-            for comp in comparisons:
-                assert comp.difference >= 0.0, (
-                    f"{comp.strategy}@{comp.seeds}: observed {comp.observed_mean} "
-                    f"< randomized {comp.randomized_mean}"
+            for comp in comparisons["cells"]:
+                assert comp["difference"] >= 0.0, (
+                    f"{comp['strategy']}@{comp['seeds']}: observed {comp['observed_mean']} "
+                    f"< randomized {comp['randomized_mean']}"
                 )
 
 

@@ -4,8 +4,9 @@ Every argv must end in a result (0), a usage error (``SystemExit(1)``) or a
 data error (2), and never print a traceback. Values are drawn from small
 ints, zero, negatives, ints past int64, empty and malformed lists and
 unknown flags, on the golden RNHM fixture, on a 3-line input and on
-malformed inputs. Every RNHM sample that passes validation has at most 8
-nodes, so every example is fast.
+malformed inputs. Every RNHM sample that passes validation has at most 20
+nodes, and a sweep runs at most 2 realizations x 2 runs per cell, so every
+example is fast.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ OPTIONS = {
         "--max-edges": (["0", "1", "2", "3", "-1", *HUGE], ["x"]),
         "--eps": EPS, "--singletons": FLAG, "--seed": SEEDS, "--out": OUT,
     },
+    "rnhm-sweep": {
+        "--nodes": (["0", "1", "3", "5", "8", "-2"], ["x"]),
+        "--max-size": (["0", "1", "2", "3", "5", "-1"], ["", "x"]),
+        "--max-edges": (["0", "1", "2", "3", "-1"], ["x"]),
+        "--eps-grid": (["", ",", "0", "1", "0,1", "1,0.5,0", "0,0", "2", "-1", "x"], []),
+        "--strategies": STRATEGY_LISTS, "--seed-counts": LISTS,
+        "--variant": (["strict", "non-strict", "empirical-adjacent", "threshold"], ["bogus"]),
+        "--tau": TAUS, "--realizations": (["1", "2"], []), "--runs": (["1", "2"], []),
+        "--seed": SEEDS, "--out": OUT,
+    },
     "simulate": INPUT_OPTIONS | {
         "--variant": (["strict", "non-strict", "empirical-adjacent", "threshold"], ["bogus"]),
         "--strategy": STRATEGY_LISTS, "--seeds": LISTS, "--tau": TAUS,
@@ -72,7 +83,10 @@ OPTIONS = {
         "--out": OUT, "--summary-out": OUT, "--trajectories": OUT,
     },
 }
-REQUIRED = {"rnhm": ("--nodes", "--max-size", "--max-edges", "--out"), "simulate": ("--out",)}
+REQUIRED = {"rnhm": ("--nodes", "--max-size", "--max-edges", "--out"), "rnhm-sweep": ("--out",),
+            "simulate": ("--out",)}
+# given even in a noisy argv: the defaults of 25 realizations x 50 runs take seconds
+ALWAYS = {"rnhm-sweep": ("--realizations", "--runs")}
 UNKNOWN = ["--bogus", "-z", "--seed=", "--out"]
 # inputs that are data errors (a repeated node, no hyperedge) or odd but
 # valid (int and str labels on one line, in one component)
@@ -97,7 +111,7 @@ def argvs(draw, workdir: Path) -> list[str]:
     command = draw(st.sampled_from(sorted(OPTIONS)))
     noisy = draw(st.booleans())
     argv = [command]
-    if command != "rnhm":
+    if command not in ("rnhm", "rnhm-sweep"):
         inputs = [FIXTURE, workdir / "three.txt", *(workdir / name for name in MALFORMED)]
         inputs += [workdir / "missing.txt"] * noisy
         argv.append(str(draw(st.sampled_from(inputs))))
@@ -105,6 +119,7 @@ def argvs(draw, workdir: Path) -> list[str]:
     names = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=6))
     if not noisy:
         names += [name for name in REQUIRED.get(command, ()) if name not in names]
+    names += [name for name in ALWAYS.get(command, ()) if name not in names]
     for name in names:
         spec = options[name]
         if spec is FLAG:

@@ -14,7 +14,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -243,6 +243,33 @@ def test_randomize_matches_the_oracles(rows, max_size, seed, tmp_path):
             assert (outdir / f"sample_{i:03d}.txt").read_text() == text
 
 
+def mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error of the mean (0.0 for one value), summed in
+    list order."""
+    mean = sum(values) / len(values)
+    if len(values) == 1:
+        return mean, 0.0
+    return mean, sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
+
+
+def proportions(h: SimpleNamespace, config: SimpleNamespace, cells: list[tuple[str, int]],
+                master_seed: int) -> list[list[tuple[int, int, float]]]:
+    """Per cell, (steps, final active, proportion) of its two runs on ``h``,
+    run r of cell c seeded from the stream ("seed-selection", c, r)."""
+    h.sizes = np.array([len(e) for e in h.edges])
+    outcomes = []
+    for cell, (strategy, count) in enumerate(cells):
+        outcomes.append([])
+        for r in range(2):
+            gen = oracles.seed_sequence_rng(master_seed, "seed-selection", cell, r)
+            steps = oracles.contagion_steps(h, config, oracles.sorted_seeds(h, strategy, count,
+                                                                             gen))
+            final = sum(map(len, steps))
+            proportion = (final - count) / (h.m - count) if h.m > count else 1.0
+            outcomes[-1].append((len(steps) - 1, final, proportion))
+    return outcomes
+
+
 @OPTIONS
 @given(rows=raw_rows, max_size=max_sizes, variant=st.sampled_from(VARIANTS), data=st.data())
 def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
@@ -256,26 +283,41 @@ def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
                              max_steps=data.draw(st.sampled_from([1, 3, 25])),
                              comparison=data.draw(st.sampled_from([">=", ">"])))
     strategies, master_seed = ("uniform", "smallest-first"), data.draw(st.integers(0, 9))
-    csv_path = directory / "runs.csv"
+    samples = data.draw(st.sampled_from([0, 2]))
+    csv_path, summary_path = directory / "runs.csv", directory / "summary.json"
     code, _ = run(["simulate", source, "--lcc", "--max-size", max_size, "--variant", variant,
                    "--strategy", ",".join(strategies), "--seeds", ",".join(map(str, counts)),
                    "--runs", 2, "--tau", config.tau, "--max-steps", config.max_steps,
-                   "--comparison", config.comparison, "--seed", master_seed, "--out", csv_path])
+                   "--comparison", config.comparison, "--seed", master_seed,
+                   "--randomize", samples, "--out", csv_path, "--summary-out", summary_path])
     if h is None:
         assert code == 2
         return
     assert code == 0
-    h.sizes = np.array([len(e) for e in h.edges])
-    expected = []
-    for cell, (strategy, count) in enumerate((s, c) for s in strategies for c in counts):
-        for r in range(2):
-            gen = oracles.seed_sequence_rng(master_seed, "seed-selection", cell, r)
-            steps = oracles.contagion_steps(h, config, oracles.sorted_seeds(h, strategy, count,
-                                                                             gen))
-            final = sum(map(len, steps))
-            proportion = (final - count) / (h.m - count) if h.m > count else 1.0
-            expected.append(["rows.txt", variant, strategy, str(count), str(config.tau), str(r),
-                             str(len(steps) - 1), str(final), str(final - count),
-                             f"{proportion:.10g}"])
+    cells = [(s, c) for s in strategies for c in counts]
+    observed = proportions(h, config, cells, master_seed)
+    expected = [["rows.txt", variant, strategy, str(count), str(config.tau), str(r), str(steps),
+                 str(final), str(final - count), f"{proportion:.10g}"]
+                for (strategy, count), runs in zip(cells, observed)
+                for r, (steps, final, proportion) in enumerate(runs)]
     with open(csv_path, newline="") as fh:
         assert list(csv.reader(fh))[1:] == expected
+    keys = [{"dataset": "rows.txt", "variant": variant, "strategy": strategy, "seeds": count,
+             "tau": config.tau} for strategy, count in cells]
+    means = [mean_stderr([p for _, _, p in runs]) for runs in observed]
+    if samples:
+        null = [0.0] * len(cells)
+        for i in range(samples):
+            labels, edges = oracles.layer_randomize(
+                h, oracles.seed_sequence_rng(master_seed, "layer-randomization", i))
+            sample = SimpleNamespace(n=len(labels), m=len(edges), labels=labels, edges=edges)
+            for c, runs in enumerate(proportions(sample, config, cells, master_seed)):
+                null[c] += mean_stderr([p for _, _, p in runs])[0]
+        doc = {"cells": [{**key, "observed_mean": mean, "randomized_mean": total / samples,
+                          "difference": mean - total / samples}
+                         for key, (mean, _), total in zip(keys, means, null)],
+               "randomize_samples": samples}
+    else:
+        doc = {"cells": [{**key, "runs": 2, "mean_proportion": mean, "stderr": stderr}
+                         for key, (mean, stderr) in zip(keys, means)]}
+    assert summary_path.read_text() == json.dumps(doc, indent=2) + "\n"

@@ -54,5 +54,5 @@ class TestContactSaturation:
         grid = ExperimentGrid(DynamicsConfig("non-strict"), ("uniform",), (1,))
         records = run_experiment(h, build_influence(h, "non-strict"), grid, runs=10,
                                  master_seed=1, dataset=name)
-        (cell,) = summarize(records)
-        assert cell.mean_proportion == 1.0
+        (cell,) = summarize(records)["cells"]
+        assert cell["mean_proportion"] == 1.0

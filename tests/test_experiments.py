@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
+import hypernest.experiments as experiments_mod
 import oracles
 from conftest import hypergraphs, pick_seeds
 from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
@@ -316,22 +317,22 @@ class TestPooledCells:
 class TestSummaries:
     def test_mean_and_stderr(self, ladder):
         records = experiment(ladder, GRID, runs=8, master_seed=2)
-        for cell in summarize(records):
+        for cell in summarize(records)["cells"]:
             props = [
                 r.proportion
                 for r in records
-                if (r.strategy, r.seeds) == (cell.strategy, cell.seeds)
+                if (r.strategy, r.seeds) == (cell["strategy"], cell["seeds"])
             ]
-            assert cell.runs == len(props)
-            assert cell.mean_proportion == pytest.approx(sum(props) / len(props))
-            assert cell.stderr >= 0.0
+            assert cell["runs"] == len(props)
+            assert cell["mean_proportion"] == pytest.approx(sum(props) / len(props))
+            assert cell["stderr"] >= 0.0
 
     def test_identical_runs_have_zero_variance(self, ladder):
         # smallest-first with every hyperedge seeded is the same draw each run
         grid = ExperimentGrid(strategies=("smallest-first",), seed_counts=(ladder.m,))
-        (cell,) = summarize(experiment(ladder, grid, runs=5, master_seed=0))
-        assert cell.stderr == 0.0
-        assert cell.mean_proportion == 1.0
+        (cell,) = summarize(experiment(ladder, grid, runs=5, master_seed=0))["cells"]
+        assert cell["stderr"] == 0.0
+        assert cell["mean_proportion"] == 1.0
 
 
 class TestRandomizedComparison:
@@ -343,8 +344,40 @@ class TestRandomizedComparison:
         records2, comps2 = randomized_comparison(ladder, influence, grid, runs=3, samples=2,
                                                  master_seed=4)
         assert comps == comps2 and records == records2
-        (comp,) = comps
-        assert comp.difference == pytest.approx(comp.observed_mean - comp.randomized_mean)
+        (comp,) = comps["cells"]
+        assert comp["difference"] == pytest.approx(comp["observed_mean"] - comp["randomized_mean"])
+
+    def test_null_samples_split_across_jobs_and_build_no_records(self, ladder):
+        parts = []
+
+        class InlinePool:
+            """Runs the parts in this process and records them."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                work = list(work)
+                parts.extend(work)
+                return map(fn, work)
+
+        influence = build_influence(ladder, GRID.config.variant)
+        serial = randomized_comparison(ladder, influence, GRID, runs=3, samples=2, master_seed=5)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool), \
+                mock.patch.object(experiments_mod, "RunRecord", wraps=RunRecord) as built:
+            split = randomized_comparison(ladder, influence, GRID, runs=3, samples=2,
+                                          master_seed=5, jobs=2)
+        # twelve runs as six and six, on the observed grid and on each sample
+        assert [part[3] for part in parts] == [(0, 6), (6, 12)] * 3
+        assert split == serial
+        # records of the observed runs only
+        assert built.call_count == len(GRID.cells()) * 3
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_validation(self, ladder, samples):
