@@ -345,11 +345,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary_doc = experiments.summarize(records)
     trajectories = None
     if args.trajectories:
-        batch = experiments.first_runs(h, influence, grid, args.seed)
-        final = batch.final_active.tolist()
+        activated = experiments.first_runs(h, influence, grid, args.seed)
         dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
-                  "steps": batch.steps(c), "final_active": final[c]}
-                 for c, (strategy, seed_count) in enumerate(grid.cells())]
+                  "steps": steps, "final_active": sum(map(len, steps))}
+                 for (strategy, seed_count), row in zip(grid.cells(), activated)
+                 for steps in [dynamics.trajectory(row)]]
         trajectories = json.dumps(dumps, indent=2) + "\n"
     return publish(args, [(args.out, partial(experiments.write_records_csv, records)),
                           (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),

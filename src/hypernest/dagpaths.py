@@ -60,19 +60,37 @@ class RootHeightRecord:
 @dataclass
 class RootedHeightReport:
     """Per-root columns, one entry per root in ascending root id, in the
-    field order of ``RootHeightRecord``; ``records`` is the row view, built
-    on first read."""
+    field order of ``RootHeightRecord``; the two normalized columns and
+    ``records``, the row view, are built on first read. ``singletons`` says
+    whether the hypergraph has 1-node hyperedges (``max_root_out_degree``)."""
 
     root_ids: np.ndarray
     sizes: np.ndarray
     dag_degrees: np.ndarray
     heights: np.ndarray
-    norm_degrees: np.ndarray
-    norm_heights: np.ndarray
+    singletons: bool
 
     @property
     def num_roots(self) -> int:
         return self.root_ids.size
+
+    @cached_property
+    def norm_degrees(self) -> np.ndarray:
+        """Out-degree over ``max_root_out_degree``, NaN where that is 0."""
+        sizes, degrees = self.sizes, self.dag_degrees
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = np.ldexp(1.0, sizes) - 2 - (0 if self.singletons else sizes)
+            norm = np.where(bound > 0, degrees / bound, np.nan)
+        # past 2^53 the float bound is rounded: divide those as Python ints
+        for k in np.flatnonzero(sizes > 53).tolist():
+            norm[k] = int(degrees[k]) / max_root_out_degree(int(sizes[k]), self.singletons)
+        return norm
+
+    @cached_property
+    def norm_heights(self) -> np.ndarray:
+        """Height over its bound size - 1, NaN for a 1-node root."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.sizes > 1, self.heights / (self.sizes - 1), np.nan)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return (self.root_ids, self.sizes, self.dag_degrees, self.heights, self.norm_degrees,
@@ -124,13 +142,5 @@ def rooted_heights(dag: HyperedgeDag, h: Hypergraph) -> RootedHeightReport:
             break
         longest = nxt
     roots = parents[np.bincount(out_idx, minlength=n)[parents] == 0]
-    sizes, degrees, heights = h.sizes[roots], degree[roots], longest[roots]
-    singletons = h.has_singletons()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = np.ldexp(1.0, sizes) - 2 - (0 if singletons else sizes)
-        norm_degrees = np.where(bound > 0, degrees / bound, np.nan)
-        norm_heights = np.where(sizes > 1, heights / (sizes - 1), np.nan)
-    # past 2^53 the float bound is rounded: divide those as Python ints
-    for k in np.flatnonzero(sizes > 53).tolist():
-        norm_degrees[k] = int(degrees[k]) / max_root_out_degree(int(sizes[k]), singletons)
-    return RootedHeightReport(roots, sizes, degrees, heights, norm_degrees, norm_heights)
+    return RootedHeightReport(roots, h.sizes[roots], degree[roots], longest[roots],
+                              h.has_singletons())

@@ -12,12 +12,15 @@ node-counting threshold process is included for comparison ("threshold").
 The variants differ only in who influences whom and how many active
 influencers a hyperedge needs, so each is an ``Influence`` map of CSR
 arrays, built once per hypergraph by ``build_influence`` and run by the
-one array engine ``spread``, which advances a batch of runs together and
-returns their ``Batch`` (a single run is a batch of one). Runs proceed in
-synchronous rounds and are deterministic once the seed hyperedges are
-fixed; activation is monotone, so a run stops at the first round with no
-change (or after ``max_steps`` rounds). ``pick_seeds`` draws the seed
-hyperedges of a batch's runs under one of ``STRATEGIES``, a generator a run.
+one array engine ``spread``, which advances a batch of runs together (a
+single run is a batch of one) and returns one array: per run and
+hyperedge, the round it activated in (0 for the seeds, -1 for never).
+Steps, final counts and ``trajectory``'s ids per round all derive from it.
+Runs proceed in synchronous rounds and are deterministic once the seed
+hyperedges are fixed; activation is monotone, so a run stops at the first
+round with no change (or after ``max_steps`` rounds). ``pick_seeds`` draws
+the seed hyperedges of a batch's runs under one of ``STRATEGIES``, a
+generator a run.
 """
 
 from __future__ import annotations
@@ -212,35 +215,13 @@ def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: i
     return np.concatenate((hits, by_node)) if hits.size else by_node
 
 
-@dataclass
-class Batch:
-    """Outcome of runs made together. ``rounds[k]`` holds the hyperedges
-    newly active in round k (round 0: the seeds) of every run, as ascending
-    keys ``run * m + hyperedge``; ``edge_active`` is the final runs x m
-    activation matrix. Per run, ``num_steps`` counts the rounds that
-    activated something (a run's first round without activation is its
-    last) and ``final_active`` the hyperedges active at the end."""
-
-    rounds: list[np.ndarray]
-    edge_active: np.ndarray
-    num_steps: np.ndarray
-    final_active: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.edge_active.shape[1]
-
-    def steps(self, run: int) -> list[list[int]]:
-        """Run ``run``'s newly active hyperedge ids per round, round 0 the
-        seeds, up to its last round that activated something."""
-        lo, hi = run * self.m, (run + 1) * self.m
-        steps = []
-        for keys in self.rounds:
-            mine = keys[np.searchsorted(keys, lo):np.searchsorted(keys, hi)] - lo
-            if steps and not mine.size:
-                break
-            steps.append(mine.tolist())
-        return steps
+def trajectory(row: np.ndarray) -> list[list[int]]:
+    """One run's newly active hyperedge ids per round, ascending, from its row
+    of ``spread``: round 0 the seeds, up to its last activating round. A run's
+    activating rounds are 1 .. its largest, so one stable sort splits them."""
+    order = np.argsort(row, kind="stable")
+    bounds = np.searchsorted(row[order], np.arange(row.max(initial=0) + 2)).tolist()
+    return [order[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 def spread(
@@ -249,7 +230,7 @@ def spread(
     config: DynamicsConfig,
     seeds: Sequence[Sequence[int]],
     seed_nodes: Sequence[Sequence[int]] = (),
-) -> Batch:
+) -> np.ndarray:
     """Run one contagion per entry of ``seeds`` (that run's seed hyperedges,
     plus the pre-activated nodes of its entry of ``seed_nodes``, if any), all
     runs together.
@@ -262,16 +243,19 @@ def spread(
     ``r * m + hyperedge`` and ``r * n + node`` of flat arrays, so a round
     of every run is one CSR gather and one sort; a run that has stopped
     gathers nothing.
+
+    Returns the runs x m round in which each hyperedge activated: 0 for the
+    seeds, -1 for never. Only a round that activates something writes, so
+    every entry is at most ``min(max_steps, m)``, and a run's activating
+    rounds are 1 .. its largest entry (``trajectory`` lists them).
     """
     m, n, runs = h.m, h.n, len(seeds)
     need = _need(h, config)
-    edge_active = np.zeros(runs * m, dtype=bool)
+    activated = np.full(runs * m, -1, dtype=np.int32)
     count = np.zeros(runs * m, dtype=np.int32)
     new_edges = _flat_keys(seeds, m, "seed")
     new_nodes = _flat_keys(seed_nodes, n, "seed node")
-    edge_active[new_edges] = True
-    rounds = [new_edges]
-    num_steps = np.zeros(runs, dtype=np.int64)
+    activated[new_edges] = 0
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)
         members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
@@ -282,23 +266,20 @@ def spread(
 
     for step in range(config.max_steps):
         hits = _influenced(influence, new_edges, new_nodes, m, n)
-        hits = hits[~edge_active[hits]]
+        hits = hits[activated[hits] < 0]
         touched, times = _tally(hits)
         del hits  # so no round holds two gathers at once
         count[touched] += times
         if step == 0 and first.size:
-            touched = _tally(np.concatenate((touched, first[~edge_active[first]])))[0]
+            touched = _tally(np.concatenate((touched, first[activated[first] < 0])))[0]
         new_edges = touched[count[touched] >= need[touched % m]]
         if not new_edges.size:
             break
-        edge_active[new_edges] = True
-        rounds.append(new_edges)
         # a run's activating rounds are contiguous: after one adds nothing it gathers nothing
-        num_steps[new_edges // m] = step + 1
+        activated[new_edges] = step + 1
         if influence.nodes is not None:
             members = gather_rows(h.edge_ptr, h.edge_nodes, new_edges, m, n)
             new_nodes = _tally(members[~node_active[members]])[0]
             node_active[new_nodes] = True
             del members
-    edge_active = edge_active.reshape(runs, m)
-    return Batch(rounds, edge_active, num_steps, np.count_nonzero(edge_active, axis=1))
+    return activated.reshape(runs, m)

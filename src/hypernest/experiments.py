@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import randomize
-from .dynamics import (Batch, DynamicsConfig, Influence, activation_proportion, build_influence,
+from .dynamics import (DynamicsConfig, Influence, activation_proportion, build_influence,
                        pick_seeds, spread)
 from .hypergraph import Hypergraph
 from .rng import spawn_rngs
@@ -51,11 +51,11 @@ class RunRecord:
 
 
 def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
-                  runs: int, master_seed: int, streams: np.ndarray) -> Batch:
+                  runs: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
     """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
-    batch, each run's seeds drawn from the seed-selection stream of
-    (``streams[cell]``, run) under ``master_seed``: the streams in one
-    derivation, each stretch of one cell's runs in one ``pick_seeds`` call."""
+    ``spread`` batch (its rows), each run's seeds drawn from the seed-selection
+    stream of (``streams[cell]``, run) under ``master_seed``: the streams in
+    one derivation, each stretch of one cell's runs in one ``pick_seeds`` call."""
     cells = grid.cells()
     cell, run = np.divmod(np.arange(lo, hi), runs)
     gens = spawn_rngs(master_seed, "seed-selection", streams[cell], run)
@@ -66,24 +66,25 @@ def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo:
 
 
 def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
-               master_seed: int) -> Batch:
-    """Run 0 of every cell as one batch whose run c is cell c;
-    ``run_experiment`` records the same runs."""
+               master_seed: int) -> np.ndarray:
+    """The activation rounds of run 0 of every cell, run as one batch, row c
+    for cell c; ``run_experiment`` records the same runs."""
     cells = len(grid.cells())
     return _spread_range(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells))
 
 
 def _run_tasks(args) -> np.ndarray:
-    """``Batch.num_steps`` and ``Batch.final_active`` (two rows) of the flat
-    run indices ``start`` to ``stop``, from ``spread`` calls of at most
-    ``influence.batch_runs(h)`` runs each."""
+    """Per flat run index ``start`` to ``stop``, its steps (last activating
+    round) and final active count (two rows), from ``spread`` calls of at
+    most ``influence.batch_runs(h)`` runs each."""
     h, influence, grid, (start, stop), runs, master_seed, streams = args
     per_batch = influence.batch_runs(h)
     outcomes = np.zeros((2, stop - start), dtype=np.int64)
     for lo in range(start, stop, per_batch):
         hi = min(lo + per_batch, stop)
-        batch = _spread_range(h, influence, grid, lo, hi, runs, master_seed, streams)
-        outcomes[:, lo - start:hi - start] = batch.num_steps, batch.final_active
+        activated = _spread_range(h, influence, grid, lo, hi, runs, master_seed, streams)
+        outcomes[:, lo - start:hi - start] = (activated.max(axis=1, initial=0),
+                                              np.count_nonzero(activated >= 0, axis=1))
     return outcomes
 
 
@@ -153,6 +154,10 @@ def pooled_cells(hypergraphs: Sequence[Hypergraph], grid: ExperimentGrid, runs: 
     k-th under master seed ``master_seed + k`` with seed counts clamped to
     its m. Run r of every cell draws from ("seed-selection", 0, r), as a
     one-cell grid's does, so all cells x runs go to the engine as one range."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if not hypergraphs:
+        raise ValueError("pooled_cells needs at least one hypergraph")
     pooled = [[] for _ in grid.cells()]
     for k, h in enumerate(hypergraphs):
         clamped = replace(grid, seed_counts=tuple(min(c, h.m) for c in grid.seed_counts))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -75,8 +76,14 @@ def pick_seeds(h, strategy, count, gen) -> list[int]:
 
 def run_once(h, influence, config, seeds, seed_nodes=()):
     """One contagion run of ``config.variant`` on ``h`` under its influence
-    map, from the seed hyperedges and pre-activated nodes, as a batch of one."""
-    return dynamics.spread(h, influence, config, [seeds], [seed_nodes])
+    map, from the seed hyperedges and pre-activated nodes, run as a batch of
+    one: its row of ``spread``, the round each hyperedge activated in."""
+    return dynamics.spread(h, influence, config, [seeds], [seed_nodes])[0]
+
+
+def final_active(row) -> int:
+    """Hyperedges that one run's activation row shows active at the end."""
+    return int(np.count_nonzero(row >= 0))
 
 
 @pytest.fixture

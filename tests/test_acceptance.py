@@ -41,7 +41,7 @@ from hypernest import (
     transitive_reduction,
 )
 from hypernest.cli import main as cli_main
-from hypernest.dynamics import activation_proportion
+from hypernest.dynamics import activation_proportion, trajectory
 from hypernest.experiments import randomized_comparison
 from hypernest.hypergraph import load_auto
 from hypernest.linegraph import HyperedgeDag
@@ -61,9 +61,9 @@ def criterion(name: str):
         print(f"[acceptance] {name}: PASS")
 
 
-def proportion(h: Hypergraph, batch) -> float:
-    """Activation proportion of the one run of ``batch`` on ``h``."""
-    steps = batch.steps(0)
+def proportion(h: Hypergraph, row) -> float:
+    """Activation proportion of the run on ``h`` with activation row ``row``."""
+    steps = trajectory(row)
     return activation_proportion(h.m, len(steps[0]), sum(map(len, steps)))
 
 
@@ -411,29 +411,29 @@ class TestCriterion7DynamicsGroundTruth:
             h = Hypergraph([["a", "b"], ["b", "c"], ["c", "d", "e"]])
             influence = build_influence(h, "strict")
             for seed in range(h.m):
-                batch = run_once(h, influence, DynamicsConfig(variant="strict", tau=1),
-                                 seeds=[seed])
-                assert batch.steps(0) == [[seed]]
+                row = run_once(h, influence, DynamicsConfig(variant="strict", tau=1),
+                               seeds=[seed])
+                assert trajectory(row) == [[seed]]
 
     def test_contained_pair_activates_parent(self):
         with criterion("7 containment pair: seeded subset activates its superset"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            batch = run_once(h, build_influence(h, "strict"), DynamicsConfig(variant="strict"),
-                             seeds=[1])
-            assert batch.steps(0) == [[1], [0]]
+            row = run_once(h, build_influence(h, "strict"), DynamicsConfig(variant="strict"),
+                           seeds=[1])
+            assert trajectory(row) == [[1], [0]]
 
     def test_non_strict_single_node_cascade(self):
         with criterion("7 non-strict: active node b reaches pair then triple"):
             h = Hypergraph([["a", "b", "c"], ["a", "b"]])
-            batch = run_once(
+            row = run_once(
                 h,
                 build_influence(h, "non-strict"),
                 DynamicsConfig(variant="non-strict"),
                 seeds=[],
                 seed_nodes=[h.labels.index("b")],
             )
-            assert batch.steps(0) == [[], [1], [0]]
-            assert batch.edge_active[0].tolist() == [True, True]
+            assert trajectory(row) == [[], [1], [0]]
+            assert (row >= 0).tolist() == [True, True]
 
 
 class TestCriterion8Determinism:

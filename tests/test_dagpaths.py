@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hypernest.dagpaths as dagpaths_mod
 import oracles
 from conftest import hypergraphs, random_dags
 from hypernest import (Hypergraph, build_encapsulation_dag, preprocess, rooted_heights,
@@ -202,6 +204,33 @@ class TestRootedHeights:
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
         report = rooted_heights(build_encapsulation_dag(h), h)
         assert report.records[0].norm_height == pytest.approx(1 / 3)
+
+    def test_normalized_columns_built_on_first_read(self):
+        h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 2], [5]])
+        report = rooted_heights(build_encapsulation_dag(h), h)
+        assert (report.max_height(), report.height_distribution()) == (2, {2: 1})
+        assert "norm_degrees" not in vars(report) and "norm_heights" not in vars(report)
+        assert report.norm_heights.tolist() == [2 / 3]
+        assert "norm_degrees" not in vars(report)
+        # with 1-node hyperedges present a 4-node root may hold 2^4 - 2 subsets
+        assert report.norm_degrees.tolist() == [2 / 14]
+
+    def test_randomized_samples_build_no_normalized_columns(self, tmp_path, monkeypatch):
+        # `heights --randomize` reads only the samples' heights; the observed
+        # report alone is written with its normalized columns
+        reports = []
+
+        def recorded(dag, h):
+            reports.append(rooted_heights(dag, h))
+            return reports[-1]
+
+        monkeypatch.setattr(dagpaths_mod, "rooted_heights", recorded)
+        golden = Path(__file__).parent / "golden" / "nested.txt"
+        assert cli_main(["heights", str(golden), "--randomize", "2",
+                         "--out", str(tmp_path / "h.csv"),
+                         "--summary-out", str(tmp_path / "h.json")]) == 0
+        built = [{"norm_degrees", "norm_heights"} & set(vars(r)) for r in reports]
+        assert built == [{"norm_degrees", "norm_heights"}, set(), set()]
 
     def test_csv_export(self, tmp_path, chain_hypergraph):
         report = rooted_heights(build_encapsulation_dag(chain_hypergraph), chain_hypergraph)

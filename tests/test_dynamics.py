@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import hypergraphs, pick_seeds, run_once
+from conftest import final_active, hypergraphs, pick_seeds, run_once
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -24,16 +24,26 @@ from hypernest import (
     spawn_rng,
 )
 from hypernest.cli import main
-from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
+from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread, trajectory
 
 
 def run(h: Hypergraph, config: DynamicsConfig, seeds, seed_nodes=()):
     return run_once(h, build_influence(h, config.variant), config, seeds, seed_nodes)
 
 
-def non_seed_active(batch) -> int:
-    """Hyperedges that run 0 of ``batch`` activated after its seeds."""
-    return sum(map(len, batch.steps(0)[1:]))
+def non_seed_active(row) -> int:
+    """Hyperedges that the run of activation row ``row`` activated after its seeds."""
+    return sum(map(len, trajectory(row)[1:]))
+
+
+def assert_rounds_partition(row, steps) -> None:
+    """A run's activating rounds are exactly 1 .. its largest round, with no
+    gap, and ``steps``, its trajectory, splits its active hyperedges by round."""
+    top = row.max(initial=0)
+    assert set(row[row > 0].tolist()) == set(range(1, top + 1))
+    assert len(steps) == top + 1
+    assert sorted(e for step in steps for e in step) == np.flatnonzero(row >= 0).tolist()
+    assert all((row[step] == k).all() for k, step in enumerate(steps))
 
 
 # three hyperedges over {a,…,e} with no containment relation at all
@@ -136,26 +146,26 @@ class TestStrictDynamics:
         influence = build_influence(h, "strict")
         config = DynamicsConfig(variant="strict", tau=1)
         for seed in range(h.m):
-            assert run_once(h, influence, config, seeds=[seed]).steps(0) == [[seed]]
+            assert trajectory(run_once(h, influence, config, seeds=[seed])) == [[seed]]
 
     def test_contained_pair_spreads(self):
         h = Hypergraph(ONE_NESTING)
-        batch = run(h, DynamicsConfig(variant="strict"), seeds=[1])
-        assert batch.steps(0) == [[1], [0]]
-        assert batch.final_active[0] == 2
+        row = run(h, DynamicsConfig(variant="strict"), seeds=[1])
+        assert trajectory(row) == [[1], [0]]
+        assert final_active(row) == 2
 
     def test_nodes_do_not_feed_back(self):
         # node b is active, but without a 1-node hyperedge nothing happens
         h = Hypergraph(ONE_NESTING)
-        batch = run(
+        row = run(
             h, DynamicsConfig(variant="strict"), seeds=[], seed_nodes=[h.labels.index("b")]
         )
-        assert batch.final_active[0] == 0
+        assert final_active(row) == 0
 
     def test_explicit_singletons_do_feed_pairs(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3]])
-        batch = run(h, DynamicsConfig(variant="strict"), seeds=[0])
-        assert batch.edge_active[0].tolist() == [True, True, True]
+        row = run(h, DynamicsConfig(variant="strict"), seeds=[0])
+        assert (row >= 0).tolist() == [True, True, True]
 
     def test_tau_two_needs_two_children(self):
         h = Hypergraph([[1, 2, 3], [1, 2], [2, 3], [1, 3]])
@@ -171,30 +181,30 @@ class TestStrictDynamics:
     def test_max_steps_caps_progress(self):
         h = Hypergraph([[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]])
         config = DynamicsConfig(variant="strict", max_steps=2)
-        batch = run(h, config, seeds=[0])
-        assert batch.num_steps[0] == 2
-        assert batch.final_active[0] == 3
+        row = run(h, config, seeds=[0])
+        assert row.max(initial=0) == 2
+        assert final_active(row) == 3
 
 
 class TestNonStrictDynamics:
     def test_node_activates_pair_then_triangle(self):
         h = Hypergraph(ONE_NESTING)
-        batch = run(
+        row = run(
             h, DynamicsConfig(variant="non-strict"), seeds=[], seed_nodes=[h.labels.index("b")]
         )
-        assert batch.steps(0) == [[], [1], [0]]
+        assert trajectory(row) == [[], [1], [0]]
 
     def test_edge_activation_activates_members(self):
         h = Hypergraph([["a", "b", "c"], ["c", "d"]])
-        batch = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
+        row = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
         # c became active with the seed edge, so {c,d} follows a step later
-        assert batch.steps(0) == [[0], [1]]
+        assert trajectory(row) == [[0], [1]]
 
     def test_degenerates_to_strict_without_pairs(self):
         h = Hypergraph([[1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5, 6]])
         strict = run(h, DynamicsConfig(variant="strict"), seeds=[0])
         loose = run(h, DynamicsConfig(variant="non-strict"), seeds=[0])
-        assert strict.steps(0) == loose.steps(0)
+        assert trajectory(strict) == trajectory(loose)
 
     @given(hypergraphs(min_edge_size=3))
     @settings(max_examples=30)
@@ -202,14 +212,14 @@ class TestNonStrictDynamics:
         seeds = [0]
         strict = run(h, DynamicsConfig(variant="strict"), seeds)
         loose = run(h, DynamicsConfig(variant="non-strict"), seeds)
-        assert strict.steps(0) == loose.steps(0)
+        assert trajectory(strict) == trajectory(loose)
 
 
 class TestEmpiricalAdjacent:
     def test_size_gap_is_bridged(self):
         h = Hypergraph([[1, 2, 3, 4], [1, 2]])
-        batch = run(h, DynamicsConfig(variant="empirical-adjacent"), seeds=[1])
-        assert batch.edge_active[0].tolist() == [True, True]
+        row = run(h, DynamicsConfig(variant="empirical-adjacent"), seeds=[1])
+        assert (row >= 0).tolist() == [True, True]
         # under the adjacent-size rule the same seed reaches nothing
         strict = run(h, DynamicsConfig(variant="strict"), seeds=[1])
         assert non_seed_active(strict) == 0
@@ -218,14 +228,14 @@ class TestEmpiricalAdjacent:
         h = Hypergraph([[1, 2, 3, 4], [1, 2, 3], [1, 4]])
         config = DynamicsConfig(variant="empirical-adjacent")
         via_pair = run(h, config, seeds=[2])
-        assert not via_pair.edge_active[0, 0]
+        assert via_pair[0] < 0
         via_triple = run(h, config, seeds=[1])
-        assert via_triple.edge_active[0, 0]
+        assert via_triple[0] >= 0
 
     def test_matches_strict_when_gapless(self, chain_hypergraph):
         empirical = run(chain_hypergraph, DynamicsConfig(variant="empirical-adjacent"), seeds=[2])
         strict = run(chain_hypergraph, DynamicsConfig(variant="strict"), seeds=[2])
-        assert empirical.steps(0) == strict.steps(0)
+        assert trajectory(empirical) == trajectory(strict)
 
 
 class TestThresholdDynamics:
@@ -233,29 +243,29 @@ class TestThresholdDynamics:
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=0)
         partial = run(h, config, seeds=[], seed_nodes=[0, 1])
-        assert partial.final_active[0] == 0
+        assert final_active(partial) == 0
         full = run(h, config, seeds=[], seed_nodes=[0, 1, 2])
-        assert full.final_active[0] == 1
+        assert final_active(full) == 1
 
     def test_all_but_one(self):
         h = Hypergraph([[1, 2, 3]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        batch = run(h, config, seeds=[], seed_nodes=[0, 1])
-        assert batch.final_active[0] == 1
+        row = run(h, config, seeds=[], seed_nodes=[0, 1])
+        assert final_active(row) == 1
 
     def test_activation_spreads_through_nodes(self):
         h = Hypergraph([[1, 2], [2, 3], [3, 4]])
         config = DynamicsConfig(variant="threshold", tau=1)
-        batch = run(h, config, seeds=[0])
+        row = run(h, config, seeds=[0])
         # {2,3} needs one of its nodes, then {3,4}
-        assert batch.steps(0) == [[0], [1], [2]]
+        assert trajectory(row) == [[0], [1], [2]]
 
     def test_degenerate_tau_warns_and_self_activates(self):
         h = Hypergraph([[1, 2], [3, 4, 5]])
         config = DynamicsConfig(variant="threshold", tau=2)
         # the engine runs it as given; the CLI warns (cli.warn_self_activation)
-        batch = run(h, config, seeds=[])
-        assert batch.edge_active[0].tolist() == [True, False]
+        row = run(h, config, seeds=[])
+        assert (row >= 0).tolist() == [True, False]
 
 
 class TestEngineInvariants:
@@ -266,12 +276,13 @@ class TestEngineInvariants:
         seeds = pick_seeds(h, "uniform", min(2, h.m), rng)
         for variant in ("strict", "non-strict"):
             config = DynamicsConfig(variant=variant)
-            batch = run(h, config, seeds)
-            steps = batch.steps(0)
+            row = run(h, config, seeds)
+            steps = trajectory(row)
             flat = [e for step in steps for e in step]
             assert len(flat) == len(set(flat))  # no hyperedge activates twice
             assert len(steps) - 1 <= 25
-            assert batch.edge_active[0].sum() == len(flat)
+            assert final_active(row) == len(flat)
+            assert_rounds_partition(row, steps)
             # the oracle recounts every influence from scratch each round
             assert steps == oracles.contagion_steps(h, config, seeds)
 
@@ -282,8 +293,8 @@ class TestEngineInvariants:
         rows = oracles.out_rows(adj)
         if any(rows[i] for i in range(h.m)):
             return
-        batch = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
-        assert non_seed_active(batch) == 0
+        row = run(h, DynamicsConfig(variant="strict"), seeds=list(range(min(3, h.m))))
+        assert non_seed_active(row) == 0
 
     @given(st.integers(0, 50))
     @settings(max_examples=25)
@@ -303,8 +314,8 @@ class TestEngineInvariants:
         for variant in ("strict", "non-strict"):
             t1 = run(h1, DynamicsConfig(variant=variant), seeds1)
             t2 = run(h2, DynamicsConfig(variant=variant), seeds2)
-            steps1 = [{label_set(h1, e) for e in step} for step in t1.steps(0)]
-            steps2 = [{label_set(h2, e) for e in step} for step in t2.steps(0)]
+            steps1 = [{label_set(h1, e) for e in step} for step in trajectory(t1)]
+            steps2 = [{label_set(h2, e) for e in step} for step in trajectory(t2)]
             assert steps1 == steps2
 
     @given(hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
@@ -373,7 +384,7 @@ class TestEngineInvariants:
         config = DynamicsConfig(variant="non-strict")
         a = run(h, config, seeds=[0, 1])
         b = run(h, config, seeds=[0, 1])
-        assert a.steps(0) == b.steps(0) and (a.edge_active == b.edge_active).all()
+        assert trajectory(a) == trajectory(b) and (a == b).all()
 
     def test_seed_validation(self):
         h = Hypergraph([[1, 2]])
@@ -387,14 +398,14 @@ class TestEngineInvariants:
             with pytest.raises(ValueError, match="must be integers"):
                 spread(h, influence, DynamicsConfig(), seeds, seed_nodes)
         # empty lists and empty int arrays stay valid rows
-        batch = spread(h, influence, DynamicsConfig(),
-                       [[], np.empty(0, np.int64), [2], np.array([1], np.int32)])
-        assert [batch.steps(run)[0] for run in range(4)] == [[], [], [2], [1]]
+        activated = spread(h, influence, DynamicsConfig(),
+                           [[], np.empty(0, np.int64), [2], np.array([1], np.int32)])
+        assert [trajectory(row)[0] for row in activated] == [[], [], [2], [1]]
 
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
-        batch = run(h, DynamicsConfig(), seeds=[0, 1])
-        seeded, (final,) = len(batch.steps(0)[0]), batch.final_active
+        row = run(h, DynamicsConfig(), seeds=[0, 1])
+        seeded, final = len(trajectory(row)[0]), final_active(row)
         assert seeded == h.m
         assert activation_proportion(h.m, seeded, final) == 1.0
 
@@ -422,10 +433,10 @@ class TestContagionOracle:
         seeds = data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
         seed_nodes = data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
         config = DynamicsConfig(variant=variant, tau=tau, comparison=comparison, max_steps=6)
-        batch = run(h, config, seeds, seed_nodes)
-        steps = batch.steps(0)
+        row = run(h, config, seeds, seed_nodes)
+        steps = trajectory(row)
         assert steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
-        assert batch.edge_active[0].sum() == sum(map(len, steps))
+        assert final_active(row) == sum(map(len, steps))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(h=hypergraphs(max_edges=40), data=st.data())
@@ -440,8 +451,11 @@ class TestContagionOracle:
         config = DynamicsConfig(variant=variant, tau=data.draw(st.integers(1, 2)),
                                 comparison=data.draw(st.sampled_from([">=", ">"])),
                                 max_steps=data.draw(st.sampled_from([1, 3, 25])))
-        batch = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
+        activated = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
-        assert [batch.steps(r) for r in range(runs)] == expected
-        assert batch.num_steps.tolist() == [len(steps) - 1 for steps in expected]
-        assert batch.final_active.tolist() == [sum(map(len, steps)) for steps in expected]
+        assert [trajectory(row) for row in activated] == expected
+        assert activated.max(axis=1, initial=0).tolist() == [len(steps) - 1 for steps in expected]
+        assert [final_active(row) for row in activated] == [sum(map(len, steps))
+                                                            for steps in expected]
+        for row in activated:
+            assert_rounds_partition(row, trajectory(row))

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import hypergraphs, pick_seeds
+from conftest import final_active, hypergraphs, pick_seeds
 from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
                        RunRecord, build_influence, generate, spawn_rng,
                        run_experiment, summarize)
-from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread
+from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread, trajectory
 from hypernest.experiments import (first_runs, pooled_cells, randomized_comparison,
                                    write_records_csv)
 
@@ -110,10 +110,11 @@ class TestRunExperiment:
 
 
 def single_run(h, influence, grid, c, run, master_seed):
-    """Run ``run`` of cell ``c`` of ``grid`` alone, as a batch of one, its
-    seeds drawn from NumPy's own ``SeedSequence`` stream of the run."""
+    """The activation row of run ``run`` of cell ``c`` of ``grid``, run alone
+    as a batch of one, its seeds drawn from NumPy's own ``SeedSequence``
+    stream of the run."""
     gen = oracles.seed_sequence_rng(master_seed, "seed-selection", c, run)
-    return spread(h, influence, grid.config, [pick_seeds(h, *grid.cells()[c], gen)])
+    return spread(h, influence, grid.config, [pick_seeds(h, *grid.cells()[c], gen)])[0]
 
 
 def per_run_records(h, grid, runs, master_seed) -> list[RunRecord]:
@@ -123,9 +124,9 @@ def per_run_records(h, grid, runs, master_seed) -> list[RunRecord]:
     records = []
     for idx, (strategy, seed_count) in enumerate(grid.cells()):
         for run in range(runs):
-            batch = single_run(h, influence, grid, idx, run, master_seed)
-            steps = batch.steps(0)
-            seeded, final = len(steps[0]), int(batch.edge_active[0].sum())
+            row = single_run(h, influence, grid, idx, run, master_seed)
+            steps = trajectory(row)
+            seeded, final = len(steps[0]), final_active(row)
             records.append(RunRecord("", config.variant, strategy, seed_count, config.tau, run,
                                      len(steps) - 1, final, final - seeded,
                                      activation_proportion(h.m, seeded, final)))
@@ -256,12 +257,12 @@ class TestFirstRuns:
     def test_run_c_is_run_0_of_cell_c(self, variant, h, data):
         grid = data.draw(grids(h, variant))
         influence = build_influence(h, variant)
-        batch = first_runs(h, influence, grid, 5)
+        activated = first_runs(h, influence, grid, 5)
         first = [rec for rec in run_experiment(h, influence, grid, 2, 5) if rec.run == 0]
-        assert batch.num_steps.tolist() == [rec.steps for rec in first]
-        assert batch.final_active.tolist() == [rec.final_active for rec in first]
+        assert activated.max(axis=1, initial=0).tolist() == [rec.steps for rec in first]
+        assert [final_active(row) for row in activated] == [rec.final_active for rec in first]
         for c in range(len(first)):
-            assert batch.steps(c) == single_run(h, influence, grid, c, 0, 5).steps(0)
+            assert trajectory(activated[c]) == trajectory(single_run(h, influence, grid, c, 0, 5))
 
     def test_one_spread_call(self, ladder):
         calls = []
@@ -312,6 +313,12 @@ class TestPooledCells:
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget):
             rows = pooled_cells(hs, grid, runs, seed)
         assert rows == oracles.sweep_cells(hs, grid, runs, seed)
+
+    def test_runs_and_hypergraphs_validated(self, ladder):
+        with pytest.raises(ValueError, match="runs"):
+            pooled_cells([ladder], ExperimentGrid(), 0, 0)
+        with pytest.raises(ValueError, match="hypergraph"):
+            pooled_cells([], ExperimentGrid(), 2, 0)
 
 
 class TestSummaries:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,17 @@ def test_commands_execute_only_the_modules_they_run(code, executed, tmp_path):
     code = code.format(golden=str(GOLDEN), out=str(tmp_path / "out"))
     found = modules_after(code)
     assert (found["executed"], found["pool"]) == (executed, False)
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # the quick start is what a reader copies first: it must run against the
+    # current API, on the file name it opens
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copy(GOLDEN, tmp_path / "hypergraph.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def unused_imports(path: Path) -> list[str]:
