@@ -21,8 +21,8 @@ STRATEGIES = ("uniform", "size-biased", "inverse-size-biased", "smallest-first")
 _EXPORTS = {
     "dagpaths": ("rooted_heights", "transitive_reduction"),
     "dynamics": ("DynamicsConfig", "build_influence"),
-    "experiments": ("ExperimentGrid", "RunRecord", "randomized_comparison", "run_experiment",
-                    "summarize"),
+    "experiments": ("ExperimentGrid", "cell_proportions", "randomized_comparison",
+                    "run_experiment", "summarize"),
     "hypergraph": ("FormatError", "Hypergraph", "filter_by_size", "ingest_simplex",
                    "is_connected", "largest_connected_component", "load_plain",
                    "load_simplex_dataset", "parse_plain", "preprocess", "projected_density",

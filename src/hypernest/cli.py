@@ -18,10 +18,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 from functools import partial
 from itertools import product, takewhile
 from pathlib import Path
+
+import numpy
 
 # The package registers its modules lazily, so a module executes on its first
 # attribute use. Names are imported only from the package and the module that
@@ -172,6 +175,8 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
                 "command": args.command,
                 "argv": args._argv,
                 "version": __version__,
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
                 "seed": getattr(args, "seed", None),
                 "parameters": {k: v for k, v in vars(args).items()
                                if k not in ("func", "command", "_argv")},
@@ -334,15 +339,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     warn_self_activation(f"hypernest {args.command}", h, config)
     dataset = args.dataset or Path(args.input).name
     influence = dynamics.build_influence(h, args.variant)
-    if args.randomize:
-        records, summary_doc = experiments.randomized_comparison(
-            h, influence, grid, args.runs, args.randomize, args.seed, dataset=dataset,
-            jobs=args.jobs,
-        )
-    else:
-        records = experiments.run_experiment(h, influence, grid, args.runs, args.seed,
-                                             dataset=dataset, jobs=args.jobs)
-        summary_doc = experiments.summarize(records)
+    outcomes = experiments.run_experiment(h, influence, grid, args.runs, args.seed, args.jobs)
+    props = experiments.cell_proportions(h, grid, outcomes)
+    summary_doc = (experiments.randomized_comparison(h, grid, args.runs, props, args.randomize,
+                                                     args.seed, dataset, args.jobs)
+                   if args.randomize else experiments.summarize(grid, props, dataset))
     trajectories = None
     if args.trajectories:
         activated = experiments.first_runs(h, influence, grid, args.seed)
@@ -351,7 +352,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                  for (strategy, seed_count), row in zip(grid.cells(), activated)
                  for steps in [dynamics.trajectory(row)]]
         trajectories = json.dumps(dumps, indent=2) + "\n"
-    return publish(args, [(args.out, partial(experiments.write_records_csv, records)),
+    return publish(args, [(args.out, partial(experiments.write_records_csv, grid, outcomes, props,
+                                             dataset=dataset)),
                           (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),
                           (args.trajectories, trajectories)])
 

@@ -1,17 +1,19 @@
 """Seeded experiment grids over one contagion configuration.
 
-A grid crosses seed strategies x seed counts under one ``DynamicsConfig``
-and runs on that variant's influence map (``dynamics.build_influence``);
-each cell is run repeatedly with RNG streams derived from the master seed
-and the cell/run index, so results are reproducible and independent of
-execution order or worker count. A batch of runs draws each stretch of one
-cell's runs with one ``dynamics.pick_seeds`` call, which checks the cell.
+A grid crosses seed strategies x seed counts under one ``DynamicsConfig``.
+Every grid (observed, layer sample, sweep realization) runs on its variant's
+influence map (``dynamics.build_influence``) through ``run_experiment``, whose
+array of steps and final counts is the one per-run result, and
+``cell_proportions`` turns that into what every document reads. Each run's
+RNG streams derive from the master seed and its cell/run index, so results do
+not depend on execution order or worker count. A batch draws each stretch of
+one cell's runs with one ``dynamics.pick_seeds`` call, which checks the cell.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from math import sqrt
 from pathlib import Path
@@ -36,20 +38,6 @@ class ExperimentGrid:
         return list(product(self.strategies, self.seed_counts))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    dataset: str
-    variant: str
-    strategy: str
-    seeds: int
-    tau: int
-    run: int
-    steps: int
-    final_active: int
-    non_seed_active: int
-    proportion: float
-
-
 def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
                   runs: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
     """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
@@ -68,7 +56,7 @@ def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo:
 def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
                master_seed: int) -> np.ndarray:
     """The activation rounds of run 0 of every cell, run as one batch, row c
-    for cell c; ``run_experiment`` records the same runs."""
+    for cell c; ``run_experiment`` counts the same runs."""
     cells = len(grid.cells())
     return _spread_range(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells))
 
@@ -88,11 +76,23 @@ def _run_tasks(args) -> np.ndarray:
     return outcomes
 
 
-def _outcomes(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
-              master_seed: int, streams: np.ndarray, jobs: int = 1) -> np.ndarray:
-    """``_run_tasks`` of the flat run indices ``0 .. cells * runs``, split
-    into at most ``jobs`` contiguous ranges run by as many worker processes."""
-    total = len(grid.cells()) * runs
+def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
+                   master_seed: int, jobs: int = 1, streams: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """The steps (last activating round) and final active count of every
+    (cell, run) of ``grid`` on ``h`` under ``influence``, the map of the
+    grid's variant, as a 2 x cells x runs int array. Run ``run`` of cell
+    ``cell`` is the flat index ``cell * runs + run`` and draws its seeds
+    from the stream of (``streams[cell]``, run), by default its own cell
+    index. The flat indices go to the engine together, split into at most
+    ``jobs`` contiguous ranges run by as many worker processes."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = len(grid.cells())
+    streams = np.arange(cells) if streams is None else streams
+    total = cells * runs
     parts = min(jobs, total) or 1
     bounds = [total * i // parts for i in range(parts + 1)]
     work = [(h, influence, grid, span, runs, master_seed, streams)
@@ -106,35 +106,16 @@ def _outcomes(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: i
             parts_done = list(pool.map(_run_tasks, work))
     else:
         parts_done = map(_run_tasks, work)
-    return np.concatenate(list(parts_done), axis=1)
+    return np.concatenate(list(parts_done), axis=1).reshape(2, cells, runs)
 
 
-def _cell_proportions(h: Hypergraph, grid: ExperimentGrid, runs: int,
-                      finals: list[int]) -> list[list[float]]:
+def cell_proportions(h: Hypergraph, grid: ExperimentGrid, outcomes: np.ndarray
+                     ) -> list[list[float]]:
     """Per cell of ``grid``, the activation proportions of its runs in run
-    order, from the cell-major final active counts ``finals``."""
-    return [[activation_proportion(h.m, seeded, final)
-             for final in finals[c * runs:(c + 1) * runs]]
-            for c, (_, seeded) in enumerate(grid.cells())]
-
-
-def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
-                   master_seed: int, dataset: str = "", jobs: int = 1) -> list[RunRecord]:
-    """All (cell, run) results on ``h`` under ``influence``, the map of the
-    grid's variant, in deterministic cell-major order, run ``run`` of cell
-    ``cell`` at the flat index ``cell * runs + run`` on the streams of its
-    own cell index. The flat indices go to the engine together, split into
-    ``jobs`` contiguous ranges run by as many worker processes."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells, config = grid.cells(), grid.config
-    steps, finals = _outcomes(h, influence, grid, runs, master_seed, np.arange(len(cells)),
-                              jobs).tolist()
-    return [RunRecord(dataset, config.variant, strategy, seeded, config.tau, i % runs, steps[i],
-                      final, final - seeded, activation_proportion(h.m, seeded, final))
-            for i, final in enumerate(finals) for strategy, seeded in [cells[i // runs]]]
+    order, from the final active counts of ``run_experiment``'s
+    ``outcomes`` on ``h``."""
+    return [[activation_proportion(h.m, seeded, final) for final in finals]
+            for (_, seeded), finals in zip(grid.cells(), outcomes[1].tolist())]
 
 
 def mean_stderr(values: Sequence[float]) -> tuple[float, float]:
@@ -154,68 +135,70 @@ def pooled_cells(hypergraphs: Sequence[Hypergraph], grid: ExperimentGrid, runs: 
     k-th under master seed ``master_seed + k`` with seed counts clamped to
     its m. Run r of every cell draws from ("seed-selection", 0, r), as a
     one-cell grid's does, so all cells x runs go to the engine as one range."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     if not hypergraphs:
         raise ValueError("pooled_cells needs at least one hypergraph")
     pooled = [[] for _ in grid.cells()]
     for k, h in enumerate(hypergraphs):
         clamped = replace(grid, seed_counts=tuple(min(c, h.m) for c in grid.seed_counts))
-        finals = _outcomes(h, build_influence(h, grid.config.variant), clamped, runs,
-                           master_seed + k, np.zeros(len(pooled), dtype=np.int64))[1].tolist()
+        outcomes = run_experiment(h, build_influence(h, grid.config.variant), clamped, runs,
+                                  master_seed + k, streams=np.zeros(len(pooled), dtype=np.int64))
         # realization-major, as the one-cell grids were pooled: the order
         # fixes the rounding of the mean and stderr sums
-        for values, props in zip(pooled, _cell_proportions(h, clamped, runs, finals)):
+        for values, props in zip(pooled, cell_proportions(h, clamped, outcomes)):
             values += props
     return [mean_stderr(values) for values in pooled]
 
 
-def summarize(records: Sequence[RunRecord]) -> dict:
-    """``simulate``'s summary document: per (dataset, variant, strategy,
-    seeds, tau) in first-seen order, the run count and the mean and standard
-    error of the activation proportion."""
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        key = (rec.dataset, rec.variant, rec.strategy, rec.seeds, rec.tau)
-        groups.setdefault(key, []).append(rec.proportion)
-    names = ("dataset", "variant", "strategy", "seeds", "tau", "runs", "mean_proportion", "stderr")
-    return {"cells": [dict(zip(names, (*key, len(props), *mean_stderr(props))))
-                      for key, props in groups.items()]}
+def _cell_keys(grid: ExperimentGrid, dataset: str) -> list[dict]:
+    """The dataset, variant, strategy, seeds and tau of each cell of ``grid``."""
+    config = grid.config
+    return [{"dataset": dataset, "variant": config.variant, "strategy": strategy,
+             "seeds": seeded, "tau": config.tau} for strategy, seeded in grid.cells()]
 
 
-def randomized_comparison(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
-                          samples: int, master_seed: int, dataset: str = "", jobs: int = 1
-                          ) -> tuple[list[RunRecord], dict]:
-    """Run the grid on the observed ``h`` (under ``influence``, the map of
-    the grid's variant) and on ``samples`` layer randomizations, each under
-    its own map; returns the observed records and ``simulate --randomize``'s
-    summary document: per cell, the observed mean activation, the average
-    over the samples of their mean, and the difference. A sample's runs
-    build no records: its means come from the engine's outcome arrays."""
+def summarize(grid: ExperimentGrid, proportions: list[list[float]], dataset: str = "") -> dict:
+    """``simulate``'s summary document: per cell of ``grid``, in grid order,
+    its run count and the mean and standard error of its ``proportions``
+    (``cell_proportions``)."""
+    return {"cells": [{**key, "runs": len(props), "mean_proportion": mean, "stderr": stderr}
+                      for key, props in zip(_cell_keys(grid, dataset), proportions)
+                      for mean, stderr in [mean_stderr(props)]]}
+
+
+def randomized_comparison(h: Hypergraph, grid: ExperimentGrid, runs: int,
+                          observed: list[list[float]], samples: int, master_seed: int,
+                          dataset: str = "", jobs: int = 1) -> dict:
+    """``simulate --randomize``'s summary document: per cell of ``grid``,
+    the mean of its ``observed`` proportions (``cell_proportions`` of its
+    ``runs`` runs on ``h``), the average over ``samples`` layer
+    randomizations of ``h``, each run under its own map, of their mean, and
+    the difference."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    records = run_experiment(h, influence, grid, runs, master_seed, dataset=dataset, jobs=jobs)
-    cells, config = grid.cells(), grid.config
-    sums = [0.0] * len(cells)
+    sums = [0.0] * len(observed)
     for randomized in randomize.layer_samples(h, samples, master_seed):
-        finals = _outcomes(randomized, build_influence(randomized, config.variant), grid, runs,
-                           master_seed, np.arange(len(cells)), jobs)[1].tolist()
-        for c, props in enumerate(_cell_proportions(randomized, grid, runs, finals)):
+        outcomes = run_experiment(randomized, build_influence(randomized, grid.config.variant),
+                                  grid, runs, master_seed, jobs)
+        for c, props in enumerate(cell_proportions(randomized, grid, outcomes)):
             sums[c] += sum(props) / runs
-    doc = []
-    for c, (strategy, seeded) in enumerate(cells):
-        observed = sum(rec.proportion for rec in records[c * runs:(c + 1) * runs]) / runs
-        null = sums[c] / samples
-        doc.append({"dataset": dataset, "variant": config.variant, "strategy": strategy,
-                    "seeds": seeded, "tau": config.tau, "observed_mean": observed,
-                    "randomized_mean": null, "difference": observed - null})
-    return records, {"cells": doc, "randomize_samples": samples}
+    return {"cells": [{**key, "observed_mean": mean, "randomized_mean": null,
+                       "difference": mean - null}
+                      for key, props, total in zip(_cell_keys(grid, dataset), observed, sums)
+                      for mean, null in [(sum(props) / runs, total / samples)]],
+            "randomize_samples": samples}
 
 
-def write_records_csv(records: Sequence[RunRecord], path: str | Path) -> None:
-    """One row per record, columns in ``RunRecord`` field order."""
+def write_records_csv(grid: ExperimentGrid, outcomes: np.ndarray, proportions: list[list[float]],
+                      path: str | Path, dataset: str = "") -> None:
+    """One row per run of ``grid``, cell-major: its cell, its steps and final
+    active count from ``run_experiment``'s ``outcomes``, and its proportion."""
+    config = grid.config
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(RunRecord))
-        for rec in records:
-            writer.writerow(f"{v:.10g}" if isinstance(v, float) else v for v in vars(rec).values())
+        writer.writerow(("dataset", "variant", "strategy", "seeds", "tau", "run", "steps",
+                         "final_active", "non_seed_active", "proportion"))
+        for (strategy, seeded), steps, finals, props in zip(grid.cells(), *outcomes.tolist(),
+                                                             proportions):
+            for run, (step, final, prop) in enumerate(zip(steps, finals, props)):
+                writer.writerow((dataset, config.variant, strategy, seeded, config.tau, run, step,
+                                 final, final - seeded, f"{prop:.10g}"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,45 @@ def hypergraphs(draw, max_nodes: int = 12, max_edges: int = 60, min_edge_size: i
         )
     )
     return Hypergraph(edges)
+
+
+@st.composite
+def nested_rows(draw, max_nodes: int = 8, max_size: int = 5) -> list[list[int]]:
+    """Rows with deep containment: one to three random maximal sets of 3 to
+    ``max_size`` nodes, each of their proper subsets kept with one drawn
+    probability, in a shuffled order, then up to three random rows."""
+    n = draw(st.integers(max_size, max_nodes))
+    tops = draw(st.lists(st.sampled_from(range(max_size, 2, -1)).flatmap(
+        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(sorted)),
+        min_size=1, max_size=3))
+    keep, rnd = draw(st.sampled_from([1.0, 0.8, 0.5])), draw(st.randoms(use_true_random=True))
+    subsets = sorted({sub for top in tops for k in range(1, len(top))
+                      for sub in combinations(top, k)})
+    rows = [*map(tuple, tops), *(sub for sub in subsets if rnd.random() < keep)]
+    rnd.shuffle(rows)
+    extra = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=max_size)
+                          .map(sorted), max_size=3))
+    return [list(row) for row in rows] + extra
+
+
+def nested_hypergraphs():
+    """``nested_rows`` as hypergraphs, whose contagion runs reach deep rounds."""
+    return nested_rows().map(Hypergraph)
+
+
+def any_hypergraphs(**kwargs):
+    """``nested_hypergraphs()`` or ``hypergraphs(**kwargs)``."""
+    return st.one_of(nested_hypergraphs(), hypergraphs(**kwargs))
+
+
+@st.composite
+def seed_ids(draw, m: int) -> list[int]:
+    """Distinct seed ids below ``m`` in a random order, a drawn share of all
+    m (rounded, so possibly none), so that runs often seed enough subsets of
+    one hyperedge to start a cascade, and sometimes only a few."""
+    share = draw(st.sampled_from([0.5, 0.8, 0.2, 0.05]))
+    rnd = draw(st.randoms(use_true_random=True))
+    return rnd.sample(range(m), round(share * m))
 
 
 @st.composite

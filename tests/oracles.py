@@ -10,11 +10,11 @@ import hashlib
 from collections import deque
 from graphlib import TopologicalSorter
 from itertools import chain, combinations
+from math import sqrt
 
 import numpy as np
 
 from hypernest import ExperimentGrid, Hypergraph, build_influence, rnhm, run_experiment
-from hypernest.experiments import mean_stderr
 from hypernest.hypergraph import is_connected, split_rows
 from hypernest.linegraph import HyperedgeDag
 
@@ -319,15 +319,30 @@ def rnhm_generate(params, rng) -> rnhm.RnhmSample:
     )
 
 
+def mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error of the mean (0.0 for one value), summed in
+    list order."""
+    mean = sum(values) / len(values)
+    if len(values) == 1:
+        return mean, 0.0
+    return mean, sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
+
+
 def sweep_cells(hypergraphs, grid, runs: int, master_seed: int) -> list[tuple[float, float]]:
     """The per-cell pooling of ``experiments.pooled_cells`` done one cell at a
     time: per cell, one one-cell ``run_experiment`` on each hypergraph k (master
-    seed ``master_seed + k``, seed count clamped to its m), the proportions
-    pooled hypergraph-major into one mean and standard error."""
+    seed ``master_seed + k``, seed count clamped to its m), its final counts
+    turned into proportions here and pooled hypergraph-major into one mean and
+    standard error."""
     pooled = []
     for strategy, count in grid.cells():
-        pooled.append(mean_stderr([
-            rec.proportion for k, h in enumerate(hypergraphs)
-            for rec in run_experiment(h, build_influence(h, grid.config.variant), ExperimentGrid(
-                grid.config, (strategy,), (min(count, h.m),)), runs, master_seed + k)]))
+        props = []
+        for k, h in enumerate(hypergraphs):
+            seeded = min(count, h.m)
+            one_cell = ExperimentGrid(grid.config, (strategy,), (seeded,))
+            finals = run_experiment(h, build_influence(h, grid.config.variant), one_cell, runs,
+                                    master_seed + k)[1, 0].tolist()
+            props += [(final - seeded) / (h.m - seeded) if h.m > seeded else 1.0
+                      for final in finals]
+        pooled.append(mean_stderr(props))
     return pooled

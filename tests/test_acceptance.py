@@ -27,6 +27,7 @@ from hypernest import (
     build_encapsulation_dag,
     build_influence,
     build_overlap_graph,
+    cell_proportions,
     filter_by_size,
     generate,
     largest_connected_component,
@@ -36,6 +37,7 @@ from hypernest import (
     preprocess,
     projected_density,
     rooted_heights,
+    run_experiment,
     spawn_rng,
     summarize,
     transitive_reduction,
@@ -248,11 +250,13 @@ class TestCriteria9And10PlantedStandIn:
                 strategies=("smallest-first", "uniform", "size-biased", "inverse-size-biased"),
                 seed_counts=NESTED_SEED_COUNTS,
             )
-            records, comparisons = randomized_comparison(
-                nested, build_influence(nested, "strict"), grid, runs=20, samples=5,
-                master_seed=42)
+            outcomes = run_experiment(nested, build_influence(nested, "strict"), grid, runs=20,
+                                      master_seed=42)
+            observed = cell_proportions(nested, grid, outcomes)
+            comparisons = randomized_comparison(nested, grid, 20, observed, samples=5,
+                                                master_seed=42)
             means = {(s["strategy"], s["seeds"]): s["mean_proportion"]
-                     for s in summarize(records)["cells"]}
+                     for s in summarize(grid, observed)["cells"]}
             for seeds in NESTED_SEED_COUNTS:
                 for strategy in ("uniform", "size-biased", "inverse-size-biased"):
                     assert means[("smallest-first", seeds)] >= means[(strategy, seeds)]
@@ -474,13 +478,14 @@ class TestCriterion9EmpiricalDirectionality:
                 strategies=("smallest-first", "uniform", "size-biased", "inverse-size-biased"),
                 seed_counts=ENRON_SEED_COUNTS,
             )
-            records, comparisons = randomized_comparison(
-                h, build_influence(h, "strict"), grid, runs=20, samples=5, master_seed=42,
-                dataset="email-Enron"
-            )
+            outcomes = run_experiment(h, build_influence(h, "strict"), grid, runs=20,
+                                      master_seed=42)
+            observed = cell_proportions(h, grid, outcomes)
+            comparisons = randomized_comparison(h, grid, 20, observed, samples=5, master_seed=42,
+                                                dataset="email-Enron")
             means = {
                 (s["strategy"], s["seeds"]): s["mean_proportion"]
-                for s in summarize(records)["cells"]
+                for s in summarize(grid, observed, "email-Enron")["cells"]
             }
             for seeds in ENRON_SEED_COUNTS:
                 best = means[("smallest-first", seeds)]

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import runpy
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import hypernest.cli as cli_mod
@@ -846,3 +848,25 @@ class TestSimulate:
 
         for path, checksum in manifest["outputs"].items():
             assert _sha256(Path(path)) == checksum
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "{input}", "--out", "stats.json"),
+    ("encapsulation", "{input}", "--out", "encapsulation.json"),
+    ("heights", "{input}", "--out", "heights.csv"),
+    ("randomize", "{input}", "--samples", "1", "--out", "randomize.json"),
+    ("rnhm", "--nodes", "6", "--max-size", "3", "--max-edges", "2", "--out", "rnhm.txt"),
+    ("simulate", "{input}", "--runs", "1", "--out", "runs.csv"),
+    ("rnhm-sweep", "--nodes", "6", "--max-size", "3", "--max-edges", "2", "--eps-grid", "1",
+     "--seed-counts", "1", "--realizations", "1", "--runs", "1", "--out", "sweep.csv"),
+], ids=lambda argv: argv[0])
+def test_every_manifest_records_python_and_numpy(plain_file, tmp_path, argv):
+    # what a replay needs besides the argv: the interpreter and NumPy versions
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = [plain_file if a == "{input}" else a for a in argv]
+    assert run_cli(*argv[:-1], outdir / argv[-1]) == 0
+    (path,) = outdir.glob("*.manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == numpy.__version__

@@ -14,15 +14,16 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
-from math import comb, sqrt
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import nested_rows
 from hypernest import VARIANTS
 from hypernest.cli import main
 
@@ -243,15 +244,6 @@ def test_randomize_matches_the_oracles(rows, max_size, seed, tmp_path):
             assert (outdir / f"sample_{i:03d}.txt").read_text() == text
 
 
-def mean_stderr(values: list[float]) -> tuple[float, float]:
-    """Mean and standard error of the mean (0.0 for one value), summed in
-    list order."""
-    mean = sum(values) / len(values)
-    if len(values) == 1:
-        return mean, 0.0
-    return mean, sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
-
-
 def proportions(h: SimpleNamespace, config: SimpleNamespace, cells: list[tuple[str, int]],
                 master_seed: int) -> list[list[tuple[int, int, float]]]:
     """Per cell, (steps, final active, proportion) of its two runs on ``h``,
@@ -271,7 +263,8 @@ def proportions(h: SimpleNamespace, config: SimpleNamespace, cells: list[tuple[s
 
 
 @OPTIONS
-@given(rows=raw_rows, max_size=max_sizes, variant=st.sampled_from(VARIANTS), data=st.data())
+@given(rows=st.one_of(nested_rows(), raw_rows), max_size=max_sizes,
+       variant=st.sampled_from(VARIANTS), data=st.data())
 def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
     h = expected_lcc(rows, max_size)
     directory = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -296,6 +289,7 @@ def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
     assert code == 0
     cells = [(s, c) for s in strategies for c in counts]
     observed = proportions(h, config, cells, master_seed)
+    event("deepest round", max(steps for runs in observed for steps, _, _ in runs))
     expected = [["rows.txt", variant, strategy, str(count), str(config.tau), str(r), str(steps),
                  str(final), str(final - count), f"{proportion:.10g}"]
                 for (strategy, count), runs in zip(cells, observed)
@@ -304,7 +298,7 @@ def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
         assert list(csv.reader(fh))[1:] == expected
     keys = [{"dataset": "rows.txt", "variant": variant, "strategy": strategy, "seeds": count,
              "tau": config.tau} for strategy, count in cells]
-    means = [mean_stderr([p for _, _, p in runs]) for runs in observed]
+    means = [oracles.mean_stderr([p for _, _, p in runs]) for runs in observed]
     if samples:
         null = [0.0] * len(cells)
         for i in range(samples):
@@ -312,7 +306,7 @@ def test_simulate_matches_the_oracles(rows, max_size, variant, data, tmp_path):
                 h, oracles.seed_sequence_rng(master_seed, "layer-randomization", i))
             sample = SimpleNamespace(n=len(labels), m=len(edges), labels=labels, edges=edges)
             for c, runs in enumerate(proportions(sample, config, cells, master_seed)):
-                null[c] += mean_stderr([p for _, _, p in runs])[0]
+                null[c] += oracles.mean_stderr([p for _, _, p in runs])[0]
         doc = {"cells": [{**key, "observed_mean": mean, "randomized_mean": total / samples,
                           "difference": mean - total / samples}
                          for key, (mean, _), total in zip(keys, means, null)],

@@ -14,6 +14,7 @@ from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
     build_influence,
+    cell_proportions,
     filter_by_size,
     largest_connected_component,
     layer_samples,
@@ -52,7 +53,7 @@ class TestContactSaturation:
     def test_non_strict_single_seed_saturates(self, name):
         h = largest_connected_component(load_filtered(name))
         grid = ExperimentGrid(DynamicsConfig("non-strict"), ("uniform",), (1,))
-        records = run_experiment(h, build_influence(h, "non-strict"), grid, runs=10,
-                                 master_seed=1, dataset=name)
-        (cell,) = summarize(records)["cells"]
+        outcomes = run_experiment(h, build_influence(h, "non-strict"), grid, runs=10,
+                                  master_seed=1)
+        (cell,) = summarize(grid, cell_proportions(h, grid, outcomes), name)["cells"]
         assert cell["mean_proportion"] == 1.0

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import final_active, hypergraphs, pick_seeds, run_once
+from conftest import any_hypergraphs, final_active, hypergraphs, pick_seeds, run_once, seed_ids
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -269,7 +269,7 @@ class TestThresholdDynamics:
 
 
 class TestEngineInvariants:
-    @given(hypergraphs(), st.integers(0, 3))
+    @given(any_hypergraphs(), st.integers(0, 3))
     @settings(max_examples=40)
     def test_monotone_and_counts_consistent(self, h, seed):
         rng = spawn_rng(seed)
@@ -283,10 +283,11 @@ class TestEngineInvariants:
             assert len(steps) - 1 <= 25
             assert final_active(row) == len(flat)
             assert_rounds_partition(row, steps)
+            event("deepest round", len(steps) - 1)
             # the oracle recounts every influence from scratch each round
             assert steps == oracles.contagion_steps(h, config, seeds)
 
-    @given(hypergraphs())
+    @given(any_hypergraphs())
     @settings(max_examples=30)
     def test_empty_adjacent_dag_never_spreads(self, h):
         adj = adjacent_layer_dag(h)
@@ -318,7 +319,7 @@ class TestEngineInvariants:
             steps2 = [{label_set(h2, e) for e in step} for step in trajectory(t2)]
             assert steps1 == steps2
 
-    @given(hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
+    @given(any_hypergraphs(max_nodes=40, max_edges=200), st.sampled_from([64, 512, 4096]))
     # every subset of six nodes: more containment links than hyperedges and nodes
     @example(Hypergraph([c for k in range(1, 7) for c in combinations(range(6), k)]), 512)
     @settings(max_examples=30)
@@ -349,7 +350,7 @@ class TestEngineInvariants:
         assert sum(runs for runs, _ in held) == 12 * len(VARIANTS)
         assert all(runs == 1 or largest <= budget for runs, largest in held)
 
-    @given(hypergraphs(max_nodes=20, max_edges=80), st.sampled_from([64, 512, 4096]),
+    @given(any_hypergraphs(max_nodes=20, max_edges=80), st.sampled_from([64, 512, 4096]),
            st.integers(1, 7))
     @settings(max_examples=20)
     def test_sweep_batches_stay_within_the_key_budget(self, h, budget, runs):
@@ -427,25 +428,25 @@ class TestContagionOracle:
     @pytest.mark.parametrize("comparison", [">=", ">"])
     @pytest.mark.parametrize("tau", [1, 2])
     @pytest.mark.parametrize("variant", VARIANTS)
-    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @given(h=any_hypergraphs(max_edges=40), data=st.data())
     @settings(max_examples=20)
     def test_steps_match_brute_force(self, variant, tau, comparison, h, data):
-        seeds = data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
+        seeds = data.draw(seed_ids(h.m))
         seed_nodes = data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
         config = DynamicsConfig(variant=variant, tau=tau, comparison=comparison, max_steps=6)
         row = run(h, config, seeds, seed_nodes)
         steps = trajectory(row)
+        event("deepest round", len(steps) - 1)
         assert steps == oracles.contagion_steps(h, config, seeds, seed_nodes)
         assert final_active(row) == sum(map(len, steps))
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @given(h=any_hypergraphs(max_edges=40), data=st.data())
     @settings(max_examples=25)
     def test_batched_runs_match_brute_force(self, variant, h, data):
         # runs of one batch share the arrays they read and nothing else
         runs = data.draw(st.integers(1, 4))
-        seeds = [data.draw(st.lists(st.integers(0, h.m - 1), max_size=4, unique=True))
-                 for _ in range(runs)]
+        seeds = [data.draw(seed_ids(h.m)) for _ in range(runs)]
         seed_nodes = [data.draw(st.lists(st.integers(0, h.n - 1), max_size=2, unique=True))
                       for _ in range(runs)]
         config = DynamicsConfig(variant=variant, tau=data.draw(st.integers(1, 2)),
@@ -453,6 +454,7 @@ class TestContagionOracle:
                                 max_steps=data.draw(st.sampled_from([1, 3, 25])))
         activated = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
+        event("deepest round", max(len(steps) - 1 for steps in expected))
         assert [trajectory(row) for row in activated] == expected
         assert activated.max(axis=1, initial=0).tolist() == [len(steps) - 1 for steps in expected]
         assert [final_active(row) for row in activated] == [sum(map(len, steps))

@@ -11,12 +11,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
-import hypernest.experiments as experiments_mod
 import oracles
 from conftest import final_active, hypergraphs, pick_seeds
 from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
-                       RunRecord, build_influence, generate, spawn_rng,
-                       run_experiment, summarize)
+                       build_influence, cell_proportions, generate, spawn_rng, run_experiment,
+                       summarize)
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread, trajectory
 from hypernest.experiments import (first_runs, pooled_cells, randomized_comparison,
                                    write_records_csv)
@@ -48,29 +47,32 @@ class TestRunExperiment:
     def test_deterministic_across_calls(self, ladder):
         a = experiment(ladder, GRID, runs=5, master_seed=3)
         b = experiment(ladder, GRID, runs=5, master_seed=3)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_jobs_do_not_change_results(self, ladder):
         serial = experiment(ladder, GRID, runs=3, master_seed=1, jobs=1)
         parallel = experiment(ladder, GRID, runs=3, master_seed=1, jobs=2)
-        assert serial == parallel
+        assert np.array_equal(serial, parallel)
 
     def test_record_grid_coverage(self, ladder):
-        records = experiment(ladder, GRID, runs=2, master_seed=0, dataset="toy")
-        assert len(records) == len(GRID.cells()) * 2
-        assert {(r.strategy, r.seeds) for r in records} == set(GRID.cells())
-        assert all(r.dataset == "toy" and r.variant == "non-strict" and r.tau == 1
-                   for r in records)
+        outcomes = experiment(ladder, GRID, runs=2, master_seed=0)
+        assert outcomes.shape == (2, len(GRID.cells()), 2)
+        cells = summarize(GRID, cell_proportions(ladder, GRID, outcomes), "toy")["cells"]
+        assert [(c["strategy"], c["seeds"]) for c in cells] == GRID.cells()
+        assert all(c["dataset"] == "toy" and c["variant"] == "non-strict" and c["tau"] == 1
+                   for c in cells)
 
     def test_all_seeded_reports_complete(self, ladder):
         grid = ExperimentGrid(strategies=("uniform",), seed_counts=(ladder.m,))
-        records = experiment(ladder, grid, runs=2, master_seed=0)
-        assert all(r.seeds == r.final_active == ladder.m and r.proportion == 1.0 for r in records)
+        outcomes = experiment(ladder, grid, runs=2, master_seed=0)
+        assert outcomes[1].tolist() == [[ladder.m, ladder.m]]
+        assert cell_proportions(ladder, grid, outcomes) == [[1.0, 1.0]]
 
     def test_proportion_definition(self, ladder):
         grid = ExperimentGrid(strategies=("smallest-first",), seed_counts=(6,))
-        (rec,) = experiment(ladder, grid, runs=1, master_seed=0)
-        assert rec.proportion == rec.non_seed_active / (ladder.m - rec.seeds)
+        outcomes = experiment(ladder, grid, runs=1, master_seed=0)
+        ((final,),) = outcomes[1].tolist()
+        assert cell_proportions(ladder, grid, outcomes) == [[(final - 6) / (ladder.m - 6)]]
 
     def test_runs_validation(self, ladder):
         with pytest.raises(ValueError):
@@ -106,7 +108,7 @@ class TestRunExperiment:
         with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
             wide = experiment(ladder, grid, runs=2, master_seed=0, jobs=64)
         assert asked == [2]
-        assert wide == serial
+        assert np.array_equal(wide, serial)
 
 
 def single_run(h, influence, grid, c, run, master_seed):
@@ -117,20 +119,27 @@ def single_run(h, influence, grid, c, run, master_seed):
     return spread(h, influence, grid.config, [pick_seeds(h, *grid.cells()[c], gen)])[0]
 
 
-def per_run_records(h, grid, runs, master_seed) -> list[RunRecord]:
-    """The records of ``run_experiment``, one ``spread`` call per run, each
-    read from its run's steps and activation row alone."""
-    config, influence = grid.config, build_influence(h, grid.config.variant)
-    records = []
-    for idx, (strategy, seed_count) in enumerate(grid.cells()):
+def results(h, grid, outcomes) -> tuple[list, list[list[float]]]:
+    """``run_experiment``'s ``outcomes`` as lists, and their ``cell_proportions``."""
+    return outcomes.tolist(), cell_proportions(h, grid, outcomes)
+
+
+def per_run_results(h, grid, runs, master_seed) -> tuple[list, list[list[float]]]:
+    """What ``results`` gives for ``run_experiment``, from one ``spread``
+    call per run, each read from its run's steps and activation row alone;
+    a proportion counts the seeds its run was given."""
+    influence = build_influence(h, grid.config.variant)
+    steps, finals, props = [], [], []
+    for idx in range(len(grid.cells())):
+        for lists in (steps, finals, props):
+            lists.append([])
         for run in range(runs):
             row = single_run(h, influence, grid, idx, run, master_seed)
-            steps = trajectory(row)
-            seeded, final = len(steps[0]), final_active(row)
-            records.append(RunRecord("", config.variant, strategy, seed_count, config.tau, run,
-                                     len(steps) - 1, final, final - seeded,
-                                     activation_proportion(h.m, seeded, final)))
-    return records
+            rounds = trajectory(row)
+            steps[-1].append(len(rounds) - 1)
+            finals[-1].append(final_active(row))
+            props[-1].append(activation_proportion(h.m, len(rounds[0]), finals[-1][-1]))
+    return [steps, finals], props
 
 
 @st.composite
@@ -167,16 +176,16 @@ class TestBatchedRuns:
         # a budget of one key splits the grid into one run per batch
         budget = data.draw(st.sampled_from([1, 64, dynamics_mod._BATCH_KEYS]))
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget):
-            records = experiment(h, grid, runs, seed)
-        assert records == per_run_records(h, grid, runs, seed)
+            outcomes = experiment(h, grid, runs, seed)
+        assert results(h, grid, outcomes) == per_run_results(h, grid, runs, seed)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @given(h=hypergraphs(max_edges=30), data=st.data())
     @settings(max_examples=8)
     def test_worker_parts_match_per_run_loop(self, jobs, h, data):
         grid = data.draw(grids(h, data.draw(st.sampled_from(VARIANTS))))
-        records = experiment(h, grid, 3, 11, jobs=jobs)
-        assert records == per_run_records(h, grid, 3, 11)
+        outcomes = experiment(h, grid, 3, 11, jobs=jobs)
+        assert results(h, grid, outcomes) == per_run_results(h, grid, 3, 11)
 
     def test_one_variant_splits_across_jobs(self, ladder):
         parts = []
@@ -204,7 +213,8 @@ class TestBatchedRuns:
         # one cell's five runs go to two workers, as runs 0-1 and 2-4
         assert [part[3] for part in parts] == [(0, 2), (2, 5)]
         parallel = experiment(ladder, grid, runs=5, master_seed=2, jobs=2)
-        assert split == parallel == serial == per_run_records(ladder, grid, 5, 2)
+        assert (results(ladder, grid, split) == results(ladder, grid, parallel)
+                == results(ladder, grid, serial) == per_run_results(ladder, grid, 5, 2))
 
     @pytest.mark.parametrize("budget", [1, dynamics_mod._BATCH_KEYS])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -233,11 +243,11 @@ class TestBatchedRuns:
         # runs of every cell in one batch
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
                 mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
-            records = experiment(ladder, grid, runs=2, master_seed=9, jobs=jobs)
+            outcomes = experiment(ladder, grid, runs=2, master_seed=9, jobs=jobs)
         if jobs == 2:
             # six runs split as three and three: cell 1 goes to both workers
             assert [part[3] for part in parts] == [(0, 3), (3, 6)]
-        assert records == per_run_records(ladder, grid, 2, 9)
+        assert results(ladder, grid, outcomes) == per_run_results(ladder, grid, 2, 9)
 
     def test_contagion_leaves_row_views_unbuilt(self, ladder):
         for variant in VARIANTS:
@@ -258,10 +268,10 @@ class TestFirstRuns:
         grid = data.draw(grids(h, variant))
         influence = build_influence(h, variant)
         activated = first_runs(h, influence, grid, 5)
-        first = [rec for rec in run_experiment(h, influence, grid, 2, 5) if rec.run == 0]
-        assert activated.max(axis=1, initial=0).tolist() == [rec.steps for rec in first]
-        assert [final_active(row) for row in activated] == [rec.final_active for rec in first]
-        for c in range(len(first)):
+        steps, finals = run_experiment(h, influence, grid, 2, 5)[:, :, 0].tolist()
+        assert activated.max(axis=1, initial=0).tolist() == steps
+        assert [final_active(row) for row in activated] == finals
+        for c in range(len(steps)):
             assert trajectory(activated[c]) == trajectory(single_run(h, influence, grid, c, 0, 5))
 
     def test_one_spread_call(self, ladder):
@@ -323,34 +333,37 @@ class TestPooledCells:
 
 class TestSummaries:
     def test_mean_and_stderr(self, ladder):
-        records = experiment(ladder, GRID, runs=8, master_seed=2)
-        for cell in summarize(records)["cells"]:
-            props = [
-                r.proportion
-                for r in records
-                if (r.strategy, r.seeds) == (cell["strategy"], cell["seeds"])
-            ]
-            assert cell["runs"] == len(props)
+        by_cell = dict(zip(GRID.cells(), cell_proportions(
+            ladder, GRID, experiment(ladder, GRID, runs=8, master_seed=2))))
+        for cell in summarize(GRID, list(by_cell.values()))["cells"]:
+            props = by_cell[(cell["strategy"], cell["seeds"])]
+            assert cell["runs"] == len(props) == 8
             assert cell["mean_proportion"] == pytest.approx(sum(props) / len(props))
             assert cell["stderr"] >= 0.0
 
     def test_identical_runs_have_zero_variance(self, ladder):
         # smallest-first with every hyperedge seeded is the same draw each run
         grid = ExperimentGrid(strategies=("smallest-first",), seed_counts=(ladder.m,))
-        (cell,) = summarize(experiment(ladder, grid, runs=5, master_seed=0))["cells"]
+        outcomes = experiment(ladder, grid, runs=5, master_seed=0)
+        (cell,) = summarize(grid, cell_proportions(ladder, grid, outcomes))["cells"]
         assert cell["stderr"] == 0.0
         assert cell["mean_proportion"] == 1.0
+
+
+def comparison(h, grid, runs, samples, master_seed, jobs=1):
+    """The observed outcome array of ``grid`` on ``h`` and the
+    ``randomized_comparison`` of its proportions."""
+    outcomes = experiment(h, grid, runs, master_seed, jobs=jobs)
+    return outcomes, randomized_comparison(h, grid, runs, cell_proportions(h, grid, outcomes),
+                                           samples, master_seed, jobs=jobs)
 
 
 class TestRandomizedComparison:
     def test_shape_and_determinism(self, ladder):
         grid = ExperimentGrid(strategies=("smallest-first",), seed_counts=(6,))
-        influence = build_influence(ladder, "strict")
-        records, comps = randomized_comparison(ladder, influence, grid, runs=3, samples=2,
-                                               master_seed=4)
-        records2, comps2 = randomized_comparison(ladder, influence, grid, runs=3, samples=2,
-                                                 master_seed=4)
-        assert comps == comps2 and records == records2
+        outcomes, comps = comparison(ladder, grid, runs=3, samples=2, master_seed=4)
+        outcomes2, comps2 = comparison(ladder, grid, runs=3, samples=2, master_seed=4)
+        assert comps == comps2 and np.array_equal(outcomes, outcomes2)
         (comp,) = comps["cells"]
         assert comp["difference"] == pytest.approx(comp["observed_mean"] - comp["randomized_mean"])
 
@@ -374,36 +387,32 @@ class TestRandomizedComparison:
                 parts.extend(work)
                 return map(fn, work)
 
-        influence = build_influence(ladder, GRID.config.variant)
-        serial = randomized_comparison(ladder, influence, GRID, runs=3, samples=2, master_seed=5)
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool), \
-                mock.patch.object(experiments_mod, "RunRecord", wraps=RunRecord) as built:
-            split = randomized_comparison(ladder, influence, GRID, runs=3, samples=2,
-                                          master_seed=5, jobs=2)
+        serial = comparison(ladder, GRID, runs=3, samples=2, master_seed=5)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
+            split = comparison(ladder, GRID, runs=3, samples=2, master_seed=5, jobs=2)
         # twelve runs as six and six, on the observed grid and on each sample
         assert [part[3] for part in parts] == [(0, 6), (6, 12)] * 3
-        assert split == serial
-        # records of the observed runs only
-        assert built.call_count == len(GRID.cells()) * 3
+        assert np.array_equal(split[0], serial[0]) and split[1] == serial[1]
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_validation(self, ladder, samples):
         with pytest.raises(ValueError, match="samples"):
-            randomized_comparison(ladder, build_influence(ladder, "non-strict"), GRID, runs=1,
-                                  samples=samples, master_seed=0)
+            randomized_comparison(ladder, GRID, 1, [[0.0]] * len(GRID.cells()), samples=samples,
+                                  master_seed=0)
 
 
 class TestCsvExport:
     def test_columns_and_round_trip(self, ladder, tmp_path):
-        records = experiment(ladder, GRID, runs=2, master_seed=0, dataset="toy")
+        outcomes = experiment(ladder, GRID, runs=2, master_seed=0)
+        props = cell_proportions(ladder, GRID, outcomes)
         path = tmp_path / "results.csv"
-        write_records_csv(records, path)
+        write_records_csv(GRID, outcomes, props, path, dataset="toy")
         rows = list(csv.DictReader(path.read_text().splitlines()))
         assert list(rows[0]) == [
             "dataset", "variant", "strategy", "seeds", "tau", "run",
             "steps", "final_active", "non_seed_active", "proportion",
         ]
-        assert len(rows) == len(records)
-        for row, rec in zip(rows, records):
-            assert int(row["final_active"]) == rec.final_active
-            assert float(row["proportion"]) == pytest.approx(rec.proportion)
+        assert len(rows) == outcomes[1].size
+        for row, final, prop in zip(rows, outcomes[1].ravel().tolist(), sum(props, [])):
+            assert int(row["final_active"]) == final
+            assert float(row["proportion"]) == pytest.approx(prop)
