@@ -108,12 +108,54 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 
 def load_input(args: argparse.Namespace) -> Hypergraph:
+    """The preprocessed input of ``args``; the digest of each file's bytes,
+    as they were parsed, goes to ``args._inputs`` for the manifest (a pipe
+    cannot be read a second time)."""
     path = Path(args.input)
     if not path.exists() and not dataset_files(path, args.format)[0].is_file():
         raise FormatError(f"input not found: {path}")
     if args.max_size < 0:
         raise ValueError(f"--max-size must be >= 0 (0 disables the filter), got {args.max_size}")
-    return preprocess(load_auto(path, args.format), max_size=args.max_size or None, lcc=args.lcc)
+    args._inputs = {}
+
+    def read(file: Path) -> bytes:
+        data = file.read_bytes()
+        args._inputs[str(file)] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return data
+
+    return preprocess(load_auto(path, args.format, read), max_size=args.max_size or None,
+                      lcc=args.lcc)
+
+
+def json_text(obj, default=None) -> str:
+    """``json.dumps(obj, indent=2, default=default)`` and a newline, byte for
+    byte. ``indent`` sends everything through the pure-Python encoder; here
+    each flat list of numbers, the bulk of a document, goes through the C
+    encoder, and only the structure around it is laid out in Python."""
+    return _indented(obj, "\n", default) + "\n"
+
+
+def _indented(obj, newline: str, default) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` lays it out at the depth
+    whose line break and indent is ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):  # keys that json converts
+            return json.dumps(obj, indent=2, default=default).replace("\n", newline)
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(key)}: {_indented(value, inner, default)}"
+            for key, value in obj.items()) + newline + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if not isinstance(obj[0], (dict, list, tuple)):  # else it is not flat
+            text = json.dumps(obj, default=default)
+            # numbers, true, false and null hold no quote, no bracket and no ", "
+            if not ('"' in text or "{" in text or "[" in text[1:]):
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+        return "[" + inner + ("," + inner).join(
+            _indented(item, inner, default) for item in obj) + newline + "]"
+    if obj is None or isinstance(obj, (str, int, float, dict, list, tuple)) or default is None:
+        return json.dumps(obj)
+    return _indented(default(obj), newline, default)
 
 
 def _sha256(path: Path) -> str:
@@ -126,10 +168,11 @@ def _sha256(path: Path) -> str:
 
 def check_outputs(args: argparse.Namespace, outputs: list[Path], directory: Path | None = None):
     """The paths a run writes (``outputs``, then a manifest next to the
-    first), their ``.tmp`` files and the run's input files. An OSError or
-    ValueError unless each path's directory exists (or is ``directory``,
-    which the run makes), the path is not a directory, and no two paths,
-    nor a path and an input file, resolve to the same file."""
+    first) and their ``.tmp`` files. An OSError or ValueError unless each
+    path's directory exists (or is ``directory``, which the run makes), a
+    path that exists is a regular file (renaming over a FIFO or a device
+    would replace it), and no two paths, nor a path and an input file,
+    resolve to the same file."""
     paths = [*outputs, outputs[0].with_name(outputs[0].name + ".manifest.json")]
     temps = [path.with_name(path.name + ".tmp") for path in paths]
     source = getattr(args, "input", None)
@@ -140,11 +183,13 @@ def check_outputs(args: argparse.Namespace, outputs: list[Path], directory: Path
             raise ValueError(f"output path {path} would overwrite {seen[key]}")
         if path.is_dir():
             raise ValueError(f"output path {path} is a directory")
+        if path.exists() and not path.is_file():
+            raise ValueError(f"output path {path} is not a regular file")
         if not path.parent.is_dir() and path.parent != directory:
             code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), str(path))
         seen[key] = "another output"
-    return paths, temps, inputs
+    return paths, temps
 
 
 def publish(args: argparse.Namespace, outputs, document: str | None = None,
@@ -158,7 +203,7 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
     Then print ``document``, or else one ``wrote`` line."""
     named = [(Path(path), content) for path, content in outputs if path]
     if named:
-        paths, temps, inputs = check_outputs(args, [path for path, _ in named], directory)
+        paths, temps = check_outputs(args, [path for path, _ in named], directory)
         made = [] if directory is None else list(
             takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
         started = []
@@ -179,13 +224,13 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
                 "numpy": numpy.__version__,
                 "seed": getattr(args, "seed", None),
                 "parameters": {k: v for k, v in vars(args).items()
-                               if k not in ("func", "command", "_argv")},
-                "inputs": {str(p): _sha256(p) for p in inputs},
+                               if k not in ("func", "command", "_argv", "_inputs")},
+                "inputs": getattr(args, "_inputs", {}),
                 "outputs": {str(p): _sha256(t) for p, t in zip(paths, temps[:-1])},
                 **(extra or {}),
             }
             started.append(temps[-1])
-            temps[-1].write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+            temps[-1].write_text(json_text(manifest, default=str))
             for tmp, path in zip(temps, paths):
                 os.replace(tmp, path)
         except BaseException as exc:
@@ -208,7 +253,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     h = load_input(args)
     stats = {"n": h.n, "m": h.m, "projected_density": projected_density(h),
              "dag_edges": linegraph.build_encapsulation_dag(h).edge_count}
-    text = json.dumps(stats, indent=2) + "\n"
+    text = json_text(stats)
     line = "n={n} m={m} projected_density={projected_density:.4f} dag_edges={dag_edges}\n"
     return publish(args, [(args.out, text)],
                    None if args.out else text if args.json else line.format(**stats))
@@ -231,7 +276,7 @@ def cmd_encapsulation(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "mean_pair_counts": {k: v / args.randomize for k, v in sorted(pair_sums.items())},
         }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_text(doc)
     return publish(args, [(args.out, text)], None if args.out else text)
 
 
@@ -261,7 +306,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
             "mean_max_height": sum(sample_max) / len(sample_max),
             "height_distributions": sample_dists,
         }
-    text = json.dumps(summary, indent=2) + "\n"
+    text = json_text(summary)
     return publish(args, [(args.out, report.write_csv), (args.summary_out, text)],
                    None if args.out or args.summary_out else text)
 
@@ -272,7 +317,7 @@ def cmd_randomize(args: argparse.Namespace) -> int:
     drawn = randomize.layer_samples(h, args.samples, args.seed)
     if outdir is not None:  # held only when written; otherwise one at a time
         drawn = list(drawn)
-    text = json.dumps(randomize.retention_report(h, drawn, args.seed), indent=2) + "\n"
+    text = json_text(randomize.retention_report(h, drawn, args.seed))
     samples = [] if outdir is None else [
         (outdir / f"sample_{i:03d}.txt", partial(write_plain, randomized))
         for i, randomized in enumerate(drawn)]
@@ -351,10 +396,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   "steps": steps, "final_active": sum(map(len, steps))}
                  for (strategy, seed_count), row in zip(grid.cells(), activated)
                  for steps in [dynamics.trajectory(row)]]
-        trajectories = json.dumps(dumps, indent=2) + "\n"
+        trajectories = json_text(dumps)
     return publish(args, [(args.out, partial(experiments.write_records_csv, grid, outcomes, props,
                                              dataset=dataset)),
-                          (args.summary_out, json.dumps(summary_doc, indent=2) + "\n"),
+                          (args.summary_out, json_text(summary_doc)),
                           (args.trajectories, trajectories)])
 
 

@@ -11,7 +11,6 @@ level, the reduction on int64 pair keys ``u * n + w``, one per edge.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -107,12 +106,13 @@ class RootedHeightReport:
         return int(self.heights.max()) if self.num_roots else 0
 
     def write_csv(self, path: str | Path) -> None:
-        ints = (col.tolist() for col in self.columns()[:4])
-        floats = (map("{:.6g}".format, col.tolist()) for col in self.columns()[4:])
+        """One CSV line per root, as ``csv.writer`` writes them: no field
+        needs quoting, each float is ``"{:.6g}"``, lines end in CRLF."""
+        line = "{},{},{},{},{:.6g},{:.6g}\r\n".format
+        lines = map(line, *(col.tolist() for col in self.columns()))
+        text = ",".join(f.name for f in fields(RootHeightRecord)) + "\r\n" + "".join(lines)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(f.name for f in fields(RootHeightRecord))
-            writer.writerows(zip(*ints, *floats))
+            fh.write(text)
 
 
 def max_root_out_degree(size: int, singletons_present: bool) -> int:

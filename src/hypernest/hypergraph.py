@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import io
 from array import array
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +92,28 @@ def _first_rows(ptr: np.ndarray, nodes: np.ndarray, sizes: np.ndarray) -> np.nda
     return keep
 
 
+def _by_first_appearance(nodes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids below ``n`` that ``nodes`` holds, in order of first
+    appearance, and the new id of each: its place in that order."""
+    total = nodes.size
+    # the position where each id first appears, then those ids in order
+    first = np.full(n, total)
+    np.minimum.at(first, nodes, np.arange(total))
+    at_first = np.zeros(total, dtype=bool)
+    at_first[first[first < total]] = True
+    kept = nodes[at_first]
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[kept] = np.arange(kept.size)
+    return new_id, kept
+
+
 def _label_order(labels: Sequence[Label]) -> np.ndarray | None:
     """Indices of ``labels`` in label order; None when they do not compare."""
+    if set(map(type, labels)) <= {int}:
+        try:
+            return np.argsort(np.array(labels, dtype=np.int64), kind="stable")
+        except OverflowError:  # beyond int64: Python compares them
+            pass
     try:
         return np.asarray(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.int64)
     except TypeError:
@@ -121,22 +142,41 @@ class Hypergraph:
             start = len(flat)
             flat += raw
             lengths.append(len(flat) - start)
-        index: dict[Label, int] = {}
-        ids = np.array([index.setdefault(lab, len(index)) for lab in flat], dtype=np.int64)
-        sizes = np.asarray(lengths, dtype=np.int64)
+        self._build(np.asarray(lengths, dtype=np.int64), flat)
+
+    @classmethod
+    def _from_flat(cls, sizes: np.ndarray, flat: np.ndarray | list[Label]) -> Hypergraph:
+        h = cls.__new__(cls)
+        h._build(sizes, flat)
+        return h
+
+    def _build(self, sizes: np.ndarray, flat: np.ndarray | list[Label]) -> None:
+        """The one construction step: the rows of ``sizes`` over ``flat``,
+        an int64 array of labels or a list of hashable ones, with nodes
+        numbered by first appearance. Each row is sorted, a node repeated
+        within a row is refused and a repeated row keeps its first copy."""
+        if isinstance(flat, np.ndarray):
+            values, ids = np.unique(flat, return_inverse=True)
+            new_id, kept = _by_first_appearance(ids, values.size)
+            ids, labels = new_id[ids], tuple(values[kept].tolist())
+        else:
+            index: dict[Label, int] = {}
+            ids = np.array([index.setdefault(lab, len(index)) for lab in flat], dtype=np.int64)
+            labels = tuple(index)
         if sizes.size and int(sizes.min()) == 0:
             raise ValueError("hyperedges must be non-empty")
         ptr = np.concatenate(([0], np.cumsum(sizes)))
-        nodes = _sort_rows(sizes, ids, len(index))
+        nodes = _sort_rows(sizes, ids, len(labels))
         repeat = nodes[1:] == nodes[:-1]
         repeat[ptr[1:-1] - 1] = False  # pairs across a row boundary
         if repeat.any():
             r = int(np.searchsorted(ptr, repeat.argmax(), "right")) - 1
-            raise RepeatedNodeError(r, tuple(flat[ptr[r]:ptr[r + 1]]))
+            row = flat[ptr[r]:ptr[r + 1]]
+            raise RepeatedNodeError(r, tuple(row.tolist() if isinstance(row, np.ndarray) else row))
         keep = _first_rows(ptr, nodes, sizes)
         # a dropped row repeats a kept one: the ids follow first appearance
         self._set_rows(np.concatenate(([0], np.cumsum(sizes[keep]))),
-                       nodes[np.repeat(keep, sizes)], tuple(index))
+                       nodes[np.repeat(keep, sizes)], labels)
 
     @classmethod
     def from_arrays(cls, edge_ptr: np.ndarray, nodes: np.ndarray,
@@ -144,15 +184,7 @@ class Hypergraph:
         """Hypergraph of distinct rows of ids into ``labels``, without hashing
         a label: nodes are renumbered by first appearance in ``nodes`` (row
         by row, in the given within-row order) and each row is sorted."""
-        n, total = len(labels), nodes.size
-        # the position where each label id first appears, then those ids in order
-        first = np.full(n, total)
-        np.minimum.at(first, nodes, np.arange(total))
-        at_first = np.zeros(total, dtype=bool)
-        at_first[first[first < total]] = True
-        kept = nodes[at_first]
-        new_id = np.empty(n, dtype=np.int64)
-        new_id[kept] = np.arange(kept.size)
+        new_id, kept = _by_first_appearance(nodes, len(labels))
         h = cls.__new__(cls)
         h._set_rows(edge_ptr, _sort_rows(np.diff(edge_ptr), new_id[nodes], kept.size),
                     tuple(map(labels.__getitem__, kept.tolist())))
@@ -288,29 +320,71 @@ def ingest_simplex(nverts: Iterable[int], flat_nodes: Iterable[Label]) -> Hyperg
     """Build a hypergraph from the simplex-list dataset format.
 
     ``nverts`` gives the size of each record and ``flat_nodes`` the
-    concatenated node ids; record ``i`` consumes ``nverts[i]`` consecutive
-    entries. Records repeating the same node are malformed; records equal as
-    sets are collapsed to one hyperedge.
+    concatenated node ids (either may be an int64 array); record ``i``
+    consumes ``nverts[i]`` consecutive entries. Records repeating the same
+    node are malformed; records equal as sets are collapsed to one hyperedge.
     """
-    sizes = list(nverts)
-    nodes = list(flat_nodes)
+    sizes = nverts.tolist() if isinstance(nverts, np.ndarray) else list(nverts)
+    nodes = flat_nodes if isinstance(flat_nodes, np.ndarray) else list(flat_nodes)
+    # Python ints: a sum of 18-digit sizes would wrap in int64
     total = sum(sizes)
     if total != len(nodes):
         raise FormatError(
             f"record sizes sum to {total} but {len(nodes)} node entries were given"
         )
-    for k, size in enumerate(sizes):
-        if size <= 0:
-            raise FormatError(f"record {k} has non-positive size {size}")
+    if sizes and min(sizes) <= 0:
+        k = next(k for k, size in enumerate(sizes) if size <= 0)
+        raise FormatError(f"record {k} has non-positive size {sizes[k]}")
     try:
-        return Hypergraph(nodes[end - size:end] for size, end in zip(sizes, accumulate(sizes)))
+        return Hypergraph._from_flat(np.asarray(sizes, dtype=np.int64), nodes)
     except RepeatedNodeError as exc:
         raise FormatError(f"record {exc.row} repeats a node: {list(exc.labels)}") from None
 
 
-def _read_int_column(path: Path) -> list[int]:
+# the bytes of the integer grammar: ASCII digits, space, tab, LF and the CR of a CRLF
+_INT_BYTES = b"0123456789 \t\n\r"
+# int64 holds every integer of up to 18 digits
+_MAX_DIGITS = 18
+
+
+def _int_tokens(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The integers of ``data`` and the offset where each starts, when it
+    holds only ASCII digits, at most ``_MAX_DIGITS`` to a token, spaces,
+    tabs and LF or CRLF line ends; None for any other input."""
+    # a bare CR ends a line in text mode
+    if data.translate(None, _INT_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # every other byte of the grammar sorts below "0"
+    edges = np.diff((buf >= ord("0")).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    del edges
+    lengths = ends - starts
+    longest = int(lengths.max()) if lengths.size else 0
+    if longest > _MAX_DIGITS:
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    at = ends - 1
+    for k in range(longest):  # the digit k places from the right of each token
+        digit = buf[at] - np.uint8(ord("0"))
+        digit[lengths <= k] = 0
+        values += digit * np.int64(10**k)
+        at -= 1
+    return values, starts
+
+
+def _text(data: bytes) -> io.TextIOWrapper:
+    """``data`` decoded as ``open(path)`` decodes a file: the default
+    encoding, strict, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+def _read_int_column(path: Path, data: bytes) -> np.ndarray | list[int]:
+    """The whitespace-separated integers of ``path``'s bytes ``data``."""
+    if (tokens := _int_tokens(data)) is not None:
+        return tokens[0]
     try:
-        return [int(tok) for tok in path.read_text().split()]
+        return [int(tok) for tok in _text(data).read().split()]
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer entry ({exc})") from exc
 
@@ -338,20 +412,22 @@ def dataset_files(path: str | Path, fmt: str = "auto") -> list[Path]:
     return [p.parent / (prefix + suffix) for suffix in ("-nverts.txt", "-simplices.txt")]
 
 
-def load_auto(path: str | Path, fmt: str = "auto") -> Hypergraph:
+def load_auto(path: str | Path, fmt: str = "auto",
+              read: Callable[[Path], bytes] = Path.read_bytes) -> Hypergraph:
     """Load the dataset ``path`` in format ``fmt`` (``auto`` detects the
     simplex layout from the path; see ``dataset_files``): a plain file, or
     the two-file simplex format, ``<prefix>-nverts.txt`` and
-    ``<prefix>-simplices.txt`` of newline-separated ASCII integers."""
+    ``<prefix>-simplices.txt`` of newline-separated ASCII integers. Each
+    file is read once, by ``read``, so a pipe can be an input."""
     files = dataset_files(path, fmt)
     if len(files) == 1:
-        return load_plain(files[0])
+        return _parse_plain_bytes(read(files[0]))
     for req in files:
         if not req.is_file():
             raise FormatError(f"missing dataset file {req}")
     # A <prefix>-times.txt may sit alongside; interactions are aggregated
     # into one static hypergraph, so timestamps are not read.
-    return ingest_simplex(*map(_read_int_column, files))
+    return ingest_simplex(*(_read_int_column(req, read(req)) for req in files))
 
 
 def load_simplex_dataset(path: str | Path) -> Hypergraph:
@@ -391,20 +467,46 @@ def _plain_label(token: str) -> Label:
         return token
 
 
+def _parse_plain_bytes(data: bytes) -> Hypergraph:
+    """``parse_plain`` of the file holding ``data``. Input of the integer
+    grammar (``_int_tokens``) is read in array passes; anything else, and
+    every input the text parser would refuse, goes to ``parse_plain``, so
+    labels and error messages are the same either way."""
+    tokens = _int_tokens(data)
+    if tokens is not None and tokens[0].size:
+        values, starts = tokens
+        # the tokens before each line end, and after the last one
+        newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=starts.size)
+        try:
+            return Hypergraph._from_flat(per_line[per_line > 0], values)
+        except RepeatedNodeError:
+            pass  # parse_plain names the line
+    return parse_plain(_text(data))
+
+
 def load_plain(path: str | Path) -> Hypergraph:
-    with open(path) as fh:
-        return parse_plain(fh)
+    """``parse_plain`` of the file ``path``, which is read once."""
+    return _parse_plain_bytes(Path(path).read_bytes())
 
 
 def write_plain(h: Hypergraph, path: str | Path) -> None:
-    """One line per hyperedge, in id order, its labels in label order."""
+    """One line per hyperedge, in id order, its labels in label order. A
+    ValueError, before anything is written, if a line would start with a
+    label beginning with ``#``: it would read back as a comment."""
     words = [str(lab) for lab in h.labels]
-    tokens = list(map(words.__getitem__, h.label_rows.tolist()))
-    seps = [" "] * len(tokens)
-    for end in (h.edge_ptr[1:] - 1).tolist():
-        seps[end] = "\n"
+    rows = h.label_rows
+    # one search of all labels first: most inputs have no "#" label at all
+    if "\n#" in "\n" + "\n".join(words) and (comment := [
+            w for w in map(words.__getitem__, rows[h.edge_ptr[:-1]].tolist()) if w[:1] == "#"]):
+        raise ValueError(f"cannot write the plain format: label {comment[0]!r} would start "
+                         "a line, which reads back as a comment")
+    last = h.edge_ptr[1:] - 1
+    tokens = np.array([w + " " for w in words], dtype=object)[rows]
+    tokens[last] = np.array([w + "\n" for w in words], dtype=object)[rows[last]]
+    text = "".join(tokens.tolist())
     with open(path, "w") as fh:
-        fh.write("".join(chain.from_iterable(zip(tokens, seps))))
+        fh.write(text)
 
 
 def filter_by_size(h: Hypergraph, max_size: int) -> Hypergraph:

@@ -218,6 +218,15 @@ def adjacent_layer_dag(h: Hypergraph) -> HyperedgeDag:
     return HyperedgeDag(ptr, idx, candidate_visits=visits)
 
 
+def ratios(counts: np.ndarray, k: int) -> list[float]:
+    """``[c / k for c in counts]`` with Python ints. Below 2^53 both are exact
+    doubles (a count never exceeds ``k``), and IEEE division rounds their
+    quotient as Python's int division does; beyond, C(n, m) may pass int64."""
+    if k < 2**53:
+        return (counts / k).tolist()
+    return [c / k for c in counts.tolist()]
+
+
 def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag, normalized: bool = False,
                          histograms: bool = False) -> dict:
     """The ``observed`` document of ``encapsulation``: ``sizes`` maps each
@@ -239,12 +248,10 @@ def encapsulation_counts(h: Hypergraph, dag: HyperedgeDag, normalized: bool = Fa
         contained = np.zeros((num, i), dtype=np.int64)
         np.add.at(contained, ((np.cumsum(members) - 1)[heads[mine]], size_code[tails[mine]]), 1)
         for j, m_ in enumerate(present[:i].tolist()):
-            col = contained[:, j].tolist()
-            entry = pairs[f"{n},{m_}"] = {"count": sum(col), "size_n_edges": num}
+            col = contained[:, j]
+            entry = pairs[f"{n},{m_}"] = {"count": int(col.sum()), "size_n_edges": num}
             if normalized:
                 entry["per_size_n_edge"] = entry["count"] / num
             if histograms:
-                # Python int division: C(n, m) may pass int64 and 2^53
-                k = comb(n, m_)
-                entry["histogram"] = [c / k for c in col]
+                entry["histogram"] = ratios(col, comb(n, m_))
     return {"sizes": dict(zip(map(str, present.tolist()), counts.tolist())), "pairs": pairs}

@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import hypernest.hypergraph as hypergraph
 import oracles
 from conftest import dataset_prefix, overlap_entries, pick_seeds, run_once
 from hypernest import (
@@ -230,6 +231,19 @@ class TestCriterion1ScaleStandIn:
             assert (dag.edge_count, adjacent.edge_count) == (416 * blocks, 156 * blocks)
             assert sorted(h.labels) == sorted(kept)
             assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
+
+
+    def test_both_tokenizers_read_the_same_hypergraph(self, tmp_path, monkeypatch):
+        prefix = tmp_path / "scale" / "scale"
+        write_scale_dataset(prefix, SCALE_BLOCKS, SCALE_PAIRS)
+        arrays = ("sizes", "edge_ptr", "edge_nodes", "memb_ptr", "memb_ids")
+        fast = load_auto(prefix)
+        # with no array tokenizer, both files are read by int() on each token
+        monkeypatch.setattr(hypergraph, "_int_tokens", lambda data: None)
+        text = load_auto(prefix)
+        assert fast.labels == text.labels
+        for name in arrays:
+            assert np.array_equal(getattr(fast, name), getattr(text, name)), name
 
 
 # offline stand-in for criteria 9 and 10: a fixed RNHM sample that keeps every

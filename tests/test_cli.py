@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import math
+import os
 import platform
 import runpy
+import stat
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hypernest.cli as cli_mod
 import hypernest.dynamics as dynamics_mod
@@ -870,3 +877,81 @@ def test_every_manifest_records_python_and_numpy(plain_file, tmp_path, argv):
     manifest = json.loads(path.read_text())
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == numpy.__version__
+
+
+# strings that the flat-list path must not split: separators, quotes, brackets
+JSON_TEXT = st.lists(st.sampled_from([", ", ",", '"', "[", "]", "{", "}", ": ", "é", "a", "1", "\n"]),
+                     max_size=4).map("".join)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), JSON_TEXT,
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(st.one_of(st.integers(), st.floats()), max_size=8),
+                            st.dictionaries(JSON_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(JSON_DOCUMENTS)
+@example(["a, b", "c"])  # a list of strings holding ", " is not a flat list of numbers
+@example([1.5, "x, y"])
+@example({"h": [0.1, 1e-300, math.nan, -math.inf, True, None, 7], "e": [], "d": {}})
+@example([[1, 2], [], [[3]]])
+def test_json_text_is_json_dumps_with_indent(doc):
+    assert cli_mod.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_text_applies_default_as_json_does():
+    doc = {"path": Path("a/b"), "nested": [Path("c")], 3: "non-str key"}
+    assert cli_mod.json_text(doc, default=str) == json.dumps(doc, indent=2, default=str) + "\n"
+
+
+def run_in_subprocess(argv: list, cwd: Path, stdin: bytes | None = None):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "hypernest.cli", *map(str, argv)], cwd=cwd,
+                          input=stdin, capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("fifo", ["h.csv", "h.csv.manifest.json", "h.csv.tmp"])
+def test_output_that_is_not_a_regular_file_is_refused(fifo, plain_file, tmp_path):
+    # renaming over a FIFO or a device would replace it with a regular file;
+    # run in a child, which opening a FIFO for writing would block
+    os.mkfifo(tmp_path / fifo)
+    result = run_in_subprocess(["heights", plain_file, "--out", "h.csv"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.decode() == (
+        f"hypernest heights: error: output path {fifo} is not a regular file\n")
+    assert stat.S_ISFIFO((tmp_path / fifo).stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([plain_file.name, fifo])
+
+
+def test_manifest_hashes_the_bytes_read_from_a_pipe(plain_file, tmp_path):
+    # a pipe is drained by the reader; hashing it again would read no bytes
+    data = plain_file.read_bytes()
+    result = run_in_subprocess(["heights", "/dev/stdin", "--out", "h.csv"], tmp_path, data)
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+    assert manifest["inputs"] == {"/dev/stdin": "sha256:" + hashlib.sha256(data).hexdigest()}
+    assert run_cli("heights", plain_file, "--out", tmp_path / "file.csv") == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "h.csv").read_bytes()
+
+
+def test_sample_that_would_read_as_comments_is_refused(tmp_path, capsys):
+    # "#a" sorts first in both rows, so each written line would be a comment
+    source = tmp_path / "in.txt"
+    source.write_text("b #a\nb c\n")
+    code = run_cli("randomize", source, "--samples", "1", "--out", tmp_path / "r.json",
+                   "--emit-samples", tmp_path / "s")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "hypernest randomize: error: cannot write the plain format: label '#a' would start a "
+        "line, which reads back as a comment\n")
+    assert sorted(tmp_path.iterdir()) == [source]
+    # a "#" after a label's first character is no comment
+    source.write_text("b a#\nb c\n")
+    assert run_cli("randomize", source, "--samples", "1", "--emit-samples", tmp_path / "s") == 0
+    capsys.readouterr()
+    assert run_cli("stats", tmp_path / "s" / "sample_000.txt", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 2

@@ -201,7 +201,82 @@ class TestIngestSimplex:
             dataset_files(tmp_path)
 
 
+    @pytest.mark.parametrize("nverts,simplices,message", [
+        (b"2\n3\n", b"1\n2\n1\n2\n", "record sizes sum to 5 but 4 node entries were given"),
+        (b"2\n0\n", b"1\n2\n", "record 1 has non-positive size 0"),
+        # a sign, 19 or more digits and invalid UTF-8 take the text tokenizer
+        (b"2\n-1\n1\n", b"1\n2\n", "record 1 has non-positive size -1"),
+        (b"99999999999999999999\n", b"1\n2\n",
+         "record sizes sum to 99999999999999999999 but 2 node entries were given"),
+        # 18-digit sizes whose sum passes int64
+        (b"999999999999999999\n" * 11, b"1\n",
+         "record sizes sum to 10999999999999999989 but 1 node entries were given"),
+        (b"2\n", b"5\n5\n", "record 0 repeats a node: [5, 5]"),
+        (b"2\nx\n", b"1\n2\n",
+         "{dir}/d-nverts.txt: non-integer entry (invalid literal for int() with base 10: 'x')"),
+        (b"2\n", b"1\n\xff\n", "{dir}/d-simplices.txt: non-integer entry ('utf-8' codec can't "
+         "decode byte 0xff in position 2: invalid start byte)"),
+    ])
+    def test_malformed_files_keep_their_messages(self, tmp_path, nverts, simplices, message):
+        (tmp_path / "d-nverts.txt").write_bytes(nverts)
+        (tmp_path / "d-simplices.txt").write_bytes(simplices)
+        with pytest.raises(FormatError) as err:
+            load_simplex_dataset(tmp_path / "d")
+        assert str(err.value) == message.format(dir=tmp_path)
+
+    def test_text_tokenizer_reads_what_int_reads(self, tmp_path):
+        (tmp_path / "d-nverts.txt").write_bytes(b"2\r1\n")  # a bare CR
+        (tmp_path / "d-simplices.txt").write_bytes(b"+5\n1_0\n007\n")
+        h = load_simplex_dataset(tmp_path / "d")
+        assert h.labels == (5, 10, 7)
+        assert h.edge_ptr.tolist() == [0, 2, 3]
+
+
+# pieces of a plain file: the integer grammar that is read in array passes,
+# and bytes that send a file to the text parser
+GRAMMAR_PIECES = st.sampled_from([b"1", b"2", b"3", b"007", b"12", b"1" * 18, b" ", b"  ",
+                                  b"\t", b"\n", b"\n", b"\r\n", b"\n\n"])
+OTHER_PIECES = st.sampled_from([b"#", b"# c\n", b"+5", b"-3", b"1_0", b"9" * 19, b"\r", b"\x0b",
+                                b"\x0c", b"\x1c", b"\xc2\xa0", b"\xe2\x80\x83", b"\xc3\xa9",
+                                b"\xd9\xa3", b"\xff", b"a", b"\x00"])
+
+
+@st.composite
+def plain_bytes(draw) -> bytes:
+    pieces = draw(st.lists(GRAMMAR_PIECES, max_size=40))
+    # about half of the files hold the integer grammar alone
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(OTHER_PIECES))
+    return b"".join(pieces)
+
+
+def load_outcome(load) -> tuple:
+    """The labels and the four CSR arrays that ``load()`` builds, or the type
+    and message of its error."""
+    try:
+        h = load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (h.labels, h.edge_ptr.tolist(), h.edge_nodes.tolist(), h.memb_ptr.tolist(),
+            h.memb_ids.tolist())
+
+
 class TestPlainFormat:
+    @given(plain_bytes())
+    @example(b"1 2\r3 4\n")  # a bare CR ends a line
+    @example(b"1 2\r\n\r\n3 2 1\r\n2 1")
+    @example(b"1 2\n\n5 007 5\n")
+    @example(b"\n \t\n")
+    @example(b"")
+    @example(b"1234567890123456789 1\n")
+    @example(b"123456789012345678 1\n")
+    def test_load_plain_matches_the_text_parser(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("plain") / "h.txt"
+        path.write_bytes(data)
+        with open(path) as fh:
+            expected = load_outcome(lambda: parse_plain(fh))
+        assert load_outcome(lambda: load_plain(path)) == expected
+
     def test_parse(self):
         h = parse_plain(["# comment", "1 2 3", "", "2 3"])
         assert oracles.label_sets(h) == frozenset({frozenset({1, 2, 3}), frozenset({2, 3})})
@@ -223,6 +298,17 @@ class TestPlainFormat:
     def test_empty_input(self):
         with pytest.raises(FormatError, match="no hyperedges"):
             parse_plain(["# nothing", ""])
+
+    def test_write_refuses_a_line_that_reads_as_a_comment(self, tmp_path):
+        path = tmp_path / "h.txt"
+        with pytest.raises(ValueError, match="^cannot write the plain format: label '#a' would"):
+            write_plain(parse_plain(["b #a", "b c"]), path)
+        assert not path.exists()
+        # a "#" label after the first of its line reads back
+        h = parse_plain(["1 #a", "b c"])
+        write_plain(h, path)
+        assert path.read_text() == "1 #a\nb c\n"
+        assert oracles.label_sets(load_plain(path)) == oracles.label_sets(h)
 
     @given(hypergraphs())
     def test_write_load_round_trip(self, tmp_path_factory, h):

@@ -8,7 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import hypergraphs, overlap_entries
@@ -321,6 +322,14 @@ class TestEncapsulationCounts:
                         for a in sets if len(a) == n]
             assert entry["histogram"] == expected
         assert pairs["70,35"]["histogram"] == [3 / comb(70, 35)]
+
+    @given(st.integers(1, 2**64), st.data())
+    @example(2**53 - 1, None)
+    @example(2**53 + 1, None)
+    def test_ratios_round_as_python_int_division(self, k, data):
+        counts = ([k - 1, k // 3, 1] if data is None
+                  else data.draw(st.lists(st.integers(0, min(k, 2**63 - 1)), max_size=20)))
+        assert linegraph.ratios(np.array(counts, dtype=np.int64), k) == [c / k for c in counts]
 
     def test_no_encapsulations(self, disconnected_pairs):
         doc = encapsulation_counts(
