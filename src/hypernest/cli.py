@@ -533,11 +533,11 @@ def main(argv: list[str] | None = None) -> int:
             samples = getattr(args, "emit_samples", None)
             check_outputs(args, named, samples and Path(samples))
         return args.func(args)
-    # bad data or a failed generation: exit 2, one line; the tuple is read
-    # only when an exception arrives, so a run that succeeds executes rnhm
-    # only if its command uses it
-    except (OSError, ValueError, rnhm.GenerationError) as exc:
-        sys.stderr.write(f"hypernest {args.command}: error: {exc}\n")
+    # bad data, a failed generation or a grid too large to allocate: exit 2,
+    # one line; the tuple is read only when an exception arrives, so a run
+    # that succeeds executes rnhm only if its command uses it
+    except (OSError, ValueError, MemoryError, rnhm.GenerationError) as exc:
+        sys.stderr.write(f"hypernest {args.command}: error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

@@ -13,14 +13,14 @@ The variants differ only in who influences whom and how many active
 influencers a hyperedge needs, so each is an ``Influence`` map of CSR
 arrays, built once per hypergraph by ``build_influence`` and run by the
 one array engine ``spread``, which advances a batch of runs together (a
-single run is a batch of one) and returns one array: per run and
-hyperedge, the round it activated in (0 for the seeds, -1 for never).
-Steps, final counts and ``trajectory``'s ids per round all derive from it.
-Runs proceed in synchronous rounds and are deterministic once the seed
-hyperedges are fixed; activation is monotone, so a run stops at the first
-round with no change (or after ``max_steps`` rounds). ``pick_seeds`` draws
-the seed hyperedges of a batch's runs under one of ``STRATEGIES``, a
-generator a run.
+single run is a batch of one). It reads one array, the runs x m bool mask
+of each run's seed hyperedges, and returns one: per run and hyperedge, the
+round it activated in (0 for the seeds, -1 for never). Steps, final counts
+and ``trajectory``'s ids per round all derive from it. Runs proceed in
+synchronous rounds and are deterministic once the seed hyperedges are
+fixed; activation is monotone, so a run stops at the first round with no
+change (or after ``max_steps`` rounds). ``pick_seeds`` draws the seed mask
+of a batch's runs under one of ``STRATEGIES``, a generator a run.
 """
 
 from __future__ import annotations
@@ -77,26 +77,26 @@ def activation_proportion(m: int, seed_count: int, final_active: int) -> float:
 
 
 def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
-    """Per row of ``keys``, the ids of its ``count`` smallest keys, ascending,
-    ties going to the lower id (the first ``count`` of a stable argsort, as a
-    set), in O(m) a row: every key below the row's ``count``-th smallest,
-    then the lowest ids equal to it."""
-    runs, m = keys.shape
-    if count in (0, m):
-        return np.broadcast_to(np.arange(count), (runs, count))
+    """Per row of ``keys``, a mask of its ``count`` smallest keys, ties going
+    to the lower id (the first ``count`` of a stable argsort, as a set), in
+    O(m) a row: every key below the row's ``count``-th smallest, then the
+    lowest ids equal to it."""
+    if not count:
+        return np.zeros(keys.shape, dtype=bool)
     kth = np.partition(keys, count - 1, axis=1)[:, count - 1:count]
     below = keys < kth
     tied = keys == kth
     # the ties fill what the keys below leave, lowest ids first
     free = count - np.count_nonzero(below, axis=1, keepdims=True)
     below |= tied & (np.cumsum(tied, axis=1) <= free)
-    return np.nonzero(below)[1].reshape(runs, count)
+    return below
 
 
 def pick_seeds(h: Hypergraph, strategy: str, count: int,
                gens: Sequence[np.random.Generator]) -> np.ndarray:
-    """The draws of ``count`` distinct seed hyperedges of ``h``, one row of
-    ascending ids per generator, the rows' keys selected together.
+    """The draws of ``count`` distinct seed hyperedges of ``h``, one row per
+    generator of the runs x m mask ``spread`` reads (``[r, e]`` true when
+    hyperedge e seeds run r), the rows' keys selected together.
 
     uniform: uniformly at random. size-biased / inverse-size-biased:
     successive draws proportional to size or its inverse (realized with
@@ -107,14 +107,16 @@ def pick_seeds(h: Hypergraph, strategy: str, count: int,
         raise ValueError(f"unknown seed strategy {strategy!r}")
     if not 0 <= count <= h.m:
         raise ValueError(f"seed count {count} outside 0..{h.m}")
-    runs = len(gens)
+    runs, seeds = len(gens), np.zeros((len(gens), h.m), dtype=bool)
     if strategy == "uniform":
-        picked = np.array([gen.choice(h.m, size=count, replace=False) for gen in gens])
-        return np.sort(picked.reshape(runs, count), axis=1)
+        picked = np.array([gen.choice(h.m, count, replace=False) for gen in gens], np.int64)
+        np.put_along_axis(seeds, picked.reshape(runs, count), True, axis=1)
+        return seeds
     if strategy == "smallest-first":
-        shuffled = np.array([gen.permutation(h.m) for gen in gens]).reshape(runs, h.m)
-        picked = np.take_along_axis(shuffled, _smallest(h.sizes[shuffled], count), axis=1)
-        return np.sort(picked, axis=1)
+        shuffled = np.array([gen.permutation(h.m) for gen in gens], np.int64).reshape(runs, h.m)
+        # the mask over each row's shuffled order, put back in id order
+        np.put_along_axis(seeds, shuffled, _smallest(h.sizes[shuffled], count), axis=1)
+        return seeds
     weights = h.sizes.astype(float)
     if strategy == "inverse-size-biased":
         weights = 1.0 / weights
@@ -187,21 +189,11 @@ def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(np.append(starts, keys.size))
 
 
-def _flat_keys(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
-    """Per-run id rows (arrays or lists) as ascending keys ``run * width +
-    id``, each id once."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    # the leading empty array allows no rows. Empty rows are left out, as
-    # NumPy reads an empty list as float64; any other float id is an error
-    try:
-        ids = np.concatenate((np.empty(0, np.int64), *(row for row in rows if len(row))),
-                             dtype=np.int64, casting="same_kind")
-    except TypeError:
-        raise ValueError(f"{what} ids must be integers") from None
-    if ids.size and not 0 <= ids.min() <= ids.max() < width:
-        raise ValueError(f"{what} ids out of range")
-    ids += np.repeat(np.arange(len(rows), dtype=np.int64) * width, lengths)
-    return _tally(ids)[0]
+def _mask_keys(mask, runs: int, width: int, what: str) -> np.ndarray:
+    """The ascending keys ``run * width + id`` of a ``runs x width`` bool mask."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (runs, width)):
+        raise ValueError(f"{what} must be a bool array of shape ({runs}, {width})")
+    return np.flatnonzero(mask)
 
 
 def _influenced(influence: Influence, edges: np.ndarray, nodes: np.ndarray, m: int,
@@ -228,12 +220,14 @@ def spread(
     h: Hypergraph,
     influence: Influence,
     config: DynamicsConfig,
-    seeds: Sequence[Sequence[int]],
-    seed_nodes: Sequence[Sequence[int]] = (),
+    seeds: np.ndarray,
+    seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run one contagion per entry of ``seeds`` (that run's seed hyperedges,
-    plus the pre-activated nodes of its entry of ``seed_nodes``, if any), all
-    runs together.
+    """Run one contagion per row of ``seeds``, the runs x m bool mask of
+    each run's seed hyperedges (``pick_seeds`` draws one), with the
+    pre-activated nodes of its row of the runs x n bool mask ``seed_nodes``,
+    if given, all runs together. Anything but bool arrays of exactly those
+    shapes is a ValueError, so an id list is never read as a mask.
 
     Each round, the hyperedges and nodes activated in the previous round add
     one to the count of every inactive hyperedge they influence; a touched
@@ -249,12 +243,14 @@ def spread(
     every entry is at most ``min(max_steps, m)``, and a run's activating
     rounds are 1 .. its largest entry (``trajectory`` lists them).
     """
-    m, n, runs = h.m, h.n, len(seeds)
+    m, n = h.m, h.n
+    runs = len(seeds) if isinstance(seeds, np.ndarray) and seeds.ndim else 0
+    new_edges = _mask_keys(seeds, runs, m, "seeds")
+    new_nodes = (np.empty(0, dtype=np.int64) if seed_nodes is None
+                 else _mask_keys(seed_nodes, runs, n, "seed_nodes"))
     need = _need(h, config)
     activated = np.full(runs * m, -1, dtype=np.int32)
     count = np.zeros(runs * m, dtype=np.int32)
-    new_edges = _flat_keys(seeds, m, "seed")
-    new_nodes = _flat_keys(seed_nodes, n, "seed node")
     activated[new_edges] = 0
     if influence.nodes is not None:
         node_active = np.zeros(runs * n, dtype=bool)

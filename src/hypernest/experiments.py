@@ -38,41 +38,43 @@ class ExperimentGrid:
         return list(product(self.strategies, self.seed_counts))
 
 
-def _spread_range(h: Hypergraph, influence: Influence, grid: ExperimentGrid, lo: int, hi: int,
-                  runs: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
-    """The flat run indices ``cell * runs + run`` from ``lo`` to ``hi`` as one
-    ``spread`` batch (its rows), each run's seeds drawn from the seed-selection
-    stream of (``streams[cell]``, run) under ``master_seed``: the streams in
-    one derivation, each stretch of one cell's runs in one ``pick_seeds`` call."""
-    cells = grid.cells()
-    cell, run = np.divmod(np.arange(lo, hi), runs)
-    gens = spawn_rngs(master_seed, "seed-selection", streams[cell], run)
-    bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), hi - lo]
-    seeds = [row for a, b in zip(bounds, bounds[1:])
-             for row in pick_seeds(h, *cells[cell[a]], gens[a:b])]
-    return spread(h, influence, grid.config, seeds)
+def _batches(h: Hypergraph, influence: Influence, grid: ExperimentGrid, start: int, stop: int,
+             runs: int, master_seed: int, streams: np.ndarray):
+    """The flat run indices ``cell * runs + run`` from ``start`` to ``stop`` in
+    ``spread`` batches of at most ``influence.batch_runs(h)`` runs: per batch,
+    its first index less ``start`` and its rows. Each run draws its seeds from
+    the seed-selection stream of (``streams[cell]``, run) under
+    ``master_seed``: a batch's streams in one derivation, each stretch of one
+    cell's runs in one ``pick_seeds`` call, their masks stacked into one."""
+    cells, per_batch = grid.cells(), influence.batch_runs(h)
+    for lo in range(start, stop, per_batch):
+        cell, run = np.divmod(np.arange(lo, min(lo + per_batch, stop)), runs)
+        gens = spawn_rngs(master_seed, "seed-selection", streams[cell], run)
+        bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), cell.size]
+        seeds = np.concatenate([pick_seeds(h, *cells[cell[a]], gens[a:b])
+                                for a, b in zip(bounds, bounds[1:])])
+        yield lo - start, spread(h, influence, grid.config, seeds)
 
 
 def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
                master_seed: int) -> np.ndarray:
-    """The activation rounds of run 0 of every cell, run as one batch, row c
-    for cell c; ``run_experiment`` counts the same runs."""
+    """Row c: the activation rounds of run 0 of cell c, run in the batches of
+    ``run_experiment``, which counts the same runs."""
     cells = len(grid.cells())
-    return _spread_range(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells))
+    activated = np.empty((cells, h.m), dtype=np.int32)
+    for at, rows in _batches(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells)):
+        activated[at:at + len(rows)] = rows
+    return activated
 
 
 def _run_tasks(args) -> np.ndarray:
     """Per flat run index ``start`` to ``stop``, its steps (last activating
-    round) and final active count (two rows), from ``spread`` calls of at
-    most ``influence.batch_runs(h)`` runs each."""
+    round) and final active count (two rows), from ``_batches``."""
     h, influence, grid, (start, stop), runs, master_seed, streams = args
-    per_batch = influence.batch_runs(h)
     outcomes = np.zeros((2, stop - start), dtype=np.int64)
-    for lo in range(start, stop, per_batch):
-        hi = min(lo + per_batch, stop)
-        activated = _spread_range(h, influence, grid, lo, hi, runs, master_seed, streams)
-        outcomes[:, lo - start:hi - start] = (activated.max(axis=1, initial=0),
-                                              np.count_nonzero(activated >= 0, axis=1))
+    for at, activated in _batches(h, influence, grid, start, stop, runs, master_seed, streams):
+        outcomes[:, at:at + len(activated)] = (activated.max(axis=1, initial=0),
+                                               np.count_nonzero(activated >= 0, axis=1))
     return outcomes
 
 

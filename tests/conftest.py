@@ -109,16 +109,27 @@ def overlap_entries(g) -> dict[tuple[int, int], int]:
             for i in range(len(ptr) - 1) for k in range(ptr[i], ptr[i + 1])}
 
 
+def seed_mask(rows, width: int) -> np.ndarray:
+    """Id rows as the runs x ``width`` bool mask ``spread`` reads, row r true
+    at the ids of ``rows[r]``."""
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for r, ids in enumerate(rows):
+        mask[r, list(ids)] = True
+    return mask
+
+
 def pick_seeds(h, strategy, count, gen) -> list[int]:
-    """The ``count`` seed hyperedges that ``strategy`` draws from ``gen``."""
-    return dynamics.pick_seeds(h, strategy, count, [gen])[0].tolist()
+    """The ``count`` seed hyperedges that ``strategy`` draws from ``gen``,
+    ascending."""
+    return np.flatnonzero(dynamics.pick_seeds(h, strategy, count, [gen])[0]).tolist()
 
 
 def run_once(h, influence, config, seeds, seed_nodes=()):
     """One contagion run of ``config.variant`` on ``h`` under its influence
-    map, from the seed hyperedges and pre-activated nodes, run as a batch of
-    one: its row of ``spread``, the round each hyperedge activated in."""
-    return dynamics.spread(h, influence, config, [seeds], [seed_nodes])[0]
+    map, from the seed hyperedge and pre-activated node ids, run as a batch
+    of one: its row of ``spread``, the round each hyperedge activated in."""
+    return dynamics.spread(h, influence, config, seed_mask([seeds], h.m),
+                           seed_mask([seed_nodes], h.n))[0]
 
 
 def final_active(row) -> int:

@@ -206,6 +206,17 @@ def test_script_data_error_exits_2(script, argv, plain_file, tmp_path, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "rnhm-sweep"])
+def test_grid_too_large_to_allocate_is_data_error(command, plain_file, tmp_path, capsys):
+    # the outcomes of 10^15 runs (16 PB) fail to allocate at once, before any file is written
+    argv = [plain_file] if command == "simulate" else ["--realizations", "1", "--eps-grid", "1"]
+    assert run_cli(command, *argv, "--runs", "1000000000000000",
+                   "--out", tmp_path / "out.csv") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"hypernest {command}: error: Unable to")
+    assert [path.name for path in tmp_path.iterdir()] == [plain_file.name]
+
+
 def test_rnhm_sweep_variant_choices(tmp_path, monkeypatch, capsys):
     script = "rnhm_activation_sweep.py"
     monkeypatch.setattr(sys, "argv", [script, "--variant", "bogus", "--out", str(tmp_path / "o")])

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import hypernest.dynamics as dynamics_mod
 import hypernest.experiments as experiments_mod
 import oracles
-from conftest import any_hypergraphs, final_active, hypergraphs, pick_seeds, run_once, seed_ids
+from conftest import (any_hypergraphs, final_active, hypergraphs, pick_seeds, run_once, seed_ids,
+                      seed_mask)
 from hypernest import (
     DynamicsConfig,
     ExperimentGrid,
@@ -119,8 +120,7 @@ class TestSelectSeeds:
         seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4, unique=True))
         gens = [spawn_rng(seed) for seed in seeds]
         rows = dynamics_mod.pick_seeds(h, strategy, count, gens)
-        assert rows.shape == (len(seeds), count)
-        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.dtype == bool and rows.shape == (len(seeds), h.m)
         for k, seed in enumerate(seeds):
             # row k is what gens[k] draws alone, and gens[k] ends where that draw leaves it
             alone = spawn_rng(seed)
@@ -135,9 +135,23 @@ class TestSelectSeeds:
         keys = np.array(rows, dtype=np.int64).reshape(len(rows), m)
         count = data.draw(st.integers(0, m))
         picked = dynamics_mod._smallest(keys, count)
-        assert picked.shape == (len(rows), count)
-        assert picked.tolist() == np.sort(np.argsort(keys, axis=1, kind="stable")[:, :count],
-                                          axis=1).tolist()
+        assert picked.dtype == bool and picked.shape == (len(rows), m)
+        expected = np.zeros_like(picked)
+        np.put_along_axis(expected, np.argsort(keys, axis=1, kind="stable")[:, :count], True,
+                          axis=1)
+        assert picked.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @given(h=hypergraphs(max_edges=40), data=st.data())
+    @settings(max_examples=40)
+    def test_mask_rows_hold_count_seeds_of_a_full_sort(self, strategy, h, data):
+        count = data.draw(st.one_of(st.just(0), st.just(h.m), st.integers(0, h.m)))
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4, unique=True))
+        mask = dynamics_mod.pick_seeds(h, strategy, count, [spawn_rng(seed) for seed in seeds])
+        assert np.count_nonzero(mask, axis=1).tolist() == [count] * len(seeds)
+        for row, seed in zip(mask, seeds):
+            expected = oracles.sorted_seeds(h, strategy, count, spawn_rng(seed))
+            assert set(np.flatnonzero(row).tolist()) == set(expected)
 
 
 class TestStrictDynamics:
@@ -339,15 +353,25 @@ class TestEngineInvariants:
                 return out
             return wrapped
 
+        # first_runs holds run 0 of every cell: the same rows as in one call
+        cells = {variant: ExperimentGrid(DynamicsConfig(variant), STRATEGIES, (0, 1, h.m))
+                 for variant in VARIANTS}
+        unbudgeted = {variant: experiments_mod.first_runs(h, build_influence(h, variant), grid, 0)
+                      for variant, grid in cells.items()}
         # every hyperedge seeded: the first round gathers every influence row
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
                 mock.patch.object(experiments_mod, "spread", batch), \
                 mock.patch.object(dynamics_mod, "gather_rows", sized(dynamics_mod.gather_rows)), \
                 mock.patch.object(dynamics_mod, "_influenced", sized(dynamics_mod._influenced)):
             for variant in VARIANTS:
+                influence = build_influence(h, variant)
                 grid = ExperimentGrid(DynamicsConfig(variant), seed_counts=(h.m,))
-                run_experiment(h, build_influence(h, variant), grid, 12, 0)
-        assert sum(runs for runs, _ in held) == 12 * len(VARIANTS)
+                run_experiment(h, influence, grid, 12, 0)
+                calls = len(held)
+                activated = experiments_mod.first_runs(h, influence, cells[variant], 0)
+                assert activated.tolist() == unbudgeted[variant].tolist()
+                assert max(runs for runs, _ in held[calls:]) <= influence.batch_runs(h)
+        assert sum(runs for runs, _ in held) == (12 + 12) * len(VARIANTS)
         assert all(runs == 1 or largest <= budget for runs, largest in held)
 
     @given(any_hypergraphs(max_nodes=20, max_edges=80), st.sampled_from([64, 512, 4096]),
@@ -390,18 +414,20 @@ class TestEngineInvariants:
     def test_seed_validation(self):
         h = Hypergraph([[1, 2]])
         with pytest.raises(ValueError):
-            run(h, DynamicsConfig(), seeds=[5])
+            spread(h, build_influence(h, "strict"), DynamicsConfig(), np.ones((1, 5), dtype=bool))
 
-    def test_non_integer_seed_ids_rejected(self):
-        h = Hypergraph([[1, 2, 3], [1, 2], [1]])
-        influence = build_influence(h, "strict")
-        for seeds, seed_nodes in (([[1.7]], ()), ([[0]], [[0.0]]), ([["1"]], ())):
-            with pytest.raises(ValueError, match="must be integers"):
-                spread(h, influence, DynamicsConfig(), seeds, seed_nodes)
-        # empty lists and empty int arrays stay valid rows
-        activated = spread(h, influence, DynamicsConfig(),
-                           [[], np.empty(0, np.int64), [2], np.array([1], np.int32)])
-        assert [trajectory(row)[0] for row in activated] == [[], [], [2], [1]]
+    def test_only_bool_masks_of_the_batch_shape_are_read(self):
+        h = Hypergraph([[1, 2, 3], [1, 2]])  # m = 2, n = 3: a mask of the other width is wrong
+        influence = build_influence(h, "non-strict")
+        seeds, seed_nodes = seed_mask([[1], []], h.m), seed_mask([[], [0, 1]], h.n)
+        for mask, width in ((seeds, h.n), (seed_nodes, h.m)):
+            wrong_shapes = [np.zeros((2, width), dtype=bool), mask[:1], mask[0], mask[None]]
+            for bad in (mask.tolist(), mask.astype(np.int64), mask.nonzero()[1], *wrong_shapes):
+                args = (bad, seed_nodes) if mask is seeds else (seeds, bad)
+                with pytest.raises(ValueError, match="must be a bool array of shape"):
+                    spread(h, influence, DynamicsConfig("non-strict"), *args)
+        activated = spread(h, influence, DynamicsConfig("non-strict"), seeds, seed_nodes)
+        assert [trajectory(row) for row in activated] == [[[1], [0]], [[], [1], [0]]]
 
     def test_activation_proportion_conventions(self):
         h = Hypergraph([[1, 2], [2, 3]])
@@ -452,7 +478,8 @@ class TestContagionOracle:
         config = DynamicsConfig(variant=variant, tau=data.draw(st.integers(1, 2)),
                                 comparison=data.draw(st.sampled_from([">=", ">"])),
                                 max_steps=data.draw(st.sampled_from([1, 3, 25])))
-        activated = spread(h, build_influence(h, variant), config, seeds, seed_nodes)
+        activated = spread(h, build_influence(h, variant), config, seed_mask(seeds, h.m),
+                           seed_mask(seed_nodes, h.n))
         expected = [oracles.contagion_steps(h, config, s, u) for s, u in zip(seeds, seed_nodes)]
         event("deepest round", max(len(steps) - 1 for steps in expected))
         assert [trajectory(row) for row in activated] == expected

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hypernest.dynamics as dynamics_mod
 import oracles
-from conftest import final_active, hypergraphs, pick_seeds
+from conftest import final_active, hypergraphs
 from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
                        build_influence, cell_proportions, generate, spawn_rng, run_experiment,
                        summarize)
@@ -116,7 +116,8 @@ def single_run(h, influence, grid, c, run, master_seed):
     as a batch of one, its seeds drawn from NumPy's own ``SeedSequence``
     stream of the run."""
     gen = oracles.seed_sequence_rng(master_seed, "seed-selection", c, run)
-    return spread(h, influence, grid.config, [pick_seeds(h, *grid.cells()[c], gen)])[0]
+    return spread(h, influence, grid.config,
+                  dynamics_mod.pick_seeds(h, *grid.cells()[c], [gen]))[0]
 
 
 def results(h, grid, outcomes) -> tuple[list, list[list[float]]]:
