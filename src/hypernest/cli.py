@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 from functools import partial
-from itertools import product, takewhile
+from itertools import chain, product, takewhile
 from pathlib import Path
 
 import numpy
@@ -194,13 +194,13 @@ def check_outputs(args: argparse.Namespace, outputs: list[Path], directory: Path
 
 def publish(args: argparse.Namespace, outputs, document: str | None = None,
             extra: dict | None = None, directory: Path | None = None) -> int:
-    """Finish a command, all or nothing: write ``outputs``, (path, text or
-    path writer) pairs in order, those with no path skipped, then a manifest
-    next to the first. Each file goes to ``<path>.tmp`` and is renamed into
-    place only once every one is written; on failure the temporaries, and
-    whatever of ``directory`` (made once the paths are checked) this run
-    made, are deleted and the error re-raised, naming the user's path.
-    Then print ``document``, or else one ``wrote`` line."""
+    """Finish a command, all or nothing: write ``outputs``, (path, text, text
+    parts or path writer) pairs in order, those with no path skipped, then a
+    manifest next to the first. Each file goes to ``<path>.tmp`` and is
+    renamed into place only once every one is written; on failure the
+    temporaries, and whatever of ``directory`` (made once the paths are
+    checked) this run made, are deleted and the error re-raised, naming the
+    user's path. Then print ``document``, or else one ``wrote`` line."""
     named = [(Path(path), content) for path, content in outputs if path]
     if named:
         paths, temps = check_outputs(args, [path for path, _ in named], directory)
@@ -215,7 +215,8 @@ def publish(args: argparse.Namespace, outputs, document: str | None = None,
                 if callable(content):
                     content(tmp)
                 else:
-                    tmp.write_text(content)
+                    with open(tmp, "w") as fh:
+                        fh.writelines([content] if isinstance(content, str) else content)
             manifest = {
                 "command": args.command,
                 "argv": args._argv,
@@ -389,14 +390,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary_doc = (experiments.randomized_comparison(h, grid, args.runs, props, args.randomize,
                                                      args.seed, dataset, args.jobs)
                    if args.randomize else experiments.summarize(grid, props, dataset))
-    trajectories = None
-    if args.trajectories:
-        activated = experiments.first_runs(h, influence, grid, args.seed)
-        dumps = [{"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
-                  "steps": steps, "final_active": sum(map(len, steps))}
-                 for (strategy, seed_count), row in zip(grid.cells(), activated)
-                 for steps in [dynamics.trajectory(row)]]
-        trajectories = json_text(dumps)
+    # run 0 of each cell, written one cell at a time as json_text lays out their list
+    first = chain.from_iterable(experiments.activations(h, influence, grid, 1, args.seed))
+    trajectories = chain((("," if c else "[") + "\n  " + _indented(
+        {"variant": args.variant, "strategy": strategy, "seeds": seed_count, "run": 0,
+         "steps": steps, "final_active": sum(map(len, steps))}, "\n  ", None)
+        for c, ((strategy, seed_count), row) in enumerate(zip(grid.cells(), first))
+        for steps in [dynamics.trajectory(row)]), ["\n]\n"])
     return publish(args, [(args.out, partial(experiments.write_records_csv, grid, outcomes, props,
                                              dataset=dataset)),
                           (args.summary_out, json_text(summary_doc)),

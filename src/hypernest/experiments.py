@@ -2,12 +2,12 @@
 
 A grid crosses seed strategies x seed counts under one ``DynamicsConfig``.
 Every grid (observed, layer sample, sweep realization) runs on its variant's
-influence map (``dynamics.build_influence``) through ``run_experiment``, whose
-array of steps and final counts is the one per-run result, and
-``cell_proportions`` turns that into what every document reads. Each run's
-RNG streams derive from the master seed and its cell/run index, so results do
-not depend on execution order or worker count. A batch draws each stretch of
-one cell's runs with one ``dynamics.pick_seeds`` call, which checks the cell.
+influence map (``dynamics.build_influence``) through ``activations``, which
+yields the engine's activation rows batch by batch: ``run_experiment`` reduces
+them to steps and final counts, which ``cell_proportions`` turns into what every
+document reads, and ``simulate --trajectories`` writes them one cell at a time.
+Each run's RNG streams derive from the master seed and its cell/run index, so
+results do not depend on execution order or worker count.
 """
 
 from __future__ import annotations
@@ -38,43 +38,37 @@ class ExperimentGrid:
         return list(product(self.strategies, self.seed_counts))
 
 
-def _batches(h: Hypergraph, influence: Influence, grid: ExperimentGrid, start: int, stop: int,
-             runs: int, master_seed: int, streams: np.ndarray):
-    """The flat run indices ``cell * runs + run`` from ``start`` to ``stop`` in
-    ``spread`` batches of at most ``influence.batch_runs(h)`` runs: per batch,
-    its first index less ``start`` and its rows. Each run draws its seeds from
-    the seed-selection stream of (``streams[cell]``, run) under
-    ``master_seed``: a batch's streams in one derivation, each stretch of one
-    cell's runs in one ``pick_seeds`` call, their masks stacked into one."""
+def activations(h: Hypergraph, influence: Influence, grid: ExperimentGrid, runs: int,
+                master_seed: int, streams: np.ndarray | None = None, span: tuple | None = None):
+    """Each ``spread`` batch's runs x m activation array, in flat-run order,
+    over the flat run indices ``cell * runs + run`` in ``span`` (by default
+    all of ``grid``), at most ``influence.batch_runs(h)`` runs a batch. Run
+    ``run`` of ``cell`` draws its seeds from the stream ("seed-selection",
+    ``streams[cell]``, run), by default its cell index: a batch's streams in
+    one derivation, each stretch of one cell's runs in one ``pick_seeds`` call."""
     cells, per_batch = grid.cells(), influence.batch_runs(h)
+    streams = np.arange(len(cells)) if streams is None else streams
+    start, stop = (0, len(cells) * runs) if span is None else span
     for lo in range(start, stop, per_batch):
         cell, run = np.divmod(np.arange(lo, min(lo + per_batch, stop)), runs)
         gens = spawn_rngs(master_seed, "seed-selection", streams[cell], run)
         bounds = [*np.flatnonzero(np.diff(cell, prepend=-1)).tolist(), cell.size]
         seeds = np.concatenate([pick_seeds(h, *cells[cell[a]], gens[a:b])
                                 for a, b in zip(bounds, bounds[1:])])
-        yield lo - start, spread(h, influence, grid.config, seeds)
-
-
-def first_runs(h: Hypergraph, influence: Influence, grid: ExperimentGrid,
-               master_seed: int) -> np.ndarray:
-    """Row c: the activation rounds of run 0 of cell c, run in the batches of
-    ``run_experiment``, which counts the same runs."""
-    cells = len(grid.cells())
-    activated = np.empty((cells, h.m), dtype=np.int32)
-    for at, rows in _batches(h, influence, grid, 0, cells, 1, master_seed, np.arange(cells)):
-        activated[at:at + len(rows)] = rows
-    return activated
+        yield spread(h, influence, grid.config, seeds)
 
 
 def _run_tasks(args) -> np.ndarray:
-    """Per flat run index ``start`` to ``stop``, its steps (last activating
-    round) and final active count (two rows), from ``_batches``."""
-    h, influence, grid, (start, stop), runs, master_seed, streams = args
-    outcomes = np.zeros((2, stop - start), dtype=np.int64)
-    for at, activated in _batches(h, influence, grid, start, stop, runs, master_seed, streams):
+    """Per flat run index of ``span``, its steps (last activating
+    round) and final active count (two rows), from ``activations``."""
+    h, influence, grid, span, runs, master_seed, streams = args
+    # allocated before any batch runs: a grid too large for it fails at once
+    outcomes = np.zeros((2, span[1] - span[0]), dtype=np.int64)
+    at = 0
+    for activated in activations(h, influence, grid, runs, master_seed, streams, span):
         outcomes[:, at:at + len(activated)] = (activated.max(axis=1, initial=0),
                                                np.count_nonzero(activated >= 0, axis=1))
+        at += len(activated)
     return outcomes
 
 
@@ -93,7 +87,6 @@ def run_experiment(h: Hypergraph, influence: Influence, grid: ExperimentGrid, ru
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = len(grid.cells())
-    streams = np.arange(cells) if streams is None else streams
     total = cells * runs
     parts = min(jobs, total) or 1
     bounds = [total * i // parts for i in range(parts + 1)]

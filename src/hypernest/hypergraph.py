@@ -396,6 +396,8 @@ def dataset_files(path: str | Path, fmt: str = "auto") -> list[Path]:
     ``-nverts.txt`` file or a directory holding exactly one such file;
     ``auto`` takes any path so named, or the prefix of an existing
     ``-nverts.txt`` file, as simplex and every other path as plain."""
+    if fmt not in ("auto", "plain", "simplex"):
+        raise ValueError(f"unknown format {fmt!r}; choose from auto, plain, simplex")
     p = Path(path)
     if fmt == "auto":
         simplex = p.is_dir() or p.name.endswith("-nverts.txt") or (
@@ -492,21 +494,25 @@ def load_plain(path: str | Path) -> Hypergraph:
 
 def write_plain(h: Hypergraph, path: str | Path) -> None:
     """One line per hyperedge, in id order, its labels in label order. A
-    ValueError, before anything is written, if a line would start with a
-    label beginning with ``#``: it would read back as a comment."""
+    ValueError, before anything is written, if a label would not read back as
+    one node of its own, or a line would start with ``#`` (a comment)."""
     words = [str(lab) for lab in h.labels]
     rows = h.label_rows
-    # one search of all labels first: most inputs have no "#" label at all
-    if "\n#" in "\n" + "\n".join(words) and (comment := [
-            w for w in map(words.__getitem__, rows[h.edge_ptr[:-1]].tolist()) if w[:1] == "#"]):
-        raise ValueError(f"cannot write the plain format: label {comment[0]!r} would start "
-                         "a line, which reads back as a comment")
+    # an int's text is one token that reads back as that int, and no comment
+    if not set(map(type, h.labels)) <= {int}:
+        seen: dict[Label, Label] = {}
+        for lab, word in zip(h.labels, words):
+            if word.split() != [word] or seen.setdefault(_plain_label(word), lab) is not lab:
+                raise ValueError(f"cannot write the plain format: label {lab!r} would not read "
+                                 "back as one node of its own")
+        if comment := [w for w in map(words.__getitem__, rows[h.edge_ptr[:-1]].tolist())
+                       if w[:1] == "#"]:
+            raise ValueError(f"cannot write the plain format: label {comment[0]!r} would "
+                             "start a line, which reads back as a comment")
     last = h.edge_ptr[1:] - 1
     tokens = np.array([w + " " for w in words], dtype=object)[rows]
     tokens[last] = np.array([w + "\n" for w in words], dtype=object)[rows[last]]
-    text = "".join(tokens.tolist())
-    with open(path, "w") as fh:
-        fh.write(text)
+    Path(path).write_text("".join(tokens.tolist()))
 
 
 def filter_by_size(h: Hypergraph, max_size: int) -> Hypergraph:

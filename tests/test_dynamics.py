@@ -353,10 +353,13 @@ class TestEngineInvariants:
                 return out
             return wrapped
 
-        # first_runs holds run 0 of every cell: the same rows as in one call
+        def first_runs(influence, grid):
+            return np.concatenate(list(experiments_mod.activations(h, influence, grid, 1, 0)))
+
+        # run 0 of every cell, in batches: the same rows as in one call
         cells = {variant: ExperimentGrid(DynamicsConfig(variant), STRATEGIES, (0, 1, h.m))
                  for variant in VARIANTS}
-        unbudgeted = {variant: experiments_mod.first_runs(h, build_influence(h, variant), grid, 0)
+        unbudgeted = {variant: first_runs(build_influence(h, variant), grid)
                       for variant, grid in cells.items()}
         # every hyperedge seeded: the first round gathers every influence row
         with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
@@ -368,7 +371,7 @@ class TestEngineInvariants:
                 grid = ExperimentGrid(DynamicsConfig(variant), seed_counts=(h.m,))
                 run_experiment(h, influence, grid, 12, 0)
                 calls = len(held)
-                activated = experiments_mod.first_runs(h, influence, cells[variant], 0)
+                activated = first_runs(influence, cells[variant])
                 assert activated.tolist() == unbudgeted[variant].tolist()
                 assert max(runs for runs, _ in held[calls:]) <= influence.batch_runs(h)
         assert sum(runs for runs, _ in held) == (12 + 12) * len(VARIANTS)

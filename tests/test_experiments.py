@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import tempfile
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,15 +12,18 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import hypernest.cli as cli_mod
 import hypernest.dynamics as dynamics_mod
 import oracles
 from conftest import final_active, hypergraphs
 from hypernest import (DynamicsConfig, ExperimentGrid, GenerationError, Hypergraph, RnhmParams,
                        build_influence, cell_proportions, generate, spawn_rng, run_experiment,
-                       summarize)
+                       summarize, write_plain)
+from hypernest.cli import json_text, main
 from hypernest.dynamics import STRATEGIES, VARIANTS, activation_proportion, spread, trajectory
-from hypernest.experiments import (first_runs, pooled_cells, randomized_comparison,
+from hypernest.experiments import (activations, pooled_cells, randomized_comparison,
                                    write_records_csv)
+from hypernest.hypergraph import load_plain
 
 
 @pytest.fixture
@@ -255,10 +260,15 @@ class TestBatchedRuns:
             grid = ExperimentGrid(DynamicsConfig(variant), ("uniform",), (2,))
             influence = build_influence(ladder, variant)
             run_experiment(ladder, influence, grid, runs=2, master_seed=0)
-            first_runs(ladder, influence, grid, 0)
+            list(activations(ladder, influence, grid, 1, 0))
             maps = [*influence.edges, *(influence.nodes or ())]
             assert all(isinstance(a, np.ndarray) for a in maps)
         assert "edges" not in vars(ladder)
+
+
+def first_runs(h, influence, grid, master_seed) -> np.ndarray:
+    """Row c: the activation row of run 0 of cell c, from ``activations``."""
+    return np.concatenate(list(activations(h, influence, grid, 1, master_seed)))
 
 
 class TestFirstRuns:
@@ -285,6 +295,94 @@ class TestFirstRuns:
         with mock.patch("hypernest.experiments.spread", counted):
             first_runs(ladder, build_influence(ladder, "non-strict"), GRID, 0)
         assert calls == [len(GRID.cells())]
+
+
+def simulate_argv(src: Path, grid: ExperimentGrid, seed: int, outdir: Path) -> list[str]:
+    """``simulate`` of one run per cell of ``grid`` on the plain file ``src``,
+    unfiltered, writing ``r.csv`` and ``t.json`` in ``outdir``."""
+    config = grid.config
+    return ["simulate", str(src), "--max-size", "0", "--variant", config.variant,
+            "--tau", str(config.tau), "--max-steps", str(config.max_steps),
+            "--comparison", config.comparison, "--strategy", ",".join(grid.strategies),
+            "--seeds", ",".join(map(str, grid.seed_counts)), "--runs", "1", "--seed", str(seed),
+            "--out", str(outdir / "r.csv"), "--trajectories", str(outdir / "t.json")]
+
+
+class TestTrajectoryStream:
+    """``simulate --trajectories`` writes run 0 of each cell one cell at a
+    time, as ``activations`` yields it, while the file is being written."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(h=hypergraphs(max_edges=30), data=st.data(),
+           budget=st.sampled_from([1, 64, dynamics_mod._BATCH_KEYS]))
+    @settings(max_examples=10)
+    def test_bytes_are_json_text_of_single_runs(self, variant, h, data, budget):
+        grid, seed = data.draw(grids(h, variant)), data.draw(st.integers(0, 2**16))
+        # "publish" once the files are being written, "spread" per engine call
+        publish, events = cli_mod.publish, []
+
+        def writing(*args, **kwargs):
+            events.append("publish")
+            return publish(*args, **kwargs)
+
+        def counted(*args):
+            events.append("spread")
+            return spread(*args)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "h.txt"
+            write_plain(h, src)
+            with mock.patch.object(dynamics_mod, "_BATCH_KEYS", budget), \
+                    mock.patch.object(cli_mod, "publish", writing), \
+                    mock.patch("hypernest.experiments.spread", counted):
+                assert main(simulate_argv(src, grid, seed, Path(tmp))) == 0
+                written = (Path(tmp) / "t.json").read_text()
+                loaded = load_plain(src)
+                influence = build_influence(loaded, variant)
+                batches = -(-len(grid.cells()) // influence.batch_runs(loaded))
+        dumps = [{"variant": variant, "strategy": strategy, "seeds": count, "run": 0,
+                  "steps": steps, "final_active": sum(map(len, steps))}
+                 for c, (strategy, count) in enumerate(grid.cells())
+                 for steps in [trajectory(single_run(loaded, influence, grid, c, 0, seed))]]
+        assert written == json_text(dumps)
+        # the trajectories' batches run while the file is written, none before
+        assert events[events.index("publish") + 1:] == ["spread"] * batches
+
+    @pytest.fixture
+    def ladder_file(self, ladder, tmp_path) -> Path:
+        write_plain(ladder, tmp_path / "ladder.txt")
+        return tmp_path / "ladder.txt"
+
+    def test_first_part_runs_one_batch(self, ladder_file, tmp_path, monkeypatch):
+        written, calls = {}, []
+        monkeypatch.setattr(cli_mod, "publish", lambda args, outputs: written.update(outputs))
+        monkeypatch.setattr(dynamics_mod, "_BATCH_KEYS", 1)  # one run a batch
+        monkeypatch.setattr("hypernest.experiments.spread",
+                            lambda *args: calls.append(len(args[3])) or spread(*args))
+        main(simulate_argv(ladder_file, GRID, 0, tmp_path))
+        parts, before = iter(written[str(tmp_path / "t.json")]), len(calls)
+        assert next(parts).startswith('[\n  {\n    "variant": "non-strict"')
+        assert calls[before:] == [1]
+
+    def test_failed_batch_leaves_nothing(self, ladder_file, tmp_path, monkeypatch, capsys):
+        cells, seen = len(GRID.cells()), []
+
+        def failing(*args):
+            # the second batch of the trajectories, after run_experiment's four
+            if len(seen) == cells + 1:
+                seen.append(sorted(p.name for p in tmp_path.iterdir()))
+                raise MemoryError("Unable to allocate 1.00 MiB")
+            seen.append(None)
+            return spread(*args)
+
+        monkeypatch.setattr(dynamics_mod, "_BATCH_KEYS", 1)
+        monkeypatch.setattr("hypernest.experiments.spread", failing)
+        assert main(simulate_argv(ladder_file, GRID, 0, tmp_path)) == 2
+        # the failure came while the files were being written
+        assert seen[-1] == ["ladder.txt", "r.csv.tmp", "t.json.tmp"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ladder.txt"]
+        assert capsys.readouterr().err.splitlines() == [
+            "hypernest simulate: error: Unable to allocate 1.00 MiB"]
 
 
 @st.composite

@@ -23,7 +23,8 @@ from hypernest import (
     projected_density,
     write_plain,
 )
-from hypernest.hypergraph import RepeatedNodeError, component_labels, dataset_files, split_rows
+from hypernest.hypergraph import (RepeatedNodeError, component_labels, dataset_files, load_auto,
+                                  split_rows)
 
 # small label domains, so rows repeat; "mixed" rows hold ints and strs
 INT_LABEL = st.integers(0, 7)
@@ -200,6 +201,14 @@ class TestIngestSimplex:
         with pytest.raises(FormatError, match="expected exactly one \\*-nverts.txt, found 2$"):
             dataset_files(tmp_path)
 
+    @pytest.mark.parametrize("fmt", ["Plain", "simplex ", ""])
+    def test_unknown_format_is_refused(self, tmp_path, fmt):
+        # it was read as simplex: "missing dataset file x-nverts.txt"
+        (tmp_path / "x").write_text("1 2\n")
+        with pytest.raises(ValueError) as err:
+            load_auto(tmp_path / "x", fmt)
+        assert str(err.value) == f"unknown format {fmt!r}; choose from auto, plain, simplex"
+
 
     @pytest.mark.parametrize("nverts,simplices,message", [
         (b"2\n3\n", b"1\n2\n1\n2\n", "record sizes sum to 5 but 4 node entries were given"),
@@ -309,6 +318,44 @@ class TestPlainFormat:
         write_plain(h, path)
         assert path.read_text() == "1 #a\nb c\n"
         assert oracles.label_sets(load_plain(path)) == oracles.label_sets(h)
+
+    @pytest.mark.parametrize("rows,label", [
+        ([["a b", "c"]], "'a b'"),
+        ([["", "c"], ["c", "d"]], "''"),
+        ([["1", 1]], "1"),
+        ([[1, "x"], ["1", "y"]], "'1'"),
+    ])
+    def test_write_refuses_labels_that_read_back_otherwise(self, tmp_path, rows, label):
+        # written, these read back with 3 nodes for 2, with n = 2 for 3, as a
+        # repeated node, and with the int 1 and the str "1" merged
+        path = tmp_path / "h.txt"
+        with pytest.raises(ValueError) as err:
+            write_plain(Hypergraph(rows), path)
+        assert str(err.value) == (f"cannot write the plain format: label {label} would not "
+                                  "read back as one node of its own")
+        assert not path.exists()
+
+    @given(label_rows(st.one_of(INT_LABEL, st.sampled_from(["a", "1", "02", "#x", "", "a b",
+                                                             "\t", "\xa0", "c\rd"]))))
+    def test_written_labels_read_back_as_the_same_hypergraph(self, tmp_path_factory, rows):
+        # a file that is written reads back as the hypergraph, each label as
+        # the plain format reads its text; a refused one is never written
+        h = Hypergraph(rows)
+        path = tmp_path_factory.mktemp("plain") / "h.txt"
+        try:
+            write_plain(h, path)
+        except ValueError:
+            assert not path.exists()
+            return
+        back = {frozenset(hypergraph._plain_label(str(lab)) for lab in edge)
+                for edge in h.iter_label_edges()}
+        assert oracles.label_sets(load_plain(path)) == back
+        assert load_plain(path).n == h.n
+
+    def test_int_labels_are_not_read_back_one_by_one(self, tmp_path):
+        with mock.patch.object(hypergraph, "_plain_label", side_effect=AssertionError):
+            write_plain(Hypergraph([[1, 2], [2, -3]]), tmp_path / "h.txt")
+        assert (tmp_path / "h.txt").read_text() == "1 2\n-3 2\n"
 
     @given(hypergraphs())
     def test_write_load_round_trip(self, tmp_path_factory, h):

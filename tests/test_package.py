@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hypernest
+from hypernest.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,21 +74,26 @@ def test_every_public_name_resolves():
     ("from hypernest.cli import main; main(['simulate', {golden!r}, '--runs', '1',"
      " '--out', {out!r}])",
      ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "rng"]),
+    ("from hypernest.cli import main; main(['simulate', {golden!r}, '--runs', '1',"
+     " '--out', {out!r}, '--trajectories', {traj!r}])",
+     ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "rng"]),
     ("from hypernest.cli import main; main(['rnhm', '--nodes', '6', '--max-size', '3',"
      " '--max-edges', '2', '--out', {out!r}])",
      ["cli", "hypergraph", "rng", "rnhm"]),
     ("from hypernest.cli import main; main(['rnhm-sweep', '--realizations', '1', '--runs', '1',"
      " '--eps-grid', '1', '--seed-counts', '1', '--out', {out!r}])",
      ["cli", "dynamics", "experiments", "hypergraph", "linegraph", "rng", "rnhm"]),
-], ids=["load_auto", "stats", "encapsulation", "heights", "randomize", "simulate", "rnhm",
-        "rnhm-sweep"])
+], ids=["load_auto", "stats", "encapsulation", "heights", "randomize", "simulate",
+        "simulate-trajectories", "rnhm", "rnhm-sweep"])
 def test_commands_execute_only_the_modules_they_run(code, executed, tmp_path):
     # each module costs a process its compile and execution; only
     # `run_experiment(jobs > 1)` needs concurrent.futures, whose import (with
     # multiprocessing, logging and socket) would cost every command
-    code = code.format(golden=str(GOLDEN), out=str(tmp_path / "out"))
+    code = code.format(golden=str(GOLDEN), out=str(tmp_path / "out"),
+                       traj=str(tmp_path / "traj.json"))
     found = modules_after(code)
     assert (found["executed"], found["pool"]) == (executed, False)
+    assert (tmp_path / "traj.json").exists() == ("--trajectories" in code)
 
 
 def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
@@ -97,6 +105,35 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def readme_commands() -> list[str]:
+    """The ``hypernest ...`` lines of README's ``sh`` blocks, each with its
+    continuation lines joined."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = "".join(block.split("```", 1)[0] for block in readme.split("```sh\n")[1:])
+    return [line for line in blocks.replace("\\\n", " ").splitlines()
+            if line.startswith("hypernest ")]
+
+
+def test_readme_commands_parse():
+    # a renamed or dropped option would leave README's command lines behind:
+    # each must parse with its [...] groups given and its INPUT, DIR and K
+    # placeholders filled in, and together they show every subcommand
+    parser, refused, commands = build_parser(), [], set()
+    filled = {"INPUT": "in.txt", "DIR": "out", "K": "2"}
+    for line in readme_commands():
+        text = re.sub(r"\[([^]]*)\]", r"\1", line)
+        text = re.sub(r"\b(INPUT|DIR|K)\b", lambda word: filled[word[0]], text)
+        try:
+            args = parser.parse_args(shlex.split(text, comments=True)[1:])
+        except SystemExit:
+            refused.append(line)
+            continue
+        commands.add(args.command)
+    assert refused == []
+    assert commands == {"stats", "encapsulation", "heights", "randomize", "rnhm", "simulate",
+                        "rnhm-sweep"}
 
 
 def unused_imports(path: Path) -> list[str]:
